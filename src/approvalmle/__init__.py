@@ -18,7 +18,6 @@ from .initialization import (
 )
 from .likelihood import (
     IMPOSSIBLE,
-    ballot_loglik,
     brute_force_truth_mle,
     prior_logprob,
     total_loglik,
@@ -80,7 +79,6 @@ __all__ = [
     "TruthEstimate",
     "ValidationReport",
     "anna_karenina_init",
-    "ballot_loglik",
     "brute_force_truth_mle",
     "cardinality_mass",
     "clamp_unit",

@@ -55,6 +55,8 @@ class AmleConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not 0.0 < self.epsilon_clamp < 0.5:
+            raise ValueError("epsilon_clamp must lie in (0, 0.5)")
         if self.prior_update not in PRIOR_UPDATE_RULES:
             raise ValueError(f"unknown prior update rule {self.prior_update!r}")
 

@@ -24,7 +24,7 @@ from .amle import AmleConfig, run_amle
 from .baselines import majority_rule, modal_rule
 from .initialization import anna_karenina_init, random_init, uniform_init
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy
-from .model import Bounds, GroundTruth, ParamVector, Profile
+from .model import Bounds, GroundTruth, Profile
 
 METHODS = ("amle-constrained", "amle-free", "modal", "majority")
 METRICS = ("hamming", "subset", "harmonic", "harmonic_norm")
@@ -51,20 +51,31 @@ def restrict_voters(profile: Profile, voter_indices) -> Profile:
     )
 
 
-def initial_params(profile: Profile, strategy: str) -> ParamVector:
-    """Resolve an initialization strategy name for a profile.
+def parse_init(strategy: str, p0: float = 0.6, q0: float = 0.4, t0: float = 0.5):
+    """Initializer ``profile -> ParamVector`` for a strategy name.
 
-    Accepts ``anna-karenina``, ``uniform``, or ``random:<seed>``.
+    Accepts ``anna-karenina``, ``uniform`` (rates ``p0``/``q0``) or
+    ``random:<seed>``; ``t0`` is the initial inclusion prior.  Raises
+    ValueError on any other name, before any profile is seen.
     """
     if strategy == "anna-karenina":
-        return anna_karenina_init(profile)
+        return lambda profile: anna_karenina_init(profile, t0=t0)
     if strategy == "uniform":
-        return uniform_init(profile.num_voters, profile.num_alternatives)
-    if strategy.startswith("random:"):
-        return random_init(
-            profile.num_voters, profile.num_alternatives, int(strategy.split(":", 1)[1])
+        return lambda profile: uniform_init(
+            profile.num_voters, profile.num_alternatives, p0, q0, t0
         )
-    raise ValueError(f"unknown initialization strategy {strategy!r}")
+    if strategy.startswith("random:"):
+        try:
+            seed = int(strategy.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad seed in initialization strategy {strategy!r}") from None
+        return lambda profile: random_init(
+            profile.num_voters, profile.num_alternatives, seed, t0
+        )
+    raise ValueError(
+        f"unknown initialization strategy {strategy!r}; expected anna-karenina, "
+        "uniform or random:<seed>"
+    )
 
 
 def run_method(
@@ -77,11 +88,11 @@ def run_method(
     """Aggregate a profile with one method and return per-instance sets."""
     m = profile.num_alternatives
     if method == "amle-constrained":
-        result = run_amle(profile, bounds, initial_params(profile, init_strategy), config)
+        result = run_amle(profile, bounds, parse_init(init_strategy)(profile), config)
         return result.truths
     if method == "amle-free":
         free = Bounds(0, m)
-        result = run_amle(profile, free, initial_params(profile, init_strategy), config)
+        result = run_amle(profile, free, parse_init(init_strategy)(profile), config)
         return result.truths
     if method == "modal":
         return tuple(modal_rule(inst) for inst in profile.instances)
@@ -99,6 +110,18 @@ def score_estimates(estimates: GroundTruth, truths: GroundTruth, m: int) -> dict
     }
 
 
+def check_benchmark(num_voters: int, batch_sizes, methods, init_strategy: str) -> None:
+    """Raise ValueError unless every batch size fits the voters and every
+    method and the initialization strategy are known."""
+    for size in batch_sizes:
+        if not 1 <= size <= num_voters:
+            raise ValueError(f"batch size {size} exceeds the {num_voters} available voters")
+    unknown = [method for method in methods if method not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+    parse_init(init_strategy)
+
+
 def run_benchmark(
     profile: Profile,
     truths: GroundTruth,
@@ -112,13 +135,7 @@ def run_benchmark(
 ) -> list:
     """Accuracy table over voter batches; see module docstring."""
     n = profile.num_voters
-    for size in batch_sizes:
-        if not 1 <= size <= n:
-            raise ValueError(f"batch size {size} exceeds the {n} available voters")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
-
+    check_benchmark(n, batch_sizes, methods, init_strategy)
     m = profile.num_alternatives
     rows = []
     for size in batch_sizes:

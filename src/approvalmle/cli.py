@@ -23,13 +23,17 @@ from . import io
 from .amle import AmleConfig, run_amle
 from .benchmark import (
     METHODS,
+    check_benchmark,
     format_benchmark_table,
+    parse_init,
     run_benchmark,
     save_benchmark_csv,
+    score_estimates,
 )
-from .initialization import anna_karenina_init, random_init, uniform_init
-from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy
-from .model import Bounds, ParamVector, Profile, validate_profile
+# unused here; kept because perfbench's tracer wraps these names on this module
+from .initialization import anna_karenina_init, random_init, uniform_init  # noqa: F401
+from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noqa: F401
+from .model import Bounds, validate_profile
 from .synth import SynthSpec, sample_profile, sample_truths
 from .truth_mle import voter_weights
 
@@ -69,32 +73,12 @@ def _parse_rates(text: str, count: int, name: str) -> np.ndarray:
     return np.array(values)
 
 
-def _resolve_init(profile: Profile, spec: str, p0: float, q0: float, t0: float) -> ParamVector:
-    if spec == "anna-karenina":
-        return anna_karenina_init(profile, t0=t0)
-    if spec == "uniform":
-        return uniform_init(profile.num_voters, profile.num_alternatives, p0, q0, t0)
-    if spec.startswith("random:"):
-        try:
-            seed = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise _CliError(f"bad seed in --init {spec!r}") from None
-        return random_init(profile.num_voters, profile.num_alternatives, seed, t0)
-    if spec.startswith("file:"):
-        return io.load_params(spec.split(":", 1)[1])
-    raise _CliError(
-        f"unknown --init {spec!r}; expected anna-karenina, uniform, "
-        "random:<seed>, or file:<path>"
-    )
-
-
-def _metric_table(estimates, truths, m: int) -> dict:
-    return {
-        "hamming": hamming_accuracy(estimates, truths, m),
-        "subset": subset_accuracy(estimates, truths),
-        "harmonic": harmonic_accuracy(estimates, truths, m),
-        "harmonic_norm": harmonic_accuracy(estimates, truths, m, normalized=True),
-    }
+def _from_flags(build, *args, **kwargs):
+    """Call ``build`` on flag values; its ValueError is an input error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
 
 
 def cmd_aggregate(args) -> int:
@@ -107,14 +91,18 @@ def cmd_aggregate(args) -> int:
     if not report_check.ok:
         raise _CliError("invalid dataset:\n  " + "\n  ".join(report_check.violations))
 
-    init = _resolve_init(profile, args.init, args.p0, args.q0, args.t0)
-    config = AmleConfig(
+    config = _from_flags(
+        AmleConfig,
         tolerance=args.tolerance,
         max_iterations=args.max_iter,
         freeze_priors=args.freeze_priors,
         epsilon_clamp=args.epsilon_clamp,
         prior_update=args.prior_update,
     )
+    if args.init.startswith("file:"):
+        init = io.load_params(args.init.split(":", 1)[1])
+    else:
+        init = _from_flags(parse_init, args.init, args.p0, args.q0, args.t0)(profile)
 
     if bounds.upper == 0:
         # Degenerate but legal: the bounds force every truth set to be empty,
@@ -170,7 +158,7 @@ def cmd_aggregate(args) -> int:
         "loglik_trace": trace_logliks,
     }
     if ground_truth is not None:
-        report["metrics"] = _metric_table(truths, ground_truth, profile.num_alternatives)
+        report["metrics"] = score_estimates(truths, ground_truth, profile.num_alternatives)
 
     out = _out_path(args.out, Path(args.dataset).stem + "_report.json")
     with open(out, "w", encoding="utf-8") as fh:
@@ -226,7 +214,7 @@ def cmd_evaluate(args) -> int:
     except KeyError as exc:
         raise _CliError(f"assignment names unknown alternative {exc}") from None
 
-    table = _metric_table(estimates, truths, len(alt_ids))
+    table = score_estimates(estimates, truths, len(alt_ids))
     for name, value in table.items():
         print(f"{name:<14} {value:.4f}")
     if args.out:
@@ -278,22 +266,16 @@ def cmd_benchmark(args) -> int:
         sizes = [int(part) for part in args.batch_sizes.split(",")]
     except ValueError:
         raise _CliError("--batch-sizes must be comma-separated integers") from None
-    for size in sizes:
-        if not 1 <= size <= profile.num_voters:
-            raise _CliError(
-                f"batch size {size} exceeds the {profile.num_voters} available voters"
-            )
     methods = args.methods.split(",")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise _CliError(f"unknown methods {unknown}; choose from {list(METHODS)}")
     if args.init.startswith("file:"):
         raise _CliError(
             "benchmark re-initializes per voter batch; file-based initial "
             "parameters cannot fit every batch size"
         )
+    _from_flags(check_benchmark, profile.num_voters, sizes, methods, args.init)
 
-    config = AmleConfig(
+    config = _from_flags(
+        AmleConfig,
         tolerance=args.tolerance,
         max_iterations=args.max_iter,
         prior_update=args.prior_update,

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .model import ParamVector, Profile
+from .model import ParamVector, Profile, require_open_unit
 
 
 def jaccard_distance(ballot_a, ballot_b) -> float:
@@ -29,18 +29,19 @@ def jaccard_distance(ballot_a, ballot_b) -> float:
     return len(a ^ b) / len(union)
 
 
-def _pooled_ballots(profile: Profile) -> list:
-    """Concatenate each voter's ballots across instances.
-
-    Each (instance, alternative) pair is one element, so the Jaccard distance
-    between two voters compares their complete answer sheets, not per-instance
-    averages.
-    """
-    pooled = [set() for _ in range(profile.num_voters)]
-    for z, instance in enumerate(profile.instances):
-        for i, ballot in enumerate(instance.ballots):
-            pooled[i].update((z, a) for a in ballot)
-    return [frozenset(s) for s in pooled]
+def _pooled_distance_sums(approvals: np.ndarray) -> np.ndarray:
+    """Per voter, the sum of Jaccard distances to every other voter, each
+    voter's ballots pooled across instances into one set of (instance,
+    alternative) pairs.  Intersections come from the Gram matrix, exactly."""
+    length, n, m = approvals.shape
+    pooled = approvals.transpose(1, 0, 2).reshape(n, length * m).astype(float)
+    shared = pooled @ pooled.T
+    sizes = np.diag(shared)
+    union = sizes[:, np.newaxis] + sizes[np.newaxis, :] - shared
+    pairwise = np.divide(union - shared, union, out=np.zeros_like(union), where=union > 0)
+    # a left-to-right running sum, so each total is rounded exactly like a
+    # sequential sum over the other voters in index order
+    return np.add.accumulate(pairwise, axis=1)[:, -1]
 
 
 def uniform_init(
@@ -48,8 +49,7 @@ def uniform_init(
 ) -> ParamVector:
     """Give every voter the same starting rates (defaults (0.6, 0.4))."""
     for name, value in (("p0", p0), ("q0", q0), ("t0", t0)):
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
+        require_open_unit(value, name)
     return ParamVector(np.full(n, p0), np.full(n, q0), np.full(m, t0))
 
 
@@ -87,13 +87,7 @@ def anna_karenina_init(profile: Profile, t0: float = 0.5) -> ParamVector:
     n = profile.num_voters
     if n < 2:
         raise ValueError("distance-based initialization needs at least 2 voters")
-    pooled = _pooled_ballots(profile)
-    distances = np.array(
-        [
-            sum(jaccard_distance(pooled[i], pooled[j]) for j in range(n) if j != i)
-            for i in range(n)
-        ]
-    )
+    distances = _pooled_distance_sums(profile.approvals)
     d_max = distances.max()
     d_min = distances.min()
     if d_min == d_max:

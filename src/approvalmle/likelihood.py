@@ -13,13 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from .model import Ballot, Bounds, GroundTruth, ParamVector, Profile, Instance
-from .priors import cardinality_mass
+import numpy as np
 
-#: Absolute log-space tolerance under which two candidate sets are considered
-#: equally likely.  Double-precision accumulation over n*m terms makes exact
-#: equality meaningless.
-TIE_TOLERANCE = 1e-9
+from .model import TIE_TOLERANCE, Bounds, GroundTruth, Instance, ParamVector, Profile
+from .model import approval_matrix, require_open_unit
+from .priors import cardinality_mass
 
 
 class _ImpossibleType:
@@ -34,30 +32,33 @@ class _ImpossibleType:
 IMPOSSIBLE = _ImpossibleType()
 
 
-def _check_rate(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
+def _prior_term(truths: np.ndarray, t: np.ndarray, bounds: Bounds) -> float:
+    """Log prior of admissible truth rows ``bool[L, m]``: per-alternative
+    occurrence counts weigh ln t and ln(1 - t), and each row pays the log
+    normalizing mass once."""
+    length = truths.shape[0]
+    occurrences = truths.sum(0)
+    return float(
+        occurrences @ np.log(t)
+        + (length - occurrences) @ np.log1p(-t)
+        - length * math.log(cardinality_mass(t, bounds))
+    )
 
 
-def ballot_loglik(ballot: Ballot, truth, p_i: float, q_i: float, m: int) -> float:
-    """Log-probability of one ballot given a truth set.
-
-    Counts the four label outcomes and weighs them:
-    |A∩S| ln p + |A∩S̄| ln q + |Ā∩S| ln(1-p) + |Ā∩S̄| ln(1-q).
-    """
-    _check_rate("p_i", p_i)
-    _check_rate("q_i", q_i)
-    truth = frozenset(truth)
-    ballot = frozenset(ballot)
-    true_pos = len(ballot & truth)
-    false_pos = len(ballot) - true_pos
-    false_neg = len(truth) - true_pos
-    true_neg = m - true_pos - false_pos - false_neg
-    return (
-        true_pos * math.log(p_i)
-        + false_pos * math.log(q_i)
-        + false_neg * math.log(1.0 - p_i)
-        + true_neg * math.log(1.0 - q_i)
+def _ballot_term(approvals: np.ndarray, truths: np.ndarray, params: ParamVector) -> float:
+    """Log-probability of ballots ``bool[L, n, m]`` given truths ``bool[L, m]``:
+    TP ln p + FP ln q + FN ln(1-p) + TN ln(1-q) from each voter's label counts."""
+    positives = truths.sum()
+    true_pos = np.einsum("zij,zj->i", approvals, truths.astype(float))
+    false_pos = approvals.sum((0, 2)) - true_pos
+    false_neg = positives - true_pos
+    true_neg = truths.size - positives - false_pos
+    p, q = params.p, params.q
+    return float(
+        true_pos @ np.log(p)
+        + false_pos @ np.log(q)
+        + false_neg @ np.log1p(-p)
+        + true_neg @ np.log1p(-q)
     )
 
 
@@ -71,12 +72,8 @@ def prior_logprob(candidate, t, bounds: Bounds):
     candidate = frozenset(candidate)
     if not bounds.contains(len(candidate)):
         return IMPOSSIBLE
-    total = 0.0
-    for j, t_j in enumerate(t):
-        if not 0.0 < t_j < 1.0:
-            raise ValueError(f"t[{j}] must lie strictly in (0, 1), got {t_j}")
-        total += math.log(t_j) if j in candidate else math.log(1.0 - t_j)
-    return total - math.log(cardinality_mass(t, bounds))
+    t = require_open_unit(t, "t")
+    return _prior_term(approval_matrix([candidate], len(t)), t, bounds)
 
 
 def instance_loglik(instance: Instance, truth, params: ParamVector, bounds: Bounds):
@@ -84,11 +81,10 @@ def instance_loglik(instance: Instance, truth, params: ParamVector, bounds: Boun
     prior = prior_logprob(truth, params.t, bounds)
     if prior is IMPOSSIBLE:
         return IMPOSSIBLE
+    params.require_open_unit()
     m = params.num_alternatives
-    total = prior
-    for i, ballot in enumerate(instance.ballots):
-        total += ballot_loglik(ballot, truth, params.p[i], params.q[i], m)
-    return total
+    approvals = approval_matrix(instance.ballots, m)[np.newaxis]
+    return prior + _ballot_term(approvals, approval_matrix([truth], m), params)
 
 
 def total_loglik(
@@ -99,24 +95,23 @@ def total_loglik(
 ) -> float:
     """Total log-likelihood over all instances.
 
-    Instances are independent given the parameters, so the total is the sum
-    of per-instance terms, accumulated in instance order for bit-stable
-    results.  An inadmissible truth set raises, naming the instance.
+    Instances are independent given the parameters, so the total depends on
+    the ballots and truths only through per-voter and per-alternative counts.
+    An inadmissible truth set raises, naming the instance.
     """
-    if len(truths) != profile.num_instances:
+    truth_array = profile.truth_array(truths)
+    sizes = truth_array.sum(1)
+    outside = np.flatnonzero((sizes < bounds.lower) | (sizes > bounds.upper))
+    if outside.size:
+        z = outside[0]
         raise ValueError(
-            f"got {len(truths)} truth sets for {profile.num_instances} instances"
+            f"truth set of instance {profile.instances[z].id!r} has size {sizes[z]} "
+            f"outside bounds [{bounds.lower}, {bounds.upper}]"
         )
-    total = 0.0
-    for instance, truth in zip(profile.instances, truths):
-        term = instance_loglik(instance, truth, params, bounds)
-        if term is IMPOSSIBLE:
-            raise ValueError(
-                f"truth set of instance {instance.id!r} has size {len(truth)} "
-                f"outside bounds [{bounds.lower}, {bounds.upper}]"
-            )
-        total += term
-    return total
+    params.require_open_unit()
+    return _prior_term(truth_array, params.t, bounds) + _ballot_term(
+        profile.approvals, truth_array, params
+    )
 
 
 def brute_force_truth_mle(

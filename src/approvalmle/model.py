@@ -5,13 +5,16 @@ Conventions used throughout the package:
 * Alternatives and voters are indexed by their position in the profile's
   declaration order (0-based).  All vectors (scores, reliabilities, priors)
   are aligned with that order, which makes tie-breaking deterministic.
-* A ballot is a plain ``frozenset`` of alternative indices.
-* A ground-truth assignment is one frozenset per instance, in instance order.
+* Ballots and truth sets enter and leave as frozensets of alternative indices
+  (truths: one per instance, in instance order); computation runs on the dense
+  boolean ``Profile.approvals`` and ``Profile.truth_array`` arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,8 +24,30 @@ import numpy as np
 #: but the closed-form updates can return exactly 0 or 1 on degenerate counts.
 DEFAULT_EPSILON_CLAMP = 1e-4
 
-Ballot = frozenset
+#: Absolute log-space tolerance under which two scores or likelihoods tie; they
+#: are float sums over up to n*m terms, so exact equality is meaningless.
+TIE_TOLERANCE = 1e-9
+
 GroundTruth = tuple
+
+
+def require_open_unit(values, name: str) -> np.ndarray:
+    """Return ``values`` as a float array; raise unless every entry lies in (0, 1)."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {values}")
+    return arr
+
+
+def approval_matrix(sets, m: int) -> np.ndarray:
+    """Dense ``bool[len(sets), m]`` whose row r marks the members of ``sets[r]``."""
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)
+    if members.size and not 0 <= members.min() <= members.max() < m:
+        raise ValueError(f"alternative indices must lie in [0, {m})")
+    matrix = np.zeros((len(sets), m), dtype=bool)
+    matrix[np.repeat(np.arange(len(sets)), sizes), members] = True
+    return matrix
 
 
 def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
@@ -99,11 +124,25 @@ class Profile:
     def alternative_ids(self) -> tuple:
         return tuple(a.id for a in self.alternatives)
 
-    def alternative_index(self, alt_id: str) -> int:
-        for a in self.alternatives:
-            if a.id == alt_id:
-                return a.index
-        raise KeyError(alt_id)
+    @cached_property
+    def approvals(self) -> np.ndarray:
+        """Read-only ``bool[L, n, m]``: ``approvals[z, i, j]`` is True iff voter
+        i approves alternative j on instance z.  Built on first use."""
+        n = self.num_voters
+        if any(len(inst.ballots) != n for inst in self.instances):
+            raise ValueError(f"ragged ballots: every instance needs {n} ballots")
+        ballots = [ballot for inst in self.instances for ballot in inst.ballots]
+        dense = approval_matrix(ballots, self.num_alternatives)
+        dense.setflags(write=False)
+        return dense.reshape(self.num_instances, n, self.num_alternatives)
+
+    def truth_array(self, truths: GroundTruth) -> np.ndarray:
+        """``bool[L, m]`` whose row z marks the members of ``truths[z]``."""
+        if len(truths) != self.num_instances:
+            raise ValueError(
+                f"got {len(truths)} truth sets for {self.num_instances} instances"
+            )
+        return approval_matrix(truths, self.num_alternatives)
 
     @classmethod
     def build(
@@ -172,9 +211,7 @@ class ParamVector:
     def require_open_unit(self) -> None:
         """Raise unless every entry lies strictly inside (0, 1)."""
         for name in ("p", "q", "t"):
-            arr = getattr(self, name)
-            if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
-                raise ValueError(f"{name} entries must lie strictly in (0, 1)")
+            require_open_unit(getattr(self, name), name)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_EPSILON_CLAMP, Bounds, GroundTruth, clamp_unit
-
-
-def _require_open_unit(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.size and not np.all((t > 0.0) & (t < 1.0)):
-        raise ValueError("inclusion probabilities must lie strictly in (0, 1)")
-    return t
+from .model import DEFAULT_EPSILON_CLAMP, Bounds, GroundTruth, clamp_unit, require_open_unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +76,7 @@ def cardinality_mass(t, bounds: Bounds) -> float:
     >>> cardinality_mass([0.5] * 5, Bounds(1, 2))
     0.46875
     """
-    t = _require_open_unit(t)
+    t = require_open_unit(t, "inclusion probabilities")
     return _interval_mass(t, bounds.lower, bounds.upper)
 
 
@@ -93,7 +86,7 @@ def mass_given_included(j: int, t, bounds: Bounds) -> float:
     With j forced in, the other alternatives must contribute a count in
     [max(l - 1, 0), u - 1].
     """
-    t = _require_open_unit(t)
+    t = require_open_unit(t, "inclusion probabilities")
     if bounds.upper < 1:
         raise ValueError(
             f"alternative {j} can never be included under upper bound {bounds.upper}"
@@ -108,7 +101,7 @@ def mass_given_excluded(j: int, t, bounds: Bounds) -> float:
     With j forced out, the other m - 1 alternatives must contribute a count in
     [l, min(u, m - 1)].
     """
-    t = _require_open_unit(t)
+    t = require_open_unit(t, "inclusion probabilities")
     if bounds.lower > len(t) - 1:
         raise ValueError(
             f"alternative {j} can never be excluded under lower bound {bounds.lower}"
@@ -163,7 +156,7 @@ def update_inclusion_prior(
     """
     if rule not in PRIOR_UPDATE_RULES:
         raise ValueError(f"unknown prior update rule {rule!r}")
-    t = _require_open_unit(t)
+    t = require_open_unit(t, "inclusion probabilities")
     length = len(truths)
     occ = sum(1 for truth in truths if j in truth)
     if occ == 0:

@@ -26,13 +26,9 @@ def update_reliabilities(
     Raises ValueError when every truth set is empty (no positive labels, p
     undefined) or every truth set is full (no negative labels, q undefined).
     """
-    m = profile.num_alternatives
-    length = profile.num_instances
-    if len(truths) != length:
-        raise ValueError(f"got {len(truths)} truth sets for {length} instances")
-
-    total_positive = sum(len(truth) for truth in truths)
-    total_negative = length * m - total_positive
+    truth_array = profile.truth_array(truths)
+    total_positive = int(truth_array.sum())
+    total_negative = truth_array.size - total_positive
     if total_positive == 0:
         raise ValueError(
             "every truth set is empty: true-positive rate p is undefined"
@@ -42,14 +38,9 @@ def update_reliabilities(
             "every truth set is full: false-positive rate q is undefined"
         )
 
-    n = profile.num_voters
-    true_pos = np.zeros(n)
-    approvals = np.zeros(n)
-    for instance, truth in zip(profile.instances, truths):
-        truth = frozenset(truth)
-        for i, ballot in enumerate(instance.ballots):
-            true_pos[i] += len(ballot & truth)
-            approvals[i] += len(ballot)
+    # einsum over two bool operands would return a logical OR, not a count
+    true_pos = np.einsum("zij,zj->i", profile.approvals, truth_array.astype(float))
+    approvals = profile.approvals.sum((0, 2))
 
     p_hat = clamp_unit(true_pos / total_positive, epsilon)
     q_hat = clamp_unit((approvals - true_pos) / total_negative, epsilon)

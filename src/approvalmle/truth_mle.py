@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Bounds, Instance, ParamVector, TruthEstimate
-
-#: Absolute score tolerance for membership in the at-threshold set.  Scores
-#: are float sums, so exact equality with the threshold is meaningless.
-SCORE_TIE_TOLERANCE = 1e-9
+from .model import TIE_TOLERANCE, Bounds, Instance, ParamVector, TruthEstimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +79,7 @@ def weighted_scores(instance: Instance, params: ParamVector) -> ScoreBoard:
 
 
 def partition(
-    board: ScoreBoard, tie_tolerance: float = SCORE_TIE_TOLERANCE
+    board: ScoreBoard, tie_tolerance: float = TIE_TOLERANCE
 ) -> ThresholdPartition:
     """Split alternatives into above/at/below the threshold."""
     diff = board.scores - board.threshold
@@ -96,17 +92,11 @@ def partition(
     )
 
 
-def score_ranking(scores: np.ndarray) -> list:
-    """Alternative indices sorted by (score descending, index ascending)."""
-    m = len(scores)
-    return sorted(range(m), key=lambda j: (-scores[j], j))
-
-
 def estimate_truth(
     instance: Instance,
     params: ParamVector,
     bounds: Bounds,
-    tie_tolerance: float = SCORE_TIE_TOLERANCE,
+    tie_tolerance: float = TIE_TOLERANCE,
 ) -> TruthEstimate:
     """Constrained maximum-likelihood truth set for one instance.
 
@@ -124,8 +114,8 @@ def estimate_truth(
     board = weighted_scores(instance, params)
     split = partition(board, tie_tolerance)
     k = min(bounds.upper, max(bounds.lower, split.k_above))
-    ranking = score_ranking(board.scores)
-    chosen = frozenset(ranking[:k])
+    # a stable sort of the negated scores breaks ties by ascending index
+    chosen = frozenset(np.argsort(-board.scores, kind="stable")[:k].tolist())
     return TruthEstimate(
         chosen=chosen,
         scores=board.scores,

@@ -38,7 +38,6 @@ from approvalmle import (
     update_inclusion_prior,
     update_reliabilities,
 )
-from approvalmle.initialization import _pooled_ballots
 from approvalmle.likelihood import instance_loglik
 from approvalmle.metrics import ThieleWeights
 from approvalmle.synth import SynthSpec, sample_dataset
@@ -48,6 +47,7 @@ from conftest import (
     instance_with_counts,
     random_small_instance,
 )
+from reference_seed import pooled_ballots
 
 S = frozenset
 
@@ -170,7 +170,7 @@ def test_c04_distance_based_initialization():
     """Pooled Jaccard distances, interpolated weights, and the q construction
     on the worked profile."""
     profile = _worked_profile()
-    pooled = _pooled_ballots(profile)
+    pooled = pooled_ballots(profile)
     distances = np.array(
         [
             sum(jaccard_distance(pooled[i], pooled[j]) for j in range(3) if j != i)

@@ -171,6 +171,11 @@ class TestValidationAndErrors:
         with pytest.raises(ValueError, match="voter count"):
             run_amle(worked_profile, worked_bounds, uniform_init(4, 5))
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 0.7, -1e-4])
+    def test_config_rejects_epsilon_clamp_outside_half_interval(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon_clamp"):
+            AmleConfig(epsilon_clamp=epsilon)
+
 
 def test_estimation_beats_majority_on_average_at_scale():
     # homogeneous synthetic regime: constrained estimation edges out the

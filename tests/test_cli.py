@@ -121,6 +121,13 @@ class TestAggregate:
     def test_missing_file_exits_1(self, tmp_path):
         assert run(["aggregate", tmp_path / "absent.json"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--tolerance", 0], ["--epsilon-clamp", 0.7]], ids=["tolerance", "epsilon"]
+    )
+    def test_bad_config_exits_1(self, dataset_path, flags, capsys):
+        assert run(["aggregate", dataset_path, *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestEvaluate:
     def test_equal_files_score_one(self, tmp_path):
@@ -260,6 +267,19 @@ class TestBenchmark:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--init", "random:abc"], ["--init", "bogus"], ["--tolerance", 0]],
+        ids=["init-seed", "init-name", "tolerance"],
+    )
+    def test_bad_flag_exits_1(self, truth_dataset, tmp_path, flags, capsys):
+        code = run(
+            ["benchmark", truth_dataset, "--batch-sizes", "4", *flags,
+             "--out", tmp_path / "x.csv"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_ground_truth_exits_1(self, tmp_path, worked_profile):
         path = tmp_path / "no_truth.json"

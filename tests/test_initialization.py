@@ -10,7 +10,7 @@ from approvalmle import (
     random_init,
     uniform_init,
 )
-from approvalmle.initialization import _pooled_ballots
+from reference_seed import pooled_ballots
 
 
 class TestJaccardDistance:
@@ -38,7 +38,7 @@ class TestJaccardDistance:
 
 class TestAnnaKarenina:
     def test_worked_profile_values(self, worked_profile):
-        pooled = _pooled_ballots(worked_profile)
+        pooled = pooled_ballots(worked_profile)
         distances = [
             sum(
                 jaccard_distance(pooled[i], pooled[j])
@@ -79,7 +79,7 @@ class TestAnnaKarenina:
                     for _ in range(L)
                 ],
             )
-            pooled = _pooled_ballots(profile)
+            pooled = pooled_ballots(profile)
             distances = np.array(
                 [
                     sum(

@@ -9,14 +9,24 @@ from approvalmle import (
     Bounds,
     Instance,
     ParamVector,
-    ballot_loglik,
     brute_force_truth_mle,
     cardinality_mass,
     estimate_truth,
     prior_logprob,
     total_loglik,
 )
+from approvalmle.likelihood import instance_loglik
 from conftest import WORKED_FIRST_TRUTHS, random_small_instance
+
+
+def ballot_loglik(ballot, truth, p, q, m):
+    """Log-probability of one ballot given a truth set: a one-voter instance's
+    log-likelihood minus its prior term."""
+    params = ParamVector([p], [q], [0.5] * m)
+    bounds = Bounds(0, m)
+    return instance_loglik(Instance("x", [ballot]), truth, params, bounds) - prior_logprob(
+        truth, params.t, bounds
+    )
 
 
 class TestBallotLoglik:
@@ -53,11 +63,14 @@ class TestBallotLoglik:
             3 * math.log(0.6)
         )
 
-    def test_rejects_boundary_rates(self):
-        with pytest.raises(ValueError):
+    def test_rejects_boundary_rates(self, worked_profile):
+        with pytest.raises(ValueError, match="strictly"):
             ballot_loglik(frozenset(), frozenset(), 1.0, 0.4, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly"):
             ballot_loglik(frozenset(), frozenset(), 0.5, 0.0, 3)
+        params = ParamVector([0.5, 0.5, 1.0], [0.4] * 3, [0.5] * 5)
+        with pytest.raises(ValueError, match="strictly"):
+            total_loglik(worked_profile, WORKED_FIRST_TRUTHS, params, Bounds(1, 2))
 
 
 class TestPriorLogprob:
@@ -93,9 +106,9 @@ class TestTotalLoglik:
         params = ParamVector([0.6], [0.3], [0.5, 0.5])
         profile_like = _single_instance_profile()
         truth = (frozenset({0}),)
-        expected = prior_logprob(truth[0], params.t, Bounds(1, 1)) + ballot_loglik(
-            frozenset({0}), truth[0], 0.6, 0.3, 2
-        )
+        # one true positive and one true negative, and 1 of the 2 admissible
+        # singletons under fair coins
+        expected = math.log(0.6) + math.log(0.7) + math.log(0.5)
         assert total_loglik(profile_like, truth, params, Bounds(1, 1)) == pytest.approx(
             expected, abs=1e-12
         )

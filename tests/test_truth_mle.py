@@ -12,8 +12,8 @@ from approvalmle import (
     partition,
     weighted_scores,
 )
-from approvalmle.truth_mle import score_ranking
 from conftest import WORKED_FIRST_TRUTHS, random_small_instance
+from reference_seed import score_ranking
 
 
 class TestWeightedScores:
