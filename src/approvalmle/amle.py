@@ -1,13 +1,13 @@
 """Alternating maximum-likelihood estimation of truths and parameters.
 
 Each iteration re-estimates every instance's truth set given the current
-parameters, then updates the voter rates (p, q) and, unless priors are
-frozen, sweeps the inclusion priors t coordinate by coordinate.  Under the
-default ``exact`` prior update every step maximizes the total likelihood in
-its own block, so the likelihood never decreases and stopping early still
-yields a usable, likelihood-improved estimate; the ``legacy`` update trades
-that guarantee for compatibility with previously circulated AMLE runs (see
-``update_inclusion_prior``).
+parameters (one whole-profile call), then updates the voter rates (p, q)
+and, unless priors are frozen, sweeps the inclusion priors t coordinate by
+coordinate.  Under the default ``exact`` prior update every step maximizes
+the total likelihood in its own block, so the likelihood never decreases and
+stopping early still yields a usable, likelihood-improved estimate; the
+``legacy`` update trades that guarantee for compatibility with previously
+circulated AMLE runs (see ``update_inclusion_prior``).
 
 The parameter vector is packed as (p_1..p_n, q_1..q_n, t_1..t_m) and the stop
 rule compares successive vectors in the sup norm.
@@ -84,6 +84,16 @@ class AmleResult:
     iterations: int
 
 
+def check_init(profile: Profile, init: ParamVector) -> None:
+    """Raise ValueError unless ``init`` fits the profile's voters and
+    alternatives and every entry lies strictly inside (0, 1)."""
+    if init.num_voters != profile.num_voters:
+        raise ValueError("initial parameters sized for a different voter count")
+    if init.num_alternatives != profile.num_alternatives:
+        raise ValueError("initial parameters sized for a different alternative count")
+    init.require_open_unit()
+
+
 def run_amle(
     profile: Profile,
     bounds: Bounds,
@@ -100,11 +110,7 @@ def run_amle(
     report = validate_profile(profile, bounds)
     if not report.ok:
         raise ValueError("invalid profile: " + "; ".join(report.violations))
-    if init.num_voters != profile.num_voters:
-        raise ValueError("initial parameters sized for a different voter count")
-    if init.num_alternatives != profile.num_alternatives:
-        raise ValueError("initial parameters sized for a different alternative count")
-    init.require_open_unit()
+    check_init(profile, init)
 
     params = init
     steps = []
@@ -114,10 +120,7 @@ def run_amle(
 
     while iteration < config.max_iterations and not converged:
         iteration += 1
-        truths = tuple(
-            estimate_truth(instance, params, bounds).chosen
-            for instance in profile.instances
-        )
+        truths = estimate_truth(profile, params, bounds)
         loglik_truth_step = total_loglik(profile, truths, params, bounds)
 
         p_hat, q_hat = update_reliabilities(profile, truths, config.epsilon_clamp)

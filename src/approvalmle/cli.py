@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .amle import AmleConfig, run_amle
+from .amle import AmleConfig, check_init, run_amle
 from .benchmark import (
     METHODS,
     check_benchmark,
@@ -74,7 +74,7 @@ def _parse_rates(text: str, count: int, name: str) -> np.ndarray:
 
 
 def _from_flags(build, *args, **kwargs):
-    """Call ``build`` on flag values; its ValueError is an input error."""
+    """Call ``build`` on flag or dataset values; its ValueError is an input error."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
@@ -102,7 +102,9 @@ def cmd_aggregate(args) -> int:
     if args.init.startswith("file:"):
         init = io.load_params(args.init.split(":", 1)[1])
     else:
-        init = _from_flags(parse_init, args.init, args.p0, args.q0, args.t0)(profile)
+        make_init = _from_flags(parse_init, args.init, args.p0, args.q0, args.t0)
+        init = _from_flags(make_init, profile)
+    _from_flags(check_init, profile, init)
 
     if bounds.upper == 0:
         # Degenerate but legal: the bounds force every truth set to be empty,

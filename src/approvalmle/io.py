@@ -22,8 +22,6 @@ import json
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .model import GroundTruth, ParamVector, Profile
 
 
@@ -51,6 +49,17 @@ def _truth_tuple(profile: Profile, truth_map: dict) -> GroundTruth:
     return tuple(truths)
 
 
+def _read_json_object(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{path} does not contain a JSON object")
+    return doc
+
+
 def load_dataset(path, strict: bool = False):
     """Read a dataset file (JSON or CSV by extension).
 
@@ -59,12 +68,7 @@ def load_dataset(path, strict: bool = False):
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return load_profile_csv(path), None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path} is not valid JSON: {exc}") from None
-    return parse_dataset(doc, strict=strict)
+    return parse_dataset(_read_json_object(path), strict=strict)
 
 
 def parse_dataset(doc: dict, strict: bool = False):
@@ -81,9 +85,17 @@ def parse_dataset(doc: dict, strict: bool = False):
 
     instance_ids = []
     instance_ballots = []
-    for entry in doc["instances"]:
+    for pos, entry in enumerate(doc["instances"]):
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise DatasetFormatError(
+                f"instance entry {pos} must be an object with an 'id' key, got {entry!r}"
+            )
         zid = str(entry["id"])
         ballots_map = entry.get("ballots", {})
+        if not isinstance(ballots_map, dict):
+            raise DatasetFormatError(
+                f"instance {zid!r}: ballots must map voter ids to lists of alternatives"
+            )
         unknown_voters = set(ballots_map) - set(voter_ids)
         if unknown_voters:
             raise DatasetFormatError(
@@ -104,6 +116,11 @@ def parse_dataset(doc: dict, strict: bool = False):
         ballots = []
         for vid in voter_ids:
             approved = ballots_map.get(vid, [])
+            if not isinstance(approved, list):
+                raise DatasetFormatError(
+                    f"instance {zid!r}, voter {vid!r}: a ballot must be a list of "
+                    f"alternative ids, got {approved!r}"
+                )
             try:
                 ballots.append(frozenset(index[str(a)] for a in approved))
             except KeyError as exc:
@@ -223,16 +240,16 @@ def load_profile_csv(path) -> Profile:
 
 def load_params(path) -> ParamVector:
     """Read initial parameters from a JSON file with keys p, q, t."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json_object(path)
     missing = [key for key in ("p", "q", "t") if key not in doc]
     if missing:
         raise DatasetFormatError(f"parameter file lacks keys {missing}")
-    return ParamVector(
-        np.asarray(doc["p"], dtype=float),
-        np.asarray(doc["q"], dtype=float),
-        np.asarray(doc["t"], dtype=float),
-    )
+    try:
+        return ParamVector(doc["p"], doc["q"], doc["t"])
+    except (TypeError, ValueError):
+        raise DatasetFormatError(
+            f"{path}: p, q and t must be lists of numbers"
+        ) from None
 
 
 def save_params(path, params: ParamVector) -> None:
@@ -249,10 +266,7 @@ def load_assignment(path):
     (uses its ``ground_truth``), or a bare ``{instance_id: [alt_id]}`` map.
     Returns ``(assignment_map, alternative_ids_or_None)``.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise DatasetFormatError(f"{path} does not contain a JSON object")
+    doc = _read_json_object(path)
     if "estimates" in doc:
         return dict(doc["estimates"]), doc.get("alternatives")
     if "instances" in doc and "ground_truth" in doc:

@@ -72,6 +72,24 @@ class TestWorkedProfile:
         assert first.iterations == second.iterations
         np.testing.assert_array_equal(first.params.packed(), second.params.packed())
 
+    def test_truth_step_is_one_whole_profile_call_per_iteration(
+        self, worked_profile, worked_bounds, worked_init, monkeypatch
+    ):
+        # the benchmark's tracer sees the truth step only through this name
+        import approvalmle.amle
+
+        calls = []
+
+        def counting(data, params, bounds):
+            calls.append(data)
+            return estimate_truth(data, params, bounds)
+
+        monkeypatch.setattr(approvalmle.amle, "estimate_truth", counting)
+        result = run_amle(worked_profile, worked_bounds, worked_init)
+        assert result.iterations > 1
+        assert len(calls) == result.iterations
+        assert all(data is worked_profile for data in calls)
+
 
 class TestSingleConsistentVoter:
     def test_truths_follow_the_ballots(self):

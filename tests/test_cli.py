@@ -67,14 +67,17 @@ class TestAggregate:
         report = json.loads(out.read_text())
         assert all(est == [] for est in report["estimates"].values())
 
-    def test_degenerate_estimation_exits_2(self, tmp_path):
+    def test_degenerate_estimation_exits_2(self, tmp_path, capsys):
         # full-set bounds leave no negative labels, so q is inestimable
         profile_path = tmp_path / "tiny.json"
         from approvalmle.model import Profile
 
         save_dataset(profile_path, Profile.build(["a"], ["v"], [[{0}]]))
-        code = run(["aggregate", profile_path, "--lower", 1, "--upper", 1])
+        code = run(
+            ["aggregate", profile_path, "--lower", 1, "--upper", 1, "--init", "uniform"]
+        )
         assert code == 2
+        assert "every truth set is full" in capsys.readouterr().err
 
     def test_freeze_priors_echoes_initial_t(self, tmp_path, worked_profile):
         # single-instance dataset: priors cannot be updated
@@ -121,6 +124,39 @@ class TestAggregate:
     def test_missing_file_exits_1(self, tmp_path):
         assert run(["aggregate", tmp_path / "absent.json"]) == 1
 
+    def test_out_of_range_uniform_rate_exits_1(self, dataset_path, capsys):
+        assert run(["aggregate", dataset_path, "--init", "uniform", "--p0", 1.5]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "p0" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_init_file_for_other_shape_exits_1(self, dataset_path, tmp_path, capsys):
+        # the worked profile has 3 voters and 5 alternatives
+        for p, t, what in (([0.6] * 4, [0.5] * 5, "voter"), ([0.6] * 3, [0.5] * 2, "alternative")):
+            path = tmp_path / "params.json"
+            save_params(path, ParamVector(p, [0.4] * len(p), t))
+            assert run(["aggregate", dataset_path, "--init", f"file:{path}"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: initial parameters sized for a different {what} count\n"
+
+    def test_init_file_not_json_exits_1(self, dataset_path, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text("{not json")
+        assert run(["aggregate", dataset_path, "--init", f"file:{path}"]) == 1
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry", [{"ballots": {"v": ["a"]}}, ["a"]], ids=["no-id", "not-an-object"]
+    )
+    def test_malformed_instance_entry_exits_1(self, tmp_path, entry, capsys):
+        path = tmp_path / "bad.json"
+        doc = {"alternatives": ["a"], "voters": ["v"], "instances": [entry]}
+        path.write_text(json.dumps(doc))
+        assert run(["aggregate", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance entry 0")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "flags", [["--tolerance", 0], ["--epsilon-clamp", 0.7]], ids=["tolerance", "epsilon"]
     )
@@ -150,6 +186,12 @@ class TestEvaluate:
         }
         assert lines["hamming"] == pytest.approx(0.6)
         assert lines["subset"] == 0.0
+
+    def test_not_json_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        assert run(["evaluate", path, path]) == 1
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_id_mismatch_exits_1(self, tmp_path, capsys):
         est = tmp_path / "est.json"

@@ -196,3 +196,23 @@ def test_truth_step_matches_reference_exactly(data):
         assert got.admissible_k == want.admissible_k
         assert got.partition == want.partition
         np.testing.assert_array_equal(got.scores, want.scores)
+
+
+@settings(settings.get_profile("differential"))
+@given(data=st.data())
+def test_whole_profile_truth_step_matches_reference(data):
+    profile = data.draw(profiles())
+    n, m = profile.num_voters, profile.num_alternatives
+    if data.draw(st.booleans()):
+        profile = Profile(profile.alternatives, profile.voters, profile.instances[:1])
+    bounds = data.draw(
+        st.one_of(st.just(Bounds(0, 0)), st.just(Bounds(m, m)), bounds_for(m))
+    )
+    if data.draw(st.booleans()):
+        rate = st.sampled_from(EDGE_RATES)
+        params = uniform_init(n, m, data.draw(rate), data.draw(rate), data.draw(rate))
+    else:
+        params = data.draw(params_for(n, m))
+    got = estimate_truth(profile, params, bounds)
+    want = tuple(ref.estimate_truth(inst, params, bounds).chosen for inst in profile.instances)
+    assert got == want

@@ -143,6 +143,39 @@ class TestParseDataset:
         with pytest.raises(DatasetFormatError, match="omits"):
             parse_dataset(doc, strict=True)
 
+    def test_instance_without_id_rejected(self):
+        doc = {
+            "alternatives": ["a"],
+            "voters": ["v"],
+            "instances": [{"ballots": {"v": ["a"]}}],
+        }
+        with pytest.raises(DatasetFormatError, match="'id' key"):
+            parse_dataset(doc)
+
+    def test_instance_that_is_not_an_object_rejected(self):
+        doc = {"alternatives": ["a"], "voters": ["v"], "instances": [["a"]]}
+        with pytest.raises(DatasetFormatError, match="must be an object"):
+            parse_dataset(doc)
+
+    def test_ballots_that_are_not_an_object_rejected(self):
+        doc = {
+            "alternatives": ["a"],
+            "voters": ["v"],
+            "instances": [{"id": "z", "ballots": [["a"]]}],
+        }
+        with pytest.raises(DatasetFormatError, match="ballots must map"):
+            parse_dataset(doc)
+
+    @pytest.mark.parametrize("ballot", [5, "a"], ids=["number", "string"])
+    def test_ballot_that_is_not_a_list_rejected(self, ballot):
+        doc = {
+            "alternatives": ["a"],
+            "voters": ["v"],
+            "instances": [{"id": "z", "ballots": {"v": ballot}}],
+        }
+        with pytest.raises(DatasetFormatError, match="must be a list"):
+            parse_dataset(doc)
+
     def test_ground_truth_unknown_instance_rejected(self):
         doc = {
             "alternatives": ["a"],
@@ -165,6 +198,17 @@ class TestParams:
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"p": [0.5]}))
+        with pytest.raises(DatasetFormatError):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[0.5]", json.dumps({"p": ["x"], "q": [0.4], "t": [0.5]})],
+        ids=["not-json", "not-an-object", "not-numbers"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "params.json"
+        path.write_text(text)
         with pytest.raises(DatasetFormatError):
             load_params(path)
 

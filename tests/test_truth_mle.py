@@ -167,6 +167,11 @@ class TestEstimateTruth:
         estimate = estimate_truth(instance, params, Bounds(0, 0))
         assert estimate.chosen == frozenset()
 
+    def test_profile_with_other_shape_rejected(self, worked_profile, worked_bounds):
+        params = ParamVector([0.7] * 2, [0.2] * 2, [0.5] * 5)
+        with pytest.raises(ValueError, match="different profile"):
+            estimate_truth(worked_profile, params, worked_bounds)
+
     def test_invalid_bounds_rejected(self):
         instance = Instance("z", [frozenset({0})])
         params = ParamVector([0.7], [0.2], [0.5, 0.5])
