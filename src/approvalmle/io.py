@@ -17,10 +17,14 @@ omitted voters get an empty ballot and a warning.
 
 from __future__ import annotations
 
+import collections
 import csv
+import itertools
 import json
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .model import GroundTruth, ParamVector, Profile
 
@@ -193,12 +197,21 @@ def save_profile_csv(path, profile: Profile) -> None:
                     writer.writerow([inst.id, vid, aid, int(j in ballot)])
 
 
+def _first_appearance_index() -> dict:
+    """Dict that gives each new key the next index, 0, 1, 2, ..., on lookup."""
+    return collections.defaultdict(itertools.count().__next__)
+
+
 def load_profile_csv(path) -> Profile:
-    """Read a long-form CSV; declaration order is order of first appearance."""
-    alt_ids: list = []
-    voter_ids: list = []
-    instance_ids: list = []
-    cells: dict = {}
+    """Read a long-form CSV; declaration order is order of first appearance.
+
+    A cell without a row is not approved; a cell with several rows takes the
+    value of its last row.
+    """
+    instance_ids = _first_appearance_index()
+    voter_ids = _first_appearance_index()
+    alt_ids = _first_appearance_index()
+    cells: dict = {}  # (instance, voter, alternative) index -> approved
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -216,26 +229,18 @@ def load_profile_csv(path) -> Profile:
                 raise DatasetFormatError(
                     f"approved must be 0 or 1, got {approved!r} in row {row}"
                 )
-            if zid not in instance_ids:
-                instance_ids.append(zid)
-            if vid not in voter_ids:
-                voter_ids.append(vid)
-            if aid not in alt_ids:
-                alt_ids.append(aid)
-            cells[(zid, vid, aid)] = approved == "1"
+            cells[instance_ids[zid], voter_ids[vid], alt_ids[aid]] = approved == "1"
     if not cells:
         raise DatasetFormatError("empty CSV dataset")
-    index = {aid: j for j, aid in enumerate(alt_ids)}
-    instance_ballots = [
-        [
-            frozenset(
-                index[aid] for aid in alt_ids if cells.get((zid, vid, aid), False)
-            )
-            for vid in voter_ids
-        ]
-        for zid in instance_ids
-    ]
-    return Profile.build(alt_ids, voter_ids, instance_ballots, instance_ids)
+    indices = np.fromiter(itertools.chain.from_iterable(cells), np.intp).reshape(-1, 3)
+    approvals = np.zeros((len(instance_ids), len(voter_ids), len(alt_ids)), dtype=bool)
+    approvals[tuple(indices.T)] = np.fromiter(cells.values(), bool, len(cells))
+    return Profile.build(
+        list(alt_ids),
+        list(voter_ids),
+        [[np.flatnonzero(row).tolist() for row in ballots] for ballots in approvals],
+        list(instance_ids),
+    )
 
 
 def load_params(path) -> ParamVector:

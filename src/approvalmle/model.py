@@ -241,6 +241,18 @@ class ValidationReport:
         return not self.violations
 
 
+_INDEX_TYPES = (int, np.integer)
+
+
+def _all_known(ballots, m: int) -> bool:
+    """Whether every member of every ballot is an integer index in [0, m), in
+    one flat pass; validate_profile walks ballot by ballot only when not."""
+    members = list(itertools.chain.from_iterable(ballots))
+    if not all(issubclass(kind, _INDEX_TYPES) for kind in set(map(type, members))):
+        return False
+    return not members or (0 <= min(members) and max(members) < m)
+
+
 def validate_profile(
     profile: Profile,
     bounds: Bounds,
@@ -279,14 +291,19 @@ def validate_profile(
     if len(set(instance_ids)) != len(instance_ids):
         report.violations.append("duplicate instance ids")
 
+    members_known = _all_known(
+        itertools.chain.from_iterable(inst.ballots for inst in profile.instances), m
+    )
     for inst in profile.instances:
         if len(inst.ballots) != n:
             report.violations.append(
                 f"ragged ballots: instance {inst.id!r} has {len(inst.ballots)} "
                 f"ballots, expected {n}"
             )
+        if members_known:
+            continue
         for i, ballot in enumerate(inst.ballots):
-            bad = [a for a in ballot if not (isinstance(a, (int, np.integer)) and 0 <= a < m)]
+            bad = [a for a in ballot if not (isinstance(a, _INDEX_TYPES) and 0 <= a < m)]
             if bad:
                 report.violations.append(
                     f"unknown alternatives {sorted(map(str, bad))} in instance "

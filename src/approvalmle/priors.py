@@ -10,7 +10,9 @@ which we compute with the standard O(m*u) counting dynamic program instead of
 summing over all admissible subsets.  The conditional masses given that one
 alternative is forced in (or out) reduce to the same quantity on the remaining
 m-1 alternatives with shifted bounds, and they yield a closed-form coordinate
-update for each t_j given occurrence counts.
+update for each t_j given occurrence counts.  A sweep over all t_j shares one
+prefix row of the counting DP between its coordinates and continues it once
+per coordinate (see sweep_inclusion_priors).
 """
 
 from __future__ import annotations
@@ -19,7 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_EPSILON_CLAMP, Bounds, GroundTruth, clamp_unit, require_open_unit
+from .model import DEFAULT_EPSILON_CLAMP, Bounds, GroundTruth, approval_matrix
+from .model import clamp_unit, require_open_unit
+
+
+def _extend(row: np.ndarray, probs) -> np.ndarray:
+    """Add one Bernoulli(prob) coin per ``probs`` to the count distribution
+    ``row``, in place, and return ``row``.
+
+    Each step sets ``row[k] = row[k] * (1 - prob) + row[k - 1] * prob``, so
+    column k depends only on columns k - 1 and k: a row's entries do not
+    depend on where it is truncated.
+    """
+    upper, lower = row[1:], row[:-1]
+    shifted = np.empty(len(upper))
+    for prob in probs:
+        keep = 1.0 - prob
+        np.multiply(lower, prob, out=shifted)
+        np.multiply(upper, keep, out=upper)
+        np.add(upper, shifted, out=upper)
+        row[0] *= keep
+    return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,25 +65,40 @@ class CardinalityDP:
         table = np.zeros((m + 1, cap + 1))
         table[0, 0] = 1.0
         for j, prob in enumerate(t, start=1):
-            row = table[j - 1]
-            table[j, 1:] = row[1:] * (1.0 - prob) + row[:-1] * prob
-            table[j, 0] = row[0] * (1.0 - prob)
+            table[j] = table[j - 1]
+            _extend(table[j], (prob,))
         return cls(table)
 
-    def interval(self, lower: int, upper: int) -> float:
-        """Total mass of counts in [lower, upper] among all alternatives."""
-        return float(self.table[-1, lower : upper + 1].sum())
+
+def _rest_row(t: np.ndarray, j: int, bounds: Bounds) -> np.ndarray:
+    """Counting row of every alternative but j, wide enough for both
+    conditional masses."""
+    return CardinalityDP.build(np.delete(t, j), bounds.upper).table[-1]
 
 
-def _interval_mass(t: np.ndarray, lower: int, upper: int) -> float:
-    m = len(t)
-    upper = min(upper, m)
-    lower = max(lower, 0)
-    if lower > upper:
-        return 0.0
-    if lower == 0 and upper == m:
-        return 1.0
-    return CardinalityDP.build(t, upper).interval(lower, upper)
+def _interval_masses(coins: int, intervals, count_row) -> list:
+    """Probability that the number of heads among ``coins`` independent coins
+    lies in [lower, upper], for each ``(lower, upper)`` of ``intervals``.
+
+    ``count_row()`` returns the coins' counting-DP row, truncated at the
+    largest upper or wider.  It is called at most once, and not at all when
+    every interval is empty (mass 0.0) or covers every count 0..coins
+    (mass 1.0).
+    """
+    masses = []
+    row = None
+    for lower, upper in intervals:
+        upper = min(upper, coins)
+        lower = max(lower, 0)
+        if lower > upper:
+            masses.append(0.0)
+        elif lower == 0 and upper == coins:
+            masses.append(1.0)
+        else:
+            if row is None:
+                row = count_row()
+            masses.append(float(row[lower : upper + 1].sum()))
+    return masses
 
 
 def cardinality_mass(t, bounds: Bounds) -> float:
@@ -77,7 +114,29 @@ def cardinality_mass(t, bounds: Bounds) -> float:
     0.46875
     """
     t = require_open_unit(t, "inclusion probabilities")
-    return _interval_mass(t, bounds.lower, bounds.upper)
+    (mass,) = _interval_masses(
+        len(t), [(bounds.lower, bounds.upper)],
+        lambda: CardinalityDP.build(t, bounds.upper).table[-1],
+    )
+    return mass
+
+
+def _included_interval(j: int, bounds: Bounds) -> tuple:
+    """Counts the other alternatives may reach with j forced in."""
+    if bounds.upper < 1:
+        raise ValueError(
+            f"alternative {j} can never be included under upper bound {bounds.upper}"
+        )
+    return max(bounds.lower - 1, 0), bounds.upper - 1
+
+
+def _excluded_interval(j: int, m: int, bounds: Bounds) -> tuple:
+    """Counts the other m - 1 alternatives may reach with j forced out."""
+    if bounds.lower > m - 1:
+        raise ValueError(
+            f"alternative {j} can never be excluded under lower bound {bounds.lower}"
+        )
+    return bounds.lower, min(bounds.upper, m - 1)
 
 
 def mass_given_included(j: int, t, bounds: Bounds) -> float:
@@ -87,12 +146,9 @@ def mass_given_included(j: int, t, bounds: Bounds) -> float:
     [max(l - 1, 0), u - 1].
     """
     t = require_open_unit(t, "inclusion probabilities")
-    if bounds.upper < 1:
-        raise ValueError(
-            f"alternative {j} can never be included under upper bound {bounds.upper}"
-        )
-    rest = np.delete(t, j)
-    return _interval_mass(rest, max(bounds.lower - 1, 0), bounds.upper - 1)
+    interval = _included_interval(j, bounds)
+    (mass,) = _interval_masses(len(t) - 1, [interval], lambda: _rest_row(t, j, bounds))
+    return mass
 
 
 def mass_given_excluded(j: int, t, bounds: Bounds) -> float:
@@ -102,16 +158,36 @@ def mass_given_excluded(j: int, t, bounds: Bounds) -> float:
     [l, min(u, m - 1)].
     """
     t = require_open_unit(t, "inclusion probabilities")
-    if bounds.lower > len(t) - 1:
-        raise ValueError(
-            f"alternative {j} can never be excluded under lower bound {bounds.lower}"
-        )
-    rest = np.delete(t, j)
-    return _interval_mass(rest, bounds.lower, min(bounds.upper, len(t) - 1))
+    interval = _excluded_interval(j, len(t), bounds)
+    (mass,) = _interval_masses(len(t) - 1, [interval], lambda: _rest_row(t, j, bounds))
+    return mass
 
 
 #: Coordinate update rules for the inclusion priors; see update_inclusion_prior.
 PRIOR_UPDATE_RULES = ("exact", "legacy")
+
+
+def _require_rule(rule: str) -> None:
+    if rule not in PRIOR_UPDATE_RULES:
+        raise ValueError(f"unknown prior update rule {rule!r}")
+
+
+def _raw_update(
+    j: int, occ: int, length: int, m: int, bounds: Bounds, rule: str, count_row
+) -> float:
+    """Unclamped update of t_j from the ``occ`` of ``length`` truths holding j
+    (see update_inclusion_prior).  ``count_row()`` returns the counting row of
+    the other m - 1 alternatives, truncated at min(u, m - 1) or wider; it is
+    called at most once, and only when 0 < occ < length."""
+    if occ == 0:
+        return 0.0
+    if occ == length:
+        return 1.0
+    intervals = [_included_interval(j, bounds), _excluded_interval(j, m, bounds)]
+    a_in, a_out = _interval_masses(m - 1, intervals, count_row)
+    if rule == "exact":
+        return occ * a_out / ((length - occ) * a_in + occ * a_out)
+    return occ * a_in / ((length - occ) * a_out + occ * a_in)
 
 
 def update_inclusion_prior(
@@ -154,22 +230,13 @@ def update_inclusion_prior(
     rule without touching the conditional masses (whose preconditions may not
     hold there), and are clamped like any result.
     """
-    if rule not in PRIOR_UPDATE_RULES:
-        raise ValueError(f"unknown prior update rule {rule!r}")
+    _require_rule(rule)
     t = require_open_unit(t, "inclusion probabilities")
-    length = len(truths)
     occ = sum(1 for truth in truths if j in truth)
-    if occ == 0:
-        raw = 0.0
-    elif occ == length:
-        raw = 1.0
-    else:
-        a_in = mass_given_included(j, t, bounds)
-        a_out = mass_given_excluded(j, t, bounds)
-        if rule == "exact":
-            raw = occ * a_out / ((length - occ) * a_in + occ * a_out)
-        else:
-            raw = occ * a_in / ((length - occ) * a_out + occ * a_in)
+    raw = _raw_update(
+        j, occ, len(truths), len(t), bounds, rule,
+        lambda: _rest_row(t, j, bounds),
+    )
     return float(clamp_unit(raw, epsilon))
 
 
@@ -183,9 +250,25 @@ def sweep_inclusion_priors(
     """One coordinate pass over all t_j, in ascending index order.
 
     Each update sees the already-updated coordinates below it and the previous
-    values above it; the pass is inherently sequential.
+    values above it; the pass is inherently sequential.  The pass keeps the
+    counting row over the updated t[0..j-1] and extends it by one step after
+    each update.  Updating t_j continues a copy of that prefix row once through
+    the old t[j+1..m-1] and reads both conditional masses from the result,
+    which is, bit for bit, the last row update_inclusion_prior builds from
+    scratch: the same steps over the same coins in the same order.
     """
-    current = np.array(t, dtype=float)
-    for j in range(len(current)):
-        current[j] = update_inclusion_prior(j, truths, bounds, current, epsilon, rule)
+    _require_rule(rule)
+    current = require_open_unit(np.array(t, dtype=float), "inclusion probabilities")
+    m = len(current)
+    occurrences = approval_matrix(truths, m).sum(0).tolist()
+    old = current.tolist()
+    prefix = np.zeros(max(min(bounds.upper, m - 1), 0) + 1)
+    prefix[0] = 1.0
+    for j in range(m):
+        raw = _raw_update(
+            j, occurrences[j], len(truths), m, bounds, rule,
+            lambda: _extend(prefix.copy(), old[j + 1 :]),
+        )
+        current[j] = float(clamp_unit(raw, epsilon))
+        _extend(prefix, (current[j],))
     return current

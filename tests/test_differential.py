@@ -24,6 +24,7 @@ from approvalmle import (
     prior_logprob,
     random_init,
     run_amle,
+    sweep_inclusion_priors,
     total_loglik,
     uniform_init,
 )
@@ -216,3 +217,39 @@ def test_whole_profile_truth_step_matches_reference(data):
     got = estimate_truth(profile, params, bounds)
     want = tuple(ref.estimate_truth(inst, params, bounds).chosen for inst in profile.instances)
     assert got == want
+
+
+@settings(settings.get_profile("differential"))
+@given(data=st.data())
+def test_sweep_inclusion_priors_matches_reference_exactly(data):
+    # up to wide's shape (m=60, bounds [3, 12]), where u < m - 1 truncates
+    # the counting rows
+    m = data.draw(st.integers(1, 70))
+    length = data.draw(st.integers(1, 40))
+    capped = st.integers(0, max(m - 2, 0)).flatmap(
+        lambda upper: st.integers(0, upper).map(lambda lower: Bounds(lower, upper))
+    )
+    bounds = data.draw(
+        st.one_of(
+            st.just(Bounds(0, m)),
+            st.just(Bounds(m - 1, m - 1)),
+            st.just(Bounds(m - 1, m)),
+            capped,
+            bounds_for(m),
+        )
+    )
+    density = data.draw(st.sampled_from((0.0, 0.05, 0.2, 0.5, 0.9, 1.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    truths = tuple(
+        frozenset(np.flatnonzero(rng.random(m) < density).tolist()) for _ in range(length)
+    )
+    t = data.draw(rates(m))
+    epsilon = data.draw(st.sampled_from((1e-4, 1e-2)))
+    for rule in ("exact", "legacy"):
+        got = _outcome(sweep_inclusion_priors, truths, bounds, t, epsilon, rule)
+        want = _outcome(ref.sweep_inclusion_priors, truths, bounds, t, epsilon, rule)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got[1:] == want[1:]
+        else:
+            np.testing.assert_array_equal(got[1], want[1])

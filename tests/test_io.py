@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +101,66 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DatasetFormatError):
             load_profile_csv(path)
+
+
+def _write_csv(path, *rows):
+    path.write_text("\n".join(["instance_id,voter_id,alternative_id,approved", *rows, ""]))
+    return path
+
+
+class TestCsvSemantics:
+    @given(profiles())
+    @settings(max_examples=50)
+    def test_round_trip(self, profile):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            save_profile_csv(path, profile)
+            assert load_profile_csv(path) == profile
+
+    def test_scrambled_rows_declare_ids_in_first_appearance_order(self, tmp_path):
+        path = _write_csv(
+            tmp_path / "d.csv", "z2,v2,b,1", "z1,v1,a,0", "z2,v1,a,1", "z1,v2,b,0"
+        )
+        profile = load_profile_csv(path)
+        assert profile.alternative_ids == ("b", "a")
+        assert profile.voters == ("v2", "v1")
+        assert [inst.id for inst in profile.instances] == ["z2", "z1"]
+        assert profile.instances[0].ballots == (frozenset({0}), frozenset({1}))
+        assert profile.instances[1].ballots == (frozenset(), frozenset())
+
+    def test_repeated_cell_takes_the_last_row(self, tmp_path):
+        rows = ("z,v,a,1", "z,v,b,0", "z,v,a,0", "z,v,b,1", "z,v,b,0", "z,v,b,1")
+        path = _write_csv(tmp_path / "d.csv", *rows)
+        assert load_profile_csv(path).instances[0].ballots == (frozenset({1}),)
+
+    def test_omitted_cells_read_as_not_approved(self, tmp_path):
+        path = _write_csv(tmp_path / "d.csv", "z1,v1,a,1", "z1,v1,b,1", "z2,v2,b,1")
+        profile = load_profile_csv(path)
+        assert profile.instances[0].ballots == (frozenset({0, 1}), frozenset())
+        assert profile.instances[1].ballots == (frozenset(), frozenset({1}))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = _write_csv(tmp_path / "d.csv", "", "z,v,a,1", "")
+        assert load_profile_csv(path).instances[0].ballots == (frozenset({0}),)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("z,v,a", "malformed CSV row: ['z', 'v', 'a']"),
+            ("z,v,a,1,1", "malformed CSV row: ['z', 'v', 'a', '1', '1']"),
+            ("z,v,a,2", "approved must be 0 or 1, got '2' in row ['z', 'v', 'a', '2']"),
+        ],
+    )
+    def test_bad_row_rejected_with_its_message(self, tmp_path, row, message):
+        path = _write_csv(tmp_path / "d.csv", "z,v,a,1", row)
+        with pytest.raises(DatasetFormatError) as info:
+            load_profile_csv(path)
+        assert str(info.value) == message
+
+    def test_header_only_rejected(self, tmp_path):
+        with pytest.raises(DatasetFormatError) as info:
+            load_profile_csv(_write_csv(tmp_path / "d.csv"))
+        assert str(info.value) == "empty CSV dataset"
 
 
 class TestParseDataset:

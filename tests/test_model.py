@@ -38,6 +38,20 @@ class TestValidateProfile:
         report = validate_profile(profile, Bounds(1, 1))
         assert any("unknown alternatives" in v for v in report.violations)
 
+    def test_mixed_bad_members_reported_in_order(self):
+        profile = Profile.build(
+            ["a", "b"],
+            ["v1", "v2"],
+            [[{0}, {1}], [{0, 2.0, "x"}, {1}], [{0}], [{True, 1}, {-1, np.int64(1)}]],
+            ["z1", "z2", "z3", "z4"],
+        )
+        report = validate_profile(profile, Bounds(0, 2))
+        assert report.violations == [
+            "unknown alternatives ['2.0', 'x'] in instance 'z2', voter position 0",
+            "ragged ballots: instance 'z3' has 1 ballots, expected 2",
+            "unknown alternatives ['-1'] in instance 'z4', voter position 1",
+        ]
+
     def test_upper_bound_above_m_reported(self, worked_profile):
         report = validate_profile(worked_profile, Bounds(0, 9))
         assert not report.ok

@@ -216,3 +216,26 @@ class TestUpdateInclusionPrior:
         t_after_first = np.array([0.4, 0.5, 0.5, 0.5, 0.5])
         expected = update_inclusion_prior(1, truths, Bounds(1, 2), t_after_first)
         assert swept[1] == pytest.approx(expected, abs=1e-15)
+
+    def test_sweep_builds_no_table_per_coordinate(self, monkeypatch):
+        # the benchmark counts CardinalityDP.build calls as priors.dp_builds
+        import approvalmle.priors
+
+        build = CardinalityDP.build
+        calls = []
+
+        def counting(t, cap):
+            calls.append(len(t))
+            return build(t, cap)
+
+        monkeypatch.setattr(approvalmle.priors.CardinalityDP, "build", counting)
+        rng = np.random.default_rng(3)
+        m = 20
+        truths = tuple(
+            frozenset(rng.choice(m, size=int(rng.integers(3, 9)), replace=False).tolist())
+            for _ in range(30)
+        )
+        swept = sweep_inclusion_priors(truths, Bounds(3, 8), np.full(m, 0.25))
+        assert len(calls) <= 1
+        # every coordinate took the interior update, which needs both masses
+        assert np.all((swept > 1e-4) & (swept < 1 - 1e-4))
