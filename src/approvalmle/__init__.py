@@ -29,7 +29,6 @@ from .metrics import (
     subset_accuracy,
 )
 from .model import (
-    Alternative,
     Bounds,
     GroundTruth,
     Instance,
@@ -64,7 +63,6 @@ __all__ = [
     "AmleConfig",
     "AmleResult",
     "AmleStep",
-    "Alternative",
     "Bounds",
     "CardinalityDP",
     "GroundTruth",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .model import Bounds, Instance
+from .model import Bounds, Instance, approval_matrix
 
 
 def modal_rule(instance: Instance) -> frozenset:
@@ -21,11 +21,7 @@ def modal_rule(instance: Instance) -> frozenset:
 
 def approval_counts(instance: Instance, m: int) -> list:
     """Number of approvals per alternative."""
-    counts = [0] * m
-    for ballot in instance.ballots:
-        for j in ballot:
-            counts[j] += 1
-    return counts
+    return approval_matrix(instance.ballots, m).sum(0).tolist()
 
 
 def majority_rule(instance: Instance, bounds: Bounds, m: int) -> frozenset:

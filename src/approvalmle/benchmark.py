@@ -43,11 +43,11 @@ class BenchmarkRow:
 def restrict_voters(profile: Profile, voter_indices) -> Profile:
     """Sub-profile over the given voters, keeping their original order."""
     keep = sorted(voter_indices)
-    return Profile.build(
+    return Profile(
         profile.alternative_ids,
         [profile.voters[i] for i in keep],
-        [[inst.ballots[i] for i in keep] for inst in profile.instances],
-        [inst.id for inst in profile.instances],
+        profile.instance_ids,
+        profile.approvals[:, keep],
     )
 
 
@@ -110,12 +110,16 @@ def score_estimates(estimates: GroundTruth, truths: GroundTruth, m: int) -> dict
     }
 
 
-def check_benchmark(num_voters: int, batch_sizes, methods, init_strategy: str) -> None:
-    """Raise ValueError unless every batch size fits the voters and every
-    method and the initialization strategy are known."""
+def check_benchmark(
+    num_voters: int, batch_sizes, num_batches: int, methods, init_strategy: str
+) -> None:
+    """Raise ValueError unless every batch size fits the voters, there is at
+    least one batch, and every method and the initialization strategy are known."""
     for size in batch_sizes:
         if not 1 <= size <= num_voters:
             raise ValueError(f"batch size {size} exceeds the {num_voters} available voters")
+    if num_batches < 1:
+        raise ValueError(f"the number of batches must be at least 1, got {num_batches}")
     unknown = [method for method in methods if method not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
@@ -135,7 +139,7 @@ def run_benchmark(
 ) -> list:
     """Accuracy table over voter batches; see module docstring."""
     n = profile.num_voters
-    check_benchmark(n, batch_sizes, methods, init_strategy)
+    check_benchmark(n, batch_sizes, num_batches, methods, init_strategy)
     m = profile.num_alternatives
     rows = []
     for size in batch_sizes:

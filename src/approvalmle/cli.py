@@ -109,7 +109,7 @@ def cmd_aggregate(args) -> int:
     if bounds.upper == 0:
         # Degenerate but legal: the bounds force every truth set to be empty,
         # so nothing is estimable and the initial parameters are echoed back.
-        truths = tuple(frozenset() for _ in profile.instances)
+        truths = (frozenset(),) * profile.num_instances
         params = init
         convergence = {"converged": True, "iterations": 0, "final_delta": 0.0}
         trace_logliks = []
@@ -140,8 +140,8 @@ def cmd_aggregate(args) -> int:
         },
         "alternatives": alt_ids,
         "estimates": {
-            inst.id: [alt_ids[j] for j in sorted(truth)]
-            for inst, truth in zip(profile.instances, truths)
+            zid: [alt_ids[j] for j in sorted(truth)]
+            for zid, truth in zip(profile.instance_ids, truths)
         },
         "params": {
             "p": params.p.tolist(),
@@ -170,8 +170,8 @@ def cmd_aggregate(args) -> int:
     if not args.quiet:
         print(f"converged={convergence['converged']} after {convergence['iterations']} iteration(s)")
         print(f"{'instance':<12} estimate")
-        for inst in profile.instances:
-            print(f"{inst.id:<12} {{{', '.join(report['estimates'][inst.id])}}}")
+        for zid in profile.instance_ids:
+            print(f"{zid:<12} {{{', '.join(report['estimates'][zid])}}}")
         print(f"{'voter':<12} {'p':>7} {'q':>7} {'weight':>8}")
         for i, vid in enumerate(profile.voters):
             print(f"{vid:<12} {params.p[i]:>7.4f} {params.q[i]:>7.4f} {weights[i]:>8.4f}")
@@ -274,7 +274,9 @@ def cmd_benchmark(args) -> int:
             "benchmark re-initializes per voter batch; file-based initial "
             "parameters cannot fit every batch size"
         )
-    _from_flags(check_benchmark, profile.num_voters, sizes, methods, args.init)
+    _from_flags(
+        check_benchmark, profile.num_voters, sizes, args.batches, methods, args.init
+    )
 
     config = _from_flags(
         AmleConfig,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GroundTruth, ParamVector, Profile
+from .model import GroundTruth, ParamVector, Profile, approval_matrix
 
 
 class DatasetFormatError(ValueError):
@@ -34,21 +34,20 @@ class DatasetFormatError(ValueError):
 
 
 def _truth_tuple(profile: Profile, truth_map: dict) -> GroundTruth:
-    known = {inst.id for inst in profile.instances}
-    unknown = set(truth_map) - known
+    unknown = set(truth_map) - set(profile.instance_ids)
     if unknown:
         raise DatasetFormatError(
             f"ground_truth names unknown instances: {sorted(unknown)}"
         )
-    index = {a.id: a.index for a in profile.alternatives}
+    index = {aid: j for j, aid in enumerate(profile.alternative_ids)}
     truths = []
-    for inst in profile.instances:
-        ids = truth_map.get(inst.id, [])
+    for zid in profile.instance_ids:
+        ids = truth_map.get(zid, [])
         try:
             truths.append(frozenset(index[aid] for aid in ids))
         except KeyError as exc:
             raise DatasetFormatError(
-                f"ground_truth of instance {inst.id!r} names unknown alternative {exc}"
+                f"ground_truth of instance {zid!r} names unknown alternative {exc}"
             ) from None
     return tuple(truths)
 
@@ -86,9 +85,10 @@ def parse_dataset(doc: dict, strict: bool = False):
     alt_ids = [str(a) for a in doc["alternatives"]]
     voter_ids = [str(v) for v in doc["voters"]]
     index = {aid: j for j, aid in enumerate(alt_ids)}
+    declared = set(voter_ids)
 
     instance_ids = []
-    instance_ballots = []
+    ballots = []  # one list of alternative indices per (instance, voter)
     for pos, entry in enumerate(doc["instances"]):
         if not isinstance(entry, dict) or "id" not in entry:
             raise DatasetFormatError(
@@ -100,14 +100,14 @@ def parse_dataset(doc: dict, strict: bool = False):
             raise DatasetFormatError(
                 f"instance {zid!r}: ballots must map voter ids to lists of alternatives"
             )
-        unknown_voters = set(ballots_map) - set(voter_ids)
+        unknown_voters = ballots_map.keys() - declared
         if unknown_voters:
             raise DatasetFormatError(
                 f"instance {zid!r} has ballots for undeclared voters "
                 f"{sorted(unknown_voters)}"
             )
-        missing = [v for v in voter_ids if v not in ballots_map]
-        if missing:
+        if len(ballots_map) < len(declared):
+            missing = [v for v in voter_ids if v not in ballots_map]
             if strict:
                 raise DatasetFormatError(
                     f"instance {zid!r} omits ballots for voters {missing}"
@@ -117,7 +117,6 @@ def parse_dataset(doc: dict, strict: bool = False):
                 "treating them as empty",
                 stacklevel=2,
             )
-        ballots = []
         for vid in voter_ids:
             approved = ballots_map.get(vid, [])
             if not isinstance(approved, list):
@@ -126,16 +125,17 @@ def parse_dataset(doc: dict, strict: bool = False):
                     f"alternative ids, got {approved!r}"
                 )
             try:
-                ballots.append(frozenset(index[str(a)] for a in approved))
+                ballots.append([index[str(a)] for a in approved])
             except KeyError as exc:
                 raise DatasetFormatError(
                     f"instance {zid!r}, voter {vid!r} approves unknown "
                     f"alternative {exc}"
                 ) from None
         instance_ids.append(zid)
-        instance_ballots.append(ballots)
 
-    profile = Profile.build(alt_ids, voter_ids, instance_ballots, instance_ids)
+    shape = (len(instance_ids), len(voter_ids), len(alt_ids))
+    approvals = approval_matrix(ballots, len(alt_ids)).reshape(shape)
+    profile = Profile(alt_ids, voter_ids, instance_ids, approvals)
     truths = None
     if "ground_truth" in doc and doc["ground_truth"] is not None:
         truths = _truth_tuple(profile, doc["ground_truth"])
@@ -150,19 +150,19 @@ def dataset_document(profile: Profile, ground_truth: GroundTruth | None = None) 
         "voters": list(profile.voters),
         "instances": [
             {
-                "id": inst.id,
+                "id": zid,
                 "ballots": {
-                    vid: [alt_ids[j] for j in sorted(ballot)]
-                    for vid, ballot in zip(profile.voters, inst.ballots)
+                    vid: list(itertools.compress(alt_ids, row))
+                    for vid, row in zip(profile.voters, rows)
                 },
             }
-            for inst in profile.instances
+            for zid, rows in zip(profile.instance_ids, profile.approvals.tolist())
         ],
     }
     if ground_truth is not None:
         doc["ground_truth"] = {
-            inst.id: [alt_ids[j] for j in sorted(truth)]
-            for inst, truth in zip(profile.instances, ground_truth)
+            zid: [alt_ids[j] for j in sorted(truth)]
+            for zid, truth in zip(profile.instance_ids, ground_truth)
         }
     return doc
 
@@ -191,10 +191,10 @@ def save_profile_csv(path, profile: Profile) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for inst in profile.instances:
-            for vid, ballot in zip(profile.voters, inst.ballots):
-                for j, aid in enumerate(alt_ids):
-                    writer.writerow([inst.id, vid, aid, int(j in ballot)])
+        for zid, rows in zip(profile.instance_ids, profile.approvals.tolist()):
+            for vid, row in zip(profile.voters, rows):
+                for aid, approved in zip(alt_ids, row):
+                    writer.writerow([zid, vid, aid, int(approved)])
 
 
 def _first_appearance_index() -> dict:
@@ -235,12 +235,7 @@ def load_profile_csv(path) -> Profile:
     indices = np.fromiter(itertools.chain.from_iterable(cells), np.intp).reshape(-1, 3)
     approvals = np.zeros((len(instance_ids), len(voter_ids), len(alt_ids)), dtype=bool)
     approvals[tuple(indices.T)] = np.fromiter(cells.values(), bool, len(cells))
-    return Profile.build(
-        list(alt_ids),
-        list(voter_ids),
-        [[np.flatnonzero(row).tolist() for row in ballots] for ballots in approvals],
-        list(instance_ids),
-    )
+    return Profile(alt_ids, voter_ids, instance_ids, approvals)
 
 
 def load_params(path) -> ParamVector:
@@ -272,10 +267,16 @@ def load_assignment(path):
     Returns ``(assignment_map, alternative_ids_or_None)``.
     """
     doc = _read_json_object(path)
-    if "estimates" in doc:
-        return dict(doc["estimates"]), doc.get("alternatives")
-    if "instances" in doc and "ground_truth" in doc:
-        return dict(doc["ground_truth"]), list(map(str, doc.get("alternatives", []))) or None
-    if "ground_truth" in doc:
-        return dict(doc["ground_truth"]), doc.get("alternatives")
-    return {str(k): list(v) for k, v in doc.items()}, None
+    key = next((key for key in ("estimates", "ground_truth") if key in doc), None)
+    mapping = doc if key is None else doc[key]
+    if not isinstance(mapping, dict) or not all(isinstance(v, list) for v in mapping.values()):
+        raise DatasetFormatError(
+            f"{path}: {'the file' if key is None else repr(key)} must map instance "
+            "ids to lists of alternative ids"
+        )
+    alternatives = None if key is None else doc.get("alternatives")
+    if alternatives is not None and not isinstance(alternatives, list):
+        raise DatasetFormatError(f"{path}: 'alternatives' must be a list of ids")
+    if key == "ground_truth" and "instances" in doc:
+        alternatives = list(map(str, alternatives or [])) or None
+    return dict(mapping), alternatives

@@ -105,7 +105,7 @@ def total_loglik(
     if outside.size:
         z = outside[0]
         raise ValueError(
-            f"truth set of instance {profile.instances[z].id!r} has size {sizes[z]} "
+            f"truth set of instance {profile.instance_ids[z]!r} has size {sizes[z]} "
             f"outside bounds [{bounds.lower}, {bounds.upper}]"
         )
     params.require_open_unit()

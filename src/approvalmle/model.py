@@ -5,9 +5,11 @@ Conventions used throughout the package:
 * Alternatives and voters are indexed by their position in the profile's
   declaration order (0-based).  All vectors (scores, reliabilities, priors)
   are aligned with that order, which makes tie-breaking deterministic.
-* Ballots and truth sets enter and leave as frozensets of alternative indices
-  (truths: one per instance, in instance order); computation runs on the dense
-  boolean ``Profile.approvals`` and ``Profile.truth_array`` arrays.
+* A profile stores its ballots once, as the dense boolean
+  ``Profile.approvals`` array; frozensets of alternative indices appear only
+  in ``Profile.build`` and ``Profile.instances``.  Truth sets enter and leave
+  as frozensets (one per instance, in instance order) and are computed on as
+  ``Profile.truth_array``.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Alternative:
-    """One selectable item; ``index`` is its position in the profile."""
-
-    id: str
-    index: int
-
-
-@dataclass(frozen=True)
 class Bounds:
     """Prior cardinality interval [lower, upper] on every instance's truth set."""
 
@@ -95,22 +89,47 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class Profile:
-    """The full input: alternatives, voters, and per-instance ballots."""
+_INDEX_TYPES = (int, np.integer)
 
-    alternatives: tuple
+
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """The full input: alternative, voter and instance ids plus the ballots.
+
+    ``approvals`` is a read-only ``bool[L, n, m]`` array: ``approvals[z, i, j]``
+    is True iff voter i approves alternative j on instance z.  It is copied on
+    construction and must have the shape the three id tuples give.
+    """
+
+    alternative_ids: tuple
     voters: tuple
-    instances: tuple
+    instance_ids: tuple
+    approvals: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(self, "voters", tuple(self.voters))
-        object.__setattr__(self, "instances", tuple(self.instances))
+        for name in ("alternative_ids", "voters", "instance_ids"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        approvals = np.array(self.approvals, dtype=bool)
+        shape = (self.num_instances, self.num_voters, self.num_alternatives)
+        if approvals.shape != shape:
+            raise ValueError(
+                f"approvals has shape {approvals.shape}, expected (L, n, m) = {shape}"
+            )
+        approvals.setflags(write=False)
+        object.__setattr__(self, "approvals", approvals)
+
+    def __eq__(self, other):
+        if not isinstance(other, Profile):
+            return NotImplemented
+        return (
+            (self.alternative_ids, self.voters, self.instance_ids)
+            == (other.alternative_ids, other.voters, other.instance_ids)
+            and np.array_equal(self.approvals, other.approvals)
+        )
 
     @property
     def num_alternatives(self) -> int:
-        return len(self.alternatives)
+        return len(self.alternative_ids)
 
     @property
     def num_voters(self) -> int:
@@ -118,23 +137,17 @@ class Profile:
 
     @property
     def num_instances(self) -> int:
-        return len(self.instances)
-
-    @property
-    def alternative_ids(self) -> tuple:
-        return tuple(a.id for a in self.alternatives)
+        return len(self.instance_ids)
 
     @cached_property
-    def approvals(self) -> np.ndarray:
-        """Read-only ``bool[L, n, m]``: ``approvals[z, i, j]`` is True iff voter
-        i approves alternative j on instance z.  Built on first use."""
-        n = self.num_voters
-        if any(len(inst.ballots) != n for inst in self.instances):
-            raise ValueError(f"ragged ballots: every instance needs {n} ballots")
-        ballots = [ballot for inst in self.instances for ballot in inst.ballots]
-        dense = approval_matrix(ballots, self.num_alternatives)
-        dense.setflags(write=False)
-        return dense.reshape(self.num_instances, n, self.num_alternatives)
+    def instances(self) -> tuple:
+        """One frozenset-ballot ``Instance`` per instance, for per-instance
+        callers such as the baselines; derived from ``approvals`` on first use."""
+        columns = range(self.num_alternatives)
+        return tuple(
+            Instance(zid, tuple(frozenset(itertools.compress(columns, row)) for row in rows))
+            for zid, rows in zip(self.instance_ids, self.approvals.tolist())
+        )
 
     def truth_array(self, truths: GroundTruth) -> np.ndarray:
         """``bool[L, m]`` whose row z marks the members of ``truths[z]``."""
@@ -155,18 +168,32 @@ class Profile:
         """Assemble a profile from raw index sets.
 
         ``instance_ballots[z][i]`` is the set of alternative indices approved
-        by voter ``i`` on instance ``z``.
+        by voter ``i`` on instance ``z``.  Raises ValueError, listing every
+        instance without one ballot per voter and every ballot member that is
+        not an alternative index, in instance and voter order.
         """
-        alternatives = tuple(
-            Alternative(aid, idx) for idx, aid in enumerate(alternative_ids)
-        )
         if instance_ids is None:
             instance_ids = [f"z{z + 1}" for z in range(len(instance_ballots))]
-        instances = tuple(
-            Instance(zid, tuple(frozenset(b) for b in ballots))
-            for zid, ballots in zip(instance_ids, instance_ballots)
-        )
-        return cls(alternatives, tuple(voter_ids), instances)
+        m, n = len(alternative_ids), len(voter_ids)
+        ballots = [[frozenset(b) for b in row] for row in instance_ballots]
+        problems = []
+        for zid, row in zip(instance_ids, ballots):
+            if len(row) != n:
+                problems.append(
+                    f"ragged ballots: instance {zid!r} has {len(row)} ballots, expected {n}"
+                )
+            for i, ballot in enumerate(row):
+                bad = [a for a in ballot if not (isinstance(a, _INDEX_TYPES) and 0 <= a < m)]
+                if bad:
+                    problems.append(
+                        f"unknown alternatives {sorted(map(str, bad))} in instance "
+                        f"{zid!r}, voter position {i}"
+                    )
+        if problems:
+            raise ValueError("; ".join(problems))
+        flat = [ballot for row in ballots for ballot in row]
+        approvals = approval_matrix(flat, m).reshape(len(ballots), n, m)
+        return cls(alternative_ids, voter_ids, instance_ids, approvals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,74 +268,37 @@ class ValidationReport:
         return not self.violations
 
 
-_INDEX_TYPES = (int, np.integer)
-
-
-def _all_known(ballots, m: int) -> bool:
-    """Whether every member of every ballot is an integer index in [0, m), in
-    one flat pass; validate_profile walks ballot by ballot only when not."""
-    members = list(itertools.chain.from_iterable(ballots))
-    if not all(issubclass(kind, _INDEX_TYPES) for kind in set(map(type, members))):
-        return False
-    return not members or (0 <= min(members) and max(members) < m)
-
-
 def validate_profile(
     profile: Profile,
     bounds: Bounds,
     ground_truth: GroundTruth | None = None,
 ) -> ValidationReport:
-    """Check a profile and bounds for structural violations.
+    """Check a profile's ids, the bounds and any ground truth.
 
-    Returns a report listing every problem found (ragged ballots, unknown
-    alternative indices, inverted bounds, ...).  A valid input yields an
-    empty violation list.  Ground-truth sets whose size falls outside the
-    bounds are reported as warnings only.
+    Returns a report listing every problem found (duplicate ids, inverted
+    bounds, unknown truth members, ...).  A valid input yields an empty
+    violation list.  Ground-truth sets whose size falls outside the bounds
+    are reported as warnings only.  The ballots need no check here: the
+    ``approvals`` array has the profile's shape by construction.
     """
     report = ValidationReport()
     m = profile.num_alternatives
-    n = profile.num_voters
     length = profile.num_instances
 
     if m < 1:
         report.violations.append("profile declares no alternatives")
-    if n < 1:
+    if profile.num_voters < 1:
         report.violations.append("profile declares no voters")
     if length < 1:
         report.violations.append("profile declares no instances")
 
-    ids = [a.id for a in profile.alternatives]
-    if len(set(ids)) != len(ids):
-        report.violations.append("duplicate alternative ids")
-    for pos, alt in enumerate(profile.alternatives):
-        if alt.index != pos:
-            report.violations.append(
-                f"alternative {alt.id!r} has index {alt.index}, expected {pos}"
-            )
-    if len(set(profile.voters)) != len(profile.voters):
-        report.violations.append("duplicate voter ids")
-    instance_ids = [inst.id for inst in profile.instances]
-    if len(set(instance_ids)) != len(instance_ids):
-        report.violations.append("duplicate instance ids")
-
-    members_known = _all_known(
-        itertools.chain.from_iterable(inst.ballots for inst in profile.instances), m
-    )
-    for inst in profile.instances:
-        if len(inst.ballots) != n:
-            report.violations.append(
-                f"ragged ballots: instance {inst.id!r} has {len(inst.ballots)} "
-                f"ballots, expected {n}"
-            )
-        if members_known:
-            continue
-        for i, ballot in enumerate(inst.ballots):
-            bad = [a for a in ballot if not (isinstance(a, _INDEX_TYPES) and 0 <= a < m)]
-            if bad:
-                report.violations.append(
-                    f"unknown alternatives {sorted(map(str, bad))} in instance "
-                    f"{inst.id!r}, voter position {i}"
-                )
+    for name, ids in (
+        ("alternative", profile.alternative_ids),
+        ("voter", profile.voters),
+        ("instance", profile.instance_ids),
+    ):
+        if len(set(ids)) != len(ids):
+            report.violations.append(f"duplicate {name} ids")
 
     if bounds.lower > bounds.upper:
         report.violations.append(
@@ -327,16 +317,16 @@ def validate_profile(
                 f"ground truth covers {len(ground_truth)} instances, expected {length}"
             )
         else:
-            for inst, truth in zip(profile.instances, ground_truth):
+            for zid, truth in zip(profile.instance_ids, ground_truth):
                 bad = [a for a in truth if not 0 <= a < m]
                 if bad:
                     report.violations.append(
-                        f"ground truth of instance {inst.id!r} names unknown "
+                        f"ground truth of instance {zid!r} names unknown "
                         f"alternatives {sorted(bad)}"
                     )
                 elif not bounds.contains(len(truth)):
                     report.warnings.append(
-                        f"ground truth of instance {inst.id!r} has size "
+                        f"ground truth of instance {zid!r} has size "
                         f"{len(truth)} outside [{bounds.lower}, {bounds.upper}]"
                     )
     return report

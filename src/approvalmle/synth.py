@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Bounds, GroundTruth, Profile
+from .model import Bounds, GroundTruth, Profile, approval_matrix
 from .priors import cardinality_mass
 
 #: Refuse rejection sampling when the admissible prior mass is below this.
@@ -108,20 +108,17 @@ def sample_profile(spec: SynthSpec, truths: GroundTruth) -> Profile:
         raise ValueError(
             f"got {len(truths)} truth sets for {spec.num_instances} instances"
         )
-    instance_ballots = []
-    for z, truth in enumerate(truths):
+    members = approval_matrix(truths, spec.m)
+    approvals = np.empty((spec.num_instances, spec.n, spec.m), dtype=bool)
+    for z, member in enumerate(members):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1, z)))
-        member = np.zeros(spec.m, dtype=bool)
-        member[list(truth)] = True
         probs = np.where(member[None, :], spec.p[:, None], spec.q[:, None])
-        approved = rng.random((spec.n, spec.m)) < probs
-        instance_ballots.append(
-            [frozenset(np.flatnonzero(row).tolist()) for row in approved]
-        )
-    return Profile.build(
+        approvals[z] = rng.random((spec.n, spec.m)) < probs
+    return Profile(
         [f"a{j + 1}" for j in range(spec.m)],
         [f"v{i + 1}" for i in range(spec.n)],
-        instance_ballots,
+        [f"z{z + 1}" for z in range(spec.num_instances)],
+        approvals,
     )
 
 

@@ -203,6 +203,26 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "z1" in err and "z2" in err
 
+    @pytest.mark.parametrize(
+        "estimates, message",
+        [
+            ({"estimates": [1, 2]}, "'estimates' must map instance ids to lists"),
+            ({"z1": 5}, "the file must map instance ids to lists"),
+            ({"z1": "a1"}, "the file must map instance ids to lists"),
+            ({"estimates": {"z1": ["a1"]}, "alternatives": 5}, "'alternatives' must be a list"),
+        ],
+        ids=["estimates-not-object", "value-not-list", "value-string", "alternatives-not-list"],
+    )
+    def test_malformed_assignment_exits_1(self, tmp_path, estimates, message, capsys):
+        est = tmp_path / "est.json"
+        tru = tmp_path / "tru.json"
+        est.write_text(json.dumps(estimates))
+        tru.write_text(json.dumps({"z1": ["a1"]}))
+        assert run(["evaluate", est, tru, "--alternatives", "a1,a2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestSimulate:
     def test_deterministic_output(self, tmp_path):
@@ -312,8 +332,8 @@ class TestBenchmark:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--init", "random:abc"], ["--init", "bogus"], ["--tolerance", 0]],
-        ids=["init-seed", "init-name", "tolerance"],
+        [["--init", "random:abc"], ["--init", "bogus"], ["--tolerance", 0], ["--batches", 0]],
+        ids=["init-seed", "init-name", "tolerance", "batches-zero"],
     )
     def test_bad_flag_exits_1(self, truth_dataset, tmp_path, flags, capsys):
         code = run(

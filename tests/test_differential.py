@@ -205,7 +205,12 @@ def test_whole_profile_truth_step_matches_reference(data):
     profile = data.draw(profiles())
     n, m = profile.num_voters, profile.num_alternatives
     if data.draw(st.booleans()):
-        profile = Profile(profile.alternatives, profile.voters, profile.instances[:1])
+        profile = Profile(
+            profile.alternative_ids,
+            profile.voters,
+            profile.instance_ids[:1],
+            profile.approvals[:1],
+        )
     bounds = data.draw(
         st.one_of(st.just(Bounds(0, 0)), st.just(Bounds(m, m)), bounds_for(m))
     )

@@ -147,9 +147,10 @@ class TestTotalLoglik:
             worked_profile, WORKED_FIRST_TRUTHS, worked_init, bounds
         )
         reversed_profile = Profile(
-            worked_profile.alternatives,
+            worked_profile.alternative_ids,
             worked_profile.voters,
-            tuple(reversed(worked_profile.instances)),
+            worked_profile.instance_ids[::-1],
+            worked_profile.approvals[::-1],
         )
         backward = total_loglik(
             reversed_profile, tuple(reversed(WORKED_FIRST_TRUTHS)), worked_init, bounds

@@ -11,6 +11,8 @@ from approvalmle import (
     clamp_unit,
     validate_profile,
 )
+from approvalmle.benchmark import restrict_voters
+from approvalmle.model import approval_matrix
 
 
 class TestValidateProfile:
@@ -25,28 +27,26 @@ class TestValidateProfile:
         assert any("l exceeds u" in v for v in report.violations)
 
     def test_ragged_ballots_reported(self):
-        profile = Profile.build(
-            ["a", "b"],
-            ["v1", "v2", "v3"],
-            [[{0}, {1}, {0}], [{0}, {1}]],
-        )
-        report = validate_profile(profile, Bounds(1, 1))
-        assert any("ragged" in v for v in report.violations)
+        with pytest.raises(ValueError, match="ragged"):
+            Profile.build(
+                ["a", "b"],
+                ["v1", "v2", "v3"],
+                [[{0}, {1}, {0}], [{0}, {1}]],
+            )
 
     def test_unknown_alternative_reported(self):
-        profile = Profile.build(["a", "b"], ["v1"], [[{0, 5}]])
-        report = validate_profile(profile, Bounds(1, 1))
-        assert any("unknown alternatives" in v for v in report.violations)
+        with pytest.raises(ValueError, match="unknown alternatives"):
+            Profile.build(["a", "b"], ["v1"], [[{0, 5}]])
 
     def test_mixed_bad_members_reported_in_order(self):
-        profile = Profile.build(
-            ["a", "b"],
-            ["v1", "v2"],
-            [[{0}, {1}], [{0, 2.0, "x"}, {1}], [{0}], [{True, 1}, {-1, np.int64(1)}]],
-            ["z1", "z2", "z3", "z4"],
-        )
-        report = validate_profile(profile, Bounds(0, 2))
-        assert report.violations == [
+        with pytest.raises(ValueError) as excinfo:
+            Profile.build(
+                ["a", "b"],
+                ["v1", "v2"],
+                [[{0}, {1}], [{0, 2.0, "x"}, {1}], [{0}], [{True, 1}, {-1, np.int64(1)}]],
+                ["z1", "z2", "z3", "z4"],
+            )
+        assert str(excinfo.value).split("; ") == [
             "unknown alternatives ['2.0', 'x'] in instance 'z2', voter position 0",
             "ragged ballots: instance 'z3' has 1 ballots, expected 2",
             "unknown alternatives ['-1'] in instance 'z4', voter position 1",
@@ -109,6 +109,59 @@ class TestParamVector:
         with pytest.raises(ValueError):
             ParamVector([0.0], [0.5], [0.5]).require_open_unit()
         ParamVector([0.4], [0.5], [0.5]).require_open_unit()
+
+
+@st.composite
+def index_set_ballots(draw):
+    """``(m, n, ballots)`` with ``ballots[z][i]`` a frozenset of indices in [0, m)."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 5))
+    ballot = st.frozensets(st.integers(0, m - 1)) if m else st.just(frozenset())
+    ballots = draw(st.lists(st.lists(ballot, min_size=n, max_size=n), max_size=5))
+    return m, n, ballots
+
+
+class TestProfile:
+    @given(index_set_ballots())
+    def test_build_round_trips_index_sets(self, drawn):
+        m, n, ballots = drawn
+        profile = Profile.build(
+            [f"a{j}" for j in range(m)], [f"v{i}" for i in range(n)], ballots
+        )
+        assert [inst.ballots for inst in profile.instances] == [tuple(row) for row in ballots]
+        flat = [ballot for row in ballots for ballot in row]
+        np.testing.assert_array_equal(
+            profile.approvals, approval_matrix(flat, m).reshape(len(ballots), n, m)
+        )
+
+    def test_approvals_are_read_only_copies(self, worked_profile):
+        source = worked_profile.approvals.copy()
+        profile = Profile(
+            worked_profile.alternative_ids, worked_profile.voters,
+            worked_profile.instance_ids, source,
+        )
+        source[0, 0, 0] = not source[0, 0, 0]
+        assert profile == worked_profile
+        with pytest.raises(ValueError):
+            profile.approvals[0, 0, 0] = True
+
+    @pytest.mark.parametrize("shape", [(4, 3, 4), (4, 2, 5), (3, 3, 5), (4, 15)])
+    def test_constructor_rejects_wrong_shape(self, worked_profile, shape):
+        with pytest.raises(ValueError, match="approvals has shape"):
+            Profile(
+                worked_profile.alternative_ids, worked_profile.voters,
+                worked_profile.instance_ids, np.zeros(shape, dtype=bool),
+            )
+
+    def test_restrict_voters_equals_build_on_kept_ballots(self, worked_profile):
+        keep = [2, 0]
+        expected = Profile.build(
+            worked_profile.alternative_ids,
+            [worked_profile.voters[i] for i in sorted(keep)],
+            [[inst.ballots[i] for i in sorted(keep)] for inst in worked_profile.instances],
+            worked_profile.instance_ids,
+        )
+        assert restrict_voters(worked_profile, keep) == expected
 
 
 def test_instance_coerces_ballots_to_frozensets():

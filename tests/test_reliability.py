@@ -46,9 +46,10 @@ def test_all_full_truths_rejected():
 def test_instance_permutation_invariance(worked_profile):
     p, q = update_reliabilities(worked_profile, WORKED_FIRST_TRUTHS)
     shuffled = Profile(
-        worked_profile.alternatives,
+        worked_profile.alternative_ids,
         worked_profile.voters,
-        tuple(reversed(worked_profile.instances)),
+        worked_profile.instance_ids[::-1],
+        worked_profile.approvals[::-1],
     )
     p2, q2 = update_reliabilities(shuffled, tuple(reversed(WORKED_FIRST_TRUTHS)))
     np.testing.assert_array_equal(p, p2)
