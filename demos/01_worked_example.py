@@ -15,9 +15,10 @@ from approvalmle import (
     Profile,
     anna_karenina_init,
     estimate_truth,
+    explain_truth,
     run_amle,
     update_reliabilities,
-    weighted_scores,
+    voter_weights,
 )
 
 profile = Profile.build(
@@ -41,19 +42,16 @@ for i, voter in enumerate(profile.voters):
 # largest weight; every voter starts at p = 1/2
 
 print("\n=== score board for question 1 ===")
-board = weighted_scores(profile.instances[0], init)
-print(f"  voter weights: {np.round(board.voter_weights, 3)}")
-print(f"  scores:        {np.round(board.scores, 3)}")
-print(f"  threshold:     {board.threshold:.3f}")
-estimate = estimate_truth(profile.instances[0], init, bounds)
+estimate = explain_truth(profile.approvals[0], init, bounds)
+print(f"  voter weights: {np.round(voter_weights(init), 3)}")
+print(f"  scores:        {np.round(estimate.scores, 3)}")
+print(f"  threshold:     {estimate.threshold:.3f}")
 print(f"  chosen set:    {sorted(profile.alternative_ids[j] for j in estimate.chosen)}")
 
 print("\n=== one manual round: truths, then reliabilities ===")
-truths = tuple(
-    estimate_truth(inst, init, bounds).chosen for inst in profile.instances
-)
-for inst, truth in zip(profile.instances, truths):
-    print(f"  {inst.id}: {sorted(profile.alternative_ids[j] for j in truth)}")
+truths = estimate_truth(profile, init, bounds)
+for zid, truth in zip(profile.instance_ids, truths):
+    print(f"  {zid}: {sorted(profile.alternative_ids[j] for j in truth)}")
 p_hat, q_hat = update_reliabilities(profile, truths)
 for i, voter in enumerate(profile.voters):
     print(f"  {voter}: p={p_hat[i]:.3f} q={q_hat[i]:.3f}")
@@ -61,15 +59,15 @@ for i, voter in enumerate(profile.voters):
 print("\n=== full alternating loop, exact prior updates (default) ===")
 result = run_amle(profile, bounds, init, AmleConfig(max_iterations=1000))
 print(f"  converged: {result.converged} after {result.iterations} iterations")
-for inst, truth in zip(profile.instances, result.truths):
-    print(f"  {inst.id}: {sorted(profile.alternative_ids[j] for j in truth)}")
+for zid, truth in zip(profile.instance_ids, result.truths):
+    print(f"  {zid}: {sorted(profile.alternative_ids[j] for j in truth)}")
 print(f"  final t: {np.round(result.params.t, 4)}")
 
 print("\n=== same loop with the legacy prior update ===")
 legacy = run_amle(profile, bounds, init, AmleConfig(prior_update="legacy"))
 print(f"  converged: {legacy.converged} after {legacy.iterations} iterations")
-for inst, truth in zip(profile.instances, legacy.truths):
-    print(f"  {inst.id}: {sorted(profile.alternative_ids[j] for j in truth)}")
+for zid, truth in zip(profile.instance_ids, legacy.truths):
+    print(f"  {zid}: {sorted(profile.alternative_ids[j] for j in truth)}")
 print(f"  final t: {np.round(legacy.params.t, 4)}")
 
 print(

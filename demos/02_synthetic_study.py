@@ -12,11 +12,12 @@ import numpy as np
 from approvalmle import (
     Bounds,
     hamming_accuracy,
+    majority_rule,
+    modal_rule,
     run_amle,
     subset_accuracy,
     uniform_init,
 )
-from approvalmle.baselines import majority_rule, modal_rule
 from approvalmle.synth import SynthSpec, sample_dataset
 
 BOUNDS = Bounds(1, 2)
@@ -33,8 +34,8 @@ for n in (10, 30, 50):
         estimates = {
             "amle-constrained": run_amle(profile, BOUNDS, uniform_init(n, M)).truths,
             "amle-free": run_amle(profile, Bounds(0, M), uniform_init(n, M)).truths,
-            "majority": tuple(majority_rule(i, BOUNDS, M) for i in profile.instances),
-            "modal": tuple(modal_rule(i) for i in profile.instances),
+            "majority": majority_rule(profile, BOUNDS),
+            "modal": modal_rule(profile),
         }
         for method, est in estimates.items():
             subset_scores[method].append(subset_accuracy(est, truths))

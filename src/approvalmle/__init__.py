@@ -49,13 +49,7 @@ from .priors import (
 )
 from .reliability import update_reliabilities
 from .synth import SynthSpec, sample_dataset, sample_profile, sample_truths
-from .truth_mle import (
-    ScoreBoard,
-    ThresholdPartition,
-    estimate_truth,
-    partition,
-    weighted_scores,
-)
+from .truth_mle import estimate_truth, explain_truth, voter_weights
 
 __version__ = "0.1.0"
 
@@ -70,10 +64,8 @@ __all__ = [
     "Instance",
     "ParamVector",
     "Profile",
-    "ScoreBoard",
     "SynthSpec",
     "ThieleWeights",
-    "ThresholdPartition",
     "TruthEstimate",
     "ValidationReport",
     "anna_karenina_init",
@@ -81,6 +73,7 @@ __all__ = [
     "cardinality_mass",
     "clamp_unit",
     "estimate_truth",
+    "explain_truth",
     "hamming_accuracy",
     "harmonic_accuracy",
     "jaccard_distance",
@@ -88,7 +81,6 @@ __all__ = [
     "mass_given_excluded",
     "mass_given_included",
     "modal_rule",
-    "partition",
     "prior_logprob",
     "random_init",
     "run_amle",
@@ -102,5 +94,5 @@ __all__ = [
     "update_inclusion_prior",
     "update_reliabilities",
     "validate_profile",
-    "weighted_scores",
+    "voter_weights",
 ]

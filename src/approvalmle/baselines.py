@@ -1,49 +1,50 @@
-"""Baseline aggregation rules that ignore voter reliabilities."""
+"""Baseline aggregation rules that ignore voter reliabilities.
+
+Both rules take a whole ``Profile`` and return one set per instance, computed
+from ``Profile.approvals``.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
-from .model import Bounds, Instance, approval_matrix
+from .model import Bounds, GroundTruth, Profile
 
 
-def modal_rule(instance: Instance) -> frozenset:
-    """The most frequently cast exact ballot.
+def modal_rule(profile: Profile) -> GroundTruth:
+    """Per instance, the most frequently cast exact ballot.
 
     Ties between equally frequent ballots are broken by the lexicographically
     smallest sorted index tuple (so the empty ballot beats everything).
     """
-    counts = Counter(instance.ballots)
-    best = max(counts.values())
-    tied = [ballot for ballot, c in counts.items() if c == best]
-    return min(tied, key=lambda s: tuple(sorted(s)))
+    packed = np.packbits(profile.approvals, axis=-1)
+    keys = packed.view(np.dtype((np.void, packed.shape[-1])))[..., 0]
+    truths = []
+    for rows, instance_keys in zip(profile.approvals, keys):
+        _, first, counts = np.unique(instance_keys, return_index=True, return_counts=True)
+        tied = first[counts == counts.max()]
+        # ascending index lists compare like the sorted index tuples
+        truths.append(frozenset(min(np.flatnonzero(rows[i]).tolist() for i in tied)))
+    return tuple(truths)
 
 
-def approval_counts(instance: Instance, m: int) -> list:
-    """Number of approvals per alternative."""
-    return approval_matrix(instance.ballots, m).sum(0).tolist()
-
-
-def majority_rule(instance: Instance, bounds: Bounds, m: int) -> frozenset:
-    """Label-wise strict majority, fixed up to respect the cardinality bounds.
+def majority_rule(profile: Profile, bounds: Bounds) -> GroundTruth:
+    """Per instance, the label-wise strict majority, fixed up to respect the
+    cardinality bounds.
 
     Start from {a : approval count > n/2}.  If that set is empty, replace it
     by the single highest-count alternative; if it exceeds the upper bound,
     keep only the top-u by count; if it is still below the lower bound, pad
     with the highest-count excluded alternatives.  All count ties break by
     ascending alternative index.  Padding up to l generalizes the empty-set
-    fix-up, which only covers l = 1.
+    fix-up, which only covers l = 1.  Every step keeps a prefix of the
+    (count descending, index ascending) order, so each set is that order's
+    first clip(max(#majority, 1), l, u) alternatives.
     """
-    n = len(instance.ballots)
-    counts = approval_counts(instance, m)
-    order = sorted(range(m), key=lambda j: (-counts[j], j))
-
-    selected = [j for j in order if counts[j] > n / 2]
-    if not selected:
-        selected = order[:1]
-    if len(selected) > bounds.upper:
-        selected = selected[: bounds.upper]
-    if len(selected) < bounds.lower:
-        padding = [j for j in order if j not in selected]
-        selected += padding[: bounds.lower - len(selected)]
-    return frozenset(selected)
+    counts = profile.approvals.sum(1)
+    order = np.argsort(-counts, axis=-1, kind="stable")
+    majority = np.count_nonzero(2 * counts > profile.num_voters, axis=-1)
+    k = np.clip(np.maximum(majority, 1), bounds.lower, bounds.upper)
+    return tuple(
+        frozenset(ranking[:size]) for ranking, size in zip(order.tolist(), k.tolist())
+    )

@@ -86,18 +86,17 @@ def run_method(
     config: AmleConfig = AmleConfig(),
 ) -> GroundTruth:
     """Aggregate a profile with one method and return per-instance sets."""
-    m = profile.num_alternatives
     if method == "amle-constrained":
         result = run_amle(profile, bounds, parse_init(init_strategy)(profile), config)
         return result.truths
     if method == "amle-free":
-        free = Bounds(0, m)
+        free = Bounds(0, profile.num_alternatives)
         result = run_amle(profile, free, parse_init(init_strategy)(profile), config)
         return result.truths
     if method == "modal":
-        return tuple(modal_rule(inst) for inst in profile.instances)
+        return modal_rule(profile)
     if method == "majority":
-        return tuple(majority_rule(inst, bounds, m) for inst in profile.instances)
+        return majority_rule(profile, bounds)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -81,6 +81,10 @@ def parse_dataset(doc: dict, strict: bool = False):
     for key in ("alternatives", "voters", "instances"):
         if key not in doc:
             raise DatasetFormatError(f"dataset document lacks the {key!r} key")
+        if not isinstance(doc[key], list):
+            raise DatasetFormatError(
+                f"dataset document: {key!r} must be a list, got {type(doc[key]).__name__}"
+            )
 
     alt_ids = [str(a) for a in doc["alternatives"]]
     voter_ids = [str(v) for v in doc["voters"]]
@@ -269,10 +273,13 @@ def load_assignment(path):
     doc = _read_json_object(path)
     key = next((key for key in ("estimates", "ground_truth") if key in doc), None)
     mapping = doc if key is None else doc[key]
-    if not isinstance(mapping, dict) or not all(isinstance(v, list) for v in mapping.values()):
+    if not isinstance(mapping, dict) or not all(
+        isinstance(ids, list) and all(isinstance(a, str) for a in ids)
+        for ids in mapping.values()
+    ):
         raise DatasetFormatError(
             f"{path}: {'the file' if key is None else repr(key)} must map instance "
-            "ids to lists of alternative ids"
+            "ids to lists of alternative id strings"
         )
     alternatives = None if key is None else doc.get("alternatives")
     if alternatives is not None and not isinstance(alternatives, list):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .model import TIE_TOLERANCE, Bounds, GroundTruth, Instance, ParamVector, Profile
+from .model import TIE_TOLERANCE, Bounds, GroundTruth, ParamVector, Profile
 from .model import approval_matrix, require_open_unit
 from .priors import cardinality_mass
 
@@ -76,15 +76,15 @@ def prior_logprob(candidate, t, bounds: Bounds):
     return _prior_term(approval_matrix([candidate], len(t)), t, bounds)
 
 
-def instance_loglik(instance: Instance, truth, params: ParamVector, bounds: Bounds):
-    """Joint log-likelihood of one instance's ballots and truth set."""
+def instance_loglik(ballots: np.ndarray, truth, params: ParamVector, bounds: Bounds):
+    """Joint log-likelihood of one instance's ``bool[n, m]`` ballots, such as
+    ``profile.approvals[z]``, and its truth set."""
     prior = prior_logprob(truth, params.t, bounds)
     if prior is IMPOSSIBLE:
         return IMPOSSIBLE
     params.require_open_unit()
-    m = params.num_alternatives
-    approvals = approval_matrix(instance.ballots, m)[np.newaxis]
-    return prior + _ballot_term(approvals, approval_matrix([truth], m), params)
+    truths = approval_matrix([truth], params.num_alternatives)
+    return prior + _ballot_term(np.asarray(ballots, dtype=bool)[np.newaxis], truths, params)
 
 
 def total_loglik(
@@ -115,12 +115,13 @@ def total_loglik(
 
 
 def brute_force_truth_mle(
-    instance: Instance,
+    ballots: np.ndarray,
     params: ParamVector,
     bounds: Bounds,
     tie_tolerance: float = TIE_TOLERANCE,
 ) -> list:
-    """All maximum-likelihood truth sets for one instance, by enumeration.
+    """All maximum-likelihood truth sets for one instance's ``bool[n, m]``
+    ballots, by enumeration.
 
     Enumerates every admissible subset and keeps those whose log-likelihood
     is within ``tie_tolerance`` of the maximum.  Exponential in m; serves as
@@ -137,7 +138,7 @@ def brute_force_truth_mle(
     for k in range(bounds.lower, bounds.upper + 1):
         for combo in itertools.combinations(range(m), k):
             candidate = frozenset(combo)
-            value = instance_loglik(instance, candidate, params, bounds)
+            value = instance_loglik(ballots, candidate, params, bounds)
             scored.append((candidate, value))
     best = max(value for _, value in scored)
     winners = [cand for cand, value in scored if value >= best - tie_tolerance]

@@ -6,10 +6,11 @@ Conventions used throughout the package:
   declaration order (0-based).  All vectors (scores, reliabilities, priors)
   are aligned with that order, which makes tie-breaking deterministic.
 * A profile stores its ballots once, as the dense boolean
-  ``Profile.approvals`` array; frozensets of alternative indices appear only
-  in ``Profile.build`` and ``Profile.instances``.  Truth sets enter and leave
-  as frozensets (one per instance, in instance order) and are computed on as
-  ``Profile.truth_array``.
+  ``Profile.approvals`` array, and every computation reads that array (one
+  instance's ballots are ``approvals[z]``); frozensets of alternative indices
+  appear only in ``Profile.build`` and the read-only ``Profile.instances``
+  view.  Truth sets enter and leave as frozensets (one per instance, in
+  instance order) and are computed on as ``Profile.truth_array``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,11 @@ class Bounds:
 
 @dataclass(frozen=True)
 class Instance:
-    """One question/task: an id plus one approval ballot per voter."""
+    """One question/task: an id plus one frozenset ballot per voter.
+
+    A read-only view for callers outside the package (see
+    ``Profile.instances``); no function of the package takes one.
+    """
 
     id: str
     ballots: tuple
@@ -141,8 +146,8 @@ class Profile:
 
     @cached_property
     def instances(self) -> tuple:
-        """One frozenset-ballot ``Instance`` per instance, for per-instance
-        callers such as the baselines; derived from ``approvals`` on first use."""
+        """One frozenset-ballot ``Instance`` per instance, a view for callers
+        outside the package; derived from ``approvals`` on first use."""
         columns = range(self.num_alternatives)
         return tuple(
             Instance(zid, tuple(frozenset(itertools.compress(columns, row)) for row in rows))

@@ -11,59 +11,9 @@ one ``(L, m)`` array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import (
-    TIE_TOLERANCE,
-    Bounds,
-    GroundTruth,
-    Instance,
-    ParamVector,
-    Profile,
-    TruthEstimate,
-    approval_matrix,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreBoard:
-    """Weighted approval scores for one instance.
-
-    ``scores[j] = prior_weights[j] + sum of voter_weights[i] over approvers``
-    where voter i's weight is ln(p_i(1-q_i) / (q_i(1-p_i))) and the prior
-    weight of alternative j is its prior log-odds ln(t_j / (1-t_j)).  The
-    ``threshold`` sum_i ln((1-q_i)/(1-p_i)) is the score level above which
-    including an alternative increases the likelihood.  For a whole profile
-    ``scores`` gets a leading instance axis.
-    """
-
-    scores: np.ndarray
-    threshold: float
-    voter_weights: np.ndarray
-    prior_weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class ThresholdPartition:
-    """Alternatives split by score relative to the threshold."""
-
-    above: frozenset
-    at: frozenset
-    below: frozenset
-
-    @property
-    def k_above(self) -> int:
-        return len(self.above)
-
-    @property
-    def k_at(self) -> int:
-        return len(self.at)
-
-    @property
-    def k_below(self) -> int:
-        return len(self.below)
+from .model import TIE_TOLERANCE, Bounds, GroundTruth, ParamVector, Profile, TruthEstimate
 
 
 def voter_weights(params: ParamVector) -> np.ndarray:
@@ -72,68 +22,59 @@ def voter_weights(params: ParamVector) -> np.ndarray:
     return np.log(p) - np.log(q) + np.log(1.0 - q) - np.log(1.0 - p)
 
 
-def _board(approvals: np.ndarray, params: ParamVector) -> ScoreBoard:
-    """Score board for ``approvals`` of shape ``(..., n, m)``; the scores
-    have shape ``(..., m)``, one row per instance for a whole profile.
+def _board(approvals: np.ndarray, params: ParamVector) -> tuple:
+    """Scores and threshold for ``approvals`` of shape ``(..., n, m)``.
+
+    ``scores[..., j]`` is alternative j's prior log-odds ln(t_j / (1-t_j))
+    plus the ``voter_weights`` of its approvers; it has shape ``(..., m)``,
+    one row per instance for a whole profile.  The threshold
+    sum_i ln((1-q_i)/(1-p_i)) is the score level above which including an
+    alternative increases the likelihood.
 
     Voter terms are added one voter at a time in ascending index order, so
     each score is rounded exactly like a sequential per-ballot sum; a single
     contraction would reorder the additions and can flip near-ties.
     """
     params.require_open_unit()
-    weights = voter_weights(params)
     prior = np.log(params.t) - np.log(1.0 - params.t)
     scores = np.broadcast_to(prior, approvals.shape[:-2] + prior.shape).copy()
-    for i, weight in enumerate(weights):
+    for i, weight in enumerate(voter_weights(params)):
         np.add(scores, weight, out=scores, where=approvals[..., i, :])
     threshold = float(np.sum(np.log(1.0 - params.q) - np.log(1.0 - params.p)))
-    return ScoreBoard(scores, threshold, weights, prior)
+    return scores, threshold
 
 
-def _top_k(board: ScoreBoard, bounds: Bounds, tie_tolerance: float) -> tuple:
-    """Per row of ``board.scores``: the ranking, equal scores by ascending
-    index, and the smallest admissible k (see ``estimate_truth``)."""
-    above = np.count_nonzero(board.scores - board.threshold > tie_tolerance, axis=-1)
+def _top_k(scores: np.ndarray, threshold: float, bounds: Bounds, tie_tolerance: float) -> tuple:
+    """Per row of ``scores``: the ranking, equal scores by ascending index,
+    and the smallest admissible k (see ``estimate_truth``)."""
+    above = np.count_nonzero(scores - threshold > tie_tolerance, axis=-1)
     k = np.clip(above, bounds.lower, bounds.upper)
-    return np.argsort(-board.scores, axis=-1, kind="stable"), k
+    return np.argsort(-scores, axis=-1, kind="stable"), k
 
 
-def weighted_scores(instance: Instance, params: ParamVector) -> ScoreBoard:
-    """Compute the score board for one instance."""
-    if len(instance.ballots) != params.num_voters:
+def _check_fit(ballots_shape: tuple, params: ParamVector, bounds: Bounds) -> None:
+    """Raise ValueError unless the bounds are valid and ``ballots_shape`` is
+    the ``(n, m)`` that ``params`` is sized for."""
+    n, m = params.num_voters, params.num_alternatives
+    if not bounds.valid_for(m):
+        raise ValueError(f"invalid bounds ({bounds.lower}, {bounds.upper}) for m={m}")
+    if tuple(ballots_shape) != (n, m):
         raise ValueError(
-            f"instance {instance.id!r} has {len(instance.ballots)} ballots for "
-            f"{params.num_voters} voters"
+            f"parameters sized for a different profile: ballots of shape "
+            f"{tuple(ballots_shape)}, parameters for (n, m) = ({n}, {m})"
         )
-    return _board(approval_matrix(instance.ballots, params.num_alternatives), params)
-
-
-def partition(
-    board: ScoreBoard, tie_tolerance: float = TIE_TOLERANCE
-) -> ThresholdPartition:
-    """Split alternatives into above/at/below the threshold."""
-    diff = board.scores - board.threshold
-    at = np.abs(diff) <= tie_tolerance
-    above = diff > tie_tolerance
-    return ThresholdPartition(
-        above=frozenset(np.flatnonzero(above).tolist()),
-        at=frozenset(np.flatnonzero(at).tolist()),
-        below=frozenset(np.flatnonzero(~(above | at)).tolist()),
-    )
 
 
 def estimate_truth(
-    data: Instance | Profile,
+    profile: Profile,
     params: ParamVector,
     bounds: Bounds,
     tie_tolerance: float = TIE_TOLERANCE,
-) -> TruthEstimate | GroundTruth:
-    """Constrained maximum-likelihood truth set(s).
+) -> GroundTruth:
+    """Constrained maximum-likelihood truth set of every instance.
 
-    Given an ``Instance``, returns its ``TruthEstimate`` with the score
-    diagnostics.  Given a ``Profile``, returns the ``GroundTruth`` tuple of
-    every instance's chosen set, computed in one pass over
-    ``Profile.approvals``; both go through the same scores and top-k rule.
+    Returns the ``GroundTruth`` tuple, computed in one pass over
+    ``Profile.approvals``.
 
     Every maximizer is a top-k prefix of the score ranking that takes as much
     of the above-threshold set as the upper bound allows and dips into the
@@ -143,23 +84,39 @@ def estimate_truth(
     lower bound) and resolve equal scores by ascending index, which makes runs
     reproducible.
     """
-    m = params.num_alternatives
-    if not bounds.valid_for(m):
-        raise ValueError(f"invalid bounds ({bounds.lower}, {bounds.upper}) for m={m}")
-    if isinstance(data, Profile):
-        if (data.num_voters, data.num_alternatives) != (params.num_voters, m):
-            raise ValueError("parameters sized for a different profile")
-        order, k = _top_k(_board(data.approvals, params), bounds, tie_tolerance)
-        return tuple(
-            frozenset(ranking[:size]) for ranking, size in zip(order.tolist(), k.tolist())
-        )
-    board = weighted_scores(data, params)
-    order, k = _top_k(board, bounds, tie_tolerance)
-    split = partition(board, tie_tolerance)
+    _check_fit(profile.approvals.shape[1:], params, bounds)
+    order, k = _top_k(*_board(profile.approvals, params), bounds, tie_tolerance)
+    return tuple(
+        frozenset(ranking[:size]) for ranking, size in zip(order.tolist(), k.tolist())
+    )
+
+
+def explain_truth(
+    ballots: np.ndarray,
+    params: ParamVector,
+    bounds: Bounds,
+    tie_tolerance: float = TIE_TOLERANCE,
+) -> TruthEstimate:
+    """One instance's truth set with its score diagnostics.
+
+    ``ballots`` is that instance's ``bool[n, m]`` approvals, such as
+    ``profile.approvals[z]``; the chosen set is the one ``estimate_truth``
+    picks for it.  The partition splits the alternatives into those scoring
+    above, within ``tie_tolerance`` of, and below the threshold.
+    """
+    ballots = np.asarray(ballots, dtype=bool)
+    _check_fit(ballots.shape, params, bounds)
+    scores, threshold = _board(ballots, params)
+    order, k = _top_k(scores, threshold, bounds, tie_tolerance)
+    diff = scores - threshold
+    above = diff > tie_tolerance
+    at = np.abs(diff) <= tie_tolerance
     return TruthEstimate(
         chosen=frozenset(order[:k].tolist()),
-        scores=board.scores,
-        threshold=board.threshold,
-        partition=(split.above, split.at, split.below),
+        scores=scores,
+        threshold=threshold,
+        partition=tuple(
+            frozenset(np.flatnonzero(side).tolist()) for side in (above, at, ~(above | at))
+        ),
         admissible_k=int(k),
     )

@@ -1,15 +1,15 @@
 """Shared fixtures: two small profiles used across the suite.
 
 ``worked_profile`` is a 3-voter, 5-alternative, 4-instance profile whose
-estimation trajectory is known in closed form; ``counted_instance`` is a
-10-voter single instance with approval counts (9, 8, 7, 5, 5) and homogeneous
-voters, for which the score board is known exactly.
+estimation trajectory is known in closed form; ``counted_instance`` holds the
+``bool[10, 5]`` ballots of a single instance with approval counts
+(9, 8, 7, 5, 5) and homogeneous voters, for which the scores are known exactly.
 """
 
 import numpy as np
 import pytest
 
-from approvalmle import Bounds, Instance, ParamVector, Profile
+from approvalmle import Bounds, ParamVector, Profile
 
 
 @pytest.fixture
@@ -55,20 +55,18 @@ WORKED_FINAL_TRUTHS = (
 )
 
 
-def instance_with_counts(counts, n) -> Instance:
-    """An instance whose approval count for alternative j is counts[j].
+def instance_with_counts(counts, n) -> np.ndarray:
+    """One instance's ``bool[n, m]`` ballots whose approval count for
+    alternative j is counts[j].
 
     Voter v approves alternative j iff v < counts[j]; with homogeneous voter
     parameters only the counts matter for scores.
     """
-    ballots = [
-        frozenset(j for j, c in enumerate(counts) if v < c) for v in range(n)
-    ]
-    return Instance("counted", ballots)
+    return np.arange(n)[:, np.newaxis] < np.asarray(counts)
 
 
 @pytest.fixture
-def counted_instance() -> Instance:
+def counted_instance() -> np.ndarray:
     return instance_with_counts([9, 8, 7, 5, 5], 10)
 
 
@@ -117,7 +115,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def random_small_instance(rng: np.random.Generator):
-    """Random instance + params + bounds for oracle cross-checks."""
+    """Random ``bool[n, m]`` ballots + params + bounds for oracle cross-checks."""
     from approvalmle import clamp_unit
 
     m = int(rng.integers(2, 7))
@@ -127,7 +125,5 @@ def random_small_instance(rng: np.random.Generator):
     params = ParamVector(
         clamp_unit(rng.random(n)), clamp_unit(rng.random(n)), clamp_unit(rng.random(m))
     )
-    ballots = [
-        frozenset(np.flatnonzero(rng.random(m) < 0.5).tolist()) for _ in range(n)
-    ]
-    return Instance("rnd", ballots), params, Bounds(lower, upper)
+    ballots = np.array([rng.random(m) < 0.5 for _ in range(n)])
+    return ballots, params, Bounds(lower, upper)

@@ -24,6 +24,7 @@ from approvalmle import (
     brute_force_truth_mle,
     cardinality_mass,
     estimate_truth,
+    explain_truth,
     hamming_accuracy,
     harmonic_accuracy,
     jaccard_distance,
@@ -73,9 +74,9 @@ def test_c01_golden_score_board():
     """Weighted scores, threshold, partition, and top-k choice on the
     10-voter counted instance."""
     started = time.perf_counter()
-    instance = instance_with_counts([9, 8, 7, 5, 5], 10)
+    ballots = instance_with_counts([9, 8, 7, 5, 5], 10)
     params = ParamVector([0.7] * 10, [0.4] * 10, [0.5, 0.5, 0.5, 0.6, 0.5])
-    estimate = estimate_truth(instance, params, Bounds(1, 4))
+    estimate = explain_truth(ballots, params, Bounds(1, 4))
 
     weight = math.log(0.7 * 0.6 / (0.4 * 0.3))
     prior_d = math.log(0.6 / 0.4)
@@ -103,9 +104,7 @@ def test_c02_golden_first_iteration():
     bounds = Bounds(1, 2)
     init = _worked_init()
 
-    truths = tuple(
-        estimate_truth(inst, init, bounds).chosen for inst in profile.instances
-    )
+    truths = estimate_truth(profile, init, bounds)
     assert truths == WORKED_FIRST_TRUTHS
 
     p_hat, q_hat = update_reliabilities(profile, truths)
@@ -197,12 +196,12 @@ def test_c05_oracle_equivalence_random_instances():
     started = time.perf_counter()
     rng = np.random.default_rng(1818)
     for _ in range(1000):
-        instance, params, bounds = random_small_instance(rng)
-        estimate = estimate_truth(instance, params, bounds)
-        winners = brute_force_truth_mle(instance, params, bounds)
+        ballots, params, bounds = random_small_instance(rng)
+        estimate = explain_truth(ballots, params, bounds)
+        winners = brute_force_truth_mle(ballots, params, bounds)
         assert estimate.chosen in winners
-        best = instance_loglik(instance, winners[0], params, bounds)
-        attained = instance_loglik(instance, estimate.chosen, params, bounds)
+        best = instance_loglik(ballots, winners[0], params, bounds)
+        attained = instance_loglik(ballots, estimate.chosen, params, bounds)
         assert attained >= best - 1e-9
     assert time.perf_counter() - started < 30.0
 
@@ -251,10 +250,7 @@ def test_c07_monotone_likelihood_and_fixed_points():
 
         if result.converged:
             converged_count += 1
-            rerun = tuple(
-                estimate_truth(inst, result.params, Bounds(1, 2)).chosen
-                for inst in profile.instances
-            )
+            rerun = estimate_truth(profile, result.params, Bounds(1, 2))
             assert rerun == result.truths
             p2, q2 = update_reliabilities(profile, rerun)
             t2 = sweep_inclusion_priors(rerun, Bounds(1, 2), result.params.t)
@@ -286,9 +282,7 @@ def test_c08_synthetic_recovery_study():
                 "amle-free": run_amle(
                     profile, Bounds(0, 5), uniform_init(n, 5)
                 ).truths,
-                "majority": tuple(
-                    majority_rule(inst, bounds, 5) for inst in profile.instances
-                ),
+                "majority": majority_rule(profile, bounds),
             }
             for method, est in estimates.items():
                 subset_scores[method].append(subset_accuracy(est, truths))
@@ -340,11 +334,8 @@ def test_c09_annotation_dataset_reproduction():
         "amle-free": run_amle(
             profile, Bounds(0, 5), anna_karenina_init(profile), config
         ).truths,
-        "modal": tuple(modal_rule(inst) for inst in profile.instances),
-        "majority": tuple(
-            majority_rule(inst, bounds, profile.num_alternatives)
-            for inst in profile.instances
-        ),
+        "modal": modal_rule(profile),
+        "majority": majority_rule(profile, bounds),
     }
     reference = {
         "amle-constrained": (0.88, 0.78, 0.60),

@@ -80,15 +80,15 @@ class TestWorkedProfile:
 
         calls = []
 
-        def counting(data, params, bounds):
-            calls.append(data)
-            return estimate_truth(data, params, bounds)
+        def counting(profile, params, bounds):
+            calls.append(profile)
+            return estimate_truth(profile, params, bounds)
 
         monkeypatch.setattr(approvalmle.amle, "estimate_truth", counting)
         result = run_amle(worked_profile, worked_bounds, worked_init)
         assert result.iterations > 1
         assert len(calls) == result.iterations
-        assert all(data is worked_profile for data in calls)
+        assert all(profile is worked_profile for profile in calls)
 
 
 class TestSingleConsistentVoter:
@@ -125,10 +125,7 @@ class TestLoopProperties:
             profile, _, result, bounds = random_run(seed)
             if not result.converged:
                 continue
-            rerun_truths = tuple(
-                estimate_truth(inst, result.params, bounds).chosen
-                for inst in profile.instances
-            )
+            rerun_truths = estimate_truth(profile, result.params, bounds)
             assert rerun_truths == result.truths
             p2, q2 = update_reliabilities(profile, rerun_truths)
             t2 = sweep_inclusion_priors(rerun_truths, bounds, result.params.t)
@@ -204,9 +201,7 @@ def test_estimation_beats_majority_on_average_at_scale():
         spec = SynthSpec.homogeneous(5, 50, 15, bounds, 0.7, 0.4, seed)
         profile, truths = sample_dataset(spec)
         result = run_amle(profile, bounds, uniform_init(50, 5))
-        baseline = tuple(
-            majority_rule(inst, bounds, 5) for inst in profile.instances
-        )
+        baseline = majority_rule(profile, bounds)
         amle_acc.append(subset_accuracy(result.truths, truths))
         majority_acc.append(subset_accuracy(baseline, truths))
     assert np.mean(amle_acc) > np.mean(majority_acc)

@@ -1,50 +1,64 @@
 import numpy as np
 
-from approvalmle import Bounds, Instance, majority_rule, modal_rule
+from approvalmle import Bounds, Profile, majority_rule, modal_rule
 from conftest import instance_with_counts
+
+
+def _modal(ballots, m):
+    """The modal rule's set for one instance of index-set ballots."""
+    profile = Profile.build(
+        [f"a{j}" for j in range(m)], [f"v{i}" for i in range(len(ballots))], [ballots]
+    )
+    (chosen,) = modal_rule(profile)
+    return chosen
+
+
+def _majority(ballots, bounds):
+    """The majority rule's set for one instance of ``bool[n, m]`` ballots."""
+    n, m = ballots.shape
+    profile = Profile([f"a{j}" for j in range(m)], [f"v{i}" for i in range(n)], ["z1"], [ballots])
+    (chosen,) = majority_rule(profile, bounds)
+    return chosen
 
 
 class TestModalRule:
     def test_strict_plurality(self):
-        inst = Instance("z", [{0}, {0}, {1}])
-        assert modal_rule(inst) == frozenset({0})
+        assert _modal([{0}, {0}, {1}], 2) == frozenset({0})
 
     def test_worked_profile_last_instance(self, worked_profile):
-        assert modal_rule(worked_profile.instances[3]) == frozenset({0})
+        assert modal_rule(worked_profile)[3] == frozenset({0})
 
     def test_all_distinct_takes_lexicographically_smallest(self):
-        inst = Instance("z", [{2}, {1, 3}, {0, 4}])
-        assert modal_rule(inst) == frozenset({0, 4})
+        assert _modal([{2}, {1, 3}, {0, 4}], 5) == frozenset({0, 4})
 
     def test_empty_ballot_wins_ties(self):
-        inst = Instance("z", [set(), {0}])
-        assert modal_rule(inst) == frozenset()
+        assert _modal([set(), {0}], 1) == frozenset()
 
 
 class TestMajorityRule:
     def test_truncates_to_upper_bound(self):
-        inst = instance_with_counts([9, 8, 7, 5, 5], 10)
-        assert majority_rule(inst, Bounds(1, 2), 5) == frozenset({0, 1})
+        ballots = instance_with_counts([9, 8, 7, 5, 5], 10)
+        assert _majority(ballots, Bounds(1, 2)) == frozenset({0, 1})
 
     def test_empty_majority_falls_back_to_top_one(self):
-        inst = instance_with_counts([3, 2, 1], 10)
-        assert majority_rule(inst, Bounds(1, 2), 3) == frozenset({0})
+        ballots = instance_with_counts([3, 2, 1], 10)
+        assert _majority(ballots, Bounds(1, 2)) == frozenset({0})
 
     def test_two_majorities_within_bounds(self):
-        inst = instance_with_counts([6, 6, 1], 10)
-        assert majority_rule(inst, Bounds(1, 2), 3) == frozenset({0, 1})
+        ballots = instance_with_counts([6, 6, 1], 10)
+        assert _majority(ballots, Bounds(1, 2)) == frozenset({0, 1})
 
     def test_pads_up_to_lower_bound(self):
-        inst = instance_with_counts([9, 4, 2, 1], 10)
-        assert majority_rule(inst, Bounds(3, 3), 4) == frozenset({0, 1, 2})
+        ballots = instance_with_counts([9, 4, 2, 1], 10)
+        assert _majority(ballots, Bounds(3, 3)) == frozenset({0, 1, 2})
 
     def test_upper_zero_returns_empty(self):
-        inst = instance_with_counts([3, 1], 4)
-        assert majority_rule(inst, Bounds(0, 0), 2) == frozenset()
+        ballots = instance_with_counts([3, 1], 4)
+        assert _majority(ballots, Bounds(0, 0)) == frozenset()
 
     def test_count_ties_break_by_index(self):
-        inst = instance_with_counts([2, 2, 2], 3)
-        assert majority_rule(inst, Bounds(1, 2), 3) == frozenset({0, 1})
+        ballots = instance_with_counts([2, 2, 2], 3)
+        assert _majority(ballots, Bounds(1, 2)) == frozenset({0, 1})
 
     def test_cardinality_always_within_bounds(self):
         rng = np.random.default_rng(31)
@@ -53,9 +67,6 @@ class TestMajorityRule:
             n = int(rng.integers(1, 9))
             lower = int(rng.integers(1, m + 1))
             upper = int(rng.integers(lower, m + 1))
-            ballots = [
-                frozenset(np.flatnonzero(rng.random(m) < 0.5).tolist())
-                for _ in range(n)
-            ]
-            chosen = majority_rule(Instance("r", ballots), Bounds(lower, upper), m)
+            ballots = np.array([rng.random(m) < 0.5 for _ in range(n)])
+            chosen = _majority(ballots, Bounds(lower, upper))
             assert lower <= len(chosen) <= upper

@@ -158,6 +158,20 @@ class TestAggregate:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("alternatives", 5), ("voters", "v"), ("instances", 7)],
+        ids=["alternatives-int", "voters-string", "instances-int"],
+    )
+    def test_field_that_is_not_a_list_exits_1(self, tmp_path, key, value, capsys):
+        path = tmp_path / "bad.json"
+        doc = {"alternatives": ["a"], "voters": ["v"], "instances": [], key: value}
+        path.write_text(json.dumps(doc))
+        assert run(["aggregate", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key!r} must be a list" in err
+
+    @pytest.mark.parametrize(
         "flags", [["--tolerance", 0], ["--epsilon-clamp", 0.7]], ids=["tolerance", "epsilon"]
     )
     def test_bad_config_exits_1(self, dataset_path, flags, capsys):
@@ -210,8 +224,17 @@ class TestEvaluate:
             ({"z1": 5}, "the file must map instance ids to lists"),
             ({"z1": "a1"}, "the file must map instance ids to lists"),
             ({"estimates": {"z1": ["a1"]}, "alternatives": 5}, "'alternatives' must be a list"),
+            ({"z1": [["a"]]}, "the file must map instance ids to lists"),
+            ({"z1": ["a", 1]}, "the file must map instance ids to lists"),
         ],
-        ids=["estimates-not-object", "value-not-list", "value-string", "alternatives-not-list"],
+        ids=[
+            "estimates-not-object",
+            "value-not-list",
+            "value-string",
+            "alternatives-not-list",
+            "member-list",
+            "member-int",
+        ],
     )
     def test_malformed_assignment_exits_1(self, tmp_path, estimates, message, capsys):
         est = tmp_path / "est.json"
@@ -366,6 +389,30 @@ def test_report_dir_env_var(tmp_path, monkeypatch, worked_profile):
     )
     assert code == 0
     assert (report_dir / "run.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("aggregate", []), ("benchmark", ["--batch-sizes", "4,8", "--batches", 2])],
+    ids=["aggregate", "benchmark"],
+)
+def test_command_builds_no_instance(tmp_path, monkeypatch, capsys, command, flags):
+    # every layer computes on Profile.approvals; Instance is only a view for
+    # callers outside the package
+    from approvalmle.model import Bounds, Instance
+    from approvalmle.synth import SynthSpec, sample_dataset
+
+    profile, truths = sample_dataset(SynthSpec.homogeneous(4, 12, 5, Bounds(1, 2), 0.8, 0.25, 9))
+    path = tmp_path / "synthetic.json"
+    save_dataset(path, profile, truths)
+
+    def refuse(self):
+        raise AssertionError("an Instance was built")
+
+    monkeypatch.setattr(Instance, "__post_init__", refuse)
+    out = tmp_path / "out"
+    assert run([command, path, "--lower", 1, "--upper", 2, *flags, "--out", out]) == 0
+    assert out.is_file()
 
 
 def test_usage_error_exits_1():

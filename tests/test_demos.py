@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["01_worked_example.py", "03_files_and_cli.py"])
+@pytest.mark.parametrize(
+    "script", ["01_worked_example.py", "02_synthetic_study.py", "03_files_and_cli.py"]
+)
 def test_demo_exits_0(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -21,6 +21,9 @@ from approvalmle import (
     Profile,
     anna_karenina_init,
     estimate_truth,
+    explain_truth,
+    majority_rule,
+    modal_rule,
     prior_logprob,
     random_init,
     run_amle,
@@ -170,9 +173,9 @@ def test_logliks_match_reference(data):
         total_loglik(profile, truths, params, bounds),
         ref.total_loglik(profile, truths, params, bounds),
     )
-    for instance, truth in zip(profile.instances, truths):
+    for ballots, instance, truth in zip(profile.approvals, profile.instances, truths):
         assert _close(
-            instance_loglik(instance, truth, params, bounds),
+            instance_loglik(ballots, truth, params, bounds),
             ref.instance_loglik(instance, truth, params, bounds),
         )
         assert _close(
@@ -190,8 +193,8 @@ def test_truth_step_matches_reference_exactly(data):
     n, m = profile.num_voters, profile.num_alternatives
     bounds = data.draw(bounds_for(m))
     params = data.draw(params_for(n, m))
-    for instance in profile.instances:
-        got = estimate_truth(instance, params, bounds)
+    for ballots, instance in zip(profile.approvals, profile.instances):
+        got = explain_truth(ballots, params, bounds)
         want = ref.estimate_truth(instance, params, bounds)
         assert got.chosen == want.chosen
         assert got.admissible_k == want.admissible_k
@@ -222,6 +225,36 @@ def test_whole_profile_truth_step_matches_reference(data):
     got = estimate_truth(profile, params, bounds)
     want = tuple(ref.estimate_truth(inst, params, bounds).chosen for inst in profile.instances)
     assert got == want
+
+
+@st.composite
+def tied_profiles(draw):
+    """Profiles whose ballots repeat a few distinct ones, so that exact
+    ballots and approval counts tie often.  Dealt in turn, a pool of two
+    ballots over an even number of voters puts approval counts at exactly
+    n/2, the majority's edge."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    length = draw(st.integers(1, 10))
+    pool = draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        ballots = [[pool[i % len(pool)] for i in range(n)]] * length
+    else:
+        ballots = [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(length)]
+    return Profile.build([f"a{j}" for j in range(m)], [f"v{i}" for i in range(n)], ballots)
+
+
+@settings(settings.get_profile("differential"))
+@given(data=st.data())
+def test_baselines_match_reference(data):
+    # ``profiles`` draws all-empty ballots at density 0.0
+    profile = data.draw(st.one_of(profiles(), tied_profiles()))
+    m = profile.num_alternatives
+    assert modal_rule(profile) == tuple(ref.modal_rule(inst) for inst in profile.instances)
+    for bounds in (Bounds(0, 0), Bounds(m, m), data.draw(bounds_for(m))):
+        assert majority_rule(profile, bounds) == tuple(
+            ref.majority_rule(inst, bounds, m) for inst in profile.instances
+        )
 
 
 @settings(settings.get_profile("differential"))

@@ -7,15 +7,15 @@ import pytest
 from approvalmle import (
     IMPOSSIBLE,
     Bounds,
-    Instance,
     ParamVector,
     brute_force_truth_mle,
     cardinality_mass,
-    estimate_truth,
+    explain_truth,
     prior_logprob,
     total_loglik,
 )
 from approvalmle.likelihood import instance_loglik
+from approvalmle.model import approval_matrix
 from conftest import WORKED_FIRST_TRUTHS, random_small_instance
 
 
@@ -24,9 +24,8 @@ def ballot_loglik(ballot, truth, p, q, m):
     log-likelihood minus its prior term."""
     params = ParamVector([p], [q], [0.5] * m)
     bounds = Bounds(0, m)
-    return instance_loglik(Instance("x", [ballot]), truth, params, bounds) - prior_logprob(
-        truth, params.t, bounds
-    )
+    ballots = approval_matrix([ballot], m)
+    return instance_loglik(ballots, truth, params, bounds) - prior_logprob(truth, params.t, bounds)
 
 
 class TestBallotLoglik:
@@ -169,33 +168,31 @@ class TestBruteForce:
         assert winners == [frozenset({0, 1, 2})]
 
     def test_unanimous_single_approval(self):
-        instance = Instance("u", [frozenset({2})] * 4)
+        ballots = approval_matrix([frozenset({2})] * 4, 4)
         params = ParamVector([0.7] * 4, [0.2] * 4, [0.5] * 4)
-        winners = brute_force_truth_mle(instance, params, Bounds(1, 1))
+        winners = brute_force_truth_mle(ballots, params, Bounds(1, 1))
         assert winners == [frozenset({2})]
 
     def test_refuses_large_m(self):
         params = ParamVector([0.7], [0.2], [0.5] * 21)
         with pytest.raises(ValueError):
-            brute_force_truth_mle(Instance("x", [frozenset()]), params, Bounds(0, 21))
+            brute_force_truth_mle(np.zeros((1, 21), dtype=bool), params, Bounds(0, 21))
 
     def test_contains_threshold_estimator_output(self):
         rng = np.random.default_rng(11)
         for _ in range(150):
-            instance, params, bounds = random_small_instance(rng)
-            winners = brute_force_truth_mle(instance, params, bounds)
-            estimate = estimate_truth(instance, params, bounds)
+            ballots, params, bounds = random_small_instance(rng)
+            winners = brute_force_truth_mle(ballots, params, bounds)
+            estimate = explain_truth(ballots, params, bounds)
             assert estimate.chosen in winners
 
     def test_tied_maximizers_share_likelihood(self):
-        from approvalmle.likelihood import instance_loglik
-
         rng = np.random.default_rng(13)
         for _ in range(50):
-            instance, params, bounds = random_small_instance(rng)
-            winners = brute_force_truth_mle(instance, params, bounds)
+            ballots, params, bounds = random_small_instance(rng)
+            winners = brute_force_truth_mle(ballots, params, bounds)
             values = [
-                instance_loglik(instance, s, params, bounds) for s in winners
+                instance_loglik(ballots, s, params, bounds) for s in winners
             ]
             assert max(values) - min(values) <= 1e-9
 
