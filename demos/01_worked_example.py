@@ -52,7 +52,7 @@ print("\n=== one manual round: truths, then reliabilities ===")
 truths = estimate_truth(profile, init, bounds)
 for zid, truth in zip(profile.instance_ids, truths):
     print(f"  {zid}: {sorted(profile.alternative_ids[j] for j in truth)}")
-p_hat, q_hat = update_reliabilities(profile, truths)
+p_hat, q_hat = update_reliabilities(profile, profile.truth_counts(truths))
 for i, voter in enumerate(profile.voters):
     print(f"  {voter}: p={p_hat[i]:.3f} q={q_hat[i]:.3f}")
 

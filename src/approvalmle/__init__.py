@@ -34,6 +34,7 @@ from .model import (
     Instance,
     ParamVector,
     Profile,
+    TruthCounts,
     TruthEstimate,
     ValidationReport,
     clamp_unit,
@@ -66,6 +67,7 @@ __all__ = [
     "Profile",
     "SynthSpec",
     "ThieleWeights",
+    "TruthCounts",
     "TruthEstimate",
     "ValidationReport",
     "anna_karenina_init",

@@ -1,7 +1,8 @@
 """Alternating maximum-likelihood estimation of truths and parameters.
 
 Each iteration re-estimates every instance's truth set given the current
-parameters (one whole-profile call), then updates the voter rates (p, q)
+parameters (one whole-profile call), counts those truths once against the
+ballots (``Profile.truth_counts``), then updates the voter rates (p, q)
 and, unless priors are frozen, sweeps the inclusion priors t coordinate by
 coordinate.  Under the default ``exact`` prior update every step maximizes
 the total likelihood in its own block, so the likelihood never decreases and
@@ -121,19 +122,20 @@ def run_amle(
     while iteration < config.max_iterations and not converged:
         iteration += 1
         truths = estimate_truth(profile, params, bounds)
-        loglik_truth_step = total_loglik(profile, truths, params, bounds)
+        counts = profile.truth_counts(truths)
+        loglik_truth_step = total_loglik(profile, counts, params, bounds)
 
-        p_hat, q_hat = update_reliabilities(profile, truths, config.epsilon_clamp)
+        p_hat, q_hat = update_reliabilities(profile, counts, config.epsilon_clamp)
         if config.freeze_priors:
             t_hat = params.t
         else:
             t_hat = sweep_inclusion_priors(
-                truths, bounds, params.t, config.epsilon_clamp, config.prior_update
+                counts, bounds, params.t, config.epsilon_clamp, config.prior_update
             )
         updated = ParamVector(p_hat, q_hat, t_hat)
 
         delta = float(np.max(np.abs(updated.packed() - params.packed())))
-        loglik = total_loglik(profile, truths, updated, bounds)
+        loglik = total_loglik(profile, counts, updated, bounds)
         steps.append(
             AmleStep(iteration, updated, truths, loglik_truth_step, loglik, delta)
         )

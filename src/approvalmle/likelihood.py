@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .model import TIE_TOLERANCE, Bounds, GroundTruth, ParamVector, Profile
+from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthCounts
 from .model import approval_matrix, require_open_unit
 from .priors import cardinality_mass
 
@@ -32,12 +32,10 @@ class _ImpossibleType:
 IMPOSSIBLE = _ImpossibleType()
 
 
-def _prior_term(truths: np.ndarray, t: np.ndarray, bounds: Bounds) -> float:
-    """Log prior of admissible truth rows ``bool[L, m]``: per-alternative
-    occurrence counts weigh ln t and ln(1 - t), and each row pays the log
-    normalizing mass once."""
-    length = truths.shape[0]
-    occurrences = truths.sum(0)
+def _prior_term(occurrences: np.ndarray, length: int, t: np.ndarray, bounds: Bounds) -> float:
+    """Log prior of ``length`` admissible truth sets whose per-alternative
+    occurrence counts are ``occurrences``: they weigh ln t and ln(1 - t), and
+    each set pays the log normalizing mass once."""
     return float(
         occurrences @ np.log(t)
         + (length - occurrences) @ np.log1p(-t)
@@ -45,14 +43,15 @@ def _prior_term(truths: np.ndarray, t: np.ndarray, bounds: Bounds) -> float:
     )
 
 
-def _ballot_term(approvals: np.ndarray, truths: np.ndarray, params: ParamVector) -> float:
-    """Log-probability of ballots ``bool[L, n, m]`` given truths ``bool[L, m]``:
-    TP ln p + FP ln q + FN ln(1-p) + TN ln(1-q) from each voter's label counts."""
-    positives = truths.sum()
-    true_pos = np.einsum("zij,zj->i", approvals, truths.astype(float))
-    false_pos = approvals.sum((0, 2)) - true_pos
+def _ballot_term(counts: TruthCounts, approval_totals: np.ndarray, params: ParamVector) -> float:
+    """Log-probability of the ballots given the truths, from each voter's
+    label counts: TP ln p + FP ln q + FN ln(1-p) + TN ln(1-q).
+    ``approval_totals[i]`` is the number of approvals voter i casts."""
+    positives = counts.positives
+    true_pos = counts.true_pos
+    false_pos = approval_totals - true_pos
     false_neg = positives - true_pos
-    true_neg = truths.size - positives - false_pos
+    true_neg = counts.truths.size - positives - false_pos
     p, q = params.p, params.q
     return float(
         true_pos @ np.log(p)
@@ -73,34 +72,38 @@ def prior_logprob(candidate, t, bounds: Bounds):
     if not bounds.contains(len(candidate)):
         return IMPOSSIBLE
     t = require_open_unit(t, "t")
-    return _prior_term(approval_matrix([candidate], len(t)), t, bounds)
+    return _prior_term(approval_matrix([candidate], len(t)).sum(0), 1, t, bounds)
 
 
 def instance_loglik(ballots: np.ndarray, truth, params: ParamVector, bounds: Bounds):
     """Joint log-likelihood of one instance's ``bool[n, m]`` ballots, such as
     ``profile.approvals[z]``, and its truth set."""
+    ballots = np.asarray(ballots, dtype=bool)
+    params.require_fit(ballots.shape)
     prior = prior_logprob(truth, params.t, bounds)
     if prior is IMPOSSIBLE:
         return IMPOSSIBLE
     params.require_open_unit()
-    truths = approval_matrix([truth], params.num_alternatives)
-    return prior + _ballot_term(np.asarray(ballots, dtype=bool)[np.newaxis], truths, params)
+    counts = TruthCounts.count(
+        ballots[np.newaxis], approval_matrix([truth], params.num_alternatives)
+    )
+    return prior + _ballot_term(counts, ballots.sum(1), params)
 
 
 def total_loglik(
     profile: Profile,
-    truths: GroundTruth,
+    counts: TruthCounts,
     params: ParamVector,
     bounds: Bounds,
 ) -> float:
-    """Total log-likelihood over all instances.
+    """Total log-likelihood over all instances of the truths that ``counts``
+    (from ``profile.truth_counts``) holds.
 
     Instances are independent given the parameters, so the total depends on
     the ballots and truths only through per-voter and per-alternative counts.
     An inadmissible truth set raises, naming the instance.
     """
-    truth_array = profile.truth_array(truths)
-    sizes = truth_array.sum(1)
+    sizes = counts.sizes
     outside = np.flatnonzero((sizes < bounds.lower) | (sizes > bounds.upper))
     if outside.size:
         z = outside[0]
@@ -109,9 +112,9 @@ def total_loglik(
             f"outside bounds [{bounds.lower}, {bounds.upper}]"
         )
     params.require_open_unit()
-    return _prior_term(truth_array, params.t, bounds) + _ballot_term(
-        profile.approvals, truth_array, params
-    )
+    return _prior_term(
+        counts.occurrences, counts.num_instances, params.t, bounds
+    ) + _ballot_term(counts, profile.approval_totals, params)
 
 
 def brute_force_truth_mle(
@@ -133,6 +136,8 @@ def brute_force_truth_mle(
         raise ValueError(f"enumeration over {m} alternatives is not supported (max 20)")
     if not bounds.valid_for(m):
         raise ValueError(f"invalid bounds ({bounds.lower}, {bounds.upper}) for m={m}")
+    ballots = np.asarray(ballots, dtype=bool)
+    params.require_fit(ballots.shape)
 
     scored = []
     for k in range(bounds.lower, bounds.upper + 1):

@@ -10,7 +10,9 @@ Conventions used throughout the package:
   instance's ballots are ``approvals[z]``); frozensets of alternative indices
   appear only in ``Profile.build`` and the read-only ``Profile.instances``
   view.  Truth sets enter and leave as frozensets (one per instance, in
-  instance order) and are computed on as ``Profile.truth_array``.
+  instance order).  ``Profile.truth_counts`` turns one iteration's truth sets
+  into a ``TruthCounts`` value: the ``bool[L, m]`` truth array and the counts
+  that the log-likelihood, the reliability update and the prior sweep read.
 """
 
 from __future__ import annotations
@@ -53,13 +55,18 @@ def approval_matrix(sets, m: int) -> np.ndarray:
     return matrix
 
 
+def require_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless ``epsilon`` is a usable clamp, in (0, 0.5)."""
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
+
+
 def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
     """Clamp probabilities into [epsilon, 1 - epsilon].
 
     Idempotent and order-preserving, so repeated clamping is harmless.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
+    require_epsilon(epsilon)
     return np.clip(np.asarray(values, dtype=float), epsilon, 1.0 - epsilon)
 
 
@@ -95,6 +102,50 @@ class Instance:
 
 
 _INDEX_TYPES = (int, np.integer)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class TruthCounts:
+    """One truth set per instance, as the counts every step after the truth
+    step reads.
+
+    ``truths`` is the ``bool[L, m]`` truth array, ``sizes[z]`` the size of
+    truth set z and ``occurrences[j]`` the number of truth sets holding
+    alternative j.  ``true_pos[i]`` counts the (instance, alternative) pairs
+    that voter i approves and that lie in the truth, as floats.  All four are
+    read-only.
+    """
+
+    truths: np.ndarray
+    sizes: np.ndarray
+    occurrences: np.ndarray
+    true_pos: np.ndarray
+
+    @classmethod
+    def count(cls, approvals: np.ndarray, truths: np.ndarray) -> "TruthCounts":
+        """Counts of truths ``bool[L, m]`` against ballots ``bool[L, n, m]``."""
+        # einsum over two bool operands would return a logical OR, not a count
+        true_pos = np.einsum("zij,zj->i", approvals, truths.astype(float))
+        return cls(
+            _read_only(truths),
+            _read_only(truths.sum(1)),
+            _read_only(truths.sum(0)),
+            _read_only(true_pos),
+        )
+
+    @property
+    def num_instances(self) -> int:
+        return self.truths.shape[0]
+
+    @property
+    def positives(self) -> int:
+        """Number of (instance, alternative) pairs in the truth."""
+        return int(self.sizes.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,13 +205,20 @@ class Profile:
             for zid, rows in zip(self.instance_ids, self.approvals.tolist())
         )
 
-    def truth_array(self, truths: GroundTruth) -> np.ndarray:
-        """``bool[L, m]`` whose row z marks the members of ``truths[z]``."""
+    @cached_property
+    def approval_totals(self) -> np.ndarray:
+        """Read-only ``int[n]``: how many (instance, alternative) pairs each
+        voter approves."""
+        return _read_only(self.approvals.sum((0, 2)))
+
+    def truth_counts(self, truths: GroundTruth) -> TruthCounts:
+        """The ``TruthCounts`` of one truth set per instance, in instance
+        order."""
         if len(truths) != self.num_instances:
             raise ValueError(
                 f"got {len(truths)} truth sets for {self.num_instances} instances"
             )
-        return approval_matrix(truths, self.num_alternatives)
+        return TruthCounts.count(self.approvals, approval_matrix(truths, self.num_alternatives))
 
     @classmethod
     def build(
@@ -244,6 +302,16 @@ class ParamVector:
         """Raise unless every entry lies strictly inside (0, 1)."""
         for name in ("p", "q", "t"):
             require_open_unit(getattr(self, name), name)
+
+    def require_fit(self, ballots_shape) -> None:
+        """Raise ValueError unless ``ballots_shape`` is the ``(n, m)`` of one
+        instance's ballots that these parameters are sized for."""
+        shape, fit = tuple(ballots_shape), (self.num_voters, self.num_alternatives)
+        if shape != fit:
+            raise ValueError(
+                f"parameters sized for a different profile: ballots of shape "
+                f"{shape}, parameters for (n, m) = {fit}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

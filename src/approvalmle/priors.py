@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_EPSILON_CLAMP, Bounds, GroundTruth, approval_matrix
-from .model import clamp_unit, require_open_unit
+from .model import DEFAULT_EPSILON_CLAMP, Bounds, GroundTruth, TruthCounts
+from .model import clamp_unit, require_epsilon, require_open_unit
 
 
 def _extend(row: np.ndarray, probs) -> np.ndarray:
@@ -241,13 +241,14 @@ def update_inclusion_prior(
 
 
 def sweep_inclusion_priors(
-    truths: GroundTruth,
+    counts: TruthCounts,
     bounds: Bounds,
     t,
     epsilon: float = DEFAULT_EPSILON_CLAMP,
     rule: str = "exact",
 ) -> np.ndarray:
-    """One coordinate pass over all t_j, in ascending index order.
+    """One coordinate pass over all t_j, in ascending index order, given the
+    truth sets' occurrence counts in ``counts`` (see ``Profile.truth_counts``).
 
     Each update sees the already-updated coordinates below it and the previous
     values above it; the pass is inherently sequential.  The pass keeps the
@@ -255,20 +256,28 @@ def sweep_inclusion_priors(
     each update.  Updating t_j continues a copy of that prefix row once through
     the old t[j+1..m-1] and reads both conditional masses from the result,
     which is, bit for bit, the last row update_inclusion_prior builds from
-    scratch: the same steps over the same coins in the same order.
+    scratch: the same steps over the same coins in the same order.  Each
+    coordinate is clamped like ``clamp_unit`` does, on the scalar.
     """
     _require_rule(rule)
+    require_epsilon(epsilon)
     current = require_open_unit(np.array(t, dtype=float), "inclusion probabilities")
     m = len(current)
-    occurrences = approval_matrix(truths, m).sum(0).tolist()
+    if len(counts.occurrences) != m:
+        raise ValueError(
+            f"{m} inclusion priors for truth counts over {len(counts.occurrences)} alternatives"
+        )
+    occurrences = counts.occurrences.tolist()
+    length = counts.num_instances
     old = current.tolist()
+    low, high = epsilon, 1.0 - epsilon
     prefix = np.zeros(max(min(bounds.upper, m - 1), 0) + 1)
     prefix[0] = 1.0
     for j in range(m):
         raw = _raw_update(
-            j, occurrences[j], len(truths), m, bounds, rule,
+            j, occurrences[j], length, m, bounds, rule,
             lambda: _extend(prefix.copy(), old[j + 1 :]),
         )
-        current[j] = float(clamp_unit(raw, epsilon))
+        current[j] = min(max(raw, low), high)
         _extend(prefix, (current[j],))
     return current

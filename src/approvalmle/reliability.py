@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DEFAULT_EPSILON_CLAMP, GroundTruth, Profile, clamp_unit
+from .model import DEFAULT_EPSILON_CLAMP, Profile, TruthCounts, clamp_unit
 
 
 def update_reliabilities(
     profile: Profile,
-    truths: GroundTruth,
+    counts: TruthCounts,
     epsilon: float = DEFAULT_EPSILON_CLAMP,
 ):
-    """Estimate (p, q) for every voter given per-instance truth sets.
+    """Estimate (p, q) for every voter given the per-instance truth sets that
+    ``counts`` (from ``profile.truth_counts``) holds.
 
     Returns clamped arrays; degenerate counts (a perfect or spamming voter)
     land on the clamp boundaries rather than 0 or 1, keeping log-odds weights
@@ -26,9 +27,8 @@ def update_reliabilities(
     Raises ValueError when every truth set is empty (no positive labels, p
     undefined) or every truth set is full (no negative labels, q undefined).
     """
-    truth_array = profile.truth_array(truths)
-    total_positive = int(truth_array.sum())
-    total_negative = truth_array.size - total_positive
+    total_positive = counts.positives
+    total_negative = counts.truths.size - total_positive
     if total_positive == 0:
         raise ValueError(
             "every truth set is empty: true-positive rate p is undefined"
@@ -38,10 +38,6 @@ def update_reliabilities(
             "every truth set is full: false-positive rate q is undefined"
         )
 
-    # einsum over two bool operands would return a logical OR, not a count
-    true_pos = np.einsum("zij,zj->i", profile.approvals, truth_array.astype(float))
-    approvals = profile.approvals.sum((0, 2))
-
-    p_hat = clamp_unit(true_pos / total_positive, epsilon)
-    q_hat = clamp_unit((approvals - true_pos) / total_negative, epsilon)
+    p_hat = clamp_unit(counts.true_pos / total_positive, epsilon)
+    q_hat = clamp_unit((profile.approval_totals - counts.true_pos) / total_negative, epsilon)
     return p_hat, q_hat

@@ -33,13 +33,20 @@ def _board(approvals: np.ndarray, params: ParamVector) -> tuple:
 
     Voter terms are added one voter at a time in ascending index order, so
     each score is rounded exactly like a sequential per-ballot sum; a single
-    contraction would reorder the additions and can flip near-ties.
+    contraction would reorder the additions and can flip near-ties.  Each
+    voter adds ``weight * approved`` over the whole array, read from a
+    voter-major copy of the ballots: where the voter does not approve, that
+    term is +0.0 or -0.0, which leaves every score as it was (no score is
+    ever -0.0, since the prior log-odds and the weights never are).
     """
     params.require_open_unit()
     prior = np.log(params.t) - np.log(1.0 - params.t)
     scores = np.broadcast_to(prior, approvals.shape[:-2] + prior.shape).copy()
-    for i, weight in enumerate(voter_weights(params)):
-        np.add(scores, weight, out=scores, where=approvals[..., i, :])
+    by_voter = np.ascontiguousarray(np.moveaxis(approvals, -2, 0))
+    term = np.empty_like(scores)
+    for weight, approved in zip(voter_weights(params), by_voter):
+        np.multiply(approved, weight, out=term)
+        scores += term
     threshold = float(np.sum(np.log(1.0 - params.q) - np.log(1.0 - params.p)))
     return scores, threshold
 
@@ -55,14 +62,10 @@ def _top_k(scores: np.ndarray, threshold: float, bounds: Bounds, tie_tolerance: 
 def _check_fit(ballots_shape: tuple, params: ParamVector, bounds: Bounds) -> None:
     """Raise ValueError unless the bounds are valid and ``ballots_shape`` is
     the ``(n, m)`` that ``params`` is sized for."""
-    n, m = params.num_voters, params.num_alternatives
+    m = params.num_alternatives
     if not bounds.valid_for(m):
         raise ValueError(f"invalid bounds ({bounds.lower}, {bounds.upper}) for m={m}")
-    if tuple(ballots_shape) != (n, m):
-        raise ValueError(
-            f"parameters sized for a different profile: ballots of shape "
-            f"{tuple(ballots_shape)}, parameters for (n, m) = ({n}, {m})"
-        )
+    params.require_fit(ballots_shape)
 
 
 def estimate_truth(

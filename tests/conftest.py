@@ -9,7 +9,7 @@ estimation trajectory is known in closed form; ``counted_instance`` holds the
 import numpy as np
 import pytest
 
-from approvalmle import Bounds, ParamVector, Profile
+from approvalmle import Bounds, ParamVector, Profile, TruthCounts
 
 
 @pytest.fixture
@@ -63,6 +63,19 @@ def instance_with_counts(counts, n) -> np.ndarray:
     parameters only the counts matter for scores.
     """
     return np.arange(n)[:, np.newaxis] < np.asarray(counts)
+
+
+def voterless_counts(truths, m) -> TruthCounts:
+    """``Profile.truth_counts`` of ``truths`` on a profile with m alternatives
+    and no voters; it holds all that the prior sweep reads."""
+    length = len(truths)
+    profile = Profile(
+        [f"a{j}" for j in range(m)],
+        (),
+        [f"z{z}" for z in range(length)],
+        np.zeros((length, 0, m), dtype=bool),
+    )
+    return profile.truth_counts(truths)
 
 
 @pytest.fixture

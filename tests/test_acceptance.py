@@ -107,7 +107,7 @@ def test_c02_golden_first_iteration():
     truths = estimate_truth(profile, init, bounds)
     assert truths == WORKED_FIRST_TRUTHS
 
-    p_hat, q_hat = update_reliabilities(profile, truths)
+    p_hat, q_hat = update_reliabilities(profile, profile.truth_counts(truths))
     np.testing.assert_allclose(p_hat, [3 / 8, 3 / 8, 7 / 8], atol=1e-12)
     np.testing.assert_allclose(q_hat, [2 / 12, 1 / 12, 2 / 12], atol=1e-12)
     np.testing.assert_allclose(p_hat, [0.38, 0.38, 0.88], atol=0.005)
@@ -252,8 +252,9 @@ def test_c07_monotone_likelihood_and_fixed_points():
             converged_count += 1
             rerun = estimate_truth(profile, result.params, Bounds(1, 2))
             assert rerun == result.truths
-            p2, q2 = update_reliabilities(profile, rerun)
-            t2 = sweep_inclusion_priors(rerun, Bounds(1, 2), result.params.t)
+            counts = profile.truth_counts(rerun)
+            p2, q2 = update_reliabilities(profile, counts)
+            t2 = sweep_inclusion_priors(counts, Bounds(1, 2), result.params.t)
             repacked = np.concatenate([p2, q2, t2])
             assert np.max(np.abs(repacked - result.params.packed())) <= 1e-5
     print(f"[criterion 7] {converged_count}/100 runs converged within the cap")

@@ -90,6 +90,31 @@ class TestWorkedProfile:
         assert len(calls) == result.iterations
         assert all(profile is worked_profile for profile in calls)
 
+    def test_truths_are_counted_once_per_iteration(
+        self, worked_profile, worked_bounds, worked_init, monkeypatch
+    ):
+        # likelihood, reliabilities and prior sweep share one TruthCounts,
+        # and building it is the only einsum
+        truth_counts, einsum = Profile.truth_counts, np.einsum
+        builds, contractions = [], []
+
+        def counting_build(profile, truths):
+            builds.append(truths)
+            return truth_counts(profile, truths)
+
+        def counting_einsum(*args, **kwargs):
+            contractions.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(Profile, "truth_counts", counting_build)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        result = run_amle(
+            worked_profile, worked_bounds, worked_init, AmleConfig(max_iterations=5)
+        )
+        assert (result.iterations, result.converged) == (5, False)
+        assert len(builds) == 5
+        assert len(contractions) == 5
+
 
 class TestSingleConsistentVoter:
     def test_truths_follow_the_ballots(self):
@@ -127,8 +152,9 @@ class TestLoopProperties:
                 continue
             rerun_truths = estimate_truth(profile, result.params, bounds)
             assert rerun_truths == result.truths
-            p2, q2 = update_reliabilities(profile, rerun_truths)
-            t2 = sweep_inclusion_priors(rerun_truths, bounds, result.params.t)
+            counts = profile.truth_counts(rerun_truths)
+            p2, q2 = update_reliabilities(profile, counts)
+            t2 = sweep_inclusion_priors(counts, bounds, result.params.t)
             repacked = np.concatenate([p2, q2, t2])
             assert np.max(np.abs(repacked - result.params.packed())) <= 1e-5
 

@@ -32,6 +32,8 @@ from approvalmle import (
     uniform_init,
 )
 from approvalmle.likelihood import IMPOSSIBLE, instance_loglik
+from approvalmle.truth_mle import _board
+from conftest import voterless_counts
 
 #: Rates on and next to the default clamp, and coarse values that make many
 #: voters and alternatives tie.
@@ -170,7 +172,7 @@ def test_logliks_match_reference(data):
         for _ in range(profile.num_instances)
     )
     assert _close(
-        total_loglik(profile, truths, params, bounds),
+        total_loglik(profile, profile.truth_counts(truths), params, bounds),
         ref.total_loglik(profile, truths, params, bounds),
     )
     for ballots, instance, truth in zip(profile.approvals, profile.instances, truths):
@@ -222,9 +224,32 @@ def test_whole_profile_truth_step_matches_reference(data):
         params = uniform_init(n, m, data.draw(rate), data.draw(rate), data.draw(rate))
     else:
         params = data.draw(params_for(n, m))
-    got = estimate_truth(profile, params, bounds)
-    want = tuple(ref.estimate_truth(inst, params, bounds).chosen for inst in profile.instances)
-    assert got == want
+    reference = [ref.estimate_truth(inst, params, bounds) for inst in profile.instances]
+    assert estimate_truth(profile, params, bounds) == tuple(est.chosen for est in reference)
+    scores, _ = _board(profile.approvals, params)
+    np.testing.assert_array_equal(scores, np.array([est.scores for est in reference]))
+
+
+def test_whole_profile_scores_with_anti_expert_and_even_priors():
+    # t = 0.5 puts every prior log-odds at exactly 0.0, and voter v2 is an
+    # anti-expert (p < q): its weight is negative, so where it does not
+    # approve the whole-profile step adds -0.0.  Alternative c on z1 and a on
+    # z2 are approved by nobody and must keep the score +0.0.
+    profile = Profile.build(
+        ["a", "b", "c"],
+        ["v1", "v2", "v3"],
+        [[{0}, {1}, {0, 1}], [set(), {1, 2}, {2}], [{0, 1, 2}, set(), {0, 1, 2}]],
+    )
+    params = ParamVector([0.8, 0.3, 0.7], [0.3, 0.8, 0.4], [0.5] * 3)
+    assert ref.voter_weights(params)[1] < 0
+    scores, _ = _board(profile.approvals, params)
+    want = np.array(
+        [ref.estimate_truth(inst, params, Bounds(1, 2)).scores for inst in profile.instances]
+    )
+    np.testing.assert_array_equal(scores, want)
+    # bit for bit, down to the sign of each zero
+    assert scores.tobytes() == want.tobytes()
+    assert scores[0, 2] == 0.0 and not np.signbit(scores[0, 2])
 
 
 @st.composite
@@ -283,8 +308,9 @@ def test_sweep_inclusion_priors_matches_reference_exactly(data):
     )
     t = data.draw(rates(m))
     epsilon = data.draw(st.sampled_from((1e-4, 1e-2)))
+    counts = voterless_counts(truths, m)
     for rule in ("exact", "legacy"):
-        got = _outcome(sweep_inclusion_priors, truths, bounds, t, epsilon, rule)
+        got = _outcome(sweep_inclusion_priors, counts, bounds, t, epsilon, rule)
         want = _outcome(ref.sweep_inclusion_priors, truths, bounds, t, epsilon, rule)
         assert got[0] == want[0], (got, want)
         if got[0] == "error":

@@ -69,7 +69,12 @@ class TestBallotLoglik:
             ballot_loglik(frozenset(), frozenset(), 0.5, 0.0, 3)
         params = ParamVector([0.5, 0.5, 1.0], [0.4] * 3, [0.5] * 5)
         with pytest.raises(ValueError, match="strictly"):
-            total_loglik(worked_profile, WORKED_FIRST_TRUTHS, params, Bounds(1, 2))
+            total_loglik(
+                worked_profile,
+                worked_profile.truth_counts(WORKED_FIRST_TRUTHS),
+                params,
+                Bounds(1, 2),
+            )
 
 
 class TestPriorLogprob:
@@ -108,13 +113,17 @@ class TestTotalLoglik:
         # one true positive and one true negative, and 1 of the 2 admissible
         # singletons under fair coins
         expected = math.log(0.6) + math.log(0.7) + math.log(0.5)
-        assert total_loglik(profile_like, truth, params, Bounds(1, 1)) == pytest.approx(
+        assert total_loglik(
+            profile_like, profile_like.truth_counts(truth), params, Bounds(1, 1)
+        ) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_worked_profile_matches_product_oracle(self, worked_profile, worked_init):
         bounds = Bounds(1, 2)
-        value = total_loglik(worked_profile, WORKED_FIRST_TRUTHS, worked_init, bounds)
+        value = total_loglik(
+            worked_profile, worked_profile.truth_counts(WORKED_FIRST_TRUTHS), worked_init, bounds
+        )
         # oracle: multiply raw probabilities instance by instance, then log
         product = 1.0
         mass = cardinality_mass(worked_init.t, bounds)
@@ -143,7 +152,7 @@ class TestTotalLoglik:
 
         bounds = Bounds(1, 2)
         forward = total_loglik(
-            worked_profile, WORKED_FIRST_TRUTHS, worked_init, bounds
+            worked_profile, worked_profile.truth_counts(WORKED_FIRST_TRUTHS), worked_init, bounds
         )
         reversed_profile = Profile(
             worked_profile.alternative_ids,
@@ -152,14 +161,19 @@ class TestTotalLoglik:
             worked_profile.approvals[::-1],
         )
         backward = total_loglik(
-            reversed_profile, tuple(reversed(WORKED_FIRST_TRUTHS)), worked_init, bounds
+            reversed_profile,
+            reversed_profile.truth_counts(tuple(reversed(WORKED_FIRST_TRUTHS))),
+            worked_init,
+            bounds,
         )
         assert backward == pytest.approx(forward, abs=1e-9)
 
     def test_inadmissible_truth_names_instance(self, worked_profile, worked_init):
         truths = (frozenset(),) + WORKED_FIRST_TRUTHS[1:]
         with pytest.raises(ValueError, match="z1"):
-            total_loglik(worked_profile, truths, worked_init, Bounds(1, 2))
+            total_loglik(
+                worked_profile, worked_profile.truth_counts(truths), worked_init, Bounds(1, 2)
+            )
 
 
 class TestBruteForce:
@@ -172,6 +186,14 @@ class TestBruteForce:
         params = ParamVector([0.7] * 4, [0.2] * 4, [0.5] * 4)
         winners = brute_force_truth_mle(ballots, params, Bounds(1, 1))
         assert winners == [frozenset({2})]
+
+    def test_rejects_parameters_for_another_profile(self):
+        params = ParamVector([0.7], [0.3], [0.5] * 3)
+        ballots = np.zeros((2, 3), dtype=bool)
+        with pytest.raises(ValueError, match="parameters sized for a different profile"):
+            brute_force_truth_mle(ballots, params, Bounds(1, 2))
+        with pytest.raises(ValueError, match="parameters sized for a different profile"):
+            instance_loglik(ballots, frozenset({0}), params, Bounds(1, 2))
 
     def test_refuses_large_m(self):
         params = ParamVector([0.7], [0.2], [0.5] * 21)

@@ -14,6 +14,7 @@ from approvalmle import (
     sweep_inclusion_priors,
     update_inclusion_prior,
 )
+from conftest import voterless_counts
 
 
 def enumerated_mass(t, bounds):
@@ -209,7 +210,7 @@ class TestUpdateInclusionPrior:
             frozenset({1, 2}),
             frozenset({0, 2}),
         )
-        swept = sweep_inclusion_priors(truths, Bounds(1, 2), [0.5] * 5)
+        swept = sweep_inclusion_priors(voterless_counts(truths, 5), Bounds(1, 2), [0.5] * 5)
         # first coordinate as in test_worked_value
         assert swept[0] == pytest.approx(0.4, abs=1e-12)
         # second coordinate must have seen the updated first one
@@ -235,7 +236,7 @@ class TestUpdateInclusionPrior:
             frozenset(rng.choice(m, size=int(rng.integers(3, 9)), replace=False).tolist())
             for _ in range(30)
         )
-        swept = sweep_inclusion_priors(truths, Bounds(3, 8), np.full(m, 0.25))
+        swept = sweep_inclusion_priors(voterless_counts(truths, m), Bounds(3, 8), np.full(m, 0.25))
         assert len(calls) <= 1
         # every coordinate took the interior update, which needs both masses
         assert np.all((swept > 1e-4) & (swept < 1 - 1e-4))
