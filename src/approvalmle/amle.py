@@ -27,9 +27,10 @@ from .model import (
     GroundTruth,
     ParamVector,
     Profile,
+    require_epsilon,
     validate_profile,
 )
-from .priors import PRIOR_UPDATE_RULES, sweep_inclusion_priors
+from .priors import require_rule, sweep_inclusion_priors
 from .reliability import update_reliabilities
 from .truth_mle import estimate_truth
 
@@ -56,10 +57,8 @@ class AmleConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not 0.0 < self.epsilon_clamp < 0.5:
-            raise ValueError("epsilon_clamp must lie in (0, 0.5)")
-        if self.prior_update not in PRIOR_UPDATE_RULES:
-            raise ValueError(f"unknown prior update rule {self.prior_update!r}")
+        require_epsilon(self.epsilon_clamp, "epsilon_clamp")
+        require_rule(self.prior_update)
 
 
 @dataclass(frozen=True)
@@ -87,12 +86,11 @@ class AmleResult:
 
 def check_init(profile: Profile, init: ParamVector) -> None:
     """Raise ValueError unless ``init`` fits the profile's voters and
-    alternatives and every entry lies strictly inside (0, 1)."""
+    alternatives."""
     if init.num_voters != profile.num_voters:
         raise ValueError("initial parameters sized for a different voter count")
     if init.num_alternatives != profile.num_alternatives:
         raise ValueError("initial parameters sized for a different alternative count")
-    init.require_open_unit()
 
 
 def run_amle(

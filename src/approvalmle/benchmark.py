@@ -23,6 +23,7 @@ import numpy as np
 from .amle import AmleConfig, run_amle
 from .baselines import majority_rule, modal_rule
 from .initialization import anna_karenina_init, random_init, uniform_init
+from .io import load_params
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy
 from .model import Bounds, GroundTruth, Profile
 
@@ -54,8 +55,9 @@ def restrict_voters(profile: Profile, voter_indices) -> Profile:
 def parse_init(strategy: str, p0: float = 0.6, q0: float = 0.4, t0: float = 0.5):
     """Initializer ``profile -> ParamVector`` for a strategy name.
 
-    Accepts ``anna-karenina``, ``uniform`` (rates ``p0``/``q0``) or
-    ``random:<seed>``; ``t0`` is the initial inclusion prior.  Raises
+    Accepts ``anna-karenina``, ``uniform`` (rates ``p0``/``q0``),
+    ``random:<seed>`` or ``file:<params.json>`` (read here, by
+    ``io.load_params``); ``t0`` is the initial inclusion prior.  Raises
     ValueError on any other name, before any profile is seen.
     """
     if strategy == "anna-karenina":
@@ -72,9 +74,12 @@ def parse_init(strategy: str, p0: float = 0.6, q0: float = 0.4, t0: float = 0.5)
         return lambda profile: random_init(
             profile.num_voters, profile.num_alternatives, seed, t0
         )
+    if strategy.startswith("file:"):
+        params = load_params(strategy.split(":", 1)[1])
+        return lambda profile: params
     raise ValueError(
         f"unknown initialization strategy {strategy!r}; expected anna-karenina, "
-        "uniform or random:<seed>"
+        "uniform, random:<seed> or file:<params.json>"
     )
 
 
@@ -113,10 +118,16 @@ def check_benchmark(
     num_voters: int, batch_sizes, num_batches: int, methods, init_strategy: str
 ) -> None:
     """Raise ValueError unless every batch size fits the voters, there is at
-    least one batch, and every method and the initialization strategy are known."""
+    least one batch, every method is known and the initialization strategy is
+    a known one that can initialize any voter batch (so not ``file:``)."""
+    if init_strategy.startswith("file:"):
+        raise ValueError(
+            "benchmark re-initializes per voter batch; file-based initial "
+            "parameters cannot fit every batch size"
+        )
     for size in batch_sizes:
         if not 1 <= size <= num_voters:
-            raise ValueError(f"batch size {size} exceeds the {num_voters} available voters")
+            raise ValueError(f"batch size {size} is not in [1, {num_voters}], the available voters")
     if num_batches < 1:
         raise ValueError(f"the number of batches must be at least 1, got {num_batches}")
     unknown = [method for method in methods if method not in METHODS]

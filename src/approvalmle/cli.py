@@ -99,11 +99,8 @@ def cmd_aggregate(args) -> int:
         epsilon_clamp=args.epsilon_clamp,
         prior_update=args.prior_update,
     )
-    if args.init.startswith("file:"):
-        init = io.load_params(args.init.split(":", 1)[1])
-    else:
-        make_init = _from_flags(parse_init, args.init, args.p0, args.q0, args.t0)
-        init = _from_flags(make_init, profile)
+    make_init = _from_flags(parse_init, args.init, args.p0, args.q0, args.t0)
+    init = _from_flags(make_init, profile)
     _from_flags(check_init, profile, init)
 
     if bounds.upper == 0:
@@ -269,11 +266,6 @@ def cmd_benchmark(args) -> int:
     except ValueError:
         raise _CliError("--batch-sizes must be comma-separated integers") from None
     methods = args.methods.split(",")
-    if args.init.startswith("file:"):
-        raise _CliError(
-            "benchmark re-initializes per voter batch; file-based initial "
-            "parameters cannot fit every batch size"
-        )
     _from_flags(
         check_benchmark, profile.num_voters, sizes, args.batches, methods, args.init
     )

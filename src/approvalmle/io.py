@@ -250,10 +250,8 @@ def load_params(path) -> ParamVector:
         raise DatasetFormatError(f"parameter file lacks keys {missing}")
     try:
         return ParamVector(doc["p"], doc["q"], doc["t"])
-    except (TypeError, ValueError):
-        raise DatasetFormatError(
-            f"{path}: p, q and t must be lists of numbers"
-        ) from None
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def save_params(path, params: ParamVector) -> None:

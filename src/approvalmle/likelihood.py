@@ -18,6 +18,7 @@ import numpy as np
 from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthCounts
 from .model import approval_matrix, require_open_unit
 from .priors import cardinality_mass
+from .truth_mle import check_fit
 
 
 class _ImpossibleType:
@@ -83,7 +84,6 @@ def instance_loglik(ballots: np.ndarray, truth, params: ParamVector, bounds: Bou
     prior = prior_logprob(truth, params.t, bounds)
     if prior is IMPOSSIBLE:
         return IMPOSSIBLE
-    params.require_open_unit()
     counts = TruthCounts.count(
         ballots[np.newaxis], approval_matrix([truth], params.num_alternatives)
     )
@@ -111,33 +111,25 @@ def total_loglik(
             f"truth set of instance {profile.instance_ids[z]!r} has size {sizes[z]} "
             f"outside bounds [{bounds.lower}, {bounds.upper}]"
         )
-    params.require_open_unit()
     return _prior_term(
         counts.occurrences, counts.num_instances, params.t, bounds
     ) + _ballot_term(counts, profile.approval_totals, params)
 
 
-def brute_force_truth_mle(
-    ballots: np.ndarray,
-    params: ParamVector,
-    bounds: Bounds,
-    tie_tolerance: float = TIE_TOLERANCE,
-) -> list:
+def brute_force_truth_mle(ballots: np.ndarray, params: ParamVector, bounds: Bounds) -> list:
     """All maximum-likelihood truth sets for one instance's ``bool[n, m]``
     ballots, by enumeration.
 
     Enumerates every admissible subset and keeps those whose log-likelihood
-    is within ``tie_tolerance`` of the maximum.  Exponential in m; serves as
+    is within ``TIE_TOLERANCE`` of the maximum.  Exponential in m; serves as
     the independent oracle for the threshold-based estimator.  Returned sets
     are ordered by (size, sorted members) for determinism.
     """
     m = params.num_alternatives
     if m > 20:
         raise ValueError(f"enumeration over {m} alternatives is not supported (max 20)")
-    if not bounds.valid_for(m):
-        raise ValueError(f"invalid bounds ({bounds.lower}, {bounds.upper}) for m={m}")
     ballots = np.asarray(ballots, dtype=bool)
-    params.require_fit(ballots.shape)
+    check_fit(ballots.shape, params, bounds)
 
     scored = []
     for k in range(bounds.lower, bounds.upper + 1):
@@ -146,6 +138,6 @@ def brute_force_truth_mle(
             value = instance_loglik(ballots, candidate, params, bounds)
             scored.append((candidate, value))
     best = max(value for _, value in scored)
-    winners = [cand for cand, value in scored if value >= best - tie_tolerance]
+    winners = [cand for cand, value in scored if value >= best - TIE_TOLERANCE]
     winners.sort(key=lambda s: (len(s), sorted(s)))
     return winners

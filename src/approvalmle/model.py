@@ -37,10 +37,12 @@ GroundTruth = tuple
 
 
 def require_open_unit(values, name: str) -> np.ndarray:
-    """Return ``values`` as a float array; raise unless every entry lies in (0, 1)."""
+    """Return ``values`` as a float array; raise, naming the first entry
+    outside, unless every entry lies in (0, 1)."""
     arr = np.asarray(values, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {values}")
+    outside = np.flatnonzero(~((arr > 0.0) & (arr < 1.0)))
+    if outside.size:
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {arr.flat[outside[0]]}")
     return arr
 
 
@@ -55,10 +57,10 @@ def approval_matrix(sets, m: int) -> np.ndarray:
     return matrix
 
 
-def require_epsilon(epsilon: float) -> None:
+def require_epsilon(epsilon: float, name: str = "epsilon") -> None:
     """Raise ValueError unless ``epsilon`` is a usable clamp, in (0, 0.5)."""
     if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
+        raise ValueError(f"{name} must be in (0, 0.5), got {epsilon}")
 
 
 def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
@@ -267,6 +269,10 @@ class ParamVector:
     ``q[i]`` of approving a non-winning one.  ``t[j]`` is the pre-constraint
     probability that alternative j belongs to the ground truth.  Arrays are
     copied on construction and marked read-only; instances are safe to share.
+
+    Valid by construction: raises ValueError, naming the field, unless p, q
+    and t are 1-D lists of numbers, ``len(q) == len(p)`` and every entry lies
+    strictly inside (0, 1), which keeps the log-odds weights finite.
     """
 
     p: np.ndarray
@@ -275,9 +281,17 @@ class ParamVector:
 
     def __post_init__(self):
         for name in ("p", "q", "t"):
-            arr = np.array(getattr(self, name), dtype=float)
+            try:
+                arr = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a list of numbers") from None
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+            require_open_unit(arr, name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if len(self.q) != len(self.p):
+            raise ValueError(f"q has {len(self.q)} entries for the {len(self.p)} of p")
 
     @property
     def num_voters(self) -> int:
@@ -299,7 +313,8 @@ class ParamVector:
         )
 
     def require_open_unit(self) -> None:
-        """Raise unless every entry lies strictly inside (0, 1)."""
+        """Raise unless every entry lies strictly inside (0, 1); always holds
+        for a constructed ``ParamVector``."""
         for name in ("p", "q", "t"):
             require_open_unit(getattr(self, name), name)
 

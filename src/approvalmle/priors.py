@@ -167,7 +167,7 @@ def mass_given_excluded(j: int, t, bounds: Bounds) -> float:
 PRIOR_UPDATE_RULES = ("exact", "legacy")
 
 
-def _require_rule(rule: str) -> None:
+def require_rule(rule: str) -> None:
     if rule not in PRIOR_UPDATE_RULES:
         raise ValueError(f"unknown prior update rule {rule!r}")
 
@@ -230,7 +230,7 @@ def update_inclusion_prior(
     rule without touching the conditional masses (whose preconditions may not
     hold there), and are clamped like any result.
     """
-    _require_rule(rule)
+    require_rule(rule)
     t = require_open_unit(t, "inclusion probabilities")
     occ = sum(1 for truth in truths if j in truth)
     raw = _raw_update(
@@ -259,7 +259,7 @@ def sweep_inclusion_priors(
     scratch: the same steps over the same coins in the same order.  Each
     coordinate is clamped like ``clamp_unit`` does, on the scalar.
     """
-    _require_rule(rule)
+    require_rule(rule)
     require_epsilon(epsilon)
     current = require_open_unit(np.array(t, dtype=float), "inclusion probabilities")
     m = len(current)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Bounds, GroundTruth, Profile, approval_matrix
+from .model import Bounds, GroundTruth, Profile, approval_matrix, require_open_unit
 from .priors import cardinality_mass
 
 #: Refuse rejection sampling when the admissible prior mass is below this.
@@ -39,18 +39,17 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("m", "n", "num_instances"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("t", "p", "q"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = require_open_unit(np.array(getattr(self, name), dtype=float), name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if len(self.t) != self.m:
             raise ValueError(f"t has {len(self.t)} entries for m={self.m}")
         if len(self.p) != self.n or len(self.q) != self.n:
             raise ValueError("p and q must have one entry per voter")
-        for name in ("t", "p", "q"):
-            arr = getattr(self, name)
-            if not np.all((arr > 0.0) & (arr < 1.0)):
-                raise ValueError(f"{name} entries must lie strictly in (0, 1)")
         if not self.bounds.valid_for(self.m):
             raise ValueError(
                 f"invalid bounds ({self.bounds.lower}, {self.bounds.upper}) "

@@ -39,7 +39,6 @@ def _board(approvals: np.ndarray, params: ParamVector) -> tuple:
     term is +0.0 or -0.0, which leaves every score as it was (no score is
     ever -0.0, since the prior log-odds and the weights never are).
     """
-    params.require_open_unit()
     prior = np.log(params.t) - np.log(1.0 - params.t)
     scores = np.broadcast_to(prior, approvals.shape[:-2] + prior.shape).copy()
     by_voter = np.ascontiguousarray(np.moveaxis(approvals, -2, 0))
@@ -51,15 +50,15 @@ def _board(approvals: np.ndarray, params: ParamVector) -> tuple:
     return scores, threshold
 
 
-def _top_k(scores: np.ndarray, threshold: float, bounds: Bounds, tie_tolerance: float) -> tuple:
+def _top_k(scores: np.ndarray, threshold: float, bounds: Bounds) -> tuple:
     """Per row of ``scores``: the ranking, equal scores by ascending index,
     and the smallest admissible k (see ``estimate_truth``)."""
-    above = np.count_nonzero(scores - threshold > tie_tolerance, axis=-1)
+    above = np.count_nonzero(scores - threshold > TIE_TOLERANCE, axis=-1)
     k = np.clip(above, bounds.lower, bounds.upper)
     return np.argsort(-scores, axis=-1, kind="stable"), k
 
 
-def _check_fit(ballots_shape: tuple, params: ParamVector, bounds: Bounds) -> None:
+def check_fit(ballots_shape: tuple, params: ParamVector, bounds: Bounds) -> None:
     """Raise ValueError unless the bounds are valid and ``ballots_shape`` is
     the ``(n, m)`` that ``params`` is sized for."""
     m = params.num_alternatives
@@ -68,12 +67,7 @@ def _check_fit(ballots_shape: tuple, params: ParamVector, bounds: Bounds) -> Non
     params.require_fit(ballots_shape)
 
 
-def estimate_truth(
-    profile: Profile,
-    params: ParamVector,
-    bounds: Bounds,
-    tie_tolerance: float = TIE_TOLERANCE,
-) -> GroundTruth:
+def estimate_truth(profile: Profile, params: ParamVector, bounds: Bounds) -> GroundTruth:
     """Constrained maximum-likelihood truth set of every instance.
 
     Returns the ``GroundTruth`` tuple, computed in one pass over
@@ -87,33 +81,28 @@ def estimate_truth(
     lower bound) and resolve equal scores by ascending index, which makes runs
     reproducible.
     """
-    _check_fit(profile.approvals.shape[1:], params, bounds)
-    order, k = _top_k(*_board(profile.approvals, params), bounds, tie_tolerance)
+    check_fit(profile.approvals.shape[1:], params, bounds)
+    order, k = _top_k(*_board(profile.approvals, params), bounds)
     return tuple(
         frozenset(ranking[:size]) for ranking, size in zip(order.tolist(), k.tolist())
     )
 
 
-def explain_truth(
-    ballots: np.ndarray,
-    params: ParamVector,
-    bounds: Bounds,
-    tie_tolerance: float = TIE_TOLERANCE,
-) -> TruthEstimate:
+def explain_truth(ballots: np.ndarray, params: ParamVector, bounds: Bounds) -> TruthEstimate:
     """One instance's truth set with its score diagnostics.
 
     ``ballots`` is that instance's ``bool[n, m]`` approvals, such as
     ``profile.approvals[z]``; the chosen set is the one ``estimate_truth``
     picks for it.  The partition splits the alternatives into those scoring
-    above, within ``tie_tolerance`` of, and below the threshold.
+    above, within ``TIE_TOLERANCE`` of, and below the threshold.
     """
     ballots = np.asarray(ballots, dtype=bool)
-    _check_fit(ballots.shape, params, bounds)
+    check_fit(ballots.shape, params, bounds)
     scores, threshold = _board(ballots, params)
-    order, k = _top_k(scores, threshold, bounds, tie_tolerance)
+    order, k = _top_k(scores, threshold, bounds)
     diff = scores - threshold
-    above = diff > tie_tolerance
-    at = np.abs(diff) <= tie_tolerance
+    above = diff > TIE_TOLERANCE
+    at = np.abs(diff) <= TIE_TOLERANCE
     return TruthEstimate(
         chosen=frozenset(order[:k].tolist()),
         scores=scores,

@@ -199,8 +199,8 @@ class TestValidationAndErrors:
             run_amle(worked_profile, Bounds(2, 1), worked_init)
 
     def test_out_of_range_init_rejected(self, worked_profile, worked_bounds):
-        bad = ParamVector([1.0, 0.5, 0.5], [0.4] * 3, [0.5] * 5)
         with pytest.raises(ValueError, match="strictly"):
+            bad = ParamVector([1.0, 0.5, 0.5], [0.4] * 3, [0.5] * 5)
             run_amle(worked_profile, worked_bounds, bad)
 
     def test_degenerate_empty_truths_propagate(self):

@@ -139,6 +139,21 @@ class TestAggregate:
             err = capsys.readouterr().err
             assert err == f"error: initial parameters sized for a different {what} count\n"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("q", [0.4] * 2), ("p", [[0.6]] * 3), ("p", 0.6), ("t", [0.5] * 4 + [1.0])],
+        ids=["short-q", "column-p", "scalar-p", "t-outside-unit"],
+    )
+    def test_init_file_with_bad_field_exits_1(
+        self, dataset_path, tmp_path, field, value, capsys
+    ):
+        path = tmp_path / "params.json"
+        doc = {"p": [0.6] * 3, "q": [0.4] * 3, "t": [0.5] * 5, field: value}
+        path.write_text(json.dumps(doc))
+        assert run(["aggregate", dataset_path, "--init", f"file:{path}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {field} ") and err.count("\n") == 1
+
     def test_init_file_not_json_exits_1(self, dataset_path, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text("{not json")
@@ -281,6 +296,10 @@ class TestSimulate:
     def test_bad_rates_exit_1(self, tmp_path):
         assert run(["simulate", "--p", "1.5", "--out", tmp_path / "x.json"]) == 1
 
+    def test_negative_instances_exit_1(self, tmp_path, capsys):
+        assert run(["simulate", "--instances", -1, "--out", tmp_path / "x.json"]) == 1
+        assert capsys.readouterr().err == "error: num_instances must be non-negative, got -1\n"
+
 
 class TestBenchmark:
     @pytest.fixture
@@ -352,6 +371,26 @@ class TestBenchmark:
             ]
         )
         assert code == 1
+
+    def test_batch_size_zero_exits_1_naming_the_range(self, truth_dataset, tmp_path, capsys):
+        code = run(
+            ["benchmark", truth_dataset, "--batch-sizes", "0,4", "--out", tmp_path / "x.csv"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: batch size 0 is not in [1, 12], the available voters\n"
+        )
+
+    def test_init_file_exits_1(self, truth_dataset, tmp_path, capsys):
+        code = run(
+            ["benchmark", truth_dataset, "--batch-sizes", "4", "--init", "file:x.json",
+             "--out", tmp_path / "x.csv"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: benchmark re-initializes per voter batch; file-based initial "
+            "parameters cannot fit every batch size\n"
+        )
 
     @pytest.mark.parametrize(
         "flags",

@@ -67,8 +67,8 @@ class TestBallotLoglik:
             ballot_loglik(frozenset(), frozenset(), 1.0, 0.4, 3)
         with pytest.raises(ValueError, match="strictly"):
             ballot_loglik(frozenset(), frozenset(), 0.5, 0.0, 3)
-        params = ParamVector([0.5, 0.5, 1.0], [0.4] * 3, [0.5] * 5)
         with pytest.raises(ValueError, match="strictly"):
+            params = ParamVector([0.5, 0.5, 1.0], [0.4] * 3, [0.5] * 5)
             total_loglik(
                 worked_profile,
                 worked_profile.truth_counts(WORKED_FIRST_TRUTHS),

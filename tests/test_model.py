@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -109,6 +111,33 @@ class TestParamVector:
         with pytest.raises(ValueError):
             ParamVector([0.0], [0.5], [0.5]).require_open_unit()
         ParamVector([0.4], [0.5], [0.5]).require_open_unit()
+
+    @pytest.mark.parametrize(
+        "p, q, t, message",
+        [
+            ([0.5, 0.6], [0.4], [0.5], "q has 1 entries for the 2 of p"),
+            ([[0.5], [0.6]], [0.4, 0.3], [0.5], "p must be 1-D, got shape (2, 1)"),
+            (0.5, [0.4], [0.5], "p must be 1-D, got shape ()"),
+            ([0.5], [0.4], [[0.5]], "t must be 1-D"),
+            ([0.5], [{"a": 1}], [0.5], "q must be a list of numbers"),
+            ([0.5], ["x"], [0.5], "q must be a list of numbers"),
+            ([0.5], [0.4], [0.5, 1.0], "t must lie strictly in (0, 1), got 1.0"),
+            ([0.5], [0.0], [0.5], "q must lie strictly in (0, 1), got 0.0"),
+            ([float("nan")], [0.4], [0.5], "p must lie strictly in (0, 1), got nan"),
+        ],
+        ids=[
+            "short-q", "column-p", "scalar-p", "matrix-t", "object-q", "string-q",
+            "t-at-one", "q-at-zero", "nan-p",
+        ],
+    )
+    def test_constructor_rejects_invalid_fields(self, p, q, t, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ParamVector(p, q, t)
+
+    def test_out_of_range_message_is_one_line(self):
+        with pytest.raises(ValueError) as info:
+            ParamVector([0.5] * 100 + [1.0], [0.4] * 101, [0.5])
+        assert str(info.value) == "p must lie strictly in (0, 1), got 1.0"
 
 
 @st.composite

@@ -33,6 +33,17 @@ class TestDeterminism:
         assert sample_truths(spec_with(seed=1)) != sample_truths(spec_with(seed=2))
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("field", ["m", "n", "num_instances"])
+    def test_negative_size_rejected(self, field):
+        fields = dict(
+            m=2, n=1, num_instances=1, bounds=Bounds(0, 0), t=[0.5] * 2, p=[0.7], q=[0.3], seed=0
+        )
+        fields[field] = -1
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
+            SynthSpec(**fields)
+
+
 class TestSampleTruths:
     def test_unconstrained_bernoulli_sets(self):
         spec = spec_with(bounds=Bounds(0, 5), num_instances=2000, t=0.3)
