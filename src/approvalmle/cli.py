@@ -225,6 +225,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    for flag, size in (("m", args.m), ("n", args.n), ("instances", args.instances)):
+        if size < 1:
+            raise _CliError(f"--{flag} must be at least 1, got {size}")
     upper = args.upper if args.upper is not None else args.m
     try:
         spec = SynthSpec(

@@ -248,6 +248,12 @@ def load_params(path) -> ParamVector:
     missing = [key for key in ("p", "q", "t") if key not in doc]
     if missing:
         raise DatasetFormatError(f"parameter file lacks keys {missing}")
+    for key in ("p", "q", "t"):
+        # ParamVector alone would parse "0.6" and read true as 1.0
+        if not isinstance(doc[key], list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in doc[key]
+        ):
+            raise DatasetFormatError(f"{path}: {key} must be a list of JSON numbers")
     try:
         return ParamVector(doc["p"], doc["q"], doc["t"])
     except ValueError as exc:

@@ -25,21 +25,22 @@ from .model import DEFAULT_EPSILON_CLAMP, Bounds, GroundTruth, TruthCounts
 from .model import clamp_unit, require_epsilon, require_open_unit
 
 
-def _extend(row: np.ndarray, probs) -> np.ndarray:
+def _extend(row: list, probs) -> list:
     """Add one Bernoulli(prob) coin per ``probs`` to the count distribution
-    ``row``, in place, and return ``row``.
+    ``row``, a list of Python floats, in place, and return ``row``.
 
     Each step sets ``row[k] = row[k] * (1 - prob) + row[k - 1] * prob``, so
     column k depends only on columns k - 1 and k: a row's entries do not
-    depend on where it is truncated.
+    depend on where it is truncated.  Rows are short (min(u, m - 1) + 1
+    columns) and a numpy step costs three ufunc calls at any width, so this
+    scalar step is the faster one up to about 35 columns (CPython 3.11).  It
+    rounds each entry as the numpy step does, so the rows are bit-identical.
     """
-    upper, lower = row[1:], row[:-1]
-    shifted = np.empty(len(upper))
+    top = len(row) - 1
     for prob in probs:
         keep = 1.0 - prob
-        np.multiply(lower, prob, out=shifted)
-        np.multiply(upper, keep, out=upper)
-        np.add(upper, shifted, out=upper)
+        for k in range(top, 0, -1):
+            row[k] = row[k] * keep + row[k - 1] * prob
         row[0] *= keep
     return row
 
@@ -59,15 +60,12 @@ class CardinalityDP:
 
     @classmethod
     def build(cls, t: np.ndarray, cap: int) -> "CardinalityDP":
-        t = np.asarray(t, dtype=float)
-        m = len(t)
-        cap = min(cap, m)
-        table = np.zeros((m + 1, cap + 1))
-        table[0, 0] = 1.0
-        for j, prob in enumerate(t, start=1):
-            table[j] = table[j - 1]
-            _extend(table[j], (prob,))
-        return cls(table)
+        probs = np.asarray(t, dtype=float).tolist()
+        row = [1.0] + [0.0] * min(cap, len(probs))
+        rows = [row[:]]
+        for prob in probs:
+            rows.append(_extend(row, (prob,))[:])
+        return cls(np.array(rows))
 
 
 def _rest_row(t: np.ndarray, j: int, bounds: Bounds) -> np.ndarray:
@@ -97,7 +95,8 @@ def _interval_masses(coins: int, intervals, count_row) -> list:
         else:
             if row is None:
                 row = count_row()
-            masses.append(float(row[lower : upper + 1].sum()))
+            # numpy's pairwise sum: the builtin sum adds in another order
+            masses.append(float(np.sum(row[lower : upper + 1])))
     return masses
 
 
@@ -271,13 +270,12 @@ def sweep_inclusion_priors(
     length = counts.num_instances
     old = current.tolist()
     low, high = epsilon, 1.0 - epsilon
-    prefix = np.zeros(max(min(bounds.upper, m - 1), 0) + 1)
-    prefix[0] = 1.0
+    prefix = [1.0] + [0.0] * max(min(bounds.upper, m - 1), 0)
     for j in range(m):
         raw = _raw_update(
             j, occurrences[j], length, m, bounds, rule,
-            lambda: _extend(prefix.copy(), old[j + 1 :]),
+            lambda: _extend(prefix[:], old[j + 1 :]),
         )
-        current[j] = min(max(raw, low), high)
-        _extend(prefix, (current[j],))
+        current[j] = value = min(max(raw, low), high)
+        _extend(prefix, (value,))
     return current

@@ -141,8 +141,11 @@ class TestAggregate:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("q", [0.4] * 2), ("p", [[0.6]] * 3), ("p", 0.6), ("t", [0.5] * 4 + [1.0])],
-        ids=["short-q", "column-p", "scalar-p", "t-outside-unit"],
+        [
+            ("q", [0.4] * 2), ("p", [[0.6]] * 3), ("p", 0.6), ("t", [0.5] * 4 + [1.0]),
+            ("p", ["0.6"] * 3),
+        ],
+        ids=["short-q", "column-p", "scalar-p", "t-outside-unit", "string-p"],
     )
     def test_init_file_with_bad_field_exits_1(
         self, dataset_path, tmp_path, field, value, capsys
@@ -298,7 +301,17 @@ class TestSimulate:
 
     def test_negative_instances_exit_1(self, tmp_path, capsys):
         assert run(["simulate", "--instances", -1, "--out", tmp_path / "x.json"]) == 1
-        assert capsys.readouterr().err == "error: num_instances must be non-negative, got -1\n"
+        assert capsys.readouterr().err == "error: --instances must be at least 1, got -1\n"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("m", -1), ("m", 0), ("n", 0), ("n", -2), ("instances", 0)]
+    )
+    def test_size_below_one_exits_1(self, tmp_path, flag, value, capsys):
+        # checked before the rates, whose count message would mislead
+        out = tmp_path / "x.json"
+        assert run(["simulate", f"--{flag}", value, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --{flag} must be at least 1, got {value}\n"
+        assert not out.exists()
 
 
 class TestBenchmark:

@@ -17,12 +17,16 @@ import reference_seed as ref
 from approvalmle import (
     AmleConfig,
     Bounds,
+    CardinalityDP,
     ParamVector,
     Profile,
     anna_karenina_init,
+    cardinality_mass,
     estimate_truth,
     explain_truth,
     majority_rule,
+    mass_given_excluded,
+    mass_given_included,
     modal_rule,
     prior_logprob,
     random_init,
@@ -282,6 +286,40 @@ def test_baselines_match_reference(data):
         )
 
 
+def sweep_bounds(m):
+    """Bounds on m alternatives, often with u < m - 1, which truncates the
+    counting rows."""
+    capped = st.integers(0, max(m - 2, 0)).flatmap(
+        lambda upper: st.integers(0, upper).map(lambda lower: Bounds(lower, upper))
+    )
+    return st.one_of(
+        st.just(Bounds(0, m)),
+        st.just(Bounds(m - 1, m - 1)),
+        st.just(Bounds(m - 1, m)),
+        capped,
+        bounds_for(m),
+    )
+
+
+@settings(settings.get_profile("differential"))
+@given(data=st.data())
+def test_counting_rows_match_reference_exactly(data):
+    # the masses are sums over the counting rows, so equal rows and one
+    # summation order give equal masses, bit for bit
+    m = data.draw(st.integers(1, 70))
+    bounds = data.draw(sweep_bounds(m))
+    t = data.draw(rates(m))
+    j = data.draw(st.integers(0, m - 1))
+    assert cardinality_mass(t, bounds) == ref.cardinality_mass(t, bounds)
+    for mass, want in (
+        (mass_given_included, ref.mass_given_included),
+        (mass_given_excluded, ref.mass_given_excluded),
+    ):
+        assert _outcome(mass, j, t, bounds) == _outcome(want, j, t, bounds)
+    cap = data.draw(st.integers(0, m + 1))
+    np.testing.assert_array_equal(CardinalityDP.build(t, cap).table[-1], ref._dp_last_row(t, cap))
+
+
 @settings(settings.get_profile("differential"))
 @given(data=st.data())
 def test_sweep_inclusion_priors_matches_reference_exactly(data):
@@ -289,18 +327,7 @@ def test_sweep_inclusion_priors_matches_reference_exactly(data):
     # the counting rows
     m = data.draw(st.integers(1, 70))
     length = data.draw(st.integers(1, 40))
-    capped = st.integers(0, max(m - 2, 0)).flatmap(
-        lambda upper: st.integers(0, upper).map(lambda lower: Bounds(lower, upper))
-    )
-    bounds = data.draw(
-        st.one_of(
-            st.just(Bounds(0, m)),
-            st.just(Bounds(m - 1, m - 1)),
-            st.just(Bounds(m - 1, m)),
-            capped,
-            bounds_for(m),
-        )
-    )
+    bounds = data.draw(sweep_bounds(m))
     density = data.draw(st.sampled_from((0.0, 0.05, 0.2, 0.5, 0.9, 1.0)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     truths = tuple(

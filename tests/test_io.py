@@ -274,6 +274,18 @@ class TestParams:
         with pytest.raises(DatasetFormatError):
             load_params(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p", ["0.5", "0.6"]), ("q", [True, 0.3]), ("t", [0.5, None, 0.9])],
+        ids=["strings", "booleans", "null"],
+    )
+    def test_members_that_are_not_json_numbers_rejected(self, tmp_path, key, value):
+        path = tmp_path / "params.json"
+        doc = {"p": [0.5, 0.6], "q": [0.4, 0.3], "t": [0.5, 0.2, 0.9], key: value}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match=f": {key} must be a list of JSON numbers$"):
+            load_params(path)
+
 
 class TestLoadAssignment:
     def test_bare_map(self, tmp_path):

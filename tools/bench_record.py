@@ -1,0 +1,106 @@
+"""Record the benchmark's numbers for one checkout in ``BENCH_<tag>.json``.
+
+Run from anywhere; the checkout is the one this script lives in:
+
+    python3 tools/bench_record.py --tag pr14 --seed 53 --seconds 8
+
+For every workload named in ``BENCHMARK.json`` it runs the benchmark command
+(``perfbench/run.py``) twice, with ``--trace 0`` for the end-to-end metrics
+and then with ``--trace 1`` for the per-layer metrics, at the given seed and
+run length.  It writes ``BENCH_<tag>.json`` at the checkout's root: the
+provenance of the runs (commit, the tracked files modified since it, Python,
+numpy, CPU count, seed, seconds), then each workload's ``end_to_end`` and
+``per_layer`` metrics as the runs printed them.  Nothing is written when a
+run fails, prints no result, or reports ``"correct": false``.
+
+To compare two commits, copy this script into a checkout of the other one
+and run both on the same machine in one session with the same seed and
+seconds, alternating the two sides.  Standard library only, so it runs on
+any commit's checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROVENANCE = ("commit", "python", "numpy", "nproc", "seed")
+
+
+class RunFailed(Exception):
+    """A benchmark run failed or reported an incorrect output."""
+
+
+def run_once(command: list, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """One benchmark run; returns its provenance line and its result line."""
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    what = f"{workload} --trace {trace}"
+    if done.returncode != 0:
+        raise RunFailed(f"{what} exited {done.returncode}: {done.stderr.strip()}")
+    lines = done.stdout.splitlines()
+    provenance = [json.loads(line[11:]) for line in lines if line.startswith("provenance ")]
+    if not provenance:
+        raise RunFailed(f"{what} printed no provenance line")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise RunFailed(f"{what}: {result['failed']} of {result['attempted']} calls failed "
+                        f"their checks: {done.stderr.strip()}")
+    print(f"{what}: {result['attempted']} calls, all correct", file=sys.stderr)
+    return provenance[0], result
+
+
+def modified_files():
+    """Tracked files that differ from the recorded commit, or None outside a
+    git checkout: the commit alone does not name uncommitted code."""
+    try:
+        done = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return [line[3:] for line in done.stdout.splitlines()]
+
+
+def record(seed: int, seconds: float) -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    doc = {"provenance": None, "workloads": {}}
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        provenance, untraced = run_once(spec["command"], name, seed, seconds, 0)
+        _, traced = run_once(spec["command"], name, seed, seconds, 1)
+        if doc["provenance"] is None:
+            doc["provenance"] = {key: provenance[key] for key in PROVENANCE}
+            doc["provenance"].update(seconds=seconds, modified=modified_files())
+        doc["workloads"][name] = {
+            "end_to_end": untraced["metrics"],
+            "per_layer": traced["metrics"],
+        }
+    return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tag", required=True, help="names the file BENCH_<tag>.json")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+    try:
+        doc = record(args.seed, args.seconds)
+    except RunFailed as exc:
+        print(f"bench_record: not written: {exc}", file=sys.stderr)
+        return 1
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
