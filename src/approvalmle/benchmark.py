@@ -70,7 +70,12 @@ def parse_init(strategy: str, p0: float = 0.6, q0: float = 0.4, t0: float = 0.5)
         try:
             seed = int(strategy.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad seed in initialization strategy {strategy!r}") from None
+            seed = -1
+        if seed < 0:
+            raise ValueError(
+                f"bad seed in initialization strategy {strategy!r}; expected "
+                "random:<non-negative integer>"
+            )
         return lambda profile: random_init(
             profile.num_voters, profile.num_alternatives, seed, t0
         )

@@ -65,12 +65,20 @@ def _out_path(name: str | None, default: str) -> Path:
 
 
 def _parse_rates(text: str, count: int, name: str) -> np.ndarray:
-    values = [float(part) for part in text.split(",")]
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError:
+        raise _CliError(f"--{name} must be comma-separated numbers, got {text!r}") from None
     if len(values) == 1:
         values = values * count
     if len(values) != count:
         raise _CliError(f"--{name} needs 1 or {count} comma-separated values")
     return np.array(values)
+
+
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise _CliError(f"--seed must be a non-negative integer, got {seed}")
 
 
 def _from_flags(build, *args, **kwargs):
@@ -228,6 +236,7 @@ def cmd_simulate(args) -> int:
     for flag, size in (("m", args.m), ("n", args.n), ("instances", args.instances)):
         if size < 1:
             raise _CliError(f"--{flag} must be at least 1, got {size}")
+    _require_seed(args.seed)
     upper = args.upper if args.upper is not None else args.m
     try:
         spec = SynthSpec(
@@ -255,6 +264,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    _require_seed(args.seed)
     profile, ground_truth = io.load_dataset(args.dataset, strict=False)
     if ground_truth is None:
         raise _CliError("benchmark needs a dataset with embedded ground truth")

@@ -21,12 +21,14 @@ import collections
 import csv
 import itertools
 import json
+import operator
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
-from .model import GroundTruth, ParamVector, Profile, approval_matrix
+from .model import GroundTruth, ParamVector, Profile, marked_rows
 
 
 class DatasetFormatError(ValueError):
@@ -53,11 +55,12 @@ def _truth_tuple(profile: Profile, truth_map: dict) -> GroundTruth:
 
 
 def _read_json_object(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path} is not valid JSON: {exc}") from None
+    with open(path, "rb") as fh:
+        text = _utf8(fh.read(), path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path} does not contain a JSON object")
     return doc
@@ -90,9 +93,11 @@ def parse_dataset(doc: dict, strict: bool = False):
     voter_ids = [str(v) for v in doc["voters"]]
     index = {aid: j for j, aid in enumerate(alt_ids)}
     declared = set(voter_ids)
+    in_voter_order = _in_voter_order(voter_ids)
 
     instance_ids = []
-    ballots = []  # one list of alternative indices per (instance, voter)
+    sizes = []  # one ballot size per (instance, voter), instance-major
+    members = []  # the alternative indices of those ballots, in the same order
     for pos, entry in enumerate(doc["instances"]):
         if not isinstance(entry, dict) or "id" not in entry:
             raise DatasetFormatError(
@@ -110,7 +115,8 @@ def parse_dataset(doc: dict, strict: bool = False):
                 f"instance {zid!r} has ballots for undeclared voters "
                 f"{sorted(unknown_voters)}"
             )
-        if len(ballots_map) < len(declared):
+        complete = len(ballots_map) >= len(declared)
+        if not complete:
             missing = [v for v in voter_ids if v not in ballots_map]
             if strict:
                 raise DatasetFormatError(
@@ -121,29 +127,60 @@ def parse_dataset(doc: dict, strict: bool = False):
                 "treating them as empty",
                 stacklevel=2,
             )
-        for vid in voter_ids:
-            approved = ballots_map.get(vid, [])
-            if not isinstance(approved, list):
-                raise DatasetFormatError(
-                    f"instance {zid!r}, voter {vid!r}: a ballot must be a list of "
-                    f"alternative ids, got {approved!r}"
-                )
-            try:
-                ballots.append([index[str(a)] for a in approved])
-            except KeyError as exc:
-                raise DatasetFormatError(
-                    f"instance {zid!r}, voter {vid!r} approves unknown "
-                    f"alternative {exc}"
-                ) from None
+        try:
+            if complete:
+                ballots = in_voter_order(ballots_map)
+            else:
+                ballots = list(map(ballots_map.get, voter_ids, itertools.repeat([])))
+            if not all(map(isinstance, ballots, itertools.repeat(list))):
+                raise TypeError
+            alts = list(map(index.__getitem__, map(str, itertools.chain.from_iterable(ballots))))
+            ballot_sizes = map(len, ballots)
+        except (KeyError, TypeError):
+            # the per-voter reading names the first bad ballot or member
+            ballot_sizes, alts = _read_ballots(zid, voter_ids, ballots_map, index)
+        sizes.extend(ballot_sizes)
+        members.extend(alts)
         instance_ids.append(zid)
 
     shape = (len(instance_ids), len(voter_ids), len(alt_ids))
-    approvals = approval_matrix(ballots, len(alt_ids)).reshape(shape)
+    approvals = marked_rows(sizes, members, len(alt_ids)).reshape(shape)
     profile = Profile(alt_ids, voter_ids, instance_ids, approvals)
     truths = None
     if "ground_truth" in doc and doc["ground_truth"] is not None:
         truths = _truth_tuple(profile, doc["ground_truth"])
     return profile, truths
+
+
+def _in_voter_order(voter_ids: list):
+    """Function from a ballots map that holds every voter to its ballots in
+    voter order."""
+    if len(voter_ids) > 1:
+        return operator.itemgetter(*voter_ids)
+    return lambda ballots_map: [ballots_map[vid] for vid in voter_ids]
+
+
+def _read_ballots(zid: str, voter_ids: list, ballots_map: dict, index: dict) -> tuple:
+    """One instance's ballots read voter by voter: their sizes and their
+    members as alternative indices, or DatasetFormatError on the first bad
+    ballot or member."""
+    sizes, members = [], []
+    for vid in voter_ids:
+        approved = ballots_map.get(vid, [])
+        if not isinstance(approved, list):
+            raise DatasetFormatError(
+                f"instance {zid!r}, voter {vid!r}: a ballot must be a list of "
+                f"alternative ids, got {approved!r}"
+            )
+        try:
+            members.extend([index[str(a)] for a in approved])
+        except KeyError as exc:
+            raise DatasetFormatError(
+                f"instance {zid!r}, voter {vid!r} approves unknown "
+                f"alternative {exc}"
+            ) from None
+        sizes.append(len(approved))
+    return sizes, members
 
 
 def dataset_document(profile: Profile, ground_truth: GroundTruth | None = None) -> dict:
@@ -201,23 +238,52 @@ def save_profile_csv(path, profile: Profile) -> None:
                     writer.writerow([zid, vid, aid, int(approved)])
 
 
-def _first_appearance_index() -> dict:
-    """Dict that gives each new key the next index, 0, 1, 2, ..., on lookup."""
-    return collections.defaultdict(itertools.count().__next__)
+_HEADER = ",".join(CSV_HEADER).encode()
+_COMMA, _NEWLINE, _RETURN, _ZERO, _ONE = b",\n\r01"
+#: The separators that end the four fields of a row, as one 4-byte word.
+_ROW_ENDS = np.frombuffer(b",,,\n", dtype=np.uint32)
 
 
 def load_profile_csv(path) -> Profile:
     """Read a long-form CSV; declaration order is order of first appearance.
 
     A cell without a row is not approved; a cell with several rows takes the
-    value of its last row.
+    value of its last row.  A plain file is split with whole-file array
+    passes; a file with quotes, NUL bytes or bare carriage returns, and any
+    file those passes cannot split into four fields per row with a one-byte
+    0/1 last field, is read with ``csv.reader``, which also gives every error.
+    Both readings give the same profile.
     """
-    instance_ids = _first_appearance_index()
-    voter_ids = _first_appearance_index()
-    alt_ids = _first_appearance_index()
-    cells: dict = {}  # (instance, voter, alternative) index -> approved
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    data = Path(path).read_bytes()
+    rows = _scan_csv(data, path)
+    if rows is None:
+        rows = _read_csv(data, path)
+    (instance_ids, voter_ids, alt_ids), codes, approved = rows
+    shape = (len(instance_ids), len(voter_ids), len(alt_ids))
+    # the last row of a cell wins: it is the cell's first row counted from the end
+    cells, from_end = np.unique(np.ravel_multi_index(codes, shape)[::-1], return_index=True)
+    approvals = np.zeros(shape, dtype=bool)
+    approvals.flat[cells] = approved[::-1][from_end]
+    return Profile(alt_ids, voter_ids, instance_ids, approvals)
+
+
+def _utf8(data: bytes, path) -> str:
+    """``data`` decoded, or DatasetFormatError naming the file ``path``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DatasetFormatError(f"{path} is not UTF-8 text") from None
+
+
+def _read_csv(data: bytes, path) -> tuple:
+    """Rows of a long-form CSV read with ``csv.reader``: the three id lists
+    in first-appearance order, each row's index into them, and its flag."""
+    # each new id gets the next index, 0, 1, 2, ..., on first lookup
+    indexes = [collections.defaultdict(itertools.count().__next__) for _ in range(3)]
+    codes = ([], [], [])
+    approved = []
+    reader = csv.reader(StringIO(_utf8(data, path), newline=""))
+    try:
         header = next(reader, None)
         if header != CSV_HEADER:
             raise DatasetFormatError(
@@ -228,18 +294,88 @@ def load_profile_csv(path) -> Profile:
                 continue
             if len(row) != 4:
                 raise DatasetFormatError(f"malformed CSV row: {row}")
-            zid, vid, aid, approved = row
-            if approved not in ("0", "1"):
+            if row[3] not in ("0", "1"):
                 raise DatasetFormatError(
-                    f"approved must be 0 or 1, got {approved!r} in row {row}"
+                    f"approved must be 0 or 1, got {row[3]!r} in row {row}"
                 )
-            cells[instance_ids[zid], voter_ids[vid], alt_ids[aid]] = approved == "1"
-    if not cells:
+            for index, column, key in zip(indexes, codes, row):
+                column.append(index[key])
+            approved.append(row[3] == "1")
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+    if not approved:
         raise DatasetFormatError("empty CSV dataset")
-    indices = np.fromiter(itertools.chain.from_iterable(cells), np.intp).reshape(-1, 3)
-    approvals = np.zeros((len(instance_ids), len(voter_ids), len(alt_ids)), dtype=bool)
-    approvals[tuple(indices.T)] = np.fromiter(cells.values(), bool, len(cells))
-    return Profile(alt_ids, voter_ids, instance_ids, approvals)
+    return [list(index) for index in indexes], codes, np.array(approved)
+
+
+def _scan_csv(data: bytes, path) -> tuple | None:
+    """The rows of a plain long-form CSV, as ``_read_csv`` gives them, from
+    whole-file array passes; None when ``_read_csv`` must read the file."""
+    if b'"' in data or b"\0" in data or not data.startswith(_HEADER):
+        return None
+    if b"\r" in data:
+        # csv.reader also ends a row at a bare \r; only \r\n is read here
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    text = np.frombuffer(data, dtype=np.uint8)
+    if text[len(_HEADER)] != _NEWLINE:
+        return None
+    # every field ends at a separator; the header's four come first
+    separators = text == _COMMA
+    separators |= text == _NEWLINE
+    ends = np.flatnonzero(separators)
+    # the scan's transient arrays set the load's peak memory: free the mask
+    # before the int32 copy, and reuse ``ends`` for the widths below
+    del separators
+    ends = ends.astype(np.int32 if text.size < 2**31 else np.intp)
+    starts, ends = ends[3:-1] + 1, ends[4:]
+    kinds = text[ends]
+    if not _rows_tile(kinds):
+        # a blank line, a newline right after a newline, breaks the tiling
+        keep = (kinds != _NEWLINE) | (text[ends - 1] != _NEWLINE)
+        starts, ends, kinds = starts[keep], ends[keep], kinds[keep]
+        if not _rows_tile(kinds):
+            return None
+    ends -= starts  # now the field widths
+    starts, widths = starts.reshape(-1, 4), ends.reshape(-1, 4)
+    flags = text[starts[:, 3]]
+    if (widths[:, 3] != 1).any() or not ((flags == _ZERO) | (flags == _ONE)).all():
+        return None
+    if widths[:, :3].max() > csv.field_size_limit():
+        return None
+    ids, codes = zip(
+        *(_first_appearance_codes(text, starts[:, c], widths[:, c], path) for c in range(3))
+    )
+    return ids, codes, flags == _ONE
+
+
+def _rows_tile(kinds: np.ndarray) -> bool:
+    """Whether the separators ``kinds`` end rows of exactly four fields."""
+    if kinds.size == 0 or kinds.size % 4:
+        return False
+    return bool((kinds.view(np.uint32) == _ROW_ENDS).all())
+
+
+def _first_appearance_codes(text: np.ndarray, starts, widths, path) -> tuple:
+    """The distinct ids of one column of ``text``, in order of first
+    appearance, and each row's index into them."""
+    width = int(widths.max())
+    # ids of up to 8 bytes compare as one integer, longer ones as byte strings
+    keys = np.zeros((starts.size, 8 if width <= 8 else width), dtype=np.uint8)
+    for offset in range(width):
+        # one byte column at a time; rows whose id is shorter keep a 0 pad
+        keys[:, offset] = np.where(widths > offset, text.take(starts + offset, mode="clip"), 0)
+    keys = keys.view(np.uint64 if width <= 8 else f"S{width}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=starts.dtype)
+    rank[order] = np.arange(order.size)
+    spans = zip(starts[first[order]].tolist(), widths[first[order]].tolist())
+    ids = [_utf8(text[start:start + size].tobytes(), path) for start, size in spans]
+    return ids, rank[inverse]
 
 
 def load_params(path) -> ParamVector:

@@ -50,10 +50,17 @@ def approval_matrix(sets, m: int) -> np.ndarray:
     """Dense ``bool[len(sets), m]`` whose row r marks the members of ``sets[r]``."""
     sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
     members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)
+    return marked_rows(sizes, members, m)
+
+
+def marked_rows(sizes, members, m: int) -> np.ndarray:
+    """Dense ``bool[len(sizes), m]`` whose row r marks the next ``sizes[r]``
+    entries of the flat index sequence ``members``."""
+    members = np.asarray(members, dtype=np.intp)
     if members.size and not 0 <= members.min() <= members.max() < m:
         raise ValueError(f"alternative indices must lie in [0, {m})")
-    matrix = np.zeros((len(sets), m), dtype=bool)
-    matrix[np.repeat(np.arange(len(sets)), sizes), members] = True
+    matrix = np.zeros((len(sizes), m), dtype=bool)
+    matrix[np.repeat(np.arange(len(sizes)), sizes), members] = True
     return matrix
 
 

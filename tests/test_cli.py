@@ -196,6 +196,33 @@ class TestAggregate:
         assert run(["aggregate", dataset_path, *flags]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("d.csv", b"instance_id,voter_id,alternative_id,approved\nz,\xffv,a,1\n"),
+            ("d.json", b'{"alternatives": ["a"], "voters": ["\xffv"], "instances": []}'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_non_utf8_dataset_exits_1_naming_the_file(self, tmp_path, name, data, capsys):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(["aggregate", path]) == 1
+        assert capsys.readouterr().err == f"error: {path} is not UTF-8 text\n"
+
+    def test_non_utf8_init_file_exits_1_naming_the_file(self, dataset_path, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_bytes(b'{"p": [0.6], "\xff": 1}')
+        assert run(["aggregate", dataset_path, "--init", f"file:{path}"]) == 1
+        assert capsys.readouterr().err == f"error: {path} is not UTF-8 text\n"
+
+    def test_negative_init_seed_exits_1_naming_the_seed(self, dataset_path, capsys):
+        assert run(["aggregate", dataset_path, "--init", "random:-3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad seed in initialization strategy 'random:-3'; expected "
+            "random:<non-negative integer>\n"
+        )
+
 
 class TestEvaluate:
     def test_equal_files_score_one(self, tmp_path):
@@ -298,6 +325,18 @@ class TestSimulate:
 
     def test_bad_rates_exit_1(self, tmp_path):
         assert run(["simulate", "--p", "1.5", "--out", tmp_path / "x.json"]) == 1
+
+    def test_rate_that_is_not_a_number_exits_1_naming_the_flag(self, tmp_path, capsys):
+        assert run(["simulate", "--p", "0.5,x", "--out", tmp_path / "x.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --p must be comma-separated numbers, got '0.5,x'\n"
+        )
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["simulate", "--seed", -3, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -3\n"
+        assert not out.exists()
 
     def test_negative_instances_exit_1(self, tmp_path, capsys):
         assert run(["simulate", "--instances", -1, "--out", tmp_path / "x.json"]) == 1
@@ -417,6 +456,13 @@ class TestBenchmark:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_seed_exits_1(self, truth_dataset, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["benchmark", truth_dataset, "--batch-sizes", "4", "--seed", -3, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -3\n"
+        assert not out.exists()
 
     def test_missing_ground_truth_exits_1(self, tmp_path, worked_profile):
         path = tmp_path / "no_truth.json"

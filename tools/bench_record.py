@@ -7,11 +7,14 @@ Run from anywhere; the checkout is the one this script lives in:
 For every workload named in ``BENCHMARK.json`` it runs the benchmark command
 (``perfbench/run.py``) twice, with ``--trace 0`` for the end-to-end metrics
 and then with ``--trace 1`` for the per-layer metrics, at the given seed and
-run length.  It writes ``BENCH_<tag>.json`` at the checkout's root: the
-provenance of the runs (commit, the tracked files modified since it, Python,
-numpy, CPU count, seed, seconds), then each workload's ``end_to_end`` and
-``per_layer`` metrics as the runs printed them.  Nothing is written when a
-run fails, prints no result, or reports ``"correct": false``.
+run length.  Then it runs the Tier-1 tests (``TIER1``, with
+``--durations=10``) once.  It writes ``BENCH_<tag>.json`` at the checkout's
+root: the provenance of the runs (commit, the tracked files modified since
+it, Python, numpy, CPU count, seed, seconds), each workload's ``end_to_end``
+and ``per_layer`` metrics as the runs printed them, and ``tier1``: the test
+run's wall seconds, exit code, summary line and ten slowest test phases.
+Nothing is written when a benchmark run fails, prints no result, or reports
+``"correct": false``.
 
 To compare two commits, copy this script into a checkout of the other one
 and run both on the same machine in one session with the same seed and
@@ -23,12 +26,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROVENANCE = ("commit", "python", "numpy", "nproc", "seed")
+#: The Tier-1 test command, run from the checkout with ``src`` on the path.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+_DURATION = re.compile(r"^(\d+(?:\.\d+)?)s\s+(\w+)\s+(.+)$")
 
 
 class RunFailed(Exception):
@@ -68,6 +77,28 @@ def modified_files():
     return [line[3:] for line in done.stdout.splitlines()]
 
 
+def tier1() -> dict:
+    """Run the Tier-1 tests once; their wall time, exit code, summary line
+    and the slowest phases that ``--durations=10`` lists."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    lines = done.stdout.splitlines()
+    slowest = []
+    for line in lines:
+        match = _DURATION.match(line)
+        if match:
+            seconds, phase, test = match.groups()
+            slowest.append({"test": test, "phase": phase, "s": float(seconds)})
+    summary = next((line.strip("= ") for line in reversed(lines) if line.strip()), "")
+    print(f"tier-1: {summary} ({wall_s:.1f} s wall)", file=sys.stderr)
+    return {"wall_s": round(wall_s, 2), "exit_code": done.returncode,
+            "summary": summary, "slowest": slowest}
+
+
 def record(seed: int, seconds: float) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     doc = {"provenance": None, "workloads": {}}
@@ -82,6 +113,7 @@ def record(seed: int, seconds: float) -> dict:
             "end_to_end": untraced["metrics"],
             "per_layer": traced["metrics"],
         }
+    doc["tier1"] = tier1()
     return doc
 
 
