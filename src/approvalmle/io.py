@@ -21,7 +21,6 @@ import collections
 import csv
 import itertools
 import json
-import operator
 import warnings
 from io import StringIO
 from pathlib import Path
@@ -93,7 +92,6 @@ def parse_dataset(doc: dict, strict: bool = False):
     voter_ids = [str(v) for v in doc["voters"]]
     index = {aid: j for j, aid in enumerate(alt_ids)}
     declared = set(voter_ids)
-    in_voter_order = _in_voter_order(voter_ids)
 
     instance_ids = []
     sizes = []  # one ballot size per (instance, voter), instance-major
@@ -115,8 +113,7 @@ def parse_dataset(doc: dict, strict: bool = False):
                 f"instance {zid!r} has ballots for undeclared voters "
                 f"{sorted(unknown_voters)}"
             )
-        complete = len(ballots_map) >= len(declared)
-        if not complete:
+        if len(ballots_map) < len(declared):
             missing = [v for v in voter_ids if v not in ballots_map]
             if strict:
                 raise DatasetFormatError(
@@ -128,10 +125,7 @@ def parse_dataset(doc: dict, strict: bool = False):
                 stacklevel=2,
             )
         try:
-            if complete:
-                ballots = in_voter_order(ballots_map)
-            else:
-                ballots = list(map(ballots_map.get, voter_ids, itertools.repeat([])))
+            ballots = list(map(ballots_map.get, voter_ids, itertools.repeat([])))
             if not all(map(isinstance, ballots, itertools.repeat(list))):
                 raise TypeError
             alts = list(map(index.__getitem__, map(str, itertools.chain.from_iterable(ballots))))
@@ -150,14 +144,6 @@ def parse_dataset(doc: dict, strict: bool = False):
     if "ground_truth" in doc and doc["ground_truth"] is not None:
         truths = _truth_tuple(profile, doc["ground_truth"])
     return profile, truths
-
-
-def _in_voter_order(voter_ids: list):
-    """Function from a ballots map that holds every voter to its ballots in
-    voter order."""
-    if len(voter_ids) > 1:
-        return operator.itemgetter(*voter_ids)
-    return lambda ballots_map: [ballots_map[vid] for vid in voter_ids]
 
 
 def _read_ballots(zid: str, voter_ids: list, ballots_map: dict, index: dict) -> tuple:
@@ -334,17 +320,16 @@ def _scan_csv(data: bytes, path) -> tuple | None:
     starts, ends = ends[3:-1] + 1, ends[4:]
     kinds = text[ends]
     if not _rows_tile(kinds):
-        # a blank line, a newline right after a newline, breaks the tiling
-        keep = (kinds != _NEWLINE) | (text[ends - 1] != _NEWLINE)
-        starts, ends, kinds = starts[keep], ends[keep], kinds[keep]
-        if not _rows_tile(kinds):
-            return None
+        return None
     ends -= starts  # now the field widths
     starts, widths = starts.reshape(-1, 4), ends.reshape(-1, 4)
     flags = text[starts[:, 3]]
     if (widths[:, 3] != 1).any() or not ((flags == _ZERO) | (flags == _ONE)).all():
         return None
-    if widths[:, :3].max() > csv.field_size_limit():
+    width = int(widths[:, :3].max())
+    # an id column's keys take rows x its widest id bytes: one long id among
+    # many rows would make them far larger than the file
+    if width > csv.field_size_limit() or len(widths) * width > 2 * text.size:
         return None
     ids, codes = zip(
         *(_first_appearance_codes(text, starts[:, c], widths[:, c], path) for c in range(3))

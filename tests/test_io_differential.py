@@ -87,7 +87,8 @@ def csv_files(draw):
     if ends and not draw(st.booleans()):
         ends[-1] = ""  # no newline at the end of the file
     text = header + newline + "".join(line + end for line, end in zip(lines, ends))
-    plain = header == HEADER and not (bad or quoted or bare_return) and any(lines)
+    # a blank line breaks the scan's row tiling, so csv.reader takes the file
+    plain = header == HEADER and not (bad or quoted or bare_return) and lines and all(lines)
     return text.encode("utf-8"), plain
 
 
@@ -124,8 +125,8 @@ class TestCsvScan:
                                               [[False, False], [False, False]]]
 
     @pytest.mark.parametrize(
-        "row", ["z,\"v,w\",a,1", "z,v\0,a,1", "z,v,a,1\rz,v,b,1"],
-        ids=["quotes", "nul", "bare-return"],
+        "row", ["z,\"v,w\",a,1", "z,v\0,a,1", "z,v,a,1\rz,v,b,1", "z,v,a,1\r\n\r\nz,v,b,1"],
+        ids=["quotes", "nul", "bare-return", "blank-line"],
     )
     def test_files_left_to_csv_reader_match_the_reference(self, tmp_path, row):
         path = tmp_path / "d.csv"
@@ -134,6 +135,17 @@ class TestCsvScan:
         expected = outcome(ref.load_profile_csv, path)
         assert expected[0] == "profile"
         assert outcome(load_profile_csv, path) == expected
+
+    def test_one_long_id_among_many_rows_goes_to_csv_reader(self, tmp_path):
+        # padding every row's key to the long id would take rows x 20 KB
+        long_id = "v" * 20_000
+        rows = [HEADER, f"z,{long_id},a,1"] + [f"z{i},w,a,{i % 2}" for i in range(2_000)]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert io._scan_csv(path.read_bytes(), path) is None
+        profile = load_profile_csv(path)
+        assert profile.voters == (long_id, "w")
+        assert outcome(load_profile_csv, path) == outcome(ref.load_profile_csv, path)
 
     def test_field_over_the_csv_limit_is_a_format_error(self, tmp_path):
         path = tmp_path / "d.csv"
