@@ -7,12 +7,15 @@ pass, reliability and prior updates, and the alternating loop run to its
 fixed point under both prior-update rules.
 """
 
+from itertools import compress
+
 import numpy as np
 
 from approvalmle import (
     AmleConfig,
     Bounds,
     Profile,
+    TruthCounts,
     anna_karenina_init,
     estimate_truth,
     explain_truth,
@@ -33,6 +36,13 @@ profile = Profile.build(
 )
 bounds = Bounds(1, 2)
 
+
+def show(truths):
+    """Print each question's truth set, a row of the ``bool[L, m]`` truth array."""
+    for zid, row in zip(profile.instance_ids, truths):
+        print(f"  {zid}: {list(compress(profile.alternative_ids, row))}")
+
+
 print("=== distance-based initialization ===")
 init = anna_karenina_init(profile)
 for i, voter in enumerate(profile.voters):
@@ -50,24 +60,21 @@ print(f"  chosen set:    {sorted(profile.alternative_ids[j] for j in estimate.ch
 
 print("\n=== one manual round: truths, then reliabilities ===")
 truths = estimate_truth(profile, init, bounds)
-for zid, truth in zip(profile.instance_ids, truths):
-    print(f"  {zid}: {sorted(profile.alternative_ids[j] for j in truth)}")
-p_hat, q_hat = update_reliabilities(profile, profile.truth_counts(truths))
+show(truths)
+p_hat, q_hat = update_reliabilities(profile, TruthCounts.count(profile.approvals, truths))
 for i, voter in enumerate(profile.voters):
     print(f"  {voter}: p={p_hat[i]:.3f} q={q_hat[i]:.3f}")
 
 print("\n=== full alternating loop, exact prior updates (default) ===")
 result = run_amle(profile, bounds, init, AmleConfig(max_iterations=1000))
 print(f"  converged: {result.converged} after {result.iterations} iterations")
-for zid, truth in zip(profile.instance_ids, result.truths):
-    print(f"  {zid}: {sorted(profile.alternative_ids[j] for j in truth)}")
+show(result.truth_array)
 print(f"  final t: {np.round(result.params.t, 4)}")
 
 print("\n=== same loop with the legacy prior update ===")
 legacy = run_amle(profile, bounds, init, AmleConfig(prior_update="legacy"))
 print(f"  converged: {legacy.converged} after {legacy.iterations} iterations")
-for zid, truth in zip(profile.instance_ids, legacy.truths):
-    print(f"  {zid}: {sorted(profile.alternative_ids[j] for j in truth)}")
+show(legacy.truth_array)
 print(f"  final t: {np.round(legacy.params.t, 4)}")
 
 print(

@@ -11,6 +11,7 @@ import numpy as np
 
 from approvalmle import (
     Bounds,
+    approval_matrix,
     hamming_accuracy,
     majority_rule,
     modal_rule,
@@ -30,16 +31,17 @@ for n in (10, 30, 50):
     hamming_scores = {k: [] for k in subset_scores}
     for seed in range(SEEDS):
         spec = SynthSpec.homogeneous(M, n, L, BOUNDS, p=0.7, q=0.4, seed=seed)
-        profile, truths = sample_dataset(spec)
+        profile, sampled = sample_dataset(spec)
+        truths = approval_matrix(sampled, M)
         estimates = {
-            "amle-constrained": run_amle(profile, BOUNDS, uniform_init(n, M)).truths,
-            "amle-free": run_amle(profile, Bounds(0, M), uniform_init(n, M)).truths,
+            "amle-constrained": run_amle(profile, BOUNDS, uniform_init(n, M)).truth_array,
+            "amle-free": run_amle(profile, Bounds(0, M), uniform_init(n, M)).truth_array,
             "majority": majority_rule(profile, BOUNDS),
             "modal": modal_rule(profile),
         }
         for method, est in estimates.items():
             subset_scores[method].append(subset_accuracy(est, truths))
-            hamming_scores[method].append(hamming_accuracy(est, truths, M))
+            hamming_scores[method].append(hamming_accuracy(est, truths))
     for method in subset_scores:
         print(
             f"{n:>4} {method:<18} {np.mean(subset_scores[method]):>12.3f} "

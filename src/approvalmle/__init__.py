@@ -37,7 +37,9 @@ from .model import (
     TruthCounts,
     TruthEstimate,
     ValidationReport,
+    approval_matrix,
     clamp_unit,
+    truth_sets,
     validate_profile,
 )
 from .priors import (
@@ -71,6 +73,7 @@ __all__ = [
     "TruthEstimate",
     "ValidationReport",
     "anna_karenina_init",
+    "approval_matrix",
     "brute_force_truth_mle",
     "cardinality_mass",
     "clamp_unit",
@@ -92,6 +95,7 @@ __all__ = [
     "subset_accuracy",
     "sweep_inclusion_priors",
     "total_loglik",
+    "truth_sets",
     "uniform_init",
     "update_inclusion_prior",
     "update_reliabilities",

@@ -1,8 +1,8 @@
 """Alternating maximum-likelihood estimation of truths and parameters.
 
 Each iteration re-estimates every instance's truth set given the current
-parameters (one whole-profile call), counts those truths once against the
-ballots (``Profile.truth_counts``), then updates the voter rates (p, q)
+parameters (one whole-profile call), counts that truth array once against
+the ballots (``TruthCounts.count``), then updates the voter rates (p, q)
 and, unless priors are frozen, sweeps the inclusion priors t coordinate by
 coordinate.  Under the default ``exact`` prior update every step maximizes
 the total likelihood in its own block, so the likelihood never decreases and
@@ -27,7 +27,9 @@ from .model import (
     GroundTruth,
     ParamVector,
     Profile,
+    TruthCounts,
     require_epsilon,
+    truth_sets,
     validate_profile,
 )
 from .priors import require_rule, sweep_inclusion_priors
@@ -61,23 +63,30 @@ class AmleConfig:
         require_rule(self.prior_update)
 
 
-@dataclass(frozen=True)
-class AmleStep:
-    """One iteration's record: parameters after the update, truths, and the
-    total log-likelihood before (``loglik_truth_step``) and after
+class _TruthSets:
+    @property
+    def truths(self) -> GroundTruth:
+        """One frozenset per instance, from ``truth_array``."""
+        return truth_sets(self.truth_array)
+
+
+@dataclass(frozen=True, eq=False)
+class AmleStep(_TruthSets):
+    """One iteration's record: parameters after the update, the truth array,
+    and the total log-likelihood before (``loglik_truth_step``) and after
     (``loglik``) the parameter update."""
 
     iteration: int
     params: ParamVector
-    truths: GroundTruth
+    truth_array: np.ndarray
     loglik_truth_step: float
     loglik: float
     param_delta: float
 
 
-@dataclass(frozen=True)
-class AmleResult:
-    truths: GroundTruth
+@dataclass(frozen=True, eq=False)
+class AmleResult(_TruthSets):
+    truth_array: np.ndarray
     params: ParamVector
     trace: tuple
     converged: bool
@@ -115,12 +124,11 @@ def run_amle(
     steps = []
     converged = False
     iteration = 0
-    truths: GroundTruth = ()
 
     while iteration < config.max_iterations and not converged:
         iteration += 1
         truths = estimate_truth(profile, params, bounds)
-        counts = profile.truth_counts(truths)
+        counts = TruthCounts.count(profile.approvals, truths)
         loglik_truth_step = total_loglik(profile, counts, params, bounds)
 
         p_hat, q_hat = update_reliabilities(profile, counts, config.epsilon_clamp)
@@ -141,7 +149,7 @@ def run_amle(
         converged = delta <= config.tolerance
 
     return AmleResult(
-        truths=truths,
+        truth_array=truths,
         params=params,
         trace=tuple(steps),
         converged=converged,

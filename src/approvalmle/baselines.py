@@ -1,17 +1,17 @@
 """Baseline aggregation rules that ignore voter reliabilities.
 
-Both rules take a whole ``Profile`` and return one set per instance, computed
-from ``Profile.approvals``.
+Both rules take a whole ``Profile`` and return one set per instance as a
+read-only ``bool[L, m]`` truth array, computed from ``Profile.approvals``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Bounds, GroundTruth, Profile
+from .model import Bounds, Profile, ranked_prefixes, read_only
 
 
-def modal_rule(profile: Profile) -> GroundTruth:
+def modal_rule(profile: Profile) -> np.ndarray:
     """Per instance, the most frequently cast exact ballot.
 
     Ties between equally frequent ballots are broken by the lexicographically
@@ -19,16 +19,16 @@ def modal_rule(profile: Profile) -> GroundTruth:
     """
     packed = np.packbits(profile.approvals, axis=-1)
     keys = packed.view(np.dtype((np.void, packed.shape[-1])))[..., 0]
-    truths = []
+    voters = []
     for rows, instance_keys in zip(profile.approvals, keys):
         _, first, counts = np.unique(instance_keys, return_index=True, return_counts=True)
         tied = first[counts == counts.max()]
         # ascending index lists compare like the sorted index tuples
-        truths.append(frozenset(min(np.flatnonzero(rows[i]).tolist() for i in tied)))
-    return tuple(truths)
+        voters.append(min(tied, key=lambda i: np.flatnonzero(rows[i]).tolist()))
+    return read_only(profile.approvals[np.arange(profile.num_instances), voters])
 
 
-def majority_rule(profile: Profile, bounds: Bounds) -> GroundTruth:
+def majority_rule(profile: Profile, bounds: Bounds) -> np.ndarray:
     """Per instance, the label-wise strict majority, fixed up to respect the
     cardinality bounds.
 
@@ -45,6 +45,4 @@ def majority_rule(profile: Profile, bounds: Bounds) -> GroundTruth:
     order = np.argsort(-counts, axis=-1, kind="stable")
     majority = np.count_nonzero(2 * counts > profile.num_voters, axis=-1)
     k = np.clip(np.maximum(majority, 1), bounds.lower, bounds.upper)
-    return tuple(
-        frozenset(ranking[:size]) for ranking, size in zip(order.tolist(), k.tolist())
-    )
+    return ranked_prefixes(order, k)

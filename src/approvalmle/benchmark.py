@@ -25,7 +25,7 @@ from .baselines import majority_rule, modal_rule
 from .initialization import anna_karenina_init, random_init, uniform_init
 from .io import load_params
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy
-from .model import Bounds, GroundTruth, Profile
+from .model import Bounds, GroundTruth, Profile, approval_matrix
 
 METHODS = ("amle-constrained", "amle-free", "modal", "majority")
 METRICS = ("hamming", "subset", "harmonic", "harmonic_norm")
@@ -94,15 +94,15 @@ def run_method(
     bounds: Bounds,
     init_strategy: str = "anna-karenina",
     config: AmleConfig = AmleConfig(),
-) -> GroundTruth:
-    """Aggregate a profile with one method and return per-instance sets."""
+) -> np.ndarray:
+    """Aggregate a profile with one method and return its truth array."""
     if method == "amle-constrained":
         result = run_amle(profile, bounds, parse_init(init_strategy)(profile), config)
-        return result.truths
+        return result.truth_array
     if method == "amle-free":
         free = Bounds(0, profile.num_alternatives)
         result = run_amle(profile, free, parse_init(init_strategy)(profile), config)
-        return result.truths
+        return result.truth_array
     if method == "modal":
         return modal_rule(profile)
     if method == "majority":
@@ -110,12 +110,12 @@ def run_method(
     raise ValueError(f"unknown method {method!r}")
 
 
-def score_estimates(estimates: GroundTruth, truths: GroundTruth, m: int) -> dict:
+def score_estimates(estimates: np.ndarray, truths: np.ndarray) -> dict:
     return {
-        "hamming": hamming_accuracy(estimates, truths, m),
+        "hamming": hamming_accuracy(estimates, truths),
         "subset": subset_accuracy(estimates, truths),
-        "harmonic": harmonic_accuracy(estimates, truths, m),
-        "harmonic_norm": harmonic_accuracy(estimates, truths, m, normalized=True),
+        "harmonic": harmonic_accuracy(estimates, truths),
+        "harmonic_norm": harmonic_accuracy(estimates, truths, normalized=True),
     }
 
 
@@ -152,10 +152,10 @@ def run_benchmark(
     init_strategy: str = "anna-karenina",
     config: AmleConfig = AmleConfig(),
 ) -> list:
-    """Accuracy table over voter batches; see module docstring."""
+    """Accuracy table over voter batches against frozenset ``truths``; see module docstring."""
     n = profile.num_voters
     check_benchmark(n, batch_sizes, num_batches, methods, init_strategy)
-    m = profile.num_alternatives
+    truths = approval_matrix(truths, profile.num_alternatives)
     rows = []
     for size in batch_sizes:
         scores = {method: {metric: [] for metric in METRICS} for method in methods}
@@ -167,7 +167,7 @@ def run_benchmark(
             sub = restrict_voters(profile, chosen.tolist())
             for method in methods:
                 estimates = run_method(method, sub, bounds, init_strategy, config)
-                for metric, value in score_estimates(estimates, truths, m).items():
+                for metric, value in score_estimates(estimates, truths).items():
                     scores[method][metric].append(value)
         for method in methods:
             for metric in METRICS:

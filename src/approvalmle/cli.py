@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .benchmark import (
 # unused here; kept because perfbench's tracer wraps these names on this module
 from .initialization import anna_karenina_init, random_init, uniform_init  # noqa: F401
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noqa: F401
-from .model import Bounds, validate_profile
+from .model import Bounds, approval_matrix, validate_profile
 from .synth import SynthSpec, sample_profile, sample_truths
 from .truth_mle import voter_weights
 
@@ -53,6 +54,7 @@ class _Parser(argparse.ArgumentParser):
     # estimation only and treat bad flags as validation failures.
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
 
@@ -114,13 +116,13 @@ def cmd_aggregate(args) -> int:
     if bounds.upper == 0:
         # Degenerate but legal: the bounds force every truth set to be empty,
         # so nothing is estimable and the initial parameters are echoed back.
-        truths = (frozenset(),) * profile.num_instances
+        truths = np.zeros((profile.num_instances, profile.num_alternatives), dtype=bool)
         params = init
         convergence = {"converged": True, "iterations": 0, "final_delta": 0.0}
         trace_logliks = []
     else:
         result = run_amle(profile, bounds, init, config)
-        truths = result.truths
+        truths = result.truth_array
         params = result.params
         convergence = {
             "converged": result.converged,
@@ -145,8 +147,8 @@ def cmd_aggregate(args) -> int:
         },
         "alternatives": alt_ids,
         "estimates": {
-            zid: [alt_ids[j] for j in sorted(truth)]
-            for zid, truth in zip(profile.instance_ids, truths)
+            zid: list(compress(alt_ids, row))
+            for zid, row in zip(profile.instance_ids, truths.tolist())
         },
         "params": {
             "p": params.p.tolist(),
@@ -165,7 +167,7 @@ def cmd_aggregate(args) -> int:
         "loglik_trace": trace_logliks,
     }
     if ground_truth is not None:
-        report["metrics"] = score_estimates(truths, ground_truth, profile.num_alternatives)
+        report["metrics"] = score_estimates(truths, approval_matrix(ground_truth, len(alt_ids)))
 
     out = _out_path(args.out, Path(args.dataset).stem + "_report.json")
     with open(out, "w", encoding="utf-8") as fh:
@@ -198,6 +200,8 @@ def cmd_evaluate(args) -> int:
         raise _CliError(
             f"instance ids differ between the two files; symmetric difference: {diff}"
         )
+    if not estimates_map:
+        raise _CliError("the assignments name no instances, so there is nothing to score")
 
     if args.alternatives:
         alt_ids = args.alternatives.split(",")
@@ -206,22 +210,23 @@ def cmd_evaluate(args) -> int:
     elif truth_alts:
         alt_ids = list(truth_alts)
     else:
-        seen = sorted(
+        alt_ids = sorted(
             {a for sets in (estimates_map, truths_map) for ids in sets.values() for a in ids}
         )
-        alt_ids = seen
+    if not alt_ids:
+        raise _CliError("the assignments name no alternatives; pass them with --alternatives")
     index = {aid: j for j, aid in enumerate(alt_ids)}
 
     order = sorted(estimates_map)
     try:
-        estimates = tuple(
-            frozenset(index[a] for a in estimates_map[zid]) for zid in order
+        estimates, truths = (
+            approval_matrix([[index[a] for a in sets[zid]] for zid in order], len(alt_ids))
+            for sets in (estimates_map, truths_map)
         )
-        truths = tuple(frozenset(index[a] for a in truths_map[zid]) for zid in order)
     except KeyError as exc:
         raise _CliError(f"assignment names unknown alternative {exc}") from None
 
-    table = score_estimates(estimates, truths, len(alt_ids))
+    table = score_estimates(estimates, truths)
     for name, value in table.items():
         print(f"{name:<14} {value:.4f}")
     if args.out:

@@ -97,7 +97,7 @@ def total_loglik(
     bounds: Bounds,
 ) -> float:
     """Total log-likelihood over all instances of the truths that ``counts``
-    (from ``profile.truth_counts``) holds.
+    (from ``TruthCounts.count``) holds.
 
     Instances are independent given the parameters, so the total depends on
     the ballots and truths only through per-voter and per-alternative counts.

@@ -1,4 +1,4 @@
-"""Accuracy metrics for comparing estimated truth sets against references.
+"""Accuracy metrics for comparing estimated truth arrays against references.
 
 Hamming accuracy scores labels independently, exact-match (0/1) accuracy
 scores whole sets, and the overlap-weighted family sits in between: an
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroundTruth
+from .model import require_truth_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,38 +42,28 @@ class ThieleWeights:
         return cls(np.concatenate([[0.0], np.cumsum(1.0 / np.arange(m, 0, -1))]))
 
 
-def _check_lengths(estimates: GroundTruth, truths: GroundTruth) -> None:
-    if len(estimates) != len(truths):
-        raise ValueError(
-            f"got {len(estimates)} estimates for {len(truths)} reference sets"
-        )
-    if not truths:
+def _check_pair(estimates: np.ndarray, truths: np.ndarray) -> None:
+    require_truth_array(truths)
+    require_truth_array(estimates, *truths.shape, name="estimates")
+    if not len(truths):
         raise ValueError("need at least one instance")
 
 
-def hamming_accuracy(estimates: GroundTruth, truths: GroundTruth, m: int) -> float:
+def hamming_accuracy(estimates: np.ndarray, truths: np.ndarray) -> float:
     """Fraction of (instance, alternative) labels on which the sets agree."""
-    _check_lengths(estimates, truths)
-    agree = sum(
-        m - len(frozenset(est) ^ frozenset(truth))
-        for est, truth in zip(estimates, truths)
-    )
-    return agree / (m * len(truths))
+    _check_pair(estimates, truths)
+    return int(np.count_nonzero(estimates == truths)) / truths.size
 
 
-def subset_accuracy(estimates: GroundTruth, truths: GroundTruth) -> float:
+def subset_accuracy(estimates: np.ndarray, truths: np.ndarray) -> float:
     """Fraction of instances whose estimate matches the reference exactly."""
-    _check_lengths(estimates, truths)
-    hits = sum(
-        frozenset(est) == frozenset(truth) for est, truth in zip(estimates, truths)
-    )
-    return hits / len(truths)
+    _check_pair(estimates, truths)
+    return int(np.count_nonzero((estimates == truths).all(axis=1))) / len(truths)
 
 
 def harmonic_accuracy(
-    estimates: GroundTruth,
-    truths: GroundTruth,
-    m: int,
+    estimates: np.ndarray,
+    truths: np.ndarray,
     weights: ThieleWeights | None = None,
     normalized: bool = False,
 ) -> float:
@@ -86,23 +76,18 @@ def harmonic_accuracy(
     self-score 0; by convention it contributes 1 when the estimate is also
     empty and 0 otherwise.
     """
-    _check_lengths(estimates, truths)
+    _check_pair(estimates, truths)
+    m = truths.shape[1]
     if weights is None:
         weights = ThieleWeights.harmonic(m)
     w = weights.weights
     if len(w) != m + 1:
         raise ValueError(f"need m + 1 = {m + 1} weights, got {len(w)}")
 
-    total = 0.0
-    for est, truth in zip(estimates, truths):
-        est = frozenset(est)
-        truth = frozenset(truth)
-        score = w[len(est & truth)]
-        if normalized:
-            self_score = w[len(truth)]
-            if self_score == 0.0:
-                score = 1.0 if est == truth else 0.0
-            else:
-                score = score / self_score
-        total += score
-    return total / len(truths)
+    scores = w[np.count_nonzero(estimates & truths, axis=1)]
+    if normalized:
+        self_scores = w[np.count_nonzero(truths, axis=1)]
+        exact = (estimates == truths).all(axis=1).astype(float)
+        scores = np.divide(scores, self_scores, out=exact, where=self_scores != 0.0)
+    # cumsum adds left to right; a pairwise .sum() can move the last bits
+    return np.cumsum(scores)[-1] / len(truths)

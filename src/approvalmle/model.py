@@ -9,10 +9,10 @@ Conventions used throughout the package:
   ``Profile.approvals`` array, and every computation reads that array (one
   instance's ballots are ``approvals[z]``); frozensets of alternative indices
   appear only in ``Profile.build`` and the read-only ``Profile.instances``
-  view.  Truth sets enter and leave as frozensets (one per instance, in
-  instance order).  ``Profile.truth_counts`` turns one iteration's truth sets
-  into a ``TruthCounts`` value: the ``bool[L, m]`` truth array and the counts
-  that the log-likelihood, the reliability update and the prior sweep read.
+  view.  One truth set per instance is a read-only ``bool[L, m]`` truth array,
+  which ``TruthCounts.count`` turns into the counts later steps read; the edges
+  (files, synthetic truths, single-set oracles) convert frozensets to and from
+  it with ``approval_matrix`` and ``truth_sets``.
 """
 
 from __future__ import annotations
@@ -46,11 +46,40 @@ def require_open_unit(values, name: str) -> np.ndarray:
     return arr
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def approval_matrix(sets, m: int) -> np.ndarray:
     """Dense ``bool[len(sets), m]`` whose row r marks the members of ``sets[r]``."""
     sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
     members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)
     return marked_rows(sizes, members, m)
+
+
+def truth_sets(truths: np.ndarray) -> GroundTruth:
+    """The frozenset of marked columns of each row of a 2-D bool array."""
+    columns = range(truths.shape[1])
+    return tuple(frozenset(itertools.compress(columns, row)) for row in truths.tolist())
+
+
+def ranked_prefixes(order: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Read-only ``bool[L, m]`` marking the first ``k[z]`` entries of each ``order[z]``."""
+    marked = np.zeros(order.shape, dtype=bool)
+    np.put_along_axis(marked, order, np.arange(order.shape[-1]) < k[:, np.newaxis], axis=-1)
+    return read_only(marked)
+
+
+def require_truth_array(truths, length=None, m=None, name: str = "truths") -> None:
+    """Raise ValueError unless ``truths`` is ``bool[L, m]``, of L and m where given."""
+    shape = getattr(truths, "shape", None)
+    want = f"({'L' if length is None else length}, {'m' if m is None else m})"
+    if getattr(truths, "dtype", None) != bool or len(shape) != 2 or not (
+        length in (None, shape[0]) and m in (None, shape[1])
+    ):
+        got = f"{truths.dtype} array of shape {shape}" if shape else type(truths).__name__
+        raise ValueError(f"{name} must be a bool array of shape (L, m) = {want}, got {got}")
 
 
 def marked_rows(sizes, members, m: int) -> np.ndarray:
@@ -113,15 +142,9 @@ class Instance:
 _INDEX_TYPES = (int, np.integer)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, eq=False)
 class TruthCounts:
-    """One truth set per instance, as the counts every step after the truth
-    step reads.
+    """One truth array, as the counts every step after the truth step reads.
 
     ``truths`` is the ``bool[L, m]`` truth array, ``sizes[z]`` the size of
     truth set z and ``occurrences[j]`` the number of truth sets holding
@@ -138,13 +161,14 @@ class TruthCounts:
     @classmethod
     def count(cls, approvals: np.ndarray, truths: np.ndarray) -> "TruthCounts":
         """Counts of truths ``bool[L, m]`` against ballots ``bool[L, n, m]``."""
+        require_truth_array(truths, approvals.shape[0], approvals.shape[2])
         # einsum over two bool operands would return a logical OR, not a count
         true_pos = np.einsum("zij,zj->i", approvals, truths.astype(float))
         return cls(
-            _read_only(truths),
-            _read_only(truths.sum(1)),
-            _read_only(truths.sum(0)),
-            _read_only(true_pos),
+            read_only(truths.copy()),
+            read_only(truths.sum(1)),
+            read_only(truths.sum(0)),
+            read_only(true_pos),
         )
 
     @property
@@ -208,26 +232,13 @@ class Profile:
     def instances(self) -> tuple:
         """One frozenset-ballot ``Instance`` per instance, a view for callers
         outside the package; derived from ``approvals`` on first use."""
-        columns = range(self.num_alternatives)
-        return tuple(
-            Instance(zid, tuple(frozenset(itertools.compress(columns, row)) for row in rows))
-            for zid, rows in zip(self.instance_ids, self.approvals.tolist())
-        )
+        return tuple(map(Instance, self.instance_ids, map(truth_sets, self.approvals)))
 
     @cached_property
     def approval_totals(self) -> np.ndarray:
         """Read-only ``int[n]``: how many (instance, alternative) pairs each
         voter approves."""
-        return _read_only(self.approvals.sum((0, 2)))
-
-    def truth_counts(self, truths: GroundTruth) -> TruthCounts:
-        """The ``TruthCounts`` of one truth set per instance, in instance
-        order."""
-        if len(truths) != self.num_instances:
-            raise ValueError(
-                f"got {len(truths)} truth sets for {self.num_instances} instances"
-            )
-        return TruthCounts.count(self.approvals, approval_matrix(truths, self.num_alternatives))
+        return read_only(self.approvals.sum((0, 2)))
 
     @classmethod
     def build(

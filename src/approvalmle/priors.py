@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_EPSILON_CLAMP, Bounds, GroundTruth, TruthCounts
-from .model import clamp_unit, require_epsilon, require_open_unit
+from .model import DEFAULT_EPSILON_CLAMP, Bounds, TruthCounts
+from .model import clamp_unit, require_epsilon, require_open_unit, require_truth_array
 
 
 def _extend(row: list, probs) -> list:
@@ -191,13 +191,13 @@ def _raw_update(
 
 def update_inclusion_prior(
     j: int,
-    truths: GroundTruth,
+    truths: np.ndarray,
     bounds: Bounds,
     t,
     epsilon: float = DEFAULT_EPSILON_CLAMP,
     rule: str = "exact",
 ) -> float:
-    """Closed-form coordinate update of t_j given truth sets, clamped.
+    """Closed-form coordinate update of t_j given a truth array, clamped.
 
     With the other coordinates of ``t`` held fixed, the likelihood as a
     function of x = t_j alone is
@@ -231,7 +231,8 @@ def update_inclusion_prior(
     """
     require_rule(rule)
     t = require_open_unit(t, "inclusion probabilities")
-    occ = sum(1 for truth in truths if j in truth)
+    require_truth_array(truths, m=len(t))
+    occ = int(np.count_nonzero(truths[:, j]))
     raw = _raw_update(
         j, occ, len(truths), len(t), bounds, rule,
         lambda: _rest_row(t, j, bounds),
@@ -247,7 +248,7 @@ def sweep_inclusion_priors(
     rule: str = "exact",
 ) -> np.ndarray:
     """One coordinate pass over all t_j, in ascending index order, given the
-    truth sets' occurrence counts in ``counts`` (see ``Profile.truth_counts``).
+    truth sets' occurrence counts in ``counts`` (see ``TruthCounts.count``).
 
     Each update sees the already-updated coordinates below it and the previous
     values above it; the pass is inherently sequential.  The pass keeps the

@@ -18,7 +18,7 @@ def update_reliabilities(
     epsilon: float = DEFAULT_EPSILON_CLAMP,
 ):
     """Estimate (p, q) for every voter given the per-instance truth sets that
-    ``counts`` (from ``profile.truth_counts``) holds.
+    ``counts`` (from ``TruthCounts.count``) holds.
 
     Returns clamped arrays; degenerate counts (a perfect or spamming voter)
     land on the clamp boundaries rather than 0 or 1, keeping log-odds weights

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import TIE_TOLERANCE, Bounds, GroundTruth, ParamVector, Profile, TruthEstimate
+from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthEstimate, ranked_prefixes
 
 
 def voter_weights(params: ParamVector) -> np.ndarray:
@@ -67,11 +67,11 @@ def check_fit(ballots_shape: tuple, params: ParamVector, bounds: Bounds) -> None
     params.require_fit(ballots_shape)
 
 
-def estimate_truth(profile: Profile, params: ParamVector, bounds: Bounds) -> GroundTruth:
+def estimate_truth(profile: Profile, params: ParamVector, bounds: Bounds) -> np.ndarray:
     """Constrained maximum-likelihood truth set of every instance.
 
-    Returns the ``GroundTruth`` tuple, computed in one pass over
-    ``Profile.approvals``.
+    Returns the read-only ``bool[L, m]`` truth array, computed in one pass
+    over ``Profile.approvals``.
 
     Every maximizer is a top-k prefix of the score ranking that takes as much
     of the above-threshold set as the upper bound allows and dips into the
@@ -82,10 +82,7 @@ def estimate_truth(profile: Profile, params: ParamVector, bounds: Bounds) -> Gro
     reproducible.
     """
     check_fit(profile.approvals.shape[1:], params, bounds)
-    order, k = _top_k(*_board(profile.approvals, params), bounds)
-    return tuple(
-        frozenset(ranking[:size]) for ranking, size in zip(order.tolist(), k.tolist())
-    )
+    return ranked_prefixes(*_top_k(*_board(profile.approvals, params), bounds))
 
 
 def explain_truth(ballots: np.ndarray, params: ParamVector, bounds: Bounds) -> TruthEstimate:

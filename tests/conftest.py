@@ -9,7 +9,7 @@ estimation trajectory is known in closed form; ``counted_instance`` holds the
 import numpy as np
 import pytest
 
-from approvalmle import Bounds, ParamVector, Profile, TruthCounts
+from approvalmle import Bounds, ParamVector, Profile, TruthCounts, approval_matrix
 
 
 @pytest.fixture
@@ -65,9 +65,14 @@ def instance_with_counts(counts, n) -> np.ndarray:
     return np.arange(n)[:, np.newaxis] < np.asarray(counts)
 
 
+def counts_of(profile: Profile, truths) -> TruthCounts:
+    """``TruthCounts`` of one frozenset per instance against ``profile``."""
+    return TruthCounts.count(profile.approvals, approval_matrix(truths, profile.num_alternatives))
+
+
 def voterless_counts(truths, m) -> TruthCounts:
-    """``Profile.truth_counts`` of ``truths`` on a profile with m alternatives
-    and no voters; it holds all that the prior sweep reads."""
+    """``counts_of`` ``truths`` on a profile with m alternatives and no
+    voters; it holds all that the prior sweep reads."""
     length = len(truths)
     profile = Profile(
         [f"a{j}" for j in range(m)],
@@ -75,7 +80,7 @@ def voterless_counts(truths, m) -> TruthCounts:
         [f"z{z}" for z in range(length)],
         np.zeros((length, 0, m), dtype=bool),
     )
-    return profile.truth_counts(truths)
+    return counts_of(profile, truths)
 
 
 @pytest.fixture

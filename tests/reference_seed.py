@@ -3,15 +3,17 @@
 These are the original implementations that walk frozenset ballots one by
 one: the truth step, the log-likelihoods, the reliability update, the
 cardinality DP with the inclusion-prior sweep, the distance-based
-initialization, and the alternating loop that strings them together.  The
+initialization, the alternating loop that strings them together, the
+baselines and the accuracy metrics over frozenset truth sets.  The
 package computes the same quantities on dense arrays; the differential tests
 compare the two.
 
 Do not optimise or refactor this module.  Its value is that it stays the
 slow, obvious version: a change here would silently move the reference that
 the package is checked against.  Only the plain data types (``Bounds``,
-``ParamVector``, ``Profile``, result records) and ``validate_profile`` come
-from the package.
+``ParamVector``, ``Profile``, ``ThieleWeights``, result records, which take
+their truths through ``approval_matrix``) and ``validate_profile`` come from
+the package.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from approvalmle.model import (
     ParamVector,
     Profile,
     TruthEstimate,
+    approval_matrix,
     clamp_unit,
     validate_profile,
 )
@@ -337,12 +340,18 @@ def run_amle(profile: Profile, bounds: Bounds, init: ParamVector, config: AmleCo
         delta = float(np.max(np.abs(updated.packed() - params.packed())))
         loglik = total_loglik(profile, truths, updated, bounds)
         steps.append(
-            AmleStep(iteration, updated, truths, loglik_truth_step, loglik, delta)
+            AmleStep(
+                iteration, updated, approval_matrix(truths, profile.num_alternatives),
+                loglik_truth_step, loglik, delta,
+            )
         )
         params = updated
         converged = delta <= config.tolerance
 
-    return AmleResult(truths, params, tuple(steps), converged, iteration)
+    return AmleResult(
+        approval_matrix(truths, profile.num_alternatives), params, tuple(steps), converged,
+        iteration,
+    )
 
 
 # -- baselines ---------------------------------------------------------------
@@ -396,3 +405,66 @@ def majority_rule(instance: Instance, bounds: Bounds, m: int) -> frozenset:
         padding = [j for j in order if j not in selected]
         selected += padding[: bounds.lower - len(selected)]
     return frozenset(selected)
+
+
+# -- metrics -----------------------------------------------------------------
+
+from approvalmle.metrics import ThieleWeights  # noqa: E402
+
+
+def _check_lengths(estimates, truths) -> None:
+    if len(estimates) != len(truths):
+        raise ValueError(
+            f"got {len(estimates)} estimates for {len(truths)} reference sets"
+        )
+    if not truths:
+        raise ValueError("need at least one instance")
+
+
+def hamming_accuracy(estimates, truths, m: int) -> float:
+    """Fraction of (instance, alternative) labels on which the sets agree."""
+    _check_lengths(estimates, truths)
+    agree = sum(
+        m - len(frozenset(est) ^ frozenset(truth))
+        for est, truth in zip(estimates, truths)
+    )
+    return agree / (m * len(truths))
+
+
+def subset_accuracy(estimates, truths) -> float:
+    """Fraction of instances whose estimate matches the reference exactly."""
+    _check_lengths(estimates, truths)
+    hits = sum(
+        frozenset(est) == frozenset(truth) for est, truth in zip(estimates, truths)
+    )
+    return hits / len(truths)
+
+
+def harmonic_accuracy(
+    estimates,
+    truths,
+    m: int,
+    weights: ThieleWeights | None = None,
+    normalized: bool = False,
+) -> float:
+    """Mean overlap-weighted score, harmonic weights by default."""
+    _check_lengths(estimates, truths)
+    if weights is None:
+        weights = ThieleWeights.harmonic(m)
+    w = weights.weights
+    if len(w) != m + 1:
+        raise ValueError(f"need m + 1 = {m + 1} weights, got {len(w)}")
+
+    total = 0.0
+    for est, truth in zip(estimates, truths):
+        est = frozenset(est)
+        truth = frozenset(truth)
+        score = w[len(est & truth)]
+        if normalized:
+            self_score = w[len(truth)]
+            if self_score == 0.0:
+                score = 1.0 if est == truth else 0.0
+            else:
+                score = score / self_score
+        total += score
+    return total / len(truths)

@@ -20,7 +20,9 @@ from approvalmle import (
     Bounds,
     ParamVector,
     Profile,
+    TruthCounts,
     anna_karenina_init,
+    approval_matrix,
     brute_force_truth_mle,
     cardinality_mass,
     estimate_truth,
@@ -35,6 +37,7 @@ from approvalmle import (
     run_amle,
     subset_accuracy,
     sweep_inclusion_priors,
+    truth_sets,
     uniform_init,
     update_inclusion_prior,
     update_reliabilities,
@@ -105,9 +108,9 @@ def test_c02_golden_first_iteration():
     init = _worked_init()
 
     truths = estimate_truth(profile, init, bounds)
-    assert truths == WORKED_FIRST_TRUTHS
+    assert truth_sets(truths) == WORKED_FIRST_TRUTHS
 
-    p_hat, q_hat = update_reliabilities(profile, profile.truth_counts(truths))
+    p_hat, q_hat = update_reliabilities(profile, TruthCounts.count(profile.approvals, truths))
     np.testing.assert_allclose(p_hat, [3 / 8, 3 / 8, 7 / 8], atol=1e-12)
     np.testing.assert_allclose(q_hat, [2 / 12, 1 / 12, 2 / 12], atol=1e-12)
     np.testing.assert_allclose(p_hat, [0.38, 0.38, 0.88], atol=0.005)
@@ -131,7 +134,7 @@ def test_c02_golden_first_iteration():
     def objective(x):
         candidate = t.copy()
         candidate[0] = x
-        occ = sum(1 for s in truths if 0 in s)
+        occ = sum(1 for s in truth_sets(truths) if 0 in s)
         return (
             -len(truths) * math.log(cardinality_mass(candidate, bounds))
             + occ * math.log(x)
@@ -251,8 +254,8 @@ def test_c07_monotone_likelihood_and_fixed_points():
         if result.converged:
             converged_count += 1
             rerun = estimate_truth(profile, result.params, Bounds(1, 2))
-            assert rerun == result.truths
-            counts = profile.truth_counts(rerun)
+            assert np.array_equal(rerun, result.truth_array)
+            counts = TruthCounts.count(profile.approvals, rerun)
             p2, q2 = update_reliabilities(profile, counts)
             t2 = sweep_inclusion_priors(counts, Bounds(1, 2), result.params.t)
             repacked = np.concatenate([p2, q2, t2])
@@ -276,18 +279,19 @@ def test_c08_synthetic_recovery_study():
         for seed in range(100):
             spec = SynthSpec.homogeneous(5, n, 15, bounds, 0.7, 0.4, seed)
             profile, truths = sample_dataset(spec)
+            truths = approval_matrix(truths, 5)
             estimates = {
                 "amle-constrained": run_amle(
                     profile, bounds, uniform_init(n, 5)
-                ).truths,
+                ).truth_array,
                 "amle-free": run_amle(
                     profile, Bounds(0, 5), uniform_init(n, 5)
-                ).truths,
+                ).truth_array,
                 "majority": majority_rule(profile, bounds),
             }
             for method, est in estimates.items():
                 subset_scores[method].append(subset_accuracy(est, truths))
-                hamming_scores[method].append(hamming_accuracy(est, truths, 5))
+                hamming_scores[method].append(hamming_accuracy(est, truths))
         subset_means[n] = {k: float(np.mean(v)) for k, v in subset_scores.items()}
         hamming_means[n] = {k: float(np.mean(v)) for k, v in hamming_scores.items()}
 
@@ -325,16 +329,17 @@ def test_c09_annotation_dataset_reproduction():
 
     profile, truths = load_dataset(path)
     assert truths is not None, "reproduction needs embedded ground truth"
+    truths = approval_matrix(truths, profile.num_alternatives)
     bounds = Bounds(1, 2)
     config = AmleConfig(prior_update="legacy")
 
     estimates = {
         "amle-constrained": run_amle(
             profile, bounds, anna_karenina_init(profile), config
-        ).truths,
+        ).truth_array,
         "amle-free": run_amle(
             profile, Bounds(0, 5), anna_karenina_init(profile), config
-        ).truths,
+        ).truth_array,
         "modal": modal_rule(profile),
         "majority": majority_rule(profile, bounds),
     }
@@ -344,11 +349,10 @@ def test_c09_annotation_dataset_reproduction():
         "modal": (0.84, 0.69, 0.46),
         "majority": (0.80, 0.61, 0.26),
     }
-    m = profile.num_alternatives
     for method, (ham, harm, sub) in reference.items():
         est = estimates[method]
-        assert hamming_accuracy(est, truths, m) == pytest.approx(ham, abs=0.02)
-        assert harmonic_accuracy(est, truths, m, normalized=True) == pytest.approx(
+        assert hamming_accuracy(est, truths) == pytest.approx(ham, abs=0.02)
+        assert harmonic_accuracy(est, truths, normalized=True) == pytest.approx(
             harm, abs=0.02
         )
         assert subset_accuracy(est, truths) == pytest.approx(sub, abs=0.02)
@@ -377,7 +381,8 @@ def test_c10_metric_unit_suite():
         ((S({0, 1}), S(), S({2})), (S({1}), S(), S({2})), 4, (3 + 4 + 4) / 12, 2 / 3),
     ]
     for estimate, truth, m, expected_hamming, expected_exact in cases:
-        assert hamming_accuracy(estimate, truth, m) == pytest.approx(
+        estimate, truth = approval_matrix(estimate, m), approval_matrix(truth, m)
+        assert hamming_accuracy(estimate, truth) == pytest.approx(
             expected_hamming, abs=1e-12
         )
         assert subset_accuracy(estimate, truth) == pytest.approx(

@@ -6,6 +6,8 @@ from approvalmle import (
     Bounds,
     ParamVector,
     Profile,
+    TruthCounts,
+    approval_matrix,
     estimate_truth,
     run_amle,
     sample_dataset,
@@ -95,18 +97,18 @@ class TestWorkedProfile:
     ):
         # likelihood, reliabilities and prior sweep share one TruthCounts,
         # and building it is the only einsum
-        truth_counts, einsum = Profile.truth_counts, np.einsum
+        count, einsum = TruthCounts.count.__func__, np.einsum
         builds, contractions = [], []
 
-        def counting_build(profile, truths):
+        def counting_build(cls, approvals, truths):
             builds.append(truths)
-            return truth_counts(profile, truths)
+            return count(cls, approvals, truths)
 
         def counting_einsum(*args, **kwargs):
             contractions.append(args[0])
             return einsum(*args, **kwargs)
 
-        monkeypatch.setattr(Profile, "truth_counts", counting_build)
+        monkeypatch.setattr(TruthCounts, "count", classmethod(counting_build))
         monkeypatch.setattr(np, "einsum", counting_einsum)
         result = run_amle(
             worked_profile, worked_bounds, worked_init, AmleConfig(max_iterations=5)
@@ -151,8 +153,8 @@ class TestLoopProperties:
             if not result.converged:
                 continue
             rerun_truths = estimate_truth(profile, result.params, bounds)
-            assert rerun_truths == result.truths
-            counts = profile.truth_counts(rerun_truths)
+            assert np.array_equal(rerun_truths, result.truth_array)
+            counts = TruthCounts.count(profile.approvals, rerun_truths)
             p2, q2 = update_reliabilities(profile, counts)
             t2 = sweep_inclusion_priors(counts, bounds, result.params.t)
             repacked = np.concatenate([p2, q2, t2])
@@ -226,8 +228,9 @@ def test_estimation_beats_majority_on_average_at_scale():
     for seed in range(40):
         spec = SynthSpec.homogeneous(5, 50, 15, bounds, 0.7, 0.4, seed)
         profile, truths = sample_dataset(spec)
+        truths = approval_matrix(truths, 5)
         result = run_amle(profile, bounds, uniform_init(50, 5))
         baseline = majority_rule(profile, bounds)
-        amle_acc.append(subset_accuracy(result.truths, truths))
+        amle_acc.append(subset_accuracy(result.truth_array, truths))
         majority_acc.append(subset_accuracy(baseline, truths))
     assert np.mean(amle_acc) > np.mean(majority_acc)

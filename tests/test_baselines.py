@@ -1,6 +1,6 @@
 import numpy as np
 
-from approvalmle import Bounds, Profile, majority_rule, modal_rule
+from approvalmle import Bounds, Profile, majority_rule, modal_rule, truth_sets
 from conftest import instance_with_counts
 
 
@@ -9,7 +9,7 @@ def _modal(ballots, m):
     profile = Profile.build(
         [f"a{j}" for j in range(m)], [f"v{i}" for i in range(len(ballots))], [ballots]
     )
-    (chosen,) = modal_rule(profile)
+    (chosen,) = truth_sets(modal_rule(profile))
     return chosen
 
 
@@ -17,7 +17,7 @@ def _majority(ballots, bounds):
     """The majority rule's set for one instance of ``bool[n, m]`` ballots."""
     n, m = ballots.shape
     profile = Profile([f"a{j}" for j in range(m)], [f"v{i}" for i in range(n)], ["z1"], [ballots])
-    (chosen,) = majority_rule(profile, bounds)
+    (chosen,) = truth_sets(majority_rule(profile, bounds))
     return chosen
 
 
@@ -26,7 +26,7 @@ class TestModalRule:
         assert _modal([{0}, {0}, {1}], 2) == frozenset({0})
 
     def test_worked_profile_last_instance(self, worked_profile):
-        assert modal_rule(worked_profile)[3] == frozenset({0})
+        assert truth_sets(modal_rule(worked_profile))[3] == frozenset({0})
 
     def test_all_distinct_takes_lexicographically_smallest(self):
         assert _modal([{2}, {1, 3}, {0, 4}], 5) == frozenset({0, 4})

@@ -291,6 +291,22 @@ class TestEvaluate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_no_instances_exits_1(self, tmp_path, capsys):
+        est = tmp_path / "est.json"
+        est.write_text("{}")
+        assert run(["evaluate", est, est]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the assignments name no instances, so there is nothing to score\n"
+
+    def test_no_alternatives_exits_1(self, tmp_path, capsys):
+        est = tmp_path / "est.json"
+        est.write_text(json.dumps({"z1": [], "z2": []}))
+        assert run(["evaluate", est, est]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--alternatives" in err
+        assert run(["evaluate", est, est, "--alternatives", "a"]) == 0
+
 
 class TestSimulate:
     def test_deterministic_output(self, tmp_path):
@@ -515,6 +531,13 @@ def test_command_builds_no_instance(tmp_path, monkeypatch, capsys, command, flag
 
 def test_usage_error_exits_1():
     assert run(["aggregate"]) == 1
+
+
+def test_bad_flag_value_names_flag_and_value(capsys):
+    assert run(["simulate", "--seed", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.splitlines()[-1] == "error: argument --seed: invalid int value: 'abc'"
 
 
 def test_unknown_command_exits_1():

@@ -27,3 +27,13 @@ def test_demo_exits_0(script, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    if script == "01_worked_example.py":
+        # the manual round prints each truth row's alternative ids; a row
+        # read as indices would name the wrong ones or fail
+        manual = done.stdout.split("=== one manual round")[1].splitlines()[1:5]
+        assert manual == [
+            "  z1: ['a2', 'a4']",
+            "  z2: ['a2', 'a5']",
+            "  z3: ['a2', 'a3']",
+            "  z4: ['a1', 'a3']",
+        ]

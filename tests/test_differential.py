@@ -1,9 +1,9 @@
 """Differential tests: the dense-array package against the frozen per-ballot
 reference in ``reference_seed``.
 
-Whole AMLE trajectories and the distance-based initialization must agree
-exactly; log-likelihoods, which the two sides sum in different orders, agree
-within 1e-12 relative.
+Whole AMLE trajectories, the distance-based initialization and the accuracy
+metrics must agree exactly; log-likelihoods, which the two sides sum in
+different orders, agree within 1e-12 relative.
 """
 
 import math
@@ -20,10 +20,14 @@ from approvalmle import (
     CardinalityDP,
     ParamVector,
     Profile,
+    ThieleWeights,
     anna_karenina_init,
+    approval_matrix,
     cardinality_mass,
     estimate_truth,
     explain_truth,
+    hamming_accuracy,
+    harmonic_accuracy,
     majority_rule,
     mass_given_excluded,
     mass_given_included,
@@ -31,13 +35,15 @@ from approvalmle import (
     prior_logprob,
     random_init,
     run_amle,
+    subset_accuracy,
     sweep_inclusion_priors,
     total_loglik,
+    truth_sets,
     uniform_init,
 )
 from approvalmle.likelihood import IMPOSSIBLE, instance_loglik
 from approvalmle.truth_mle import _board
-from conftest import voterless_counts
+from conftest import counts_of, voterless_counts
 
 #: Rates on and next to the default clamp, and coarse values that make many
 #: voters and alternatives tie.
@@ -176,7 +182,7 @@ def test_logliks_match_reference(data):
         for _ in range(profile.num_instances)
     )
     assert _close(
-        total_loglik(profile, profile.truth_counts(truths), params, bounds),
+        total_loglik(profile, counts_of(profile, truths), params, bounds),
         ref.total_loglik(profile, truths, params, bounds),
     )
     for ballots, instance, truth in zip(profile.approvals, profile.instances, truths):
@@ -229,7 +235,8 @@ def test_whole_profile_truth_step_matches_reference(data):
     else:
         params = data.draw(params_for(n, m))
     reference = [ref.estimate_truth(inst, params, bounds) for inst in profile.instances]
-    assert estimate_truth(profile, params, bounds) == tuple(est.chosen for est in reference)
+    got = estimate_truth(profile, params, bounds)
+    assert truth_sets(got) == tuple(est.chosen for est in reference)
     scores, _ = _board(profile.approvals, params)
     np.testing.assert_array_equal(scores, np.array([est.scores for est in reference]))
 
@@ -279,10 +286,40 @@ def test_baselines_match_reference(data):
     # ``profiles`` draws all-empty ballots at density 0.0
     profile = data.draw(st.one_of(profiles(), tied_profiles()))
     m = profile.num_alternatives
-    assert modal_rule(profile) == tuple(ref.modal_rule(inst) for inst in profile.instances)
+    assert truth_sets(modal_rule(profile)) == tuple(
+        ref.modal_rule(inst) for inst in profile.instances
+    )
     for bounds in (Bounds(0, 0), Bounds(m, m), data.draw(bounds_for(m))):
-        assert majority_rule(profile, bounds) == tuple(
+        assert truth_sets(majority_rule(profile, bounds)) == tuple(
             ref.majority_rule(inst, bounds, m) for inst in profile.instances
+        )
+
+
+@settings(settings.get_profile("differential"))
+@given(data=st.data())
+def test_metrics_match_reference_exactly(data):
+    # equal scores summed in one order give equal means, bit for bit; the
+    # zero steps in custom weights give nonempty sets a self-score of 0
+    m = data.draw(st.integers(1, 8))
+    length = data.draw(st.integers(1, 20))
+    sets = st.frozensets(st.integers(0, m - 1))
+    estimates = tuple(data.draw(sets) for _ in range(length))
+    truths = tuple(data.draw(sets) for _ in range(length))
+    steps = st.one_of(st.sampled_from((0.0, 0.1, 1 / 3, 1.0)), st.floats(0.0, 2.0))
+    weights = data.draw(
+        st.one_of(
+            st.none(),
+            st.lists(steps, min_size=m, max_size=m).map(
+                lambda rises: ThieleWeights(np.concatenate([[0.0], np.cumsum(rises)]))
+            ),
+        )
+    )
+    est, tru = approval_matrix(estimates, m), approval_matrix(truths, m)
+    assert hamming_accuracy(est, tru) == ref.hamming_accuracy(estimates, truths, m)
+    assert subset_accuracy(est, tru) == ref.subset_accuracy(estimates, truths)
+    for normalized in (False, True):
+        assert harmonic_accuracy(est, tru, weights, normalized) == ref.harmonic_accuracy(
+            estimates, truths, m, weights, normalized
         )
 
 

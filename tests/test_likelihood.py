@@ -16,7 +16,7 @@ from approvalmle import (
 )
 from approvalmle.likelihood import instance_loglik
 from approvalmle.model import approval_matrix
-from conftest import WORKED_FIRST_TRUTHS, random_small_instance
+from conftest import WORKED_FIRST_TRUTHS, counts_of, random_small_instance
 
 
 def ballot_loglik(ballot, truth, p, q, m):
@@ -71,7 +71,7 @@ class TestBallotLoglik:
             params = ParamVector([0.5, 0.5, 1.0], [0.4] * 3, [0.5] * 5)
             total_loglik(
                 worked_profile,
-                worked_profile.truth_counts(WORKED_FIRST_TRUTHS),
+                counts_of(worked_profile, WORKED_FIRST_TRUTHS),
                 params,
                 Bounds(1, 2),
             )
@@ -114,7 +114,7 @@ class TestTotalLoglik:
         # singletons under fair coins
         expected = math.log(0.6) + math.log(0.7) + math.log(0.5)
         assert total_loglik(
-            profile_like, profile_like.truth_counts(truth), params, Bounds(1, 1)
+            profile_like, counts_of(profile_like, truth), params, Bounds(1, 1)
         ) == pytest.approx(
             expected, abs=1e-12
         )
@@ -122,7 +122,7 @@ class TestTotalLoglik:
     def test_worked_profile_matches_product_oracle(self, worked_profile, worked_init):
         bounds = Bounds(1, 2)
         value = total_loglik(
-            worked_profile, worked_profile.truth_counts(WORKED_FIRST_TRUTHS), worked_init, bounds
+            worked_profile, counts_of(worked_profile, WORKED_FIRST_TRUTHS), worked_init, bounds
         )
         # oracle: multiply raw probabilities instance by instance, then log
         product = 1.0
@@ -152,7 +152,7 @@ class TestTotalLoglik:
 
         bounds = Bounds(1, 2)
         forward = total_loglik(
-            worked_profile, worked_profile.truth_counts(WORKED_FIRST_TRUTHS), worked_init, bounds
+            worked_profile, counts_of(worked_profile, WORKED_FIRST_TRUTHS), worked_init, bounds
         )
         reversed_profile = Profile(
             worked_profile.alternative_ids,
@@ -162,7 +162,7 @@ class TestTotalLoglik:
         )
         backward = total_loglik(
             reversed_profile,
-            reversed_profile.truth_counts(tuple(reversed(WORKED_FIRST_TRUTHS))),
+            counts_of(reversed_profile, tuple(reversed(WORKED_FIRST_TRUTHS))),
             worked_init,
             bounds,
         )
@@ -172,7 +172,7 @@ class TestTotalLoglik:
         truths = (frozenset(),) + WORKED_FIRST_TRUTHS[1:]
         with pytest.raises(ValueError, match="z1"):
             total_loglik(
-                worked_profile, worked_profile.truth_counts(truths), worked_init, Bounds(1, 2)
+                worked_profile, counts_of(worked_profile, truths), worked_init, Bounds(1, 2)
             )
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from approvalmle import (
     ThieleWeights,
+    approval_matrix,
     hamming_accuracy,
     harmonic_accuracy,
     subset_accuracy,
@@ -13,24 +14,29 @@ from approvalmle import (
 S = frozenset
 
 
+def A(sets, m):
+    """The ``bool[L, m]`` truth array of a tuple of index sets."""
+    return approval_matrix(sets, m)
+
+
 class TestHamming:
     def test_perfect_agreement(self):
-        truths = (S({0, 1}), S({2}))
-        assert hamming_accuracy(truths, truths, 4) == 1.0
+        truths = A((S({0, 1}), S({2})), 4)
+        assert hamming_accuracy(truths, truths) == 1.0
 
     def test_total_disagreement(self):
         estimates = (S({0, 1}),)
         truths = (S({2, 3}),)
-        assert hamming_accuracy(estimates, truths, 4) == 0.0
+        assert hamming_accuracy(A(estimates, 4), A(truths, 4)) == 0.0
 
     def test_hand_counted_case(self):
         # truth {a,b}, estimate {a,c} over 5 labels: a agrees in, d/e agree
         # out, b and c disagree
-        assert hamming_accuracy((S({0, 2}),), (S({0, 1}),), 5) == pytest.approx(3 / 5)
+        assert hamming_accuracy(A((S({0, 2}),), 5), A((S({0, 1}),), 5)) == pytest.approx(3 / 5)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            hamming_accuracy((S(),), (S(), S()), 3)
+            hamming_accuracy(A((S(),), 3), A((S(), S()), 3))
 
     @given(st.permutations(range(5)))
     def test_invariant_under_joint_relabeling(self, perm):
@@ -38,37 +44,37 @@ class TestHamming:
         truths = (S({0, 1}), S({3}))
         mapped_est = tuple(S(perm[j] for j in s) for s in estimates)
         mapped_tru = tuple(S(perm[j] for j in s) for s in truths)
-        assert hamming_accuracy(mapped_est, mapped_tru, 5) == hamming_accuracy(
-            estimates, truths, 5
+        assert hamming_accuracy(A(mapped_est, 5), A(mapped_tru, 5)) == hamming_accuracy(
+            A(estimates, 5), A(truths, 5)
         )
 
 
 class TestSubset:
     def test_perfect(self):
-        truths = (S({0}), S({1, 2}))
+        truths = A((S({0}), S({1, 2})), 3)
         assert subset_accuracy(truths, truths) == 1.0
 
     def test_no_matches(self):
-        assert subset_accuracy((S({0}),), (S({1}),)) == 0.0
+        assert subset_accuracy(A((S({0}),), 2), A((S({1}),), 2)) == 0.0
 
     def test_three_of_four(self):
         estimates = (S({0}), S({1}), S({2}), S({3}))
         truths = (S({0}), S({1}), S({2}), S({0}))
-        assert subset_accuracy(estimates, truths) == 0.75
+        assert subset_accuracy(A(estimates, 4), A(truths, 4)) == 0.75
 
 
 class TestHarmonic:
     def test_overlap_two_of_five(self):
-        assert harmonic_accuracy((S({0, 1}),), (S({0, 1}),), 5) == pytest.approx(
+        assert harmonic_accuracy(A((S({0, 1}),), 5), A((S({0, 1}),), 5)) == pytest.approx(
             1 / 5 + 1 / 4
         )
 
     def test_zero_overlap(self):
-        assert harmonic_accuracy((S({0}),), (S({1}),), 5) == 0.0
+        assert harmonic_accuracy(A((S({0}),), 5), A((S({1}),), 5)) == 0.0
 
     def test_normalized_self_score_is_one(self):
-        truths = (S({0, 1}), S({2}))
-        assert harmonic_accuracy(truths, truths, 5, normalized=True) == 1.0
+        truths = A((S({0, 1}), S({2})), 5)
+        assert harmonic_accuracy(truths, truths, normalized=True) == 1.0
 
     def test_normalized_range(self):
         rng = np.random.default_rng(12)
@@ -80,19 +86,19 @@ class TestHarmonic:
             truths = tuple(
                 S(np.flatnonzero(rng.random(m) < 0.5).tolist()) for _ in range(4)
             )
-            value = harmonic_accuracy(estimates, truths, m, normalized=True)
+            value = harmonic_accuracy(A(estimates, m), A(truths, m), normalized=True)
             assert 0.0 <= value <= 1.0 + 1e-12
 
     def test_empty_reference_convention(self):
-        assert harmonic_accuracy((S(),), (S(),), 3, normalized=True) == 1.0
-        assert harmonic_accuracy((S({0}),), (S(),), 3, normalized=True) == 0.0
+        assert harmonic_accuracy(A((S(),), 3), A((S(),), 3), normalized=True) == 1.0
+        assert harmonic_accuracy(A((S({0}),), 3), A((S(),), 3), normalized=True) == 0.0
 
     def test_custom_weights_override(self):
         # 0/1-style weights inside the same interface
         w = ThieleWeights([0.0, 0.0, 1.0])
         estimates = (S({0, 1}), S({0}))
         truths = (S({0, 1}), S({0, 1}))
-        assert harmonic_accuracy(estimates, truths, 2, weights=w) == pytest.approx(0.5)
+        assert harmonic_accuracy(A(estimates, 2), A(truths, 2), weights=w) == pytest.approx(0.5)
 
 
 class TestThieleWeights:
@@ -113,7 +119,7 @@ class TestThieleWeights:
 
 
 def test_metrics_agree_on_equality():
-    truths = (S({0, 1}), S({2}), S({1, 3}))
-    assert hamming_accuracy(truths, truths, 4) == 1.0
+    truths = A((S({0, 1}), S({2}), S({1, 3})), 4)
+    assert hamming_accuracy(truths, truths) == 1.0
     assert subset_accuracy(truths, truths) == 1.0
-    assert harmonic_accuracy(truths, truths, 4, normalized=True) == 1.0
+    assert harmonic_accuracy(truths, truths, normalized=True) == 1.0

@@ -10,11 +10,18 @@ from approvalmle import (
     Instance,
     ParamVector,
     Profile,
+    TruthCounts,
     clamp_unit,
+    hamming_accuracy,
+    harmonic_accuracy,
+    subset_accuracy,
+    truth_sets,
+    update_inclusion_prior,
     validate_profile,
 )
 from approvalmle.benchmark import restrict_voters
-from approvalmle.model import approval_matrix
+from approvalmle.model import approval_matrix, ranked_prefixes
+from conftest import WORKED_FIRST_TRUTHS
 
 
 class TestValidateProfile:
@@ -197,3 +204,57 @@ def test_instance_coerces_ballots_to_frozensets():
     inst = Instance("z", [{0, 1}, [1], set()])
     assert all(isinstance(b, frozenset) for b in inst.ballots)
     assert inst.ballots[1] == frozenset({1})
+
+
+class TestTruthArray:
+    @given(st.lists(st.frozensets(st.integers(0, 5)), max_size=6))
+    def test_truth_sets_inverts_approval_matrix(self, sets):
+        assert truth_sets(approval_matrix(sets, 6)) == tuple(sets)
+
+    def test_ranked_prefixes_mark_the_first_k(self):
+        order = np.array([[3, 0, 1, 2], [0, 1, 2, 3], [2, 1, 0, 3]])
+        marked = ranked_prefixes(order, np.array([2, 0, 4]))
+        assert truth_sets(marked) == (frozenset({0, 3}), frozenset(), frozenset(range(4)))
+        assert not marked.flags.writeable
+
+    # ``0 in row`` holds for a bool row that holds a False, so a tuple of sets
+    # passed where the array goes must be refused, not read
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda profile, truths: TruthCounts.count(profile.approvals, truths),
+            lambda profile, truths: hamming_accuracy(truths, truths),
+            lambda profile, truths: subset_accuracy(truths, truths),
+            lambda profile, truths: harmonic_accuracy(truths, truths),
+            lambda profile, truths: update_inclusion_prior(0, truths, Bounds(1, 2), [0.5] * 5),
+        ],
+        ids=["count", "hamming", "subset", "harmonic", "prior"],
+    )
+    def test_sets_where_the_array_goes_are_refused(self, worked_profile, call):
+        with pytest.raises(ValueError, match=re.escape("shape (L, m)")):
+            call(worked_profile, WORKED_FIRST_TRUTHS)
+
+    @pytest.mark.parametrize(
+        "truths",
+        [
+            np.zeros((4, 5), dtype=int),
+            np.zeros((3, 5), dtype=bool),
+            np.zeros((4, 4), dtype=bool),
+            np.zeros(20, dtype=bool),
+        ],
+        ids=["int", "short", "narrow", "flat"],
+    )
+    def test_count_names_the_expected_shape(self, worked_profile, truths):
+        with pytest.raises(ValueError, match=re.escape("(L, m) = (4, 5)")):
+            TruthCounts.count(worked_profile.approvals, truths)
+
+    def test_count_leaves_the_callers_array_writable(self, worked_profile):
+        truths = approval_matrix(WORKED_FIRST_TRUTHS, 5)
+        counts = TruthCounts.count(worked_profile.approvals, truths)
+        truths[0] = True
+        assert truth_sets(counts.truths) == WORKED_FIRST_TRUTHS
+        assert not counts.truths.flags.writeable
+
+    def test_metrics_refuse_estimates_of_another_shape(self):
+        with pytest.raises(ValueError, match=re.escape("(L, m) = (2, 5)")):
+            hamming_accuracy(np.zeros((2, 4), dtype=bool), np.zeros((2, 5), dtype=bool))

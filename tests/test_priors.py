@@ -7,6 +7,7 @@ import pytest
 from approvalmle import (
     Bounds,
     CardinalityDP,
+    approval_matrix,
     cardinality_mass,
     clamp_unit,
     mass_given_excluded,
@@ -165,19 +166,20 @@ class TestUpdateInclusionPrior:
             frozenset({0, 2}),
         )
         t = [0.5] * 5
-        value = update_inclusion_prior(0, truths, Bounds(1, 2), t)
+        value = update_inclusion_prior(0, approval_matrix(truths, 5), Bounds(1, 2), t)
         # occ=1, mass_in=0.3125, mass_out=0.625
         assert value == pytest.approx(0.625 / (3 * 0.3125 + 0.625), abs=1e-12)
         assert value == pytest.approx(0.4, abs=1e-12)
 
     def test_never_occurring_clamps_low(self):
-        truths = (frozenset({1}),) * 3
+        truths = approval_matrix((frozenset({1}),) * 3, 3)
         assert update_inclusion_prior(0, truths, Bounds(1, 2), [0.5] * 3) == 1e-4
 
     def test_always_occurring_unconstrained_clamps_high(self):
         truths = (frozenset({0}), frozenset({0, 1}))
         assert (
-            update_inclusion_prior(0, truths, Bounds(0, 3), [0.5] * 3) == 1 - 1e-4
+            update_inclusion_prior(0, approval_matrix(truths, 3), Bounds(0, 3), [0.5] * 3)
+            == 1 - 1e-4
         )
 
     def test_maximizes_profile_likelihood(self):
@@ -198,7 +200,7 @@ class TestUpdateInclusionPrior:
             occ = sum(1 for s in truths if j in s)
             if occ in (0, length):
                 continue  # boundary maximizers sit on the clamp, not the grid
-            estimate = update_inclusion_prior(j, tuple(truths), bounds, t)
+            estimate = update_inclusion_prior(j, approval_matrix(truths, m), bounds, t)
             values = [profile_objective(x, j, truths, bounds, t) for x in grid]
             best = grid[int(np.argmax(values))]
             assert abs(estimate - best) < 1e-3
@@ -215,7 +217,9 @@ class TestUpdateInclusionPrior:
         assert swept[0] == pytest.approx(0.4, abs=1e-12)
         # second coordinate must have seen the updated first one
         t_after_first = np.array([0.4, 0.5, 0.5, 0.5, 0.5])
-        expected = update_inclusion_prior(1, truths, Bounds(1, 2), t_after_first)
+        expected = update_inclusion_prior(
+            1, approval_matrix(truths, 5), Bounds(1, 2), t_after_first
+        )
         assert swept[1] == pytest.approx(expected, abs=1e-15)
 
     def test_sweep_builds_no_table_per_coordinate(self, monkeypatch):

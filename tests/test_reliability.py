@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from approvalmle import Profile, update_reliabilities
-from conftest import WORKED_FIRST_TRUTHS
+from conftest import WORKED_FIRST_TRUTHS, counts_of
 
 
 class TestWorkedValues:
     def test_counting_ratios(self, worked_profile):
-        counts = worked_profile.truth_counts(WORKED_FIRST_TRUTHS)
+        counts = counts_of(worked_profile, WORKED_FIRST_TRUTHS)
         p, q = update_reliabilities(worked_profile, counts)
         np.testing.assert_allclose(p, [3 / 8, 3 / 8, 7 / 8], atol=1e-12)
         np.testing.assert_allclose(q, [2 / 12, 1 / 12, 2 / 12], atol=1e-12)
@@ -18,7 +18,7 @@ class TestWorkedValues:
 def test_perfect_voter_hits_clamp():
     truths = (frozenset({0}), frozenset({1}))
     profile = Profile.build(["a", "b"], ["v"], [[{0}], [{1}]])
-    p, q = update_reliabilities(profile, profile.truth_counts(truths))
+    p, q = update_reliabilities(profile, counts_of(profile, truths))
     assert p[0] == 1 - 1e-4
     assert q[0] == 1e-4
 
@@ -26,7 +26,7 @@ def test_perfect_voter_hits_clamp():
 def test_spammer_weight_vanishes_after_clamping():
     truths = (frozenset({0}), frozenset({1}))
     profile = Profile.build(["a", "b"], ["v"], [[{0, 1}], [{0, 1}]])
-    p, q = update_reliabilities(profile, profile.truth_counts(truths))
+    p, q = update_reliabilities(profile, counts_of(profile, truths))
     assert p[0] == 1 - 1e-4 and q[0] == 1 - 1e-4
     weight = math.log(p[0] * (1 - q[0]) / (q[0] * (1 - p[0])))
     assert abs(weight) < 1e-6
@@ -35,19 +35,19 @@ def test_spammer_weight_vanishes_after_clamping():
 def test_all_empty_truths_rejected():
     profile = Profile.build(["a", "b"], ["v"], [[{0}], [{1}]])
     with pytest.raises(ValueError, match="empty"):
-        update_reliabilities(profile, profile.truth_counts((frozenset(), frozenset())))
+        update_reliabilities(profile, counts_of(profile, (frozenset(), frozenset())))
 
 
 def test_all_full_truths_rejected():
     profile = Profile.build(["a", "b"], ["v"], [[{0}], [{1}]])
     with pytest.raises(ValueError, match="full"):
         update_reliabilities(
-            profile, profile.truth_counts((frozenset({0, 1}), frozenset({0, 1})))
+            profile, counts_of(profile, (frozenset({0, 1}), frozenset({0, 1})))
         )
 
 
 def test_instance_permutation_invariance(worked_profile):
-    p, q = update_reliabilities(worked_profile, worked_profile.truth_counts(WORKED_FIRST_TRUTHS))
+    p, q = update_reliabilities(worked_profile, counts_of(worked_profile, WORKED_FIRST_TRUTHS))
     shuffled = Profile(
         worked_profile.alternative_ids,
         worked_profile.voters,
@@ -55,14 +55,14 @@ def test_instance_permutation_invariance(worked_profile):
         worked_profile.approvals[::-1],
     )
     p2, q2 = update_reliabilities(
-        shuffled, shuffled.truth_counts(tuple(reversed(WORKED_FIRST_TRUTHS)))
+        shuffled, counts_of(shuffled, tuple(reversed(WORKED_FIRST_TRUTHS)))
     )
     np.testing.assert_array_equal(p, p2)
     np.testing.assert_array_equal(q, q2)
 
 
 def test_voters_are_independent(worked_profile):
-    p, q = update_reliabilities(worked_profile, worked_profile.truth_counts(WORKED_FIRST_TRUTHS))
+    p, q = update_reliabilities(worked_profile, counts_of(worked_profile, WORKED_FIRST_TRUTHS))
     # rewrite voter 0's ballots; the other voters' estimates must not move
     mutated = Profile.build(
         worked_profile.alternative_ids,
@@ -73,7 +73,7 @@ def test_voters_are_independent(worked_profile):
         ],
         [inst.id for inst in worked_profile.instances],
     )
-    p2, q2 = update_reliabilities(mutated, mutated.truth_counts(WORKED_FIRST_TRUTHS))
+    p2, q2 = update_reliabilities(mutated, counts_of(mutated, WORKED_FIRST_TRUTHS))
     np.testing.assert_array_equal(p[1:], p2[1:])
     np.testing.assert_array_equal(q[1:], q2[1:])
     assert p[0] != p2[0]
@@ -81,7 +81,7 @@ def test_voters_are_independent(worked_profile):
 
 def test_estimates_maximize_voter_likelihood(worked_profile):
     # grid-search oracle over the separable per-voter objective
-    p, q = update_reliabilities(worked_profile, worked_profile.truth_counts(WORKED_FIRST_TRUTHS))
+    p, q = update_reliabilities(worked_profile, counts_of(worked_profile, WORKED_FIRST_TRUTHS))
     grid = np.linspace(1e-4, 1 - 1e-4, 10_000)
     m = worked_profile.num_alternatives
     for i in range(worked_profile.num_voters):

@@ -9,6 +9,7 @@ from approvalmle import (
     brute_force_truth_mle,
     estimate_truth,
     explain_truth,
+    truth_sets,
     voter_weights,
 )
 from approvalmle.model import approval_matrix
@@ -88,7 +89,7 @@ class TestEstimateTruth:
             for ballots in worked_profile.approvals
         )
         assert outcome == WORKED_FIRST_TRUTHS
-        assert estimate_truth(worked_profile, worked_init, worked_bounds) == outcome
+        assert truth_sets(estimate_truth(worked_profile, worked_init, worked_bounds)) == outcome
 
     def test_unconstrained_selects_above_threshold_exactly(self):
         rng = np.random.default_rng(3)
