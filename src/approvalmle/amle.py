@@ -1,14 +1,18 @@
 """Alternating maximum-likelihood estimation of truths and parameters.
 
 Each iteration re-estimates every instance's truth set given the current
-parameters (one whole-profile call), counts that truth array once against
-the ballots (``TruthCounts.count``), then updates the voter rates (p, q)
-and, unless priors are frozen, sweeps the inclusion priors t coordinate by
-coordinate.  Under the default ``exact`` prior update every step maximizes
-the total likelihood in its own block, so the likelihood never decreases and
-stopping early still yields a usable, likelihood-improved estimate; the
-``legacy`` update trades that guarantee for compatibility with previously
-circulated AMLE runs (see ``update_inclusion_prior``).
+parameters (one whole-profile call), counts that truth array against the
+ballots (``TruthCounts.count``), then updates the voter rates (p, q) and,
+unless priors are frozen, sweeps the inclusion priors t coordinate by
+coordinate.  When the truth array equals the previous iteration's, the
+counts are the previous ones, and so are the log-likelihood before the update
+(the previous step's ``loglik``: same counts, same parameters) and (p, q),
+which depend on the counts alone; only the sweep and the log-likelihood after
+it are computed again.  Under the default ``exact`` prior update every step
+maximizes the total likelihood in its own block, so the likelihood never
+decreases and stopping early still yields a usable, likelihood-improved
+estimate; the ``legacy`` update trades that guarantee for compatibility with
+previously circulated AMLE runs (see ``update_inclusion_prior``).
 
 The parameter vector is packed as (p_1..p_n, q_1..q_n, t_1..t_m) and the stop
 rule compares successive vectors in the sup norm.
@@ -16,6 +20,7 @@ rule compares successive vectors in the sup norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +60,8 @@ class AmleConfig:
     prior_update: str = "exact"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         require_epsilon(self.epsilon_clamp, "epsilon_clamp")
@@ -74,7 +79,11 @@ class _TruthSets:
 class AmleStep(_TruthSets):
     """One iteration's record: parameters after the update, the truth array,
     and the total log-likelihood before (``loglik_truth_step``) and after
-    (``loglik``) the parameter update."""
+    (``loglik``) the parameter update.
+
+    When ``truth_array`` equals the previous step's, ``loglik_truth_step`` is
+    that step's ``loglik`` and (p, q) are its (p, q), reused bit for bit
+    rather than recomputed from the same counts."""
 
     iteration: int
     params: ParamVector
@@ -122,16 +131,20 @@ def run_amle(
 
     params = init
     steps = []
+    counts = None
     converged = False
     iteration = 0
 
     while iteration < config.max_iterations and not converged:
         iteration += 1
         truths = estimate_truth(profile, params, bounds)
-        counts = TruthCounts.count(profile.approvals, truths)
-        loglik_truth_step = total_loglik(profile, counts, params, bounds)
-
-        p_hat, q_hat = update_reliabilities(profile, counts, config.epsilon_clamp)
+        if counts is not None and np.array_equal(truths, counts.truths):
+            loglik_truth_step = steps[-1].loglik
+            p_hat, q_hat = params.p, params.q
+        else:
+            counts = TruthCounts.count(profile.approvals, truths)
+            loglik_truth_step = total_loglik(profile, counts, params, bounds)
+            p_hat, q_hat = update_reliabilities(profile, counts, config.epsilon_clamp)
         if config.freeze_priors:
             t_hat = params.t
         else:

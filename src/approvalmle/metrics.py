@@ -47,6 +47,8 @@ def _check_pair(estimates: np.ndarray, truths: np.ndarray) -> None:
     require_truth_array(estimates, *truths.shape, name="estimates")
     if not len(truths):
         raise ValueError("need at least one instance")
+    if not truths.shape[1]:
+        raise ValueError("need at least one alternative")
 
 
 def hamming_accuracy(estimates: np.ndarray, truths: np.ndarray) -> float:

@@ -240,6 +240,13 @@ class Profile:
         voter approves."""
         return read_only(self.approvals.sum((0, 2)))
 
+    @cached_property
+    def by_voter(self) -> np.ndarray:
+        """Read-only ``bool[n, L, m]``: ``approvals`` voter-major and
+        contiguous, so each voter's ballots over all instances are one block
+        (the truth step reads them voter by voter)."""
+        return read_only(np.ascontiguousarray(np.moveaxis(self.approvals, 1, 0)))
+
     @classmethod
     def build(
         cls,

@@ -68,10 +68,17 @@ class CardinalityDP:
         return cls(np.array(rows))
 
 
-def _rest_row(t: np.ndarray, j: int, bounds: Bounds) -> np.ndarray:
+def _count_row(t: np.ndarray, cap: int) -> list:
+    """The last row of ``CardinalityDP.build(t, cap)``, bit for bit, built
+    without keeping the rows before it."""
+    probs = t.tolist()
+    return _extend([1.0] + [0.0] * min(cap, len(probs)), probs)
+
+
+def _rest_row(t: np.ndarray, j: int, bounds: Bounds) -> list:
     """Counting row of every alternative but j, wide enough for both
     conditional masses."""
-    return CardinalityDP.build(np.delete(t, j), bounds.upper).table[-1]
+    return _count_row(np.delete(t, j), bounds.upper)
 
 
 def _interval_masses(coins: int, intervals, count_row) -> list:
@@ -95,8 +102,9 @@ def _interval_masses(coins: int, intervals, count_row) -> list:
         else:
             if row is None:
                 row = count_row()
-            # numpy's pairwise sum: the builtin sum adds in another order
-            masses.append(float(np.sum(row[lower : upper + 1])))
+            # numpy's pairwise sum (np.sum's own reduction, without its
+            # wrapper): the builtin sum adds in another order
+            masses.append(float(np.add.reduce(row[lower : upper + 1])))
     return masses
 
 
@@ -115,7 +123,7 @@ def cardinality_mass(t, bounds: Bounds) -> float:
     t = require_open_unit(t, "inclusion probabilities")
     (mass,) = _interval_masses(
         len(t), [(bounds.lower, bounds.upper)],
-        lambda: CardinalityDP.build(t, bounds.upper).table[-1],
+        lambda: _count_row(t, bounds.upper),
     )
     return mass
 

@@ -22,8 +22,10 @@ def voter_weights(params: ParamVector) -> np.ndarray:
     return np.log(p) - np.log(q) + np.log(1.0 - q) - np.log(1.0 - p)
 
 
-def _board(approvals: np.ndarray, params: ParamVector) -> tuple:
-    """Scores and threshold for ``approvals`` of shape ``(..., n, m)``.
+def _board(by_voter: np.ndarray, params: ParamVector) -> tuple:
+    """Scores and threshold for voter-major ballots ``by_voter`` of shape
+    ``(n, ..., m)``: one instance's ``bool[n, m]`` ballots, or a whole
+    profile's ``Profile.by_voter``.
 
     ``scores[..., j]`` is alternative j's prior log-odds ln(t_j / (1-t_j))
     plus the ``voter_weights`` of its approvers; it has shape ``(..., m)``,
@@ -34,14 +36,13 @@ def _board(approvals: np.ndarray, params: ParamVector) -> tuple:
     Voter terms are added one voter at a time in ascending index order, so
     each score is rounded exactly like a sequential per-ballot sum; a single
     contraction would reorder the additions and can flip near-ties.  Each
-    voter adds ``weight * approved`` over the whole array, read from a
-    voter-major copy of the ballots: where the voter does not approve, that
+    voter adds ``weight * approved`` over the whole array, read from its
+    block of the voter-major ballots: where the voter does not approve, that
     term is +0.0 or -0.0, which leaves every score as it was (no score is
     ever -0.0, since the prior log-odds and the weights never are).
     """
     prior = np.log(params.t) - np.log(1.0 - params.t)
-    scores = np.broadcast_to(prior, approvals.shape[:-2] + prior.shape).copy()
-    by_voter = np.ascontiguousarray(np.moveaxis(approvals, -2, 0))
+    scores = np.broadcast_to(prior, by_voter.shape[1:-1] + prior.shape).copy()
     term = np.empty_like(scores)
     for weight, approved in zip(voter_weights(params), by_voter):
         np.multiply(approved, weight, out=term)
@@ -71,7 +72,7 @@ def estimate_truth(profile: Profile, params: ParamVector, bounds: Bounds) -> np.
     """Constrained maximum-likelihood truth set of every instance.
 
     Returns the read-only ``bool[L, m]`` truth array, computed in one pass
-    over ``Profile.approvals``.
+    over the profile's voter-major ballots (``Profile.by_voter``).
 
     Every maximizer is a top-k prefix of the score ranking that takes as much
     of the above-threshold set as the upper bound allows and dips into the
@@ -82,7 +83,7 @@ def estimate_truth(profile: Profile, params: ParamVector, bounds: Bounds) -> np.
     reproducible.
     """
     check_fit(profile.approvals.shape[1:], params, bounds)
-    return ranked_prefixes(*_top_k(*_board(profile.approvals, params), bounds))
+    return ranked_prefixes(*_top_k(*_board(profile.by_voter, params), bounds))
 
 
 def explain_truth(ballots: np.ndarray, params: ParamVector, bounds: Bounds) -> TruthEstimate:

@@ -13,6 +13,7 @@ from approvalmle import (
     sample_dataset,
     subset_accuracy,
     sweep_inclusion_priors,
+    total_loglik,
     uniform_init,
     update_reliabilities,
 )
@@ -92,11 +93,12 @@ class TestWorkedProfile:
         assert len(calls) == result.iterations
         assert all(profile is worked_profile for profile in calls)
 
-    def test_truths_are_counted_once_per_iteration(
+    def test_truths_are_counted_once_per_distinct_truth_array(
         self, worked_profile, worked_bounds, worked_init, monkeypatch
     ):
         # likelihood, reliabilities and prior sweep share one TruthCounts,
-        # and building it is the only einsum
+        # building it is the only einsum, and an iteration whose truth array
+        # repeats the previous one reuses it instead of counting again
         count, einsum = TruthCounts.count.__func__, np.einsum
         builds, contractions = [], []
 
@@ -110,12 +112,50 @@ class TestWorkedProfile:
 
         monkeypatch.setattr(TruthCounts, "count", classmethod(counting_build))
         monkeypatch.setattr(np, "einsum", counting_einsum)
-        result = run_amle(
-            worked_profile, worked_bounds, worked_init, AmleConfig(max_iterations=5)
-        )
-        assert (result.iterations, result.converged) == (5, False)
-        assert len(builds) == 5
-        assert len(contractions) == 5
+        for rule in ("exact", "legacy"):
+            builds.clear()
+            contractions.clear()
+            result = run_amle(
+                worked_profile, worked_bounds, worked_init,
+                AmleConfig(max_iterations=5, prior_update=rule),
+            )
+            assert result.iterations == 5
+            arrays = [step.truth_array for step in result.trace]
+            distinct = [arrays[0]] + [
+                new for old, new in zip(arrays, arrays[1:]) if not np.array_equal(old, new)
+            ]
+            assert 1 <= len(distinct) < result.iterations
+            assert len(builds) == len(contractions) == len(distinct)
+            assert all(np.array_equal(a, b) for a, b in zip(builds, distinct))
+
+    @pytest.mark.parametrize("rule", ["exact", "legacy"])
+    @pytest.mark.parametrize("freeze", [False, True], ids=["swept", "frozen"])
+    def test_repeated_truths_reuse_what_a_recount_would_give(self, rule, freeze):
+        # where the truth array repeats, the step before the update reads the
+        # previous step's log-likelihood and (p, q); both must equal, bit for
+        # bit, what counting the truths again from scratch gives
+        repeats = 0
+        for seed in range(6):
+            spec = SynthSpec.homogeneous(4, 8, 6, Bounds(1, 2), 0.75, 0.3, seed)
+            profile, _ = sample_dataset(spec)
+            init = uniform_init(8, 4)
+            config = AmleConfig(
+                max_iterations=8, tolerance=1e-12, prior_update=rule, freeze_priors=freeze
+            )
+            result = run_amle(profile, Bounds(1, 2), init, config)
+            before = [init] + [step.params for step in result.trace]
+            for k, step in enumerate(result.trace):
+                counts = TruthCounts.count(profile.approvals, step.truth_array)
+                assert step.loglik_truth_step == total_loglik(
+                    profile, counts, before[k], Bounds(1, 2)
+                )
+                p_hat, q_hat = update_reliabilities(profile, counts)
+                np.testing.assert_array_equal(step.params.p, p_hat)
+                np.testing.assert_array_equal(step.params.q, q_hat)
+                if k and np.array_equal(step.truth_array, result.trace[k - 1].truth_array):
+                    assert step.loglik_truth_step == result.trace[k - 1].loglik
+                    repeats += 1
+        assert repeats > 0
 
 
 class TestSingleConsistentVoter:
@@ -213,6 +253,11 @@ class TestValidationAndErrors:
     def test_mismatched_init_shape_rejected(self, worked_profile, worked_bounds):
         with pytest.raises(ValueError, match="voter count"):
             run_amle(worked_profile, worked_bounds, uniform_init(4, 5))
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_config_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            AmleConfig(tolerance=tolerance)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 0.7, -1e-4])
     def test_config_rejects_epsilon_clamp_outside_half_interval(self, epsilon):

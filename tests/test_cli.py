@@ -190,11 +190,22 @@ class TestAggregate:
         assert f"{key!r} must be a list" in err
 
     @pytest.mark.parametrize(
-        "flags", [["--tolerance", 0], ["--epsilon-clamp", 0.7]], ids=["tolerance", "epsilon"]
+        "flags",
+        [
+            ["--tolerance", 0],
+            ["--epsilon-clamp", 0.7],
+            # a report would hold NaN or Infinity, which is not JSON
+            ["--tolerance", "nan"],
+            ["--tolerance", "inf"],
+        ],
+        ids=["tolerance", "epsilon", "tolerance-nan", "tolerance-inf"],
     )
-    def test_bad_config_exits_1(self, dataset_path, flags, capsys):
-        assert run(["aggregate", dataset_path, *flags]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+    def test_bad_config_exits_1(self, dataset_path, tmp_path, flags, capsys):
+        out = tmp_path / "report.json"
+        assert run(["aggregate", dataset_path, *flags, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "name, data",

@@ -237,7 +237,7 @@ def test_whole_profile_truth_step_matches_reference(data):
     reference = [ref.estimate_truth(inst, params, bounds) for inst in profile.instances]
     got = estimate_truth(profile, params, bounds)
     assert truth_sets(got) == tuple(est.chosen for est in reference)
-    scores, _ = _board(profile.approvals, params)
+    scores, _ = _board(profile.by_voter, params)
     np.testing.assert_array_equal(scores, np.array([est.scores for est in reference]))
 
 
@@ -253,7 +253,7 @@ def test_whole_profile_scores_with_anti_expert_and_even_priors():
     )
     params = ParamVector([0.8, 0.3, 0.7], [0.3, 0.8, 0.4], [0.5] * 3)
     assert ref.voter_weights(params)[1] < 0
-    scores, _ = _board(profile.approvals, params)
+    scores, _ = _board(profile.by_voter, params)
     want = np.array(
         [ref.estimate_truth(inst, params, Bounds(1, 2)).scores for inst in profile.instances]
     )

@@ -38,6 +38,10 @@ class TestHamming:
         with pytest.raises(ValueError):
             hamming_accuracy(A((S(),), 3), A((S(), S()), 3))
 
+    def test_rejects_arrays_without_alternatives(self):
+        with pytest.raises(ValueError, match="at least one alternative"):
+            hamming_accuracy(np.zeros((2, 0), dtype=bool), np.zeros((2, 0), dtype=bool))
+
     @given(st.permutations(range(5)))
     def test_invariant_under_joint_relabeling(self, perm):
         estimates = (S({0, 2}), S({1}))
@@ -61,6 +65,10 @@ class TestSubset:
         estimates = (S({0}), S({1}), S({2}), S({3}))
         truths = (S({0}), S({1}), S({2}), S({0}))
         assert subset_accuracy(A(estimates, 4), A(truths, 4)) == 0.75
+
+    def test_rejects_arrays_without_alternatives(self):
+        with pytest.raises(ValueError, match="at least one alternative"):
+            subset_accuracy(np.zeros((2, 0), dtype=bool), np.zeros((2, 0), dtype=bool))
 
 
 class TestHarmonic:
@@ -92,6 +100,10 @@ class TestHarmonic:
     def test_empty_reference_convention(self):
         assert harmonic_accuracy(A((S(),), 3), A((S(),), 3), normalized=True) == 1.0
         assert harmonic_accuracy(A((S({0}),), 3), A((S(),), 3), normalized=True) == 0.0
+
+    def test_rejects_arrays_without_alternatives(self):
+        with pytest.raises(ValueError, match="at least one alternative"):
+            harmonic_accuracy(np.zeros((2, 0), dtype=bool), np.zeros((2, 0), dtype=bool))
 
     def test_custom_weights_override(self):
         # 0/1-style weights inside the same interface

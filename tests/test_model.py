@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from approvalmle import (
+    AmleConfig,
     Bounds,
     Instance,
     ParamVector,
@@ -14,8 +15,10 @@ from approvalmle import (
     clamp_unit,
     hamming_accuracy,
     harmonic_accuracy,
+    run_amle,
     subset_accuracy,
     truth_sets,
+    uniform_init,
     update_inclusion_prior,
     validate_profile,
 )
@@ -180,6 +183,29 @@ class TestProfile:
         assert profile == worked_profile
         with pytest.raises(ValueError):
             profile.approvals[0, 0, 0] = True
+
+    def test_voter_major_ballots_are_built_once_and_read_only(
+        self, worked_profile, monkeypatch
+    ):
+        profile = Profile(
+            worked_profile.alternative_ids, worked_profile.voters,
+            worked_profile.instance_ids, worked_profile.approvals,
+        )
+        moveaxis, moves = np.moveaxis, []
+
+        def counting_moveaxis(*args, **kwargs):
+            moves.append(args[1:])
+            return moveaxis(*args, **kwargs)
+
+        monkeypatch.setattr(np, "moveaxis", counting_moveaxis)
+        result = run_amle(profile, Bounds(1, 2), uniform_init(3, 5), AmleConfig(max_iterations=4))
+        assert result.iterations > 1
+        by_voter = profile.by_voter
+        assert moves == [(1, 0)]
+        np.testing.assert_array_equal(by_voter, moveaxis(profile.approvals, 1, 0))
+        assert by_voter.flags.c_contiguous
+        with pytest.raises(ValueError):
+            by_voter[0, 0, 0] = True
 
     @pytest.mark.parametrize("shape", [(4, 3, 4), (4, 2, 5), (3, 3, 5), (4, 15)])
     def test_constructor_rejects_wrong_shape(self, worked_profile, shape):

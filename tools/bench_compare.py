@@ -1,0 +1,154 @@
+"""Paired A/B timing of this checkout against a parent commit, written to
+``BENCH_<tag>_ab.json``.
+
+Run from anywhere; the change side is the checkout this script lives in,
+with its uncommitted edits:
+
+    python3 tools/bench_compare.py --parent HEAD --workload batch-eval --pairs 10 \\
+        --tag pr17 --seed 53 --seconds 5
+
+The parent commit is exported with ``git archive`` into a temporary
+directory, which is deleted afterwards; the repository's index, branches and
+worktree list are not touched, and no file of this checkout is copied into
+the parent's tree.  Each side runs its own benchmark command (``command`` in
+its own ``BENCHMARK.json``, that is its own ``perfbench/run.py``) from its
+own root with ``--trace 0`` and the same workload, seed and run length.
+Pair i runs the parent first when i is even and the change first when it is
+odd, so a drift of the machine's speed over the session weighs on both sides
+alike.
+
+``BENCH_<tag>_ab.json`` at the checkout's root holds the provenance, every
+pair's end-to-end metrics as the runs printed them, and for ``command_s``
+each side's median and quartiles and the verdict of the rule for a speed
+claim: at least ``MIN_PAIRS`` pairs, the change faster in at least nine of
+every ten pairs (rounded up), and the gap between the two medians larger
+than the parent's interquartile range (``statistics.quantiles``, exclusive
+method).  Nothing is written when a run fails, prints no result, or reports
+``"correct": false``.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import bench_record as rec  # noqa: E402
+
+MIN_PAIRS = 10
+SIDES = ("parent", "change")
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write the tree of commit ``rev`` into ``dest``; return its full hash."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=rec.ROOT, capture_output=True, text=True,
+    )
+    if commit.returncode != 0:
+        raise rec.RunFailed(f"no commit {rev!r}: {commit.stderr.strip()}")
+    sha = commit.stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=rec.ROOT,
+                             capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return sha
+
+
+def quartiles(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def verdict(parent: list, change: list) -> dict:
+    """The rule on paired times, lower being better."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    base, new = quartiles(parent), quartiles(change)
+    gap = base["median"] - new["median"]
+    tests = {
+        "enough_pairs": len(parent) >= MIN_PAIRS,
+        "faster_in_nine_of_ten": wins >= math.ceil(0.9 * len(parent)),
+        "gap_above_parent_iqr": gap > base["iqr"],
+    }
+    return {"parent": base, "change": new, "faster_pairs": wins, "median_gap": gap,
+            **tests, "holds": all(tests.values())}
+
+
+def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: float) -> dict:
+    with tempfile.TemporaryDirectory(prefix="bench_compare_") as tmp:
+        parent_root = Path(tmp) / "parent"
+        parent_root.mkdir()
+        sha = export(parent_rev, parent_root)
+        roots = {"parent": parent_root, "change": rec.ROOT}
+        commands = {
+            side: json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["command"]
+            for side, root in roots.items()
+        }
+        runs, provenance = [], {}
+        for i in range(pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"first": order[0]}
+            for side in order:
+                info, result = rec.run_once(
+                    commands[side], workload, seed, seconds, 0, cwd=roots[side]
+                )
+                provenance.setdefault(side, info)
+                pair[side] = {name: m["value"] for name, m in result["metrics"].items()}
+            runs.append(pair)
+    doc = {
+        "provenance": {
+            **{key: provenance["change"][key] for key in rec.PROVENANCE},
+            "parent": sha,
+            "modified": rec.modified_files(),
+            "workload": workload,
+            "seconds": seconds,
+        },
+        "pairs": runs,
+    }
+    doc["verdict"] = verdict(
+        [pair["parent"]["command_s"] for pair in runs],
+        [pair["change"]["command_s"] for pair in runs],
+    )
+    return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="the commit to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("--tag", required=True, help="names the file BENCH_<tag>_ab.json")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 for quartiles")
+    try:
+        doc = compare(args.parent, args.workload, args.pairs, args.seed, args.seconds)
+    except rec.RunFailed as exc:
+        print(f"bench_compare: not written: {exc}", file=sys.stderr)
+        return 1
+    out = rec.ROOT / f"BENCH_{args.tag}_ab.json"
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    v = doc["verdict"]
+    print(
+        f"command_s: parent median {v['parent']['median']:.4f} (IQR "
+        f"{v['parent']['iqr']:.4f}), change median {v['change']['median']:.4f}; "
+        f"change faster in {v['faster_pairs']} of {args.pairs} pairs; rule "
+        f"{'holds' if v['holds'] else 'does not hold'}; wrote {out}",
+        file=sys.stderr,
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

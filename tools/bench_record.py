@@ -16,10 +16,10 @@ run's wall seconds, exit code, summary line and ten slowest test phases.
 Nothing is written when a benchmark run fails, prints no result, or reports
 ``"correct": false``.
 
-To compare two commits, copy this script into a checkout of the other one
-and run both on the same machine in one session with the same seed and
-seconds, alternating the two sides.  Standard library only, so it runs on
-any commit's checkout.
+To compare this checkout with another commit, use ``tools/bench_compare.py``:
+it runs both sides' own benchmark in alternating pairs and applies the
+comparison rule.  Standard library only, so it runs on any commit's
+checkout.
 """
 
 from __future__ import annotations
@@ -44,11 +44,13 @@ class RunFailed(Exception):
     """A benchmark run failed or reported an incorrect output."""
 
 
-def run_once(command: list, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """One benchmark run; returns its provenance line and its result line."""
+def run_once(command: list, workload: str, seed: int, seconds: float, trace: int,
+             cwd: Path | None = None) -> tuple:
+    """One benchmark run from the checkout at ``cwd`` (this one by default);
+    returns its provenance line and its result line."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=cwd or ROOT, capture_output=True, text=True)
     what = f"{workload} --trace {trace}"
     if done.returncode != 0:
         raise RunFailed(f"{what} exited {done.returncode}: {done.stderr.strip()}")
