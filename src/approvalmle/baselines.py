@@ -16,16 +16,37 @@ def modal_rule(profile: Profile) -> np.ndarray:
 
     Ties between equally frequent ballots are broken by the lexicographically
     smallest sorted index tuple (so the empty ballot beats everything).
+
+    Each ballot is keyed by its ascending member indices padded with -1 to
+    length m.  These keys compare exactly like the sorted index tuples: a
+    prefix sorts first, and the empty ballot, all -1, sorts before every
+    other.  One ``lexsort`` of all ballots by (instance, key) groups equal
+    ballots in tie-break order; a stable ``lexsort`` of the groups by
+    (instance, -count) then puts each instance's winner first.  Raises
+    ValueError when there are instances but no voters.
     """
-    packed = np.packbits(profile.approvals, axis=-1)
-    keys = packed.view(np.dtype((np.void, packed.shape[-1])))[..., 0]
-    voters = []
-    for rows, instance_keys in zip(profile.approvals, keys):
-        _, first, counts = np.unique(instance_keys, return_index=True, return_counts=True)
-        tied = first[counts == counts.max()]
-        # ascending index lists compare like the sorted index tuples
-        voters.append(min(tied, key=lambda i: np.flatnonzero(rows[i]).tolist()))
-    return read_only(profile.approvals[np.arange(profile.num_instances), voters])
+    length, n, m = profile.approvals.shape
+    if length and not n:
+        raise ValueError("the modal rule needs at least one voter")
+    ballots = profile.approvals.reshape(length * n, m)
+    members = np.sort(np.where(ballots, np.arange(m), m), axis=-1)
+    members[members == m] = -1
+    keys = np.column_stack((np.repeat(np.arange(length), n), members))
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(_run_starts(keys))
+    counts = np.diff(np.append(starts, len(keys)))
+    instance = keys[starts, 0]
+    ranked = np.lexsort((-counts, instance))
+    winners = ranked[_run_starts(instance[ranked, np.newaxis])]
+    return read_only(ballots[order[starts[winners]]])
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a sorted 2-D array that differ from the row before."""
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(-1)
+    return new
 
 
 def majority_rule(profile: Profile, bounds: Bounds) -> np.ndarray:

@@ -25,7 +25,7 @@ from .baselines import majority_rule, modal_rule
 from .initialization import anna_karenina_init, random_init, uniform_init
 from .io import load_params
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy
-from .model import Bounds, GroundTruth, Profile, approval_matrix
+from .model import Bounds, GroundTruth, ParamVector, Profile, approval_matrix
 
 METHODS = ("amle-constrained", "amle-free", "modal", "majority")
 METRICS = ("hamming", "subset", "harmonic", "harmonic_norm")
@@ -92,17 +92,16 @@ def run_method(
     method: str,
     profile: Profile,
     bounds: Bounds,
-    init_strategy: str = "anna-karenina",
+    init: ParamVector | None,
     config: AmleConfig = AmleConfig(),
 ) -> np.ndarray:
-    """Aggregate a profile with one method and return its truth array."""
+    """Aggregate a profile with one method and return its truth array; the
+    AMLE methods start from the parameters ``init``, the baselines ignore it."""
     if method == "amle-constrained":
-        result = run_amle(profile, bounds, parse_init(init_strategy)(profile), config)
-        return result.truth_array
+        return run_amle(profile, bounds, init, config).truth_array
     if method == "amle-free":
         free = Bounds(0, profile.num_alternatives)
-        result = run_amle(profile, free, parse_init(init_strategy)(profile), config)
-        return result.truth_array
+        return run_amle(profile, free, init, config).truth_array
     if method == "modal":
         return modal_rule(profile)
     if method == "majority":
@@ -156,6 +155,9 @@ def run_benchmark(
     n = profile.num_voters
     check_benchmark(n, batch_sizes, num_batches, methods, init_strategy)
     truths = approval_matrix(truths, profile.num_alternatives)
+    make_init = parse_init(init_strategy)
+    # both AMLE methods start from the same parameters, computed once per batch
+    needs_init = any(method.startswith("amle") for method in methods)
     rows = []
     for size in batch_sizes:
         scores = {method: {metric: [] for metric in METRICS} for method in methods}
@@ -165,8 +167,9 @@ def run_benchmark(
             )
             chosen = rng.choice(n, size=size, replace=False)
             sub = restrict_voters(profile, chosen.tolist())
+            init = make_init(sub) if needs_init else None
             for method in methods:
-                estimates = run_method(method, sub, bounds, init_strategy, config)
+                estimates = run_method(method, sub, bounds, init, config)
                 for metric, value in score_estimates(estimates, truths).items():
                     scores[method][metric].append(value)
         for method in methods:

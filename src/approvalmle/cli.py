@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on input/validation failures (including usage
 errors), 2 on degenerate estimation errors.  Every command is deterministic
-given its flags; seeds are explicit and outputs carry no timestamps.
+given its flags; seeds are explicit and outputs carry no timestamps.  A
+library warning reaches stderr as one ``warning: <message>`` line.
 
 When ``--out`` is a bare filename it is written under the directory named by
 the ``APPROVALMLE_REPORT_DIR`` environment variable (default: current
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from itertools import compress
 from pathlib import Path
 
@@ -390,14 +392,25 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except (_CliError, io.DatasetFormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    with warnings.catch_warnings():
+        python_show = warnings.showwarning
+
+        def show(message, category, *rest, **kwargs):
+            # a library warning is a message for the user, not a source line
+            if issubclass(category, UserWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                python_show(message, category, *rest, **kwargs)
+
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except (_CliError, io.DatasetFormatError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except ValueError as exc:
+            print(f"estimation error: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

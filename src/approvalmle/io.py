@@ -34,7 +34,20 @@ class DatasetFormatError(ValueError):
     """The file cannot be interpreted as a dataset document."""
 
 
-def _truth_tuple(profile: Profile, truth_map: dict) -> GroundTruth:
+def _is_assignment(mapping) -> bool:
+    """True when ``mapping`` is a dict from ids to lists of id strings."""
+    return isinstance(mapping, dict) and all(
+        isinstance(ids, list) and all(isinstance(a, str) for a in ids)
+        for ids in mapping.values()
+    )
+
+
+def _truth_tuple(profile: Profile, truth_map) -> GroundTruth:
+    if not _is_assignment(truth_map):
+        raise DatasetFormatError(
+            "dataset document: 'ground_truth' must map instance ids to lists of "
+            "alternative id strings"
+        )
     unknown = set(truth_map) - set(profile.instance_ids)
     if unknown:
         raise DatasetFormatError(
@@ -398,10 +411,7 @@ def load_assignment(path):
     doc = _read_json_object(path)
     key = next((key for key in ("estimates", "ground_truth") if key in doc), None)
     mapping = doc if key is None else doc[key]
-    if not isinstance(mapping, dict) or not all(
-        isinstance(ids, list) and all(isinstance(a, str) for a in ids)
-        for ids in mapping.values()
-    ):
+    if not _is_assignment(mapping):
         raise DatasetFormatError(
             f"{path}: {'the file' if key is None else repr(key)} must map instance "
             "ids to lists of alternative id strings"

@@ -40,9 +40,9 @@ def require_open_unit(values, name: str) -> np.ndarray:
     """Return ``values`` as a float array; raise, naming the first entry
     outside, unless every entry lies in (0, 1)."""
     arr = np.asarray(values, dtype=float)
-    outside = np.flatnonzero(~((arr > 0.0) & (arr < 1.0)))
-    if outside.size:
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {arr.flat[outside[0]]}")
+    inside = (arr > 0.0) & (arr < 1.0)
+    if not inside.all():
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {arr[~inside].flat[0]}")
     return arr
 
 
@@ -67,7 +67,8 @@ def truth_sets(truths: np.ndarray) -> GroundTruth:
 def ranked_prefixes(order: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Read-only ``bool[L, m]`` marking the first ``k[z]`` entries of each ``order[z]``."""
     marked = np.zeros(order.shape, dtype=bool)
-    np.put_along_axis(marked, order, np.arange(order.shape[-1]) < k[:, np.newaxis], axis=-1)
+    rows = np.arange(len(order))[:, np.newaxis]
+    marked[rows, order] = np.arange(order.shape[-1]) < k[:, np.newaxis]
     return read_only(marked)
 
 

@@ -11,6 +11,8 @@ one ``(L, m)`` array.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthEstimate, ranked_prefixes
@@ -20,6 +22,13 @@ def voter_weights(params: ParamVector) -> np.ndarray:
     """Log-odds weight of each voter: ln(p(1-q) / (q(1-p)))."""
     p, q = params.p, params.q
     return np.log(p) - np.log(q) + np.log(1.0 - q) - np.log(1.0 - p)
+
+
+#: Most ballot cells whose truth-step terms ``_board`` stacks into one array.
+#: The stacked terms take 8 bytes a cell (512 KiB here); past about twice this
+#: size, writing and re-reading them costs more than the per-voter calls they
+#: save (1.3-3.5x slower than the loop at n, L, m = 200-1000, 100-1000, 50).
+_STACK_LIMIT = 2**16
 
 
 def _board(by_voter: np.ndarray, params: ParamVector) -> tuple:
@@ -33,21 +42,35 @@ def _board(by_voter: np.ndarray, params: ParamVector) -> tuple:
     sum_i ln((1-q_i)/(1-p_i)) is the score level above which including an
     alternative increases the likelihood.
 
-    Voter terms are added one voter at a time in ascending index order, so
-    each score is rounded exactly like a sequential per-ballot sum; a single
-    contraction would reorder the additions and can flip near-ties.  Each
-    voter adds ``weight * approved`` over the whole array, read from its
-    block of the voter-major ballots: where the voter does not approve, that
-    term is +0.0 or -0.0, which leaves every score as it was (no score is
-    ever -0.0, since the prior log-odds and the weights never are).
+    Each score is the prior plus voter terms ``weight * approved`` added in
+    ascending voter order, so it is rounded exactly like a sequential
+    per-ballot sum; a single contraction would reorder the additions and can
+    flip near-ties.  Where a voter does not approve, its term is +0.0 or
+    -0.0, which leaves every score as it was (no score is ever -0.0, since
+    the prior log-odds and the weights never are).
+
+    Up to ``_STACK_LIMIT`` ballot cells, the prior row and every voter's terms
+    are stacked into one ``(n+1, ..., m)`` array and summed with
+    ``np.add.reduce`` along axis 0: numpy reduces a non-contiguous axis one
+    row at a time, in order, so the rounding is the sequential sum's.  A
+    voter's slice of one cell (one instance of one alternative) makes axis 0
+    the contiguous one, where numpy sums pairwise; that case, and arrays
+    above the limit, add one voter's terms at a time instead.
     """
     prior = np.log(params.t) - np.log(1.0 - params.t)
-    scores = np.broadcast_to(prior, by_voter.shape[1:-1] + prior.shape).copy()
+    weights = voter_weights(params)
+    threshold = float(np.sum(np.log(1.0 - params.q) - np.log(1.0 - params.p)))
+    cells = by_voter.shape[1:]
+    if by_voter.size <= _STACK_LIMIT and math.prod(cells) > 1:
+        terms = np.empty((len(weights) + 1, *cells))
+        terms[0] = prior
+        np.multiply(by_voter, weights.reshape(-1, *[1] * len(cells)), out=terms[1:])
+        return np.add.reduce(terms, axis=0), threshold
+    scores = np.broadcast_to(prior, cells).copy()
     term = np.empty_like(scores)
-    for weight, approved in zip(voter_weights(params), by_voter):
+    for weight, approved in zip(weights, by_voter):
         np.multiply(approved, weight, out=term)
         scores += term
-    threshold = float(np.sum(np.log(1.0 - params.q) - np.log(1.0 - params.p)))
     return scores, threshold
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from approvalmle import Bounds, Profile, majority_rule, modal_rule, truth_sets
 from conftest import instance_with_counts
@@ -33,6 +34,20 @@ class TestModalRule:
 
     def test_empty_ballot_wins_ties(self):
         assert _modal([set(), {0}], 1) == frozenset()
+
+    def test_ties_follow_index_tuples_not_bit_patterns(self):
+        # packed as bits, {1} < {0, 2} < {0, 1} on the first instance and
+        # {1, 2} < {0} < {0, 1} on the second, in neither order the tuple order
+        profile = Profile.build(
+            ["a", "b", "c"],
+            ["v1", "v2", "v3"],
+            [[{0, 2}, {1}, {0, 1}], [{0, 1}, {0}, {1, 2}]],
+        )
+        assert truth_sets(modal_rule(profile)) == (frozenset({0, 1}), frozenset({0}))
+
+    def test_no_voters_rejected(self):
+        with pytest.raises(ValueError, match="at least one voter"):
+            modal_rule(Profile.build(["a"], [], [[]]))
 
 
 class TestMajorityRule:

@@ -16,6 +16,11 @@ import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py"
 PARENT_COMMAND = ["python3", "old/run.py"]
+END_TO_END = [
+    {"name": "command_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "hamming_acc", "unit": "fraction", "better": "higher", "bound": 0.15},
+    {"name": "not_printed", "unit": "s", "better": "lower", "bound": 0.1},
+]
 CHANGE_COMMAND = ["python3", "perfbench/run.py"]
 
 
@@ -26,7 +31,9 @@ def comparer(tmp_path, monkeypatch):
     spec.loader.exec_module(module)
     change = tmp_path / "change"
     change.mkdir()
-    (change / "BENCHMARK.json").write_text(json.dumps({"command": CHANGE_COMMAND}))
+    (change / "BENCHMARK.json").write_text(
+        json.dumps({"command": CHANGE_COMMAND, "end_to_end": END_TO_END})
+    )
     monkeypatch.setattr(module.rec, "ROOT", change)
 
     def export(rev, dest):
@@ -136,3 +143,45 @@ def test_refuses_to_write_when_a_run_is_incorrect(comparer, monkeypatch, capsys)
     assert comparer.main([*ARGS, "--pairs", "10"]) == 1
     assert not (comparer.rec.ROOT / "BENCH_x_ab.json").exists()
     assert "batch-eval --trace 0: 1 of 5 calls failed" in capsys.readouterr().err
+
+
+def test_every_end_to_end_metric_gets_one_line(comparer, monkeypatch, capsys):
+    fake_runs(monkeypatch, comparer, {"parent": PARENT, "change": [p + 1 for p in PARENT]})
+    assert comparer.main([*ARGS, "--pairs", "10"]) == 0
+    doc = json.loads((comparer.rec.ROOT / "BENCH_x_ab.json").read_text())
+    # a metric that no run printed is left out
+    assert list(doc["end_to_end"]) == ["command_s", "hamming_acc"]
+    assert doc["end_to_end"]["command_s"]["worse"] is True
+    assert doc["end_to_end"]["hamming_acc"]["worse"] is False
+    lines = [line for line in capsys.readouterr().err.splitlines() if " bound " in line]
+    assert len(lines) == 2
+    assert lines[0].startswith("command_s: parent median 1.045") and lines[0].endswith(": worse")
+    assert lines[1].startswith("hamming_acc: ") and lines[1].endswith(": no regression")
+
+
+@pytest.mark.parametrize(
+    "better, change, worse",
+    [
+        ("lower", [p * 1.2 for p in PARENT], False),  # 20% slower, bound 25%
+        ("lower", [p * 1.3 for p in PARENT], True),
+        ("higher", [p * 0.8 for p in PARENT], False),  # 20% lower, bound 25%
+        ("higher", [p * 0.7 for p in PARENT], True),
+        ("higher", [p * 1.3 for p in PARENT], False),
+    ],
+    ids=["slower-within", "slower-beyond", "lower-within", "lower-beyond", "higher"],
+)
+def test_regression_is_read_against_the_bound_as_a_fraction(comparer, better, change, worse):
+    check = comparer.regression(PARENT, change, better, 0.25)
+    assert check["allowance"] == pytest.approx(0.25 * 1.045)
+    assert check["worse"] is worse
+    assert check["unresolved"] is False
+
+
+def test_regression_is_unresolved_when_the_parent_spreads_wider_than_the_bound(comparer):
+    parent = [1.0, 2.0] * 5  # IQR 1.0 > 0.25 * median 1.5
+    check = comparer.regression(parent, parent, "lower", 0.25)
+    assert check["parent"]["iqr"] == pytest.approx(1.0)
+    assert (check["worse"], check["unresolved"]) == (False, True)
+    # unless every run of the change reads better than every run of the parent
+    check = comparer.regression(parent, [0.9] * 10, "lower", 0.25)
+    assert check["unresolved"] is False

@@ -540,6 +540,59 @@ def test_command_builds_no_instance(tmp_path, monkeypatch, capsys, command, flag
     assert out.is_file()
 
 
+@pytest.mark.parametrize(
+    "truth",
+    [[["a"]], {"z1": 5}, {"z1": "ab"}, {"z1": {"a": 1}}],
+    ids=["list", "number", "string", "object"],
+)
+@pytest.mark.parametrize(
+    "command, flags",
+    [("aggregate", []), ("benchmark", ["--batch-sizes", "2", "--batches", 1])],
+    ids=["aggregate", "benchmark"],
+)
+def test_malformed_ground_truth_exits_1(tmp_path, capsys, command, flags, truth):
+    path = tmp_path / "bad.json"
+    doc = {
+        "alternatives": ["a", "b"],
+        "voters": ["v1", "v2"],
+        "instances": [{"id": "z1", "ballots": {"v1": ["a"], "v2": ["b"]}}],
+        "ground_truth": truth,
+    }
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run([command, path, *flags, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: dataset document: 'ground_truth' must map instance ids to lists of "
+        "alternative id strings\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("aggregate", []), ("benchmark", ["--batch-sizes", "2", "--batches", 1])],
+    ids=["aggregate", "benchmark"],
+)
+def test_library_warning_is_one_line(tmp_path, capsys, command, flags):
+    # identical ballots put every voter at the same distance from the others,
+    # so the distance-based initialization falls back to uniform with a warning
+    path = tmp_path / "equidistant.json"
+    doc = {
+        "alternatives": ["a", "b"],
+        "voters": ["v1", "v2", "v3"],
+        "instances": [
+            {"id": "z1", "ballots": {"v1": ["a"], "v2": ["a"], "v3": ["a"]}},
+            {"id": "z2", "ballots": {"v1": ["b"], "v2": ["b"], "v3": ["b"]}},
+        ],
+        "ground_truth": {"z1": ["a"], "z2": ["b"]},
+    }
+    path.write_text(json.dumps(doc))
+    assert run([command, path, "--lower", 1, "--upper", 1, *flags, "--out", tmp_path / "out"]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: all voters are equidistant; falling back to uniform initialization\n"
+    assert ".py:" not in err
+
+
 def test_usage_error_exits_1():
     assert run(["aggregate"]) == 1
 

@@ -42,7 +42,7 @@ from approvalmle import (
     uniform_init,
 )
 from approvalmle.likelihood import IMPOSSIBLE, instance_loglik
-from approvalmle.truth_mle import _board
+from approvalmle.truth_mle import _STACK_LIMIT, _board
 from conftest import counts_of, voterless_counts
 
 #: Rates on and next to the default clamp, and coarse values that make many
@@ -261,6 +261,42 @@ def test_whole_profile_scores_with_anti_expert_and_even_priors():
     # bit for bit, down to the sign of each zero
     assert scores.tobytes() == want.tobytes()
     assert scores[0, 2] == 0.0 and not np.signbit(scores[0, 2])
+
+
+def test_one_cell_scores_add_voters_in_order():
+    # With one instance of one alternative, a stacked reduction would run along
+    # numpy's contiguous axis, where it sums pairwise (eight partial sums from
+    # eight terms on); the truth step must still add voter by voter.
+    rng = np.random.default_rng(18)
+    n = 12
+    for _ in range(30):
+        params = ParamVector(rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n), [0.3])
+        profile = Profile.build(["a"], [f"v{i}" for i in range(n)], [[{0}] * n])
+        want = ref.estimate_truth(profile.instances[0], params, Bounds(0, 1)).scores
+        scores, _ = _board(profile.by_voter, params)
+        assert scores.tobytes() == np.asarray([want]).tobytes()
+        got = explain_truth(profile.approvals[0], params, Bounds(0, 1))
+        assert got.scores.tobytes() == np.asarray(want).tobytes()
+
+
+def test_truth_step_above_the_stacking_limit_matches_reference():
+    # more ballot cells than truth_mle stacks at once: voter terms are added
+    # one voter at a time instead, to the same bits
+    rng = np.random.default_rng(19)
+    length, n, m = 70, 200, 5
+    assert length * n * m > _STACK_LIMIT
+    approvals = rng.random((length, n, m)) < 0.4
+    profile = Profile([f"a{j}" for j in range(m)], [f"v{i}" for i in range(n)],
+                      [f"z{z}" for z in range(length)], approvals)
+    params = ParamVector(rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n),
+                         rng.uniform(0.05, 0.95, m))
+    bounds = Bounds(1, 3)
+    reference = [ref.estimate_truth(inst, params, bounds) for inst in profile.instances]
+    assert truth_sets(estimate_truth(profile, params, bounds)) == tuple(
+        est.chosen for est in reference
+    )
+    scores, _ = _board(profile.by_voter, params)
+    assert scores.tobytes() == np.array([est.scores for est in reference]).tobytes()
 
 
 @st.composite

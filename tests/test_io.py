@@ -248,6 +248,21 @@ class TestParseDataset:
         with pytest.raises(DatasetFormatError, match="unknown instances"):
             parse_dataset(doc)
 
+    @pytest.mark.parametrize(
+        "truth",
+        [[["a"]], {"z": 5}, {"z": "a"}, {"z": {"a": 1}}, {"z": [["a"]]}, {"z": [1]}],
+        ids=["list", "number", "string", "object", "nested-list", "number-member"],
+    )
+    def test_ground_truth_that_is_not_a_map_of_id_lists_rejected(self, truth):
+        doc = {
+            "alternatives": ["a"],
+            "voters": ["v"],
+            "instances": [{"id": "z", "ballots": {"v": []}}],
+            "ground_truth": truth,
+        }
+        with pytest.raises(DatasetFormatError, match="'ground_truth' must map instance ids"):
+            parse_dataset(doc)
+
 
 class TestParams:
     def test_round_trip(self, tmp_path):

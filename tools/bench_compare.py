@@ -23,7 +23,18 @@ each side's median and quartiles and the verdict of the rule for a speed
 claim: at least ``MIN_PAIRS`` pairs, the change faster in at least nine of
 every ten pairs (rounded up), and the gap between the two medians larger
 than the parent's interquartile range (``statistics.quantiles``, exclusive
-method).  Nothing is written when a run fails, prints no result, or reports
+method).
+
+Under ``end_to_end`` it also holds, for every end-to-end metric that the
+change's ``BENCHMARK.json`` declares and every run printed, each side's median and quartiles and a
+no-regression check that reads only the metric's ``better`` and ``bound``.
+``bound`` is a fraction of the parent's median: the metric is ``worse`` when
+the change's median is worse than the parent's by more than ``bound`` times
+the parent's median, and ``unresolved`` when the parent's own interquartile
+range is wider than that allowance, unless every run of the change reads
+better than every run of the parent.  One line per metric goes to stderr.
+
+Nothing is written when a run fails, prints no result, or reports
 ``"correct": false``.  Standard library only.
 """
 
@@ -83,16 +94,29 @@ def verdict(parent: list, change: list) -> dict:
             **tests, "holds": all(tests.values())}
 
 
+def regression(parent: list, change: list, better: str, bound: float) -> dict:
+    """No-regression check of one end-to-end metric; see the module docstring."""
+    base, new = quartiles(parent), quartiles(change)
+    sign = 1.0 if better == "lower" else -1.0
+    worse_by = sign * (new["median"] - base["median"])
+    allowance = bound * abs(base["median"])
+    always_better = all(sign * (c - p) < 0 for c in change for p in parent)
+    return {"parent": base, "change": new, "better": better, "bound": bound,
+            "worse_by": worse_by, "allowance": allowance, "worse": worse_by > allowance,
+            "unresolved": base["iqr"] > allowance and not always_better}
+
+
 def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: float) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench_compare_") as tmp:
         parent_root = Path(tmp) / "parent"
         parent_root.mkdir()
         sha = export(parent_rev, parent_root)
         roots = {"parent": parent_root, "change": rec.ROOT}
-        commands = {
-            side: json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["command"]
+        specs = {
+            side: json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
             for side, root in roots.items()
         }
+        commands = {side: spec["command"] for side, spec in specs.items()}
         runs, provenance = [], {}
         for i in range(pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -114,11 +138,30 @@ def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: floa
         },
         "pairs": runs,
     }
-    doc["verdict"] = verdict(
-        [pair["parent"]["command_s"] for pair in runs],
-        [pair["change"]["command_s"] for pair in runs],
-    )
+    def series(side, name):
+        return [pair[side][name] for pair in runs]
+
+    doc["verdict"] = verdict(series("parent", "command_s"), series("change", "command_s"))
+    printed = set.intersection(*(set(pair[side]) for pair in runs for side in SIDES))
+    doc["end_to_end"] = {
+        metric["name"]: regression(
+            series("parent", metric["name"]), series("change", metric["name"]),
+            metric["better"], metric["bound"],
+        )
+        for metric in specs["change"].get("end_to_end", [])
+        if metric["name"] in printed
+    }
     return doc
+
+
+def describe(name: str, check: dict) -> str:
+    state = ("worse" if check["worse"] else "unresolved" if check["unresolved"]
+             else "no regression")
+    return (
+        f"{name}: parent median {check['parent']['median']:.4g} (IQR "
+        f"{check['parent']['iqr']:.4g}), change median {check['change']['median']:.4g}; "
+        f"{check['better']} is better, bound {check['bound']:g} of the parent's median: {state}"
+    )
 
 
 def main(argv=None) -> int:
@@ -147,6 +190,8 @@ def main(argv=None) -> int:
         f"{'holds' if v['holds'] else 'does not hold'}; wrote {out}",
         file=sys.stderr,
     )
+    for name, check in doc["end_to_end"].items():
+        print(describe(name, check), file=sys.stderr)
     return 0
 
 
