@@ -123,7 +123,8 @@ def check_benchmark(
 ) -> None:
     """Raise ValueError unless every batch size fits the voters, there is at
     least one batch, every method is known and the initialization strategy is
-    a known one that can initialize any voter batch (so not ``file:``)."""
+    a known one that can initialize any voter batch (so not ``file:``, and
+    not ``anna-karenina`` on a batch of one voter)."""
     if init_strategy.startswith("file:"):
         raise ValueError(
             "benchmark re-initializes per voter batch; file-based initial "
@@ -132,6 +133,8 @@ def check_benchmark(
     for size in batch_sizes:
         if not 1 <= size <= num_voters:
             raise ValueError(f"batch size {size} is not in [1, {num_voters}], the available voters")
+    if init_strategy == "anna-karenina" and 1 in batch_sizes:
+        raise ValueError("batch size 1 is too small for anna-karenina, which compares voters")
     if num_batches < 1:
         raise ValueError(f"the number of batches must be at least 1, got {num_batches}")
     unknown = [method for method in methods if method not in METHODS]

@@ -1,9 +1,11 @@
 """Command-line interface: aggregate, evaluate, simulate, benchmark.
 
-Exit codes: 0 on success, 1 on input/validation failures (including usage
-errors), 2 on degenerate estimation errors.  Every command is deterministic
-given its flags; seeds are explicit and outputs carry no timestamps.  A
-library warning reaches stderr as one ``warning: <message>`` line.
+Exit codes: 0 on success; 2 when ``run_amle`` or ``run_benchmark`` raises
+ValueError on input that passed every check, so the estimation itself was
+degenerate; 1 on every other failure: a usage error, any other ValueError, or
+an OSError on any path.  Every command is deterministic given its flags; seeds
+are explicit and outputs carry no timestamps.  A library warning reaches
+stderr as one ``warning: <message>`` line.
 
 When ``--out`` is a bare filename it is written under the directory named by
 the ``APPROVALMLE_REPORT_DIR`` environment variable (default: current
@@ -37,6 +39,7 @@ from .benchmark import (
 from .initialization import anna_karenina_init, random_init, uniform_init  # noqa: F401
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noqa: F401
 from .model import Bounds, approval_matrix, validate_profile
+from .priors import PRIOR_UPDATE_RULES
 from .synth import SynthSpec, sample_profile, sample_truths
 from .truth_mle import voter_weights
 
@@ -45,10 +48,6 @@ EXIT_INVALID = 1
 EXIT_DEGENERATE = 2
 
 REPORT_DIR_ENV = "APPROVALMLE_REPORT_DIR"
-
-
-class _CliError(Exception):
-    """Input problem; message printed to stderr, exits with EXIT_INVALID."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,48 +71,55 @@ def _parse_rates(text: str, count: int, name: str) -> np.ndarray:
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError:
-        raise _CliError(f"--{name} must be comma-separated numbers, got {text!r}") from None
+        raise ValueError(f"--{name} must be comma-separated numbers, got {text!r}") from None
     if len(values) == 1:
         values = values * count
     if len(values) != count:
-        raise _CliError(f"--{name} needs 1 or {count} comma-separated values")
+        raise ValueError(f"--{name} needs 1 or {count} comma-separated values")
     return np.array(values)
 
 
 def _require_seed(seed: int) -> None:
     if seed < 0:
-        raise _CliError(f"--seed must be a non-negative integer, got {seed}")
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
 
 
-def _from_flags(build, *args, **kwargs):
-    """Call ``build`` on flag or dataset values; its ValueError is an input error."""
+def _estimate(run, *args, **kwargs):
+    """Call the estimator ``run`` on input that passed every check; a
+    ValueError from it means the estimate was degenerate, and exits 2."""
     try:
-        return build(*args, **kwargs)
+        return run(*args, **kwargs)
     except ValueError as exc:
-        raise _CliError(str(exc)) from None
+        print(f"estimation error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_DEGENERATE) from None
 
 
-def cmd_aggregate(args) -> int:
-    profile, ground_truth = io.load_dataset(args.dataset, strict=args.strict)
+def _load_checked(args, strict: bool = False):
+    """Load ``args.dataset`` and validate it under ``--lower``/``--upper``
+    (default: every alternative); print each warning, raise ValueError on any
+    violation, and return the profile, its ground truth and the bounds."""
+    profile, ground_truth = io.load_dataset(args.dataset, strict=strict)
     upper = args.upper if args.upper is not None else profile.num_alternatives
     bounds = Bounds(args.lower, upper)
     report_check = validate_profile(profile, bounds, ground_truth)
     for warning in report_check.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not report_check.ok:
-        raise _CliError("invalid dataset:\n  " + "\n  ".join(report_check.violations))
+        raise ValueError("invalid dataset:\n  " + "\n  ".join(report_check.violations))
+    return profile, ground_truth, bounds
 
-    config = _from_flags(
-        AmleConfig,
+
+def cmd_aggregate(args) -> int:
+    profile, ground_truth, bounds = _load_checked(args, strict=args.strict)
+    config = AmleConfig(
         tolerance=args.tolerance,
         max_iterations=args.max_iter,
         freeze_priors=args.freeze_priors,
         epsilon_clamp=args.epsilon_clamp,
         prior_update=args.prior_update,
     )
-    make_init = _from_flags(parse_init, args.init, args.p0, args.q0, args.t0)
-    init = _from_flags(make_init, profile)
-    _from_flags(check_init, profile, init)
+    init = parse_init(args.init, args.p0, args.q0, args.t0)(profile)
+    check_init(profile, init)
 
     if bounds.upper == 0:
         # Degenerate but legal: the bounds force every truth set to be empty,
@@ -123,7 +129,7 @@ def cmd_aggregate(args) -> int:
         convergence = {"converged": True, "iterations": 0, "final_delta": 0.0}
         trace_logliks = []
     else:
-        result = run_amle(profile, bounds, init, config)
+        result = _estimate(run_amle, profile, bounds, init, config)
         truths = result.truth_array
         params = result.params
         convergence = {
@@ -199,11 +205,11 @@ def cmd_evaluate(args) -> int:
     truth_ids = set(truths_map)
     if est_ids != truth_ids:
         diff = sorted(est_ids ^ truth_ids)
-        raise _CliError(
+        raise ValueError(
             f"instance ids differ between the two files; symmetric difference: {diff}"
         )
     if not estimates_map:
-        raise _CliError("the assignments name no instances, so there is nothing to score")
+        raise ValueError("the assignments name no instances, so there is nothing to score")
 
     if args.alternatives:
         alt_ids = args.alternatives.split(",")
@@ -216,7 +222,7 @@ def cmd_evaluate(args) -> int:
             {a for sets in (estimates_map, truths_map) for ids in sets.values() for a in ids}
         )
     if not alt_ids:
-        raise _CliError("the assignments name no alternatives; pass them with --alternatives")
+        raise ValueError("the assignments name no alternatives; pass them with --alternatives")
     index = {aid: j for j, aid in enumerate(alt_ids)}
 
     order = sorted(estimates_map)
@@ -226,7 +232,7 @@ def cmd_evaluate(args) -> int:
             for sets in (estimates_map, truths_map)
         )
     except KeyError as exc:
-        raise _CliError(f"assignment names unknown alternative {exc}") from None
+        raise ValueError(f"assignment names unknown alternative {exc}") from None
 
     table = score_estimates(estimates, truths)
     for name, value in table.items():
@@ -242,22 +248,19 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     for flag, size in (("m", args.m), ("n", args.n), ("instances", args.instances)):
         if size < 1:
-            raise _CliError(f"--{flag} must be at least 1, got {size}")
+            raise ValueError(f"--{flag} must be at least 1, got {size}")
     _require_seed(args.seed)
     upper = args.upper if args.upper is not None else args.m
-    try:
-        spec = SynthSpec(
-            m=args.m,
-            n=args.n,
-            num_instances=args.instances,
-            bounds=Bounds(args.lower, upper),
-            t=_parse_rates(args.t, args.m, "t"),
-            p=_parse_rates(args.p, args.n, "p"),
-            q=_parse_rates(args.q, args.n, "q"),
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    spec = SynthSpec(
+        m=args.m,
+        n=args.n,
+        num_instances=args.instances,
+        bounds=Bounds(args.lower, upper),
+        t=_parse_rates(args.t, args.m, "t"),
+        p=_parse_rates(args.p, args.n, "p"),
+        q=_parse_rates(args.q, args.n, "q"),
+        seed=args.seed,
+    )
     truths = sample_truths(spec)
     profile = sample_profile(spec, truths)
     out = _out_path(args.out, "synthetic.json")
@@ -272,31 +275,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     _require_seed(args.seed)
-    profile, ground_truth = io.load_dataset(args.dataset, strict=False)
+    profile, ground_truth, bounds = _load_checked(args)
     if ground_truth is None:
-        raise _CliError("benchmark needs a dataset with embedded ground truth")
-    upper = args.upper if args.upper is not None else profile.num_alternatives
-    bounds = Bounds(args.lower, upper)
-    report_check = validate_profile(profile, bounds, ground_truth)
-    if not report_check.ok:
-        raise _CliError("invalid dataset:\n  " + "\n  ".join(report_check.violations))
-
+        raise ValueError("benchmark needs a dataset with embedded ground truth")
     try:
         sizes = [int(part) for part in args.batch_sizes.split(",")]
     except ValueError:
-        raise _CliError("--batch-sizes must be comma-separated integers") from None
+        raise ValueError("--batch-sizes must be comma-separated integers") from None
     methods = args.methods.split(",")
-    _from_flags(
-        check_benchmark, profile.num_voters, sizes, args.batches, methods, args.init
-    )
-
-    config = _from_flags(
-        AmleConfig,
+    check_benchmark(profile.num_voters, sizes, args.batches, methods, args.init)
+    config = AmleConfig(
         tolerance=args.tolerance,
         max_iterations=args.max_iter,
         prior_update=args.prior_update,
     )
-    rows = run_benchmark(
+    rows = _estimate(
+        run_benchmark,
         profile,
         ground_truth,
         bounds,
@@ -321,28 +315,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    agg = sub.add_parser("aggregate", help="estimate truths and parameters from a dataset")
-    agg.add_argument("dataset", help="dataset file (.json or .csv)")
-    agg.add_argument("--lower", type=int, default=0, help="lower cardinality bound")
-    agg.add_argument("--upper", type=int, default=None, help="upper cardinality bound (default m)")
-    agg.add_argument(
+    # the AMLE loop's flags, shared by aggregate and benchmark
+    amle = argparse.ArgumentParser(add_help=False)
+    amle.add_argument(
         "--init",
         default="anna-karenina",
         help="anna-karenina | uniform | random:<seed> | file:<params.json>",
     )
+    amle.add_argument("--tolerance", type=float, default=AmleConfig.tolerance)
+    amle.add_argument("--max-iter", type=int, default=AmleConfig.max_iterations)
+    amle.add_argument(
+        "--prior-update",
+        choices=PRIOR_UPDATE_RULES,
+        default=AmleConfig.prior_update,
+        help="inclusion-prior coordinate update rule",
+    )
+
+    agg = sub.add_parser(
+        "aggregate", parents=[amle], help="estimate truths and parameters from a dataset"
+    )
+    agg.add_argument("dataset", help="dataset file (.json or .csv)")
+    agg.add_argument("--lower", type=int, default=0, help="lower cardinality bound")
+    agg.add_argument("--upper", type=int, default=None, help="upper cardinality bound (default m)")
     agg.add_argument("--p0", type=float, default=0.6, help="uniform init p")
     agg.add_argument("--q0", type=float, default=0.4, help="uniform init q")
     agg.add_argument("--t0", type=float, default=0.5, help="initial inclusion prior")
-    agg.add_argument("--tolerance", type=float, default=1e-5)
-    agg.add_argument("--max-iter", type=int, default=100)
     agg.add_argument("--freeze-priors", action="store_true")
-    agg.add_argument("--epsilon-clamp", type=float, default=1e-4)
-    agg.add_argument(
-        "--prior-update",
-        choices=["exact", "legacy"],
-        default="exact",
-        help="inclusion-prior coordinate update rule",
-    )
+    agg.add_argument("--epsilon-clamp", type=float, default=AmleConfig.epsilon_clamp)
     agg.add_argument("--strict", action="store_true", help="reject omitted ballots")
     agg.add_argument("--out", default=None, help="report path (JSON)")
     agg.add_argument("--quiet", action="store_true")
@@ -369,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--quiet", action="store_true")
     sim.set_defaults(func=cmd_simulate)
 
-    bench = sub.add_parser("benchmark", help="compare methods over random voter batches")
+    bench = sub.add_parser(
+        "benchmark", parents=[amle], help="compare methods over random voter batches"
+    )
     bench.add_argument("dataset", help="dataset file with ground truth")
     bench.add_argument("--batch-sizes", required=True, help="e.g. 10,20,40")
     bench.add_argument("--batches", type=int, default=20)
@@ -377,40 +378,32 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", default=",".join(METHODS))
     bench.add_argument("--lower", type=int, default=1)
     bench.add_argument("--upper", type=int, default=2)
-    bench.add_argument("--init", default="anna-karenina")
-    bench.add_argument("--tolerance", type=float, default=1e-5)
-    bench.add_argument("--max-iter", type=int, default=100)
-    bench.add_argument("--prior-update", choices=["exact", "legacy"], default="exact")
     bench.add_argument("--out", default=None, help="plot-ready CSV path")
     bench.set_defaults(func=cmd_benchmark)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    with warnings.catch_warnings():
-        python_show = warnings.showwarning
+        args = build_parser().parse_args(argv)
+        with warnings.catch_warnings():
+            python_show = warnings.showwarning
 
-        def show(message, category, *rest, **kwargs):
-            # a library warning is a message for the user, not a source line
-            if issubclass(category, UserWarning):
-                print(f"warning: {message}", file=sys.stderr)
-            else:
-                python_show(message, category, *rest, **kwargs)
+            def show(message, category, *rest, **kwargs):
+                # a library warning is a message for the user, not a source line
+                if issubclass(category, UserWarning):
+                    print(f"warning: {message}", file=sys.stderr)
+                else:
+                    python_show(message, category, *rest, **kwargs)
 
-        warnings.showwarning = show
-        try:
+            warnings.showwarning = show
             return args.func(args)
-        except (_CliError, io.DatasetFormatError, FileNotFoundError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        except ValueError as exc:
-            print(f"estimation error: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
+    except SystemExit as exc:
+        # raised by argparse (usage errors exit 1, see _Parser) and _estimate
+        return int(exc.code or 0)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

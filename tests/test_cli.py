@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from approvalmle.benchmark import load_benchmark_csv
 from approvalmle.cli import main
@@ -491,6 +495,33 @@ class TestBenchmark:
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -3\n"
         assert not out.exists()
 
+    def test_batch_of_one_voter_under_anna_karenina_exits_1(
+        self, truth_dataset, tmp_path, capsys
+    ):
+        out = tmp_path / "x.csv"
+        code = run(["benchmark", truth_dataset, "--batch-sizes", "1", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: batch size 1 is too small for anna-karenina, which compares voters\n"
+        )
+        assert not out.exists()
+
+    def test_full_set_bounds_exit_2(self, tmp_path, capsys):
+        # bounds [m, m] leave no negative labels, so q is inestimable in every batch
+        from approvalmle.model import Profile
+
+        path = tmp_path / "full.json"
+        save_dataset(path, Profile.build(["a"], ["v1", "v2"], [[{0}, {0}]]), [frozenset({0})])
+        out = tmp_path / "x.csv"
+        code = run(
+            ["benchmark", path, "--lower", 1, "--upper", 1, "--batch-sizes", 2,
+             "--batches", 1, "--init", "uniform", "--out", out]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("estimation error: ") and "every truth set is full" in err
+        assert not out.exists()
+
     def test_missing_ground_truth_exits_1(self, tmp_path, worked_profile):
         path = tmp_path / "no_truth.json"
         save_dataset(path, worked_profile)
@@ -606,3 +637,133 @@ def test_bad_flag_value_names_flag_and_value(capsys):
 
 def test_unknown_command_exits_1():
     assert run(["frobnicate"]) == 1
+
+
+def _synthetic_dataset(path, edit_truths=lambda truths: truths):
+    """A 4-alternative, 12-voter, 5-instance dataset with ground truth in [1, 2]."""
+    from approvalmle.model import Bounds
+    from approvalmle.synth import SynthSpec, sample_dataset
+
+    profile, truths = sample_dataset(SynthSpec.homogeneous(4, 12, 5, Bounds(1, 2), 0.8, 0.25, 9))
+    truths = edit_truths(truths)
+    save_dataset(path, profile, truths)
+    return profile, truths
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["aggregate", "{dir}"],
+        ["aggregate", "{data}", "--quiet", "--out", "{dir}"],
+        ["evaluate", "{dir}", "{data}"],
+        ["evaluate", "{data}", "{data}", "--out", "{dir}"],
+        ["simulate", "--quiet", "--out", "{dir}"],
+        ["benchmark", "{dir}", "--batch-sizes", "4"],
+        ["benchmark", "{data}", "--batch-sizes", "4", "--init", "uniform", "--out", "{dir}"],
+    ],
+    ids=[
+        "aggregate-input", "aggregate-out", "evaluate-input", "evaluate-out", "simulate-out",
+        "benchmark-input", "benchmark-out",
+    ],
+)
+def test_directory_path_exits_1(tmp_path, capsys, args):
+    data = tmp_path / "data.json"
+    _synthetic_dataset(data)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code = run([a.format(dir=folder, data=data) for a in args])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_simulate_with_too_little_prior_mass_exits_1(tmp_path, capsys):
+    # a prior that admits only the full set of 30 alternatives at t=0.1 cannot
+    # be sampled; nothing is estimated, so this is an input failure
+    out = tmp_path / "s.json"
+    code = run(
+        ["simulate", "--m", 30, "--lower", 30, "--upper", 30, "--t", 0.1, "--out", out]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: admissible prior mass") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_truth_outside_bounds_warns_once_in_aggregate_and_benchmark(tmp_path, capsys):
+    from approvalmle.benchmark import run_benchmark, save_benchmark_csv
+    from approvalmle.model import Bounds
+
+    path = tmp_path / "wide_truth.json"
+    profile, truths = _synthetic_dataset(
+        path, lambda truths: (frozenset({0, 1, 2}),) + tuple(truths[1:])
+    )
+    expected = (
+        f"warning: ground truth of instance {profile.instance_ids[0]!r} has size 3 "
+        "outside [1, 2]\n"
+    )
+    bounds = ["--lower", 1, "--upper", 2, "--init", "uniform"]
+    assert run(["aggregate", path, *bounds, "--quiet", "--out", tmp_path / "r.json"]) == 0
+    assert capsys.readouterr().err == expected
+
+    out = tmp_path / "bench.csv"
+    batches = ["--batch-sizes", 4, "--batches", 2, "--seed", 3]
+    assert run(["benchmark", path, *bounds, *batches, "--out", out]) == 0
+    assert capsys.readouterr().err == expected
+    direct = tmp_path / "direct.csv"
+    rows = run_benchmark(profile, truths, Bounds(1, 2), [4], 2, 3, init_strategy="uniform")
+    save_benchmark_csv(direct, rows)
+    assert out.read_bytes() == direct.read_bytes()
+
+
+#: Field names of the dataset, assignment and params schemas, plus ids that
+#: the fixed files below use, so that generated documents get past the first
+#: key lookups.
+SCHEMA_NAMES = (
+    "alternatives", "voters", "instances", "id", "ballots", "ground_truth",
+    "estimates", "p", "q", "t", "a1", "a2", "v1", "z1",
+)
+
+json_documents = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(0, 1)
+    | st.floats()
+    | st.sampled_from(SCHEMA_NAMES)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_NAMES), children, max_size=5),
+    max_leaves=16,
+)
+
+#: Where a generated document goes: the command line, with {doc} for its path.
+CONTRACT_ENTRY_POINTS = {
+    "aggregate-dataset": ["aggregate", "{doc}", "--quiet"],
+    "evaluate-estimates": ["evaluate", "{doc}", "{data}"],
+    "aggregate-init-file": ["aggregate", "{data}", "--init", "file:{doc}", "--quiet"],
+}
+
+
+@pytest.mark.parametrize("entry", CONTRACT_ENTRY_POINTS)
+@settings(
+    max_examples=70, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(document=json_documents)
+def test_any_json_document_meets_the_exit_code_contract(
+    tmp_path, worked_profile, entry, document
+):
+    data = tmp_path / "data.json"
+    save_dataset(data, worked_profile, [frozenset({1, 2})] * 3 + [frozenset({2})])
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(document))
+    args = [a.format(doc=doc, data=data) for a in CONTRACT_ENTRY_POINTS[entry]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(args + ["--out", str(tmp_path / "out.json")])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code or err:
+        assert err.startswith(("error:", "estimation error:", "warning:"))
