@@ -36,7 +36,6 @@ from .model import (
     Profile,
     TruthCounts,
     TruthEstimate,
-    ValidationReport,
     approval_matrix,
     clamp_unit,
     truth_sets,
@@ -50,7 +49,7 @@ from .priors import (
     sweep_inclusion_priors,
     update_inclusion_prior,
 )
-from .reliability import update_reliabilities
+from .reliability import DegenerateEstimate, update_reliabilities
 from .synth import SynthSpec, sample_dataset, sample_profile, sample_truths
 from .truth_mle import estimate_truth, explain_truth, voter_weights
 
@@ -62,6 +61,7 @@ __all__ = [
     "AmleStep",
     "Bounds",
     "CardinalityDP",
+    "DegenerateEstimate",
     "GroundTruth",
     "IMPOSSIBLE",
     "Instance",
@@ -71,7 +71,6 @@ __all__ = [
     "ThieleWeights",
     "TruthCounts",
     "TruthEstimate",
-    "ValidationReport",
     "anna_karenina_init",
     "approval_matrix",
     "brute_force_truth_mle",

@@ -102,15 +102,6 @@ class AmleResult(_TruthSets):
     iterations: int
 
 
-def check_init(profile: Profile, init: ParamVector) -> None:
-    """Raise ValueError unless ``init`` fits the profile's voters and
-    alternatives."""
-    if init.num_voters != profile.num_voters:
-        raise ValueError("initial parameters sized for a different voter count")
-    if init.num_alternatives != profile.num_alternatives:
-        raise ValueError("initial parameters sized for a different alternative count")
-
-
 def run_amle(
     profile: Profile,
     bounds: Bounds,
@@ -120,14 +111,14 @@ def run_amle(
     """Run the alternating estimation loop from the given initial parameters.
 
     Deterministic: identical inputs produce bit-identical results.  Raises
-    ValueError on an invalid profile or out-of-range initial parameters, and
-    propagates the degenerate-truth errors from the reliability update (for
-    example when the bounds force every truth set to be empty).
+    ValueError on an invalid profile (``validate_profile``) or initial
+    parameters sized for another profile (``ParamVector.require_fit``), and
+    propagates ``DegenerateEstimate`` from the reliability update when the
+    estimated truths are all empty or all full (for example when the bounds
+    force every truth set to be full).
     """
-    report = validate_profile(profile, bounds)
-    if not report.ok:
-        raise ValueError("invalid profile: " + "; ".join(report.violations))
-    check_init(profile, init)
+    validate_profile(profile, bounds)
+    init.require_fit(profile.approvals.shape[1:])
 
     params = init
     steps = []

@@ -118,31 +118,6 @@ def score_estimates(estimates: np.ndarray, truths: np.ndarray) -> dict:
     }
 
 
-def check_benchmark(
-    num_voters: int, batch_sizes, num_batches: int, methods, init_strategy: str
-) -> None:
-    """Raise ValueError unless every batch size fits the voters, there is at
-    least one batch, every method is known and the initialization strategy is
-    a known one that can initialize any voter batch (so not ``file:``, and
-    not ``anna-karenina`` on a batch of one voter)."""
-    if init_strategy.startswith("file:"):
-        raise ValueError(
-            "benchmark re-initializes per voter batch; file-based initial "
-            "parameters cannot fit every batch size"
-        )
-    for size in batch_sizes:
-        if not 1 <= size <= num_voters:
-            raise ValueError(f"batch size {size} is not in [1, {num_voters}], the available voters")
-    if init_strategy == "anna-karenina" and 1 in batch_sizes:
-        raise ValueError("batch size 1 is too small for anna-karenina, which compares voters")
-    if num_batches < 1:
-        raise ValueError(f"the number of batches must be at least 1, got {num_batches}")
-    unknown = [method for method in methods if method not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
-    parse_init(init_strategy)
-
-
 def run_benchmark(
     profile: Profile,
     truths: GroundTruth,
@@ -154,11 +129,32 @@ def run_benchmark(
     init_strategy: str = "anna-karenina",
     config: AmleConfig = AmleConfig(),
 ) -> list:
-    """Accuracy table over voter batches against frozenset ``truths``; see module docstring."""
+    """Accuracy table over voter batches against frozenset ``truths``; see module docstring.
+
+    Raises ValueError before any batch runs unless every batch size fits the
+    voters, there is at least one batch, every method is known and the
+    initialization strategy is a known one that can initialize any voter
+    batch (so not ``file:``, and not ``anna-karenina`` on a batch of one
+    voter).
+    """
     n = profile.num_voters
-    check_benchmark(n, batch_sizes, num_batches, methods, init_strategy)
-    truths = approval_matrix(truths, profile.num_alternatives)
+    if init_strategy.startswith("file:"):
+        raise ValueError(
+            "benchmark re-initializes per voter batch; file-based initial "
+            "parameters cannot fit every batch size"
+        )
+    for size in batch_sizes:
+        if not 1 <= size <= n:
+            raise ValueError(f"batch size {size} is not in [1, {n}], the available voters")
+    if init_strategy == "anna-karenina" and 1 in batch_sizes:
+        raise ValueError("batch size 1 is too small for anna-karenina, which compares voters")
+    if num_batches < 1:
+        raise ValueError(f"the number of batches must be at least 1, got {num_batches}")
+    unknown = [method for method in methods if method not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
     make_init = parse_init(init_strategy)
+    truths = approval_matrix(truths, profile.num_alternatives)
     # both AMLE methods start from the same parameters, computed once per batch
     needs_init = any(method.startswith("amle") for method in methods)
     rows = []

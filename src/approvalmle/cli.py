@@ -1,20 +1,23 @@
 """Command-line interface: aggregate, evaluate, simulate, benchmark.
 
-Exit codes: 0 on success; 2 when ``run_amle`` or ``run_benchmark`` raises
-ValueError on input that passed every check, so the estimation itself was
-degenerate; 1 on every other failure: a usage error, any other ValueError, or
-an OSError on any path.  Every command is deterministic given its flags; seeds
+Exit codes follow the type of the error, decided where it is raised: 0 on
+success; 2 on ``DegenerateEstimate``, the estimated truths holding no positive
+or no negative label (``estimation error: <message>``); 1 on every other
+failure, a usage error, any other ValueError or an OSError on any path
+(``error: <message>``).  Every command is deterministic given its flags; seeds
 are explicit and outputs carry no timestamps.  A library warning reaches
 stderr as one ``warning: <message>`` line.
 
 When ``--out`` is a bare filename it is written under the directory named by
 the ``APPROVALMLE_REPORT_DIR`` environment variable (default: current
-directory).
+directory).  ``aggregate`` and ``benchmark`` resolve it before estimating, so
+an unwritable path fails before the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -25,10 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .amle import AmleConfig, check_init, run_amle
+from .amle import AmleConfig, run_amle
 from .benchmark import (
     METHODS,
-    check_benchmark,
     format_benchmark_table,
     parse_init,
     run_benchmark,
@@ -40,6 +42,7 @@ from .initialization import anna_karenina_init, random_init, uniform_init  # noq
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noqa: F401
 from .model import Bounds, approval_matrix, validate_profile
 from .priors import PRIOR_UPDATE_RULES
+from .reliability import DegenerateEstimate
 from .synth import SynthSpec, sample_profile, sample_truths
 from .truth_mle import voter_weights
 
@@ -60,11 +63,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_path(name: str | None, default: str) -> Path:
-    base = Path(os.environ.get(REPORT_DIR_ENV, "."))
-    if name is None:
-        return base / default
-    path = Path(name)
-    return path if path.parent != Path(".") or path.is_absolute() else base / path
+    """The output path for ``--out`` (``default`` when it is not given);
+    raise the OSError that ``open`` would when it is a directory or its
+    parent directory is missing."""
+    path = Path(default if name is None else name)
+    if path.parent == Path(".") and not path.is_absolute():
+        path = Path(os.environ.get(REPORT_DIR_ENV, ".")) / path
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return path
+    # OSError picks the subclass open raises, e.g. IsADirectoryError
+    raise OSError(code, os.strerror(code), str(path))
 
 
 def _parse_rates(text: str, count: int, name: str) -> np.ndarray:
@@ -84,28 +96,15 @@ def _require_seed(seed: int) -> None:
         raise ValueError(f"--seed must be a non-negative integer, got {seed}")
 
 
-def _estimate(run, *args, **kwargs):
-    """Call the estimator ``run`` on input that passed every check; a
-    ValueError from it means the estimate was degenerate, and exits 2."""
-    try:
-        return run(*args, **kwargs)
-    except ValueError as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_DEGENERATE) from None
-
-
 def _load_checked(args, strict: bool = False):
     """Load ``args.dataset`` and validate it under ``--lower``/``--upper``
-    (default: every alternative); print each warning, raise ValueError on any
-    violation, and return the profile, its ground truth and the bounds."""
+    (default: every alternative); print each warning and return the profile,
+    its ground truth and the bounds."""
     profile, ground_truth = io.load_dataset(args.dataset, strict=strict)
     upper = args.upper if args.upper is not None else profile.num_alternatives
     bounds = Bounds(args.lower, upper)
-    report_check = validate_profile(profile, bounds, ground_truth)
-    for warning in report_check.warnings:
+    for warning in validate_profile(profile, bounds, ground_truth):
         print(f"warning: {warning}", file=sys.stderr)
-    if not report_check.ok:
-        raise ValueError("invalid dataset:\n  " + "\n  ".join(report_check.violations))
     return profile, ground_truth, bounds
 
 
@@ -119,17 +118,18 @@ def cmd_aggregate(args) -> int:
         prior_update=args.prior_update,
     )
     init = parse_init(args.init, args.p0, args.q0, args.t0)(profile)
-    check_init(profile, init)
+    out = _out_path(args.out, Path(args.dataset).stem + "_report.json")
 
     if bounds.upper == 0:
         # Degenerate but legal: the bounds force every truth set to be empty,
         # so nothing is estimable and the initial parameters are echoed back.
+        init.require_fit(profile.approvals.shape[1:])
         truths = np.zeros((profile.num_instances, profile.num_alternatives), dtype=bool)
         params = init
         convergence = {"converged": True, "iterations": 0, "final_delta": 0.0}
         trace_logliks = []
     else:
-        result = _estimate(run_amle, profile, bounds, init, config)
+        result = run_amle(profile, bounds, init, config)
         truths = result.truth_array
         params = result.params
         convergence = {
@@ -177,7 +177,6 @@ def cmd_aggregate(args) -> int:
     if ground_truth is not None:
         report["metrics"] = score_estimates(truths, approval_matrix(ground_truth, len(alt_ids)))
 
-    out = _out_path(args.out, Path(args.dataset).stem + "_report.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -282,26 +281,23 @@ def cmd_benchmark(args) -> int:
         sizes = [int(part) for part in args.batch_sizes.split(",")]
     except ValueError:
         raise ValueError("--batch-sizes must be comma-separated integers") from None
-    methods = args.methods.split(",")
-    check_benchmark(profile.num_voters, sizes, args.batches, methods, args.init)
     config = AmleConfig(
         tolerance=args.tolerance,
         max_iterations=args.max_iter,
         prior_update=args.prior_update,
     )
-    rows = _estimate(
-        run_benchmark,
+    out = _out_path(args.out, "benchmark.csv")
+    rows = run_benchmark(
         profile,
         ground_truth,
         bounds,
         sizes,
         args.batches,
         args.seed,
-        methods=methods,
+        methods=args.methods.split(","),
         init_strategy=args.init,
         config=config,
     )
-    out = _out_path(args.out, "benchmark.csv")
     save_benchmark_csv(out, rows)
     print(format_benchmark_table(rows))
     print(f"plot data written to {out}")
@@ -399,8 +395,11 @@ def main(argv=None) -> int:
             warnings.showwarning = show
             return args.func(args)
     except SystemExit as exc:
-        # raised by argparse (usage errors exit 1, see _Parser) and _estimate
+        # raised by argparse: --help exits 0, usage errors 1 (see _Parser)
         return int(exc.code or 0)
+    except DegenerateEstimate as exc:
+        print(f"estimation error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -370,41 +370,29 @@ class TruthEstimate:
     admissible_k: int
 
 
-@dataclass
-class ValidationReport:
-    """Structural check results; semantic issues are reported, not raised."""
-
-    violations: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def validate_profile(
     profile: Profile,
     bounds: Bounds,
     ground_truth: GroundTruth | None = None,
-) -> ValidationReport:
+) -> list:
     """Check a profile's ids, the bounds and any ground truth.
 
-    Returns a report listing every problem found (duplicate ids, inverted
-    bounds, unknown truth members, ...).  A valid input yields an empty
-    violation list.  Ground-truth sets whose size falls outside the bounds
-    are reported as warnings only.  The ballots need no check here: the
+    Raises one ValueError, ``invalid profile: a; b``, listing every violation
+    found (duplicate ids, inverted bounds, unknown truth members, ...).
+    Otherwise returns the warnings: one for each ground-truth set whose size
+    falls outside the bounds.  The ballots need no check here: the
     ``approvals`` array has the profile's shape by construction.
     """
-    report = ValidationReport()
+    violations, warnings = [], []
     m = profile.num_alternatives
     length = profile.num_instances
 
     if m < 1:
-        report.violations.append("profile declares no alternatives")
+        violations.append("profile declares no alternatives")
     if profile.num_voters < 1:
-        report.violations.append("profile declares no voters")
+        violations.append("profile declares no voters")
     if length < 1:
-        report.violations.append("profile declares no instances")
+        violations.append("profile declares no instances")
 
     for name, ids in (
         ("alternative", profile.alternative_ids),
@@ -412,35 +400,33 @@ def validate_profile(
         ("instance", profile.instance_ids),
     ):
         if len(set(ids)) != len(ids):
-            report.violations.append(f"duplicate {name} ids")
+            violations.append(f"duplicate {name} ids")
 
     if bounds.lower > bounds.upper:
-        report.violations.append(
-            f"l exceeds u: bounds ({bounds.lower}, {bounds.upper})"
-        )
+        violations.append(f"l exceeds u: bounds ({bounds.lower}, {bounds.upper})")
     if bounds.lower < 0:
-        report.violations.append(f"negative lower bound {bounds.lower}")
+        violations.append(f"negative lower bound {bounds.lower}")
     if bounds.upper > m:
-        report.violations.append(
-            f"upper bound {bounds.upper} exceeds the {m} alternatives"
-        )
+        violations.append(f"upper bound {bounds.upper} exceeds the {m} alternatives")
 
     if ground_truth is not None:
         if len(ground_truth) != length:
-            report.violations.append(
+            violations.append(
                 f"ground truth covers {len(ground_truth)} instances, expected {length}"
             )
         else:
             for zid, truth in zip(profile.instance_ids, ground_truth):
                 bad = [a for a in truth if not 0 <= a < m]
                 if bad:
-                    report.violations.append(
+                    violations.append(
                         f"ground truth of instance {zid!r} names unknown "
                         f"alternatives {sorted(bad)}"
                     )
                 elif not bounds.contains(len(truth)):
-                    report.warnings.append(
+                    warnings.append(
                         f"ground truth of instance {zid!r} has size "
                         f"{len(truth)} outside [{bounds.lower}, {bounds.upper}]"
                     )
-    return report
+    if violations:
+        raise ValueError("invalid profile: " + "; ".join(violations))
+    return warnings

@@ -12,6 +12,11 @@ import numpy as np
 from .model import DEFAULT_EPSILON_CLAMP, Profile, TruthCounts, clamp_unit
 
 
+class DegenerateEstimate(ValueError):
+    """The estimated truths hold no positive label or no negative label, so
+    the closed-form rate p or q is undefined: the one degenerate estimate."""
+
+
 def update_reliabilities(
     profile: Profile,
     counts: TruthCounts,
@@ -24,17 +29,18 @@ def update_reliabilities(
     land on the clamp boundaries rather than 0 or 1, keeping log-odds weights
     finite.  Anti-experts (p̂ < q̂) are returned as-is.
 
-    Raises ValueError when every truth set is empty (no positive labels, p
-    undefined) or every truth set is full (no negative labels, q undefined).
+    Raises DegenerateEstimate when every truth set is empty (no positive
+    labels, p undefined) or every truth set is full (no negative labels, q
+    undefined).
     """
     total_positive = counts.positives
     total_negative = counts.truths.size - total_positive
     if total_positive == 0:
-        raise ValueError(
+        raise DegenerateEstimate(
             "every truth set is empty: true-positive rate p is undefined"
         )
     if total_negative == 0:
-        raise ValueError(
+        raise DegenerateEstimate(
             "every truth set is full: false-positive rate q is undefined"
         )
 

@@ -12,8 +12,8 @@ Do not optimise or refactor this module.  Its value is that it stays the
 slow, obvious version: a change here would silently move the reference that
 the package is checked against.  Only the plain data types (``Bounds``,
 ``ParamVector``, ``Profile``, ``ThieleWeights``, result records, which take
-their truths through ``approval_matrix``) and ``validate_profile`` come from
-the package.
+their truths through ``approval_matrix``), ``validate_profile`` and the
+``DegenerateEstimate`` error type come from the package.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from approvalmle.model import (
     clamp_unit,
     validate_profile,
 )
+from approvalmle.reliability import DegenerateEstimate
 
 TIE_TOLERANCE = 1e-9
 
@@ -237,9 +238,9 @@ def update_reliabilities(profile: Profile, truths, epsilon=DEFAULT_EPSILON_CLAMP
     total_positive = sum(len(truth) for truth in truths)
     total_negative = length * m - total_positive
     if total_positive == 0:
-        raise ValueError("every truth set is empty: true-positive rate p is undefined")
+        raise DegenerateEstimate("every truth set is empty: true-positive rate p is undefined")
     if total_negative == 0:
-        raise ValueError("every truth set is full: false-positive rate q is undefined")
+        raise DegenerateEstimate("every truth set is full: false-positive rate q is undefined")
 
     n = profile.num_voters
     true_pos = np.zeros(n)
@@ -310,9 +311,7 @@ def anna_karenina_init(profile: Profile, t0: float = 0.5) -> ParamVector:
 
 
 def run_amle(profile: Profile, bounds: Bounds, init: ParamVector, config: AmleConfig) -> AmleResult:
-    report = validate_profile(profile, bounds)
-    if not report.ok:
-        raise ValueError("invalid profile: " + "; ".join(report.violations))
+    validate_profile(profile, bounds)
     init.require_open_unit()
 
     params = init

@@ -251,7 +251,10 @@ class TestValidationAndErrors:
             run_amle(profile, Bounds(0, 0), uniform_init(1, 2))
 
     def test_mismatched_init_shape_rejected(self, worked_profile, worked_bounds):
-        with pytest.raises(ValueError, match="voter count"):
+        with pytest.raises(
+            ValueError, match=r"^parameters sized for a different profile: ballots of shape "
+            r"\(3, 5\), parameters for \(n, m\) = \(4, 5\)$"
+        ):
             run_amle(worked_profile, worked_bounds, uniform_init(4, 5))
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-5, float("nan"), float("inf")])

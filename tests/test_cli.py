@@ -6,10 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from approvalmle import cli
 from approvalmle.benchmark import load_benchmark_csv
 from approvalmle.cli import main
 from approvalmle.io import save_dataset, save_params
-from approvalmle.model import ParamVector
+from approvalmle.model import Bounds, ParamVector
+from approvalmle.reliability import DegenerateEstimate
+from approvalmle.synth import SynthSpec, sample_dataset
 
 
 @pytest.fixture
@@ -136,12 +139,15 @@ class TestAggregate:
 
     def test_init_file_for_other_shape_exits_1(self, dataset_path, tmp_path, capsys):
         # the worked profile has 3 voters and 5 alternatives
-        for p, t, what in (([0.6] * 4, [0.5] * 5, "voter"), ([0.6] * 3, [0.5] * 2, "alternative")):
+        for p, t in (([0.6] * 4, [0.5] * 5), ([0.6] * 3, [0.5] * 2)):
             path = tmp_path / "params.json"
             save_params(path, ParamVector(p, [0.4] * len(p), t))
             assert run(["aggregate", dataset_path, "--init", f"file:{path}"]) == 1
             err = capsys.readouterr().err
-            assert err == f"error: initial parameters sized for a different {what} count\n"
+            assert err == (
+                "error: parameters sized for a different profile: ballots of shape "
+                f"(3, 5), parameters for (n, m) = ({len(p)}, {len(t)})\n"
+            )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -717,6 +723,83 @@ def test_truth_outside_bounds_warns_once_in_aggregate_and_benchmark(tmp_path, ca
     assert out.read_bytes() == direct.read_bytes()
 
 
+#: aggregate and benchmark on a valid dataset, which needs no more flags
+ESTIMATING_COMMANDS = pytest.mark.parametrize(
+    "command, flags",
+    [("aggregate", ["--quiet"]), ("benchmark", ["--batch-sizes", 4, "--init", "uniform"])],
+    ids=["aggregate", "benchmark"],
+)
+
+
+def _refuse_to_estimate(monkeypatch, error):
+    """Make the CLI's estimators raise ``error`` instead of running."""
+
+    def estimator(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_amle", estimator)
+    monkeypatch.setattr(cli, "run_benchmark", estimator)
+
+
+@ESTIMATING_COMMANDS
+@pytest.mark.parametrize(
+    "out", ["folder", "missing/x.out", "data.json/x.out"],
+    ids=["directory", "missing-parent", "file-parent"],
+)
+def test_unwritable_out_fails_before_estimating(tmp_path, monkeypatch, capsys, command, flags, out):
+    _refuse_to_estimate(monkeypatch, AssertionError("estimated before --out was checked"))
+    data = tmp_path / "data.json"
+    _synthetic_dataset(data)
+    (tmp_path / "folder").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    target = tmp_path / out
+    assert run([command, data, *flags, "--out", target]) == 1
+    with pytest.raises(OSError) as opened:
+        open(target, "w")
+    assert capsys.readouterr().err == f"error: {opened.value}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@ESTIMATING_COMMANDS
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(ValueError, 1, "error"), (DegenerateEstimate, 2, "estimation error")],
+    ids=["value-error", "degenerate-estimate"],
+)
+def test_exit_code_follows_the_error_type(
+    tmp_path, monkeypatch, capsys, command, flags, error, code, prefix
+):
+    _refuse_to_estimate(monkeypatch, error("raised by the estimator"))
+    data = tmp_path / "data.json"
+    _synthetic_dataset(data)
+    out = tmp_path / "out"
+    assert run([command, data, *flags, "--out", out]) == code
+    assert capsys.readouterr().err == f"{prefix}: raised by the estimator\n"
+    assert not out.exists()
+
+
+@ESTIMATING_COMMANDS
+def test_invalid_profile_is_one_line_without_warnings(tmp_path, capsys, command, flags):
+    # every one of the 15 ground truths lies outside the inverted bounds, and
+    # the second dataset names one voter twice
+    inverted = tmp_path / "inverted.json"
+    spec = SynthSpec.homogeneous(5, 10, 15, Bounds(1, 2), 0.7, 0.4, 1)
+    save_dataset(inverted, *sample_dataset(spec))
+    duplicate = tmp_path / "duplicate.json"
+    duplicate.write_text(json.dumps({
+        "alternatives": ["a", "b"],
+        "voters": ["v1", "v1"],
+        "instances": [{"id": "z1", "ballots": {"v1": ["a"]}}],
+        "ground_truth": {"z1": ["a"]},
+    }))
+    for path, bounds, violation in (
+        (inverted, ["--lower", 3, "--upper", 2], "l exceeds u: bounds (3, 2)"),
+        (duplicate, [], "duplicate voter ids"),
+    ):
+        assert run([command, path, *flags, *bounds, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: invalid profile: {violation}\n"
+
+
 #: Field names of the dataset, assignment and params schemas, plus ids that
 #: the fixed files below use, so that generated documents get past the first
 #: key lookups.
@@ -738,11 +821,49 @@ json_documents = st.recursive(
     max_leaves=16,
 )
 
-#: Where a generated document goes: the command line, with {doc} for its path.
+#: A valid long CSV (2 instances, 2 voters, 3 alternatives) for byte mutations.
+LONG_CSV = b"instance_id,voter_id,alternative_id,approved\n" + b"".join(
+    b"z%d,v%d,a%d,%d\n" % (z, i, j, (z + i + j) % 2)
+    for z in (1, 2) for i in (1, 2) for j in (1, 2, 3)
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    """``data`` with each (position, operation, byte) edit applied in turn."""
+    data = bytearray(data)
+    for position, operation, byte in edits:
+        position %= len(data) + 1
+        if operation == "insert":
+            data.insert(position, byte)
+        elif position < len(data):
+            if operation == "replace":
+                data[position] = byte
+            else:
+                del data[position]
+    return bytes(data)
+
+
+#: Byte edits that reach both CSV readers: separators, 0/1 flags and plain
+#: bytes keep the array scan; quotes, NUL, bare \r and malformed rows send
+#: the file to csv.reader; 0xff is not UTF-8.
+csv_documents = st.lists(
+    st.tuples(
+        st.integers(0, len(LONG_CSV)),
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.sampled_from(b',\n\r"01\0a\xff'),
+    ),
+    max_size=3,
+).map(lambda edits: _mutate(LONG_CSV, edits))
+
+#: Where a generated document goes: the command line, with {doc} for its
+#: path, the file name it is written to, and the documents to draw.
 CONTRACT_ENTRY_POINTS = {
-    "aggregate-dataset": ["aggregate", "{doc}", "--quiet"],
-    "evaluate-estimates": ["evaluate", "{doc}", "{data}"],
-    "aggregate-init-file": ["aggregate", "{data}", "--init", "file:{doc}", "--quiet"],
+    "aggregate-dataset": (["aggregate", "{doc}", "--quiet"], "doc.json", json_documents),
+    "evaluate-estimates": (["evaluate", "{doc}", "{data}"], "doc.json", json_documents),
+    "aggregate-init-file": (
+        ["aggregate", "{data}", "--init", "file:{doc}", "--quiet"], "doc.json", json_documents
+    ),
+    "aggregate-long-csv": (["aggregate", "{doc}", "--quiet"], "doc.csv", csv_documents),
 }
 
 
@@ -750,20 +871,25 @@ CONTRACT_ENTRY_POINTS = {
 @settings(
     max_examples=70, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(document=json_documents)
-def test_any_json_document_meets_the_exit_code_contract(
-    tmp_path, worked_profile, entry, document
-):
-    data = tmp_path / "data.json"
-    save_dataset(data, worked_profile, [frozenset({1, 2})] * 3 + [frozenset({2})])
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(document))
-    args = [a.format(doc=doc, data=data) for a in CONTRACT_ENTRY_POINTS[entry]]
+@given(data=st.data())
+def test_any_json_document_meets_the_exit_code_contract(tmp_path, worked_profile, entry, data):
+    template, name, documents = CONTRACT_ENTRY_POINTS[entry]
+    document = data.draw(documents, label="document")
+    dataset = tmp_path / "data.json"
+    save_dataset(dataset, worked_profile, [frozenset({1, 2})] * 3 + [frozenset({2})])
+    doc = tmp_path / name
+    if isinstance(document, bytes):
+        doc.write_bytes(document)
+    else:
+        doc.write_text(json.dumps(document))
+    args = [a.format(doc=doc, data=dataset) for a in template]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(args + ["--out", str(tmp_path / "out.json")])
-    err = err.getvalue()
+    lines = err.getvalue().split("\n")
+    assert lines.pop() == ""
     assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code or err:
-        assert err.startswith(("error:", "estimation error:", "warning:"))
+    assert all(line.startswith(("error:", "estimation error:", "warning:")) for line in lines)
+    # a failure is one message line, after any warnings; a success prints none
+    messages = [line for line in lines if not line.startswith("warning:")]
+    assert len(messages) == (code != 0)

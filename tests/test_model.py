@@ -29,14 +29,11 @@ from conftest import WORKED_FIRST_TRUTHS
 
 class TestValidateProfile:
     def test_worked_profile_is_valid(self, worked_profile, worked_bounds):
-        report = validate_profile(worked_profile, worked_bounds)
-        assert report.ok
-        assert report.violations == []
+        assert validate_profile(worked_profile, worked_bounds) == []
 
     def test_inverted_bounds_reported(self, worked_profile):
-        report = validate_profile(worked_profile, Bounds(3, 2))
-        assert not report.ok
-        assert any("l exceeds u" in v for v in report.violations)
+        with pytest.raises(ValueError, match=r"^invalid profile: l exceeds u: bounds \(3, 2\)$"):
+            validate_profile(worked_profile, Bounds(3, 2))
 
     def test_ragged_ballots_reported(self):
         with pytest.raises(ValueError, match="ragged"):
@@ -65,19 +62,18 @@ class TestValidateProfile:
         ]
 
     def test_upper_bound_above_m_reported(self, worked_profile):
-        report = validate_profile(worked_profile, Bounds(0, 9))
-        assert not report.ok
+        with pytest.raises(ValueError, match="^invalid profile: upper bound 9 exceeds"):
+            validate_profile(worked_profile, Bounds(0, 9))
 
     def test_ground_truth_size_warns_not_violates(self, worked_profile, worked_bounds):
         truths = (frozenset({0, 1, 2}),) + (frozenset({0}),) * 3
-        report = validate_profile(worked_profile, worked_bounds, truths)
-        assert report.ok
-        assert any("outside" in w for w in report.warnings)
+        warnings = validate_profile(worked_profile, worked_bounds, truths)
+        assert len(warnings) == 1 and "outside" in warnings[0]
 
     def test_duplicate_voter_ids_reported(self):
         profile = Profile.build(["a"], ["v", "v"], [[{0}, set()]])
-        report = validate_profile(profile, Bounds(0, 1))
-        assert any("duplicate voter ids" in v for v in report.violations)
+        with pytest.raises(ValueError, match="^invalid profile: duplicate voter ids$"):
+            validate_profile(profile, Bounds(0, 1))
 
 
 class TestClamp:
