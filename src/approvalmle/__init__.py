@@ -10,12 +10,7 @@ batch evaluation harness.
 
 from .amle import AmleConfig, AmleResult, AmleStep, run_amle
 from .baselines import majority_rule, modal_rule
-from .initialization import (
-    anna_karenina_init,
-    jaccard_distance,
-    random_init,
-    uniform_init,
-)
+from .initialization import anna_karenina_init, random_init, uniform_init
 from .likelihood import (
     IMPOSSIBLE,
     brute_force_truth_mle,
@@ -44,10 +39,7 @@ from .model import (
 from .priors import (
     CardinalityDP,
     cardinality_mass,
-    mass_given_excluded,
-    mass_given_included,
     sweep_inclusion_priors,
-    update_inclusion_prior,
 )
 from .reliability import DegenerateEstimate, update_reliabilities
 from .synth import SynthSpec, sample_dataset, sample_profile, sample_truths
@@ -80,10 +72,7 @@ __all__ = [
     "explain_truth",
     "hamming_accuracy",
     "harmonic_accuracy",
-    "jaccard_distance",
     "majority_rule",
-    "mass_given_excluded",
-    "mass_given_included",
     "modal_rule",
     "prior_logprob",
     "random_init",
@@ -96,7 +85,6 @@ __all__ = [
     "total_loglik",
     "truth_sets",
     "uniform_init",
-    "update_inclusion_prior",
     "update_reliabilities",
     "validate_profile",
     "voter_weights",

@@ -12,7 +12,7 @@ it are computed again.  Under the default ``exact`` prior update every step
 maximizes the total likelihood in its own block, so the likelihood never
 decreases and stopping early still yields a usable, likelihood-improved
 estimate; the ``legacy`` update trades that guarantee for compatibility with
-previously circulated AMLE runs (see ``update_inclusion_prior``).
+previously circulated AMLE runs (see ``sweep_inclusion_priors``).
 
 The parameter vector is packed as (p_1..p_n, q_1..q_n, t_1..t_m) and the stop
 rule compares successive vectors in the sup norm.

@@ -223,6 +223,9 @@ def cmd_evaluate(args) -> int:
     if not alt_ids:
         raise ValueError("the assignments name no alternatives; pass them with --alternatives")
     index = {aid: j for j, aid in enumerate(alt_ids)}
+    if len(index) < len(alt_ids):
+        repeated = sorted({aid for j, aid in enumerate(alt_ids) if index[aid] != j})
+        raise ValueError(f"alternative ids must be distinct; repeated: {repeated}")
 
     order = sorted(estimates_map)
     try:

@@ -19,16 +19,6 @@ import numpy as np
 from .model import ParamVector, Profile, require_open_unit
 
 
-def jaccard_distance(ballot_a, ballot_b) -> float:
-    """Symmetric-difference size over union size; 0 when both sets are empty."""
-    a = frozenset(ballot_a)
-    b = frozenset(ballot_b)
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a ^ b) / len(union)
-
-
 def _pooled_distance_sums(approvals: np.ndarray) -> np.ndarray:
     """Per voter, the sum of Jaccard distances to every other voter, each
     voter's ballots pooled across instances into one set of (instance,

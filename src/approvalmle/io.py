@@ -406,7 +406,8 @@ def load_assignment(path):
 
     Accepts a run report (uses its ``estimates``), a dataset document
     (uses its ``ground_truth``), or a bare ``{instance_id: [alt_id]}`` map.
-    Returns ``(assignment_map, alternative_ids_or_None)``.
+    Returns ``(assignment_map, alternative_ids_or_None)``; the ids are the
+    file's ``alternatives`` list of strings, which may repeat.
     """
     doc = _read_json_object(path)
     key = next((key for key in ("estimates", "ground_truth") if key in doc), None)
@@ -417,8 +418,11 @@ def load_assignment(path):
             "ids to lists of alternative id strings"
         )
     alternatives = None if key is None else doc.get("alternatives")
-    if alternatives is not None and not isinstance(alternatives, list):
-        raise DatasetFormatError(f"{path}: 'alternatives' must be a list of ids")
-    if key == "ground_truth" and "instances" in doc:
-        alternatives = list(map(str, alternatives or [])) or None
-    return dict(mapping), alternatives
+    if key == "ground_truth" and "instances" in doc and isinstance(alternatives, list):
+        # a dataset document's ids, read as ``parse_dataset`` reads them
+        alternatives = list(map(str, alternatives))
+    if alternatives is not None and not (
+        isinstance(alternatives, list) and all(isinstance(a, str) for a in alternatives)
+    ):
+        raise DatasetFormatError(f"{path}: 'alternatives' must be a list of id strings")
+    return dict(mapping), alternatives or None

@@ -5,12 +5,14 @@ Conventions used throughout the package:
 * Alternatives and voters are indexed by their position in the profile's
   declaration order (0-based).  All vectors (scores, reliabilities, priors)
   are aligned with that order, which makes tie-breaking deterministic.
-* A profile stores its ballots once, as the dense boolean
-  ``Profile.approvals`` array, and every computation reads that array (one
-  instance's ballots are ``approvals[z]``); frozensets of alternative indices
-  appear only in ``Profile.build`` and the read-only ``Profile.instances``
-  view.  One truth set per instance is a read-only ``bool[L, m]`` truth array,
-  which ``TruthCounts.count`` turns into the counts later steps read; the edges
+* A profile stores its ballots as the dense boolean ``Profile.approvals``
+  array, and every computation reads that array (one instance's ballots are
+  ``approvals[z]``) except the truth step, which reads ``Profile.by_voter``:
+  a voter-major copy built once per profile on first use and kept, one more
+  byte per ballot cell.  Frozensets of alternative indices appear only in
+  ``Profile.build`` and the read-only ``Profile.instances`` view.  One truth
+  set per instance is a read-only ``bool[L, m]`` truth array, which
+  ``TruthCounts.count`` turns into the counts later steps read; the edges
   (files, synthetic truths, single-set oracles) convert frozensets to and from
   it with ``approval_matrix`` and ``truth_sets``.
 """
@@ -330,13 +332,6 @@ class ParamVector:
     def packed(self) -> np.ndarray:
         """Flatten as (p_1..p_n, q_1..q_n, t_1..t_m); used for the stop rule."""
         return np.concatenate([self.p, self.q, self.t])
-
-    def clamped(self, epsilon: float = DEFAULT_EPSILON_CLAMP) -> "ParamVector":
-        return ParamVector(
-            clamp_unit(self.p, epsilon),
-            clamp_unit(self.q, epsilon),
-            clamp_unit(self.t, epsilon),
-        )
 
     def require_open_unit(self) -> None:
         """Raise unless every entry lies strictly inside (0, 1); always holds

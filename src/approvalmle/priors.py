@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DEFAULT_EPSILON_CLAMP, Bounds, TruthCounts
-from .model import clamp_unit, require_epsilon, require_open_unit, require_truth_array
+from .model import require_epsilon, require_open_unit
 
 
 def _extend(row: list, probs) -> list:
@@ -73,12 +73,6 @@ def _count_row(t: np.ndarray, cap: int) -> list:
     without keeping the rows before it."""
     probs = t.tolist()
     return _extend([1.0] + [0.0] * min(cap, len(probs)), probs)
-
-
-def _rest_row(t: np.ndarray, j: int, bounds: Bounds) -> list:
-    """Counting row of every alternative but j, wide enough for both
-    conditional masses."""
-    return _count_row(np.delete(t, j), bounds.upper)
 
 
 def _interval_masses(coins: int, intervals, count_row) -> list:
@@ -146,31 +140,7 @@ def _excluded_interval(j: int, m: int, bounds: Bounds) -> tuple:
     return bounds.lower, min(bounds.upper, m - 1)
 
 
-def mass_given_included(j: int, t, bounds: Bounds) -> float:
-    """Admissibility probability conditioned on alternative j being included.
-
-    With j forced in, the other alternatives must contribute a count in
-    [max(l - 1, 0), u - 1].
-    """
-    t = require_open_unit(t, "inclusion probabilities")
-    interval = _included_interval(j, bounds)
-    (mass,) = _interval_masses(len(t) - 1, [interval], lambda: _rest_row(t, j, bounds))
-    return mass
-
-
-def mass_given_excluded(j: int, t, bounds: Bounds) -> float:
-    """Admissibility probability conditioned on alternative j being excluded.
-
-    With j forced out, the other m - 1 alternatives must contribute a count in
-    [l, min(u, m - 1)].
-    """
-    t = require_open_unit(t, "inclusion probabilities")
-    interval = _excluded_interval(j, len(t), bounds)
-    (mass,) = _interval_masses(len(t) - 1, [interval], lambda: _rest_row(t, j, bounds))
-    return mass
-
-
-#: Coordinate update rules for the inclusion priors; see update_inclusion_prior.
+#: Coordinate update rules for the inclusion priors; see sweep_inclusion_priors.
 PRIOR_UPDATE_RULES = ("exact", "legacy")
 
 
@@ -183,7 +153,7 @@ def _raw_update(
     j: int, occ: int, length: int, m: int, bounds: Bounds, rule: str, count_row
 ) -> float:
     """Unclamped update of t_j from the ``occ`` of ``length`` truths holding j
-    (see update_inclusion_prior).  ``count_row()`` returns the counting row of
+    (see sweep_inclusion_priors).  ``count_row()`` returns the counting row of
     the other m - 1 alternatives, truncated at min(u, m - 1) or wider; it is
     called at most once, and only when 0 < occ < length."""
     if occ == 0:
@@ -197,15 +167,15 @@ def _raw_update(
     return occ * a_in / ((length - occ) * a_out + occ * a_in)
 
 
-def update_inclusion_prior(
-    j: int,
-    truths: np.ndarray,
+def sweep_inclusion_priors(
+    counts: TruthCounts,
     bounds: Bounds,
     t,
     epsilon: float = DEFAULT_EPSILON_CLAMP,
     rule: str = "exact",
-) -> float:
-    """Closed-form coordinate update of t_j given a truth array, clamped.
+) -> np.ndarray:
+    """One coordinate pass over all t_j, in ascending index order, given the
+    truth sets' occurrence counts in ``counts`` (see ``TruthCounts.count``).
 
     With the other coordinates of ``t`` held fixed, the likelihood as a
     function of x = t_j alone is
@@ -213,8 +183,10 @@ def update_inclusion_prior(
         l(x) = -L ln(a_in * x + a_out * (1 - x)) + occ ln x + (L - occ) ln(1-x)
 
     where ``occ`` counts the instances whose truth contains j and a_in/a_out
-    are the conditional admissibility masses above.  The quadratic terms of
-    the stationarity condition cancel, leaving the unique interior maximizer
+    are the conditional admissibility masses: the probabilities that the other
+    m - 1 alternatives contribute a count in [max(l - 1, 0), u - 1] (j forced
+    in) and in [l, min(u, m - 1)] (j forced out).  The quadratic terms of the
+    stationarity condition cancel, leaving the unique interior maximizer
 
         x* = occ * a_out / ((L - occ) * a_in + occ * a_out),
 
@@ -236,36 +208,15 @@ def update_inclusion_prior(
     The occ = 0 and occ = L boundary cases reduce to 0 and 1 under either
     rule without touching the conditional masses (whose preconditions may not
     hold there), and are clamped like any result.
-    """
-    require_rule(rule)
-    t = require_open_unit(t, "inclusion probabilities")
-    require_truth_array(truths, m=len(t))
-    occ = int(np.count_nonzero(truths[:, j]))
-    raw = _raw_update(
-        j, occ, len(truths), len(t), bounds, rule,
-        lambda: _rest_row(t, j, bounds),
-    )
-    return float(clamp_unit(raw, epsilon))
-
-
-def sweep_inclusion_priors(
-    counts: TruthCounts,
-    bounds: Bounds,
-    t,
-    epsilon: float = DEFAULT_EPSILON_CLAMP,
-    rule: str = "exact",
-) -> np.ndarray:
-    """One coordinate pass over all t_j, in ascending index order, given the
-    truth sets' occurrence counts in ``counts`` (see ``TruthCounts.count``).
 
     Each update sees the already-updated coordinates below it and the previous
     values above it; the pass is inherently sequential.  The pass keeps the
     counting row over the updated t[0..j-1] and extends it by one step after
     each update.  Updating t_j continues a copy of that prefix row once through
     the old t[j+1..m-1] and reads both conditional masses from the result,
-    which is, bit for bit, the last row update_inclusion_prior builds from
-    scratch: the same steps over the same coins in the same order.  Each
-    coordinate is clamped like ``clamp_unit`` does, on the scalar.
+    which is, bit for bit, the counting row of the other m - 1 alternatives
+    built from scratch: the same steps over the same coins in the same order.
+    Each coordinate is clamped like ``clamp_unit`` does, on the scalar.
     """
     require_rule(rule)
     require_epsilon(epsilon)

@@ -9,7 +9,14 @@ estimation trajectory is known in closed form; ``counted_instance`` holds the
 import numpy as np
 import pytest
 
-from approvalmle import Bounds, ParamVector, Profile, TruthCounts, approval_matrix
+from approvalmle import (
+    Bounds,
+    ParamVector,
+    Profile,
+    TruthCounts,
+    approval_matrix,
+    cardinality_mass,
+)
 
 
 @pytest.fixture
@@ -68,6 +75,15 @@ def instance_with_counts(counts, n) -> np.ndarray:
 def counts_of(profile: Profile, truths) -> TruthCounts:
     """``TruthCounts`` of one frozenset per instance against ``profile``."""
     return TruthCounts.count(profile.approvals, approval_matrix(truths, profile.num_alternatives))
+
+
+def conditional_masses(j, t, bounds):
+    """a_in and a_out of alternative j: the mass of the other coins on the
+    counts they may reach with j forced in, and with j forced out."""
+    rest = np.delete(np.asarray(t, dtype=float), j)
+    forced_in = Bounds(max(bounds.lower - 1, 0), bounds.upper - 1)
+    forced_out = Bounds(bounds.lower, min(bounds.upper, len(rest)))
+    return cardinality_mass(rest, forced_in), cardinality_mass(rest, forced_out)
 
 
 def voterless_counts(truths, m) -> TruthCounts:

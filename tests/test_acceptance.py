@@ -29,17 +29,13 @@ from approvalmle import (
     explain_truth,
     hamming_accuracy,
     harmonic_accuracy,
-    jaccard_distance,
     majority_rule,
-    mass_given_excluded,
-    mass_given_included,
     modal_rule,
     run_amle,
     subset_accuracy,
     sweep_inclusion_priors,
     truth_sets,
     uniform_init,
-    update_inclusion_prior,
     update_reliabilities,
 )
 from approvalmle.likelihood import instance_loglik
@@ -48,10 +44,11 @@ from approvalmle.synth import SynthSpec, sample_dataset
 from conftest import (
     WORKED_FINAL_TRUTHS,
     WORKED_FIRST_TRUTHS,
+    conditional_masses,
     instance_with_counts,
     random_small_instance,
 )
-from reference_seed import pooled_ballots
+from reference_seed import jaccard_distance, pooled_ballots
 
 S = frozenset
 
@@ -110,26 +107,29 @@ def test_c02_golden_first_iteration():
     truths = estimate_truth(profile, init, bounds)
     assert truth_sets(truths) == WORKED_FIRST_TRUTHS
 
-    p_hat, q_hat = update_reliabilities(profile, TruthCounts.count(profile.approvals, truths))
+    counts = TruthCounts.count(profile.approvals, truths)
+    p_hat, q_hat = update_reliabilities(profile, counts)
     np.testing.assert_allclose(p_hat, [3 / 8, 3 / 8, 7 / 8], atol=1e-12)
     np.testing.assert_allclose(q_hat, [2 / 12, 1 / 12, 2 / 12], atol=1e-12)
     np.testing.assert_allclose(p_hat, [0.38, 0.38, 0.88], atol=0.005)
     np.testing.assert_allclose(q_hat, [0.17, 0.08, 0.17], atol=0.005)
 
+    # the conditional masses of alternative 0: the other 4 coins' mass with
+    # it forced in (count in [0, 1]) and forced out (count in [1, 2])
     t = np.full(5, 0.5)
-    assert mass_given_included(0, t, bounds) == 0.3125
+    assert cardinality_mass(np.delete(t, 0), Bounds(0, 1)) == 0.3125
 
     # enumeration oracle for the excluded-side mass over the other 4 coins
     enumerated = 0.0
     for k in range(1, 3):
         for combo in itertools.combinations(range(4), k):
             enumerated += 0.5**4
-    a_out = mass_given_excluded(0, t, bounds)
+    a_out = cardinality_mass(np.delete(t, 0), Bounds(1, 2))
     assert a_out == pytest.approx(enumerated, abs=1e-15)
     assert a_out == 0.625
 
     # the coordinate update must maximize the profile likelihood in t_1
-    estimate = update_inclusion_prior(0, truths, bounds, t)
+    estimate = sweep_inclusion_priors(counts, bounds, t)[0]
 
     def objective(x):
         candidate = t.copy()
@@ -231,9 +231,8 @@ def test_c06_cardinality_mass_against_enumeration():
 
         j = int(rng.integers(0, m))
         if upper >= 1 and lower <= m - 1:
-            split = t[j] * mass_given_included(j, t, bounds) + (
-                1 - t[j]
-            ) * mass_given_excluded(j, t, bounds)
+            a_in, a_out = conditional_masses(j, t, bounds)
+            split = t[j] * a_in + (1 - t[j]) * a_out
             assert split == pytest.approx(mass, abs=1e-12)
 
 

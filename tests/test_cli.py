@@ -1,6 +1,9 @@
 import contextlib
+import copy
+import functools
 import io
 import json
+import operator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -292,6 +295,18 @@ class TestEvaluate:
             ({"estimates": {"z1": ["a1"]}, "alternatives": 5}, "'alternatives' must be a list"),
             ({"z1": [["a"]]}, "the file must map instance ids to lists"),
             ({"z1": ["a", 1]}, "the file must map instance ids to lists"),
+            (
+                {"estimates": {"z1": ["a1"]}, "alternatives": [["a1"]]},
+                "'alternatives' must be a list of id strings",
+            ),
+            (
+                {"estimates": {"z1": ["a1"]}, "alternatives": [{"a1": 1}]},
+                "'alternatives' must be a list of id strings",
+            ),
+            (
+                {"ground_truth": {"z1": ["a1"]}, "alternatives": [["a1"]]},
+                "'alternatives' must be a list of id strings",
+            ),
         ],
         ids=[
             "estimates-not-object",
@@ -300,6 +315,9 @@ class TestEvaluate:
             "alternatives-not-list",
             "member-list",
             "member-int",
+            "alternative-list",
+            "alternative-object",
+            "ground-truth-alternative-list",
         ],
     )
     def test_malformed_assignment_exits_1(self, tmp_path, estimates, message, capsys):
@@ -311,6 +329,25 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "estimates, flags",
+        [
+            ({"z1": ["a"]}, ["--alternatives", "a,a,b"]),
+            ({"estimates": {"z1": ["a"]}, "alternatives": ["a", "a", "b"]}, []),
+        ],
+        ids=["flag", "report"],
+    )
+    def test_repeated_alternative_ids_exit_1(self, tmp_path, capsys, estimates, flags):
+        # scored over the columns a, a, b, the estimate {a} against the truth
+        # {b} would read hamming 1/3, not 0
+        est = tmp_path / "est.json"
+        tru = tmp_path / "tru.json"
+        est.write_text(json.dumps(estimates))
+        tru.write_text(json.dumps({"z1": ["b"]}))
+        assert run(["evaluate", est, tru, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: alternative ids must be distinct; repeated: ['a']\n"
 
     def test_no_instances_exits_1(self, tmp_path, capsys):
         est = tmp_path / "est.json"
@@ -855,6 +892,62 @@ csv_documents = st.lists(
     max_size=3,
 ).map(lambda edits: _mutate(LONG_CSV, edits))
 
+#: Valid files for the worked profile: an init params file, a report, and
+#: assignments from a ground-truth file without instances and a bare map.
+WORKED_ALTERNATIVES = ["a1", "a2", "a3", "a4", "a5"]
+WORKED_ESTIMATES = {"z1": ["a2", "a3"], "z2": ["a2", "a3"], "z3": ["a2", "a3"], "z4": ["a3"]}
+VALID_PARAMS = {"p": [0.5, 0.5, 0.5], "q": [0.44, 0.41, 0.32], "t": [0.5] * 5}
+VALID_ASSIGNMENTS = (
+    {"alternatives": WORKED_ALTERNATIVES, "estimates": WORKED_ESTIMATES, "params": VALID_PARAMS},
+    {"alternatives": WORKED_ALTERNATIVES, "ground_truth": WORKED_ESTIMATES},
+    WORKED_ESTIMATES,
+)
+
+#: Values of every JSON type, to retype a node of a valid file to.
+JSON_VALUES = {
+    "null": [None],
+    "boolean": [True, False],
+    "number": [0, 2, -1.5, 0.5],
+    "string": ["", "a1"],
+    "array": [[], ["a1"], [0.5]],
+    "object": [{}, {"a1": ["a1"]}],
+}
+
+
+def _json_type(value) -> str:
+    return next(name for name, values in JSON_VALUES.items() if type(value) in map(type, values))
+
+
+def _paths(node, prefix=()):
+    """Every path below ``node``, as tuples of object keys and array positions."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield prefix + (key,)
+            yield from _paths(child, prefix + (key,))
+
+
+DROP = object()
+
+
+def edited_documents(*valid):
+    """Every document that differs from one of ``valid`` by one path dropped
+    or retyped to another JSON type."""
+    edited = []
+    for document in valid:
+        for *parents, last in _paths(document):
+            kind = _json_type(functools.reduce(operator.getitem, [*parents, last], document))
+            others = [v for name, values in JSON_VALUES.items() if name != kind for v in values]
+            for value in [DROP, *others]:
+                copied = copy.deepcopy(document)
+                node = functools.reduce(operator.getitem, parents, copied)
+                if value is DROP:
+                    del node[last]
+                else:
+                    node[last] = value
+                edited.append(copied)
+    return st.sampled_from(edited)
+
+
 #: Where a generated document goes: the command line, with {doc} for its
 #: path, the file name it is written to, and the documents to draw.
 CONTRACT_ENTRY_POINTS = {
@@ -864,6 +957,14 @@ CONTRACT_ENTRY_POINTS = {
         ["aggregate", "{data}", "--init", "file:{doc}", "--quiet"], "doc.json", json_documents
     ),
     "aggregate-long-csv": (["aggregate", "{doc}", "--quiet"], "doc.csv", csv_documents),
+    "aggregate-edited-init-file": (
+        ["aggregate", "{data}", "--init", "file:{doc}", "--quiet"],
+        "doc.json",
+        edited_documents(VALID_PARAMS),
+    ),
+    "evaluate-edited-assignment": (
+        ["evaluate", "{doc}", "{data}"], "doc.json", edited_documents(*VALID_ASSIGNMENTS)
+    ),
 }
 
 

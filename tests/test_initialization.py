@@ -3,17 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from approvalmle import (
-    Profile,
-    anna_karenina_init,
-    jaccard_distance,
-    random_init,
-    uniform_init,
-)
-from reference_seed import pooled_ballots
+from approvalmle import Profile, anna_karenina_init, random_init, uniform_init
+from reference_seed import jaccard_distance, pooled_ballots
 
 
 class TestJaccardDistance:
+    """The reference's distance, which the worked values below are built from."""
+
     def test_identical_nonempty_sets(self):
         assert jaccard_distance({1, 2}, {1, 2}) == 0.0
 

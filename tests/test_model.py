@@ -19,7 +19,6 @@ from approvalmle import (
     subset_accuracy,
     truth_sets,
     uniform_init,
-    update_inclusion_prior,
     validate_profile,
 )
 from approvalmle.benchmark import restrict_voters
@@ -108,15 +107,12 @@ class TestParamVector:
             params.packed(), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
         )
 
-    def test_clamped_lands_inside(self):
-        params = ParamVector([1e-9], [1 - 1e-9], [0.5]).clamped(1e-4)
-        assert params.p[0] == 1e-4
-        assert params.q[0] == 1 - 1e-4
-
     def test_require_open_unit(self):
-        with pytest.raises(ValueError):
-            ParamVector([0.0], [0.5], [0.5]).require_open_unit()
-        ParamVector([0.4], [0.5], [0.5]).require_open_unit()
+        # the constructor refuses an entry outside (0, 1) before the method
+        # can be called, so the method holds on every ParamVector
+        with pytest.raises(ValueError, match=re.escape("p must lie strictly in (0, 1), got 0.0")):
+            ParamVector([0.0], [0.5], [0.5])
+        assert ParamVector([0.4], [0.5], [0.5]).require_open_unit() is None
 
     @pytest.mark.parametrize(
         "p, q, t, message",
@@ -248,9 +244,8 @@ class TestTruthArray:
             lambda profile, truths: hamming_accuracy(truths, truths),
             lambda profile, truths: subset_accuracy(truths, truths),
             lambda profile, truths: harmonic_accuracy(truths, truths),
-            lambda profile, truths: update_inclusion_prior(0, truths, Bounds(1, 2), [0.5] * 5),
         ],
-        ids=["count", "hamming", "subset", "harmonic", "prior"],
+        ids=["count", "hamming", "subset", "harmonic"],
     )
     def test_sets_where_the_array_goes_are_refused(self, worked_profile, call):
         with pytest.raises(ValueError, match=re.escape("shape (L, m)")):

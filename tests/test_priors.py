@@ -10,12 +10,9 @@ from approvalmle import (
     approval_matrix,
     cardinality_mass,
     clamp_unit,
-    mass_given_excluded,
-    mass_given_included,
     sweep_inclusion_priors,
-    update_inclusion_prior,
 )
-from conftest import voterless_counts
+from conftest import WORKED_FIRST_TRUTHS, conditional_masses, voterless_counts
 
 
 def enumerated_mass(t, bounds):
@@ -80,50 +77,53 @@ class TestCardinalityDP:
 
 class TestConditionalMasses:
     def test_included_worked_value(self):
-        t = [0.5] * 5
-        assert mass_given_included(0, t, Bounds(1, 2)) == pytest.approx(
-            0.3125, abs=1e-15
-        )
+        a_in, _ = conditional_masses(0, [0.5] * 5, Bounds(1, 2))
+        assert a_in == pytest.approx(0.3125, abs=1e-15)
 
     def test_included_unconstrained(self):
-        assert mass_given_included(2, [0.3] * 4, Bounds(0, 4)) == 1.0
+        a_in, _ = conditional_masses(2, [0.3] * 4, Bounds(0, 4))
+        assert a_in == 1.0
 
     def test_included_two_remaining_coins(self):
         # P(0 or 1 of two fair coins) = 3/4
-        assert mass_given_included(0, [0.2, 0.5, 0.5], Bounds(1, 2)) == pytest.approx(
-            0.75, abs=1e-15
-        )
+        a_in, _ = conditional_masses(0, [0.2, 0.5, 0.5], Bounds(1, 2))
+        assert a_in == pytest.approx(0.75, abs=1e-15)
 
     def test_included_rejects_zero_upper(self):
-        with pytest.raises(ValueError):
-            mass_given_included(0, [0.5, 0.5], Bounds(0, 0))
+        # alternative 0 occurs in one of two truths, which no upper bound of
+        # 0 admits: the update needs the mass with 0 forced in
+        counts = voterless_counts((frozenset({0}), frozenset()), 2)
+        with pytest.raises(ValueError, match="never be included under upper bound 0"):
+            sweep_inclusion_priors(counts, Bounds(0, 0), [0.5, 0.5])
 
     def test_excluded_worked_value(self):
         # of the 16 subsets of the other 4 coins, 4 singletons + 6 pairs qualify
-        t = [0.5] * 5
-        assert mass_given_excluded(0, t, Bounds(1, 2)) == pytest.approx(
-            0.625, abs=1e-15
-        )
+        _, a_out = conditional_masses(0, [0.5] * 5, Bounds(1, 2))
+        assert a_out == pytest.approx(0.625, abs=1e-15)
 
     def test_excluded_matches_enumeration(self):
         rng = np.random.default_rng(99)
         t = clamp_unit(rng.random(5))
         bounds = Bounds(1, 2)
         rest = np.delete(np.asarray(t), 1)
-        assert mass_given_excluded(1, t, bounds) == pytest.approx(
-            enumerated_mass(rest, Bounds(1, 2)), abs=1e-12
-        )
+        _, a_out = conditional_masses(1, t, bounds)
+        assert a_out == pytest.approx(enumerated_mass(rest, Bounds(1, 2)), abs=1e-12)
 
     def test_excluded_unconstrained(self):
-        assert mass_given_excluded(1, [0.4] * 3, Bounds(0, 3)) == 1.0
+        _, a_out = conditional_masses(1, [0.4] * 3, Bounds(0, 3))
+        assert a_out == 1.0
 
     def test_excluded_single_winner(self):
         # the other alternative must be in: probability t_2
-        assert mass_given_excluded(0, [0.9, 0.5], Bounds(1, 1)) == pytest.approx(0.5)
+        _, a_out = conditional_masses(0, [0.9, 0.5], Bounds(1, 1))
+        assert a_out == pytest.approx(0.5)
 
     def test_excluded_rejects_full_lower(self):
-        with pytest.raises(ValueError):
-            mass_given_excluded(0, [0.5, 0.5], Bounds(2, 2))
+        # alternative 0 is missing from one truth, which no lower bound of
+        # m = 2 admits: the update needs the mass with 0 forced out
+        counts = voterless_counts((frozenset({0, 1}), frozenset({1})), 2)
+        with pytest.raises(ValueError, match="never be excluded under lower bound 2"):
+            sweep_inclusion_priors(counts, Bounds(2, 2), [0.5, 0.5])
 
     def test_decomposition_identity(self):
         # total mass splits by whether j is included:
@@ -137,9 +137,8 @@ class TestConditionalMasses:
             bounds = Bounds(lower, upper)
             total = cardinality_mass(t, bounds)
             for j in range(m):
-                split = t[j] * mass_given_included(j, t, bounds) + (
-                    1 - t[j]
-                ) * mass_given_excluded(j, t, bounds)
+                a_in, a_out = conditional_masses(j, t, bounds)
+                split = t[j] * a_in + (1 - t[j]) * a_out
                 assert split == pytest.approx(total, abs=1e-12)
 
 
@@ -159,30 +158,23 @@ def profile_objective(t_j, j, truths, bounds, t):
 
 class TestUpdateInclusionPrior:
     def test_worked_value(self):
-        truths = (
-            frozenset({1, 3}),
-            frozenset({1, 4}),
-            frozenset({1, 2}),
-            frozenset({0, 2}),
-        )
-        t = [0.5] * 5
-        value = update_inclusion_prior(0, approval_matrix(truths, 5), Bounds(1, 2), t)
+        counts = voterless_counts(WORKED_FIRST_TRUTHS, 5)
+        swept = sweep_inclusion_priors(counts, Bounds(1, 2), [0.5] * 5)
         # occ=1, mass_in=0.3125, mass_out=0.625
-        assert value == pytest.approx(0.625 / (3 * 0.3125 + 0.625), abs=1e-12)
-        assert value == pytest.approx(0.4, abs=1e-12)
+        assert swept[0] == pytest.approx(0.625 / (3 * 0.3125 + 0.625), abs=1e-12)
+        assert swept[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_never_occurring_clamps_low(self):
-        truths = approval_matrix((frozenset({1}),) * 3, 3)
-        assert update_inclusion_prior(0, truths, Bounds(1, 2), [0.5] * 3) == 1e-4
+        counts = voterless_counts((frozenset({1}),) * 3, 3)
+        assert sweep_inclusion_priors(counts, Bounds(1, 2), [0.5] * 3)[0] == 1e-4
 
     def test_always_occurring_unconstrained_clamps_high(self):
-        truths = (frozenset({0}), frozenset({0, 1}))
-        assert (
-            update_inclusion_prior(0, approval_matrix(truths, 3), Bounds(0, 3), [0.5] * 3)
-            == 1 - 1e-4
-        )
+        counts = voterless_counts((frozenset({0}), frozenset({0, 1})), 3)
+        assert sweep_inclusion_priors(counts, Bounds(0, 3), [0.5] * 3)[0] == 1 - 1e-4
 
     def test_maximizes_profile_likelihood(self):
+        # each coordinate maximizes the objective in t_j alone, with the
+        # coordinates below it already swept and those above it still old
         rng = np.random.default_rng(17)
         grid = np.linspace(1e-4, 1 - 1e-4, 10_000)
         for _ in range(10):
@@ -200,27 +192,23 @@ class TestUpdateInclusionPrior:
             occ = sum(1 for s in truths if j in s)
             if occ in (0, length):
                 continue  # boundary maximizers sit on the clamp, not the grid
-            estimate = update_inclusion_prior(j, approval_matrix(truths, m), bounds, t)
-            values = [profile_objective(x, j, truths, bounds, t) for x in grid]
+            swept = sweep_inclusion_priors(voterless_counts(truths, m), bounds, t)
+            seen = np.concatenate([swept[:j], t[j:]])
+            values = [profile_objective(x, j, truths, bounds, seen) for x in grid]
             best = grid[int(np.argmax(values))]
-            assert abs(estimate - best) < 1e-3
+            assert abs(swept[j] - best) < 1e-3
 
     def test_sweep_uses_updated_coordinates(self):
-        truths = (
-            frozenset({1, 3}),
-            frozenset({1, 4}),
-            frozenset({1, 2}),
-            frozenset({0, 2}),
-        )
-        swept = sweep_inclusion_priors(voterless_counts(truths, 5), Bounds(1, 2), [0.5] * 5)
-        # first coordinate as in test_worked_value
-        assert swept[0] == pytest.approx(0.4, abs=1e-12)
-        # second coordinate must have seen the updated first one
-        t_after_first = np.array([0.4, 0.5, 0.5, 0.5, 0.5])
-        expected = update_inclusion_prior(
-            1, approval_matrix(truths, 5), Bounds(1, 2), t_after_first
-        )
+        counts = voterless_counts(WORKED_FIRST_TRUTHS, 5)
+        swept = sweep_inclusion_priors(counts, Bounds(1, 2), [0.5] * 5)
+        # the second coordinate's closed form must use the updated first one
+        a_in, a_out = conditional_masses(1, np.concatenate([swept[:1], [0.5] * 4]), Bounds(1, 2))
+        occ, length = 3, 4
+        expected = occ * a_out / ((length - occ) * a_in + occ * a_out)
         assert swept[1] == pytest.approx(expected, abs=1e-15)
+        # the old first coordinate gives another value
+        a_in, a_out = conditional_masses(1, [0.5] * 5, Bounds(1, 2))
+        assert swept[1] != pytest.approx(occ * a_out / ((length - occ) * a_in + occ * a_out))
 
     def test_sweep_builds_no_table_per_coordinate(self, monkeypatch):
         # the benchmark counts CardinalityDP.build calls as priors.dp_builds
