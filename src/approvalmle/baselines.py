@@ -1,7 +1,7 @@
 """Baseline aggregation rules that ignore voter reliabilities.
 
 Both rules take a whole ``Profile`` and return one set per instance as a
-read-only ``bool[L, m]`` truth array, computed from ``Profile.approvals``.
+read-only ``bool[L, m]`` truth array, computed from the profile's ballots.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def majority_rule(profile: Profile, bounds: Bounds) -> np.ndarray:
     (count descending, index ascending) order, so each set is that order's
     first clip(max(#majority, 1), l, u) alternatives.
     """
-    counts = profile.approvals.sum(1)
+    counts = profile.by_voter.sum(0)
     order = np.argsort(-counts, axis=-1, kind="stable")
     majority = np.count_nonzero(2 * counts > profile.num_voters, axis=-1)
     k = np.clip(np.maximum(majority, 1), bounds.lower, bounds.upper)

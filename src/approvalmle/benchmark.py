@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,10 +133,10 @@ def run_benchmark(
     """Accuracy table over voter batches against frozenset ``truths``; see module docstring.
 
     Raises ValueError before any batch runs unless every batch size fits the
-    voters, there is at least one batch, every method is known and the
-    initialization strategy is a known one that can initialize any voter
-    batch (so not ``file:``, and not ``anna-karenina`` on a batch of one
-    voter).
+    voters, there is at least one batch, every method is known, no batch size
+    or method is repeated and the initialization strategy is a known one that
+    can initialize any voter batch (so not ``file:``, and not
+    ``anna-karenina`` on a batch of one voter).
     """
     n = profile.num_voters
     if init_strategy.startswith("file:"):
@@ -153,6 +154,10 @@ def run_benchmark(
     unknown = [method for method in methods if method not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+    for name, values in (("batch sizes", batch_sizes), ("methods", methods)):
+        repeated = sorted(value for value, count in Counter(values).items() if count > 1)
+        if repeated:
+            raise ValueError(f"{name} must be distinct; repeated: {repeated}")
     make_init = parse_init(init_strategy)
     truths = approval_matrix(truths, profile.num_alternatives)
     # both AMLE methods start from the same parameters, computed once per batch

@@ -10,13 +10,15 @@ stderr as one ``warning: <message>`` line.
 
 When ``--out`` is a bare filename it is written under the directory named by
 the ``APPROVALMLE_REPORT_DIR`` environment variable (default: current
-directory).  ``aggregate`` and ``benchmark`` resolve it before estimating, so
-an unwritable path fails before the run.
+directory).  ``aggregate``, ``benchmark`` and ``evaluate`` resolve it before
+estimating or scoring, so an unwritable path fails before the run and before
+any result is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -147,11 +149,7 @@ def cmd_aggregate(args) -> int:
             "lower": bounds.lower,
             "upper": bounds.upper,
             "init": args.init,
-            "tolerance": args.tolerance,
-            "max_iterations": args.max_iter,
-            "freeze_priors": args.freeze_priors,
-            "epsilon_clamp": args.epsilon_clamp,
-            "prior_update": args.prior_update,
+            **dataclasses.asdict(config),
         },
         "alternatives": alt_ids,
         "estimates": {
@@ -197,6 +195,7 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = _out_path(args.out, "metrics.json") if args.out else None
     estimates_map, est_alts = io.load_assignment(args.estimates)
     truths_map, truth_alts = io.load_assignment(args.truths)
 
@@ -239,8 +238,7 @@ def cmd_evaluate(args) -> int:
     table = score_estimates(estimates, truths)
     for name, value in table.items():
         print(f"{name:<14} {value:.4f}")
-    if args.out:
-        out = _out_path(args.out, "metrics.json")
+    if out:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(table, fh, indent=2)
             fh.write("\n")

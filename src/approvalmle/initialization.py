@@ -19,12 +19,12 @@ import numpy as np
 from .model import ParamVector, Profile, require_open_unit
 
 
-def _pooled_distance_sums(approvals: np.ndarray) -> np.ndarray:
+def _pooled_distance_sums(by_voter: np.ndarray) -> np.ndarray:
     """Per voter, the sum of Jaccard distances to every other voter, each
-    voter's ballots pooled across instances into one set of (instance,
-    alternative) pairs.  Intersections come from the Gram matrix, exactly."""
-    length, n, m = approvals.shape
-    pooled = approvals.transpose(1, 0, 2).reshape(n, length * m).astype(float)
+    voter's ballots ``by_voter[i]`` pooled across instances into one set of
+    (instance, alternative) pairs.  Intersections come from the Gram matrix,
+    exactly."""
+    pooled = by_voter.reshape(len(by_voter), -1).astype(float)
     shared = pooled @ pooled.T
     sizes = np.diag(shared)
     union = sizes[:, np.newaxis] + sizes[np.newaxis, :] - shared
@@ -77,7 +77,7 @@ def anna_karenina_init(profile: Profile, t0: float = 0.5) -> ParamVector:
     n = profile.num_voters
     if n < 2:
         raise ValueError("distance-based initialization needs at least 2 voters")
-    distances = _pooled_distance_sums(profile.approvals)
+    distances = _pooled_distance_sums(profile.by_voter)
     d_max = distances.max()
     d_min = distances.min()
     if d_min == d_max:

@@ -142,11 +142,9 @@ def parse_dataset(doc: dict, strict: bool = False):
             if not all(map(isinstance, ballots, itertools.repeat(list))):
                 raise TypeError
             alts = list(map(index.__getitem__, map(str, itertools.chain.from_iterable(ballots))))
-            ballot_sizes = map(len, ballots)
         except (KeyError, TypeError):
-            # the per-voter reading names the first bad ballot or member
-            ballot_sizes, alts = _read_ballots(zid, voter_ids, ballots_map, index)
-        sizes.extend(ballot_sizes)
+            raise _ballot_error(zid, voter_ids, ballots_map, index) from None
+        sizes.extend(map(len, ballots))
         members.extend(alts)
         instance_ids.append(zid)
 
@@ -159,27 +157,23 @@ def parse_dataset(doc: dict, strict: bool = False):
     return profile, truths
 
 
-def _read_ballots(zid: str, voter_ids: list, ballots_map: dict, index: dict) -> tuple:
-    """One instance's ballots read voter by voter: their sizes and their
-    members as alternative indices, or DatasetFormatError on the first bad
-    ballot or member."""
-    sizes, members = [], []
+def _ballot_error(zid: str, voter_ids: list, ballots_map: dict, index: dict) -> DatasetFormatError:
+    """The DatasetFormatError naming one instance's first bad ballot or member
+    in voter order, read voter by voter once the whole-instance reading has
+    failed."""
     for vid in voter_ids:
         approved = ballots_map.get(vid, [])
         if not isinstance(approved, list):
-            raise DatasetFormatError(
+            return DatasetFormatError(
                 f"instance {zid!r}, voter {vid!r}: a ballot must be a list of "
                 f"alternative ids, got {approved!r}"
             )
-        try:
-            members.extend([index[str(a)] for a in approved])
-        except KeyError as exc:
-            raise DatasetFormatError(
-                f"instance {zid!r}, voter {vid!r} approves unknown "
-                f"alternative {exc}"
-            ) from None
-        sizes.append(len(approved))
-    return sizes, members
+        for aid in map(str, approved):
+            if aid not in index:
+                return DatasetFormatError(
+                    f"instance {zid!r}, voter {vid!r} approves unknown "
+                    f"alternative {aid!r}"
+                )
 
 
 def dataset_document(profile: Profile, ground_truth: GroundTruth | None = None) -> dict:

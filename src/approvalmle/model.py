@@ -5,11 +5,12 @@ Conventions used throughout the package:
 * Alternatives and voters are indexed by their position in the profile's
   declaration order (0-based).  All vectors (scores, reliabilities, priors)
   are aligned with that order, which makes tie-breaking deterministic.
-* A profile stores its ballots as the dense boolean ``Profile.approvals``
-  array, and every computation reads that array (one instance's ballots are
-  ``approvals[z]``) except the truth step, which reads ``Profile.by_voter``:
-  a voter-major copy built once per profile on first use and kept, one more
-  byte per ballot cell.  Frozensets of alternative indices appear only in
+* A profile stores its ballots once, as one voter-major ``bool[n, L, m]``
+  block, ``Profile.by_voter``; ``Profile.approvals`` is the instance-major
+  ``bool[L, n, m]`` view of the same block (one instance's ballots are
+  ``approvals[z]``).  Code that sums or pools over voters (the truth step,
+  the vote counts, the distance init) reads ``by_voter``; the rest reads
+  ``approvals``.  Frozensets of alternative indices appear only in
   ``Profile.build`` and the read-only ``Profile.instances`` view.  One truth
   set per instance is a read-only ``bool[L, m]`` truth array, which
   ``TruthCounts.count`` turns into the counts later steps read; the edges
@@ -189,8 +190,10 @@ class Profile:
     """The full input: alternative, voter and instance ids plus the ballots.
 
     ``approvals`` is a read-only ``bool[L, n, m]`` array: ``approvals[z, i, j]``
-    is True iff voter i approves alternative j on instance z.  It is copied on
-    construction and must have the shape the three id tuples give.
+    is True iff voter i approves alternative j on instance z.  It must have
+    the shape the three id tuples give.  The constructor copies it once, into
+    the voter-major block ``by_voter``, and keeps ``approvals`` as a view of
+    that block.
     """
 
     alternative_ids: tuple
@@ -201,14 +204,14 @@ class Profile:
     def __post_init__(self):
         for name in ("alternative_ids", "voters", "instance_ids"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        approvals = np.array(self.approvals, dtype=bool)
+        approvals = np.asarray(self.approvals, dtype=bool)
         shape = (self.num_instances, self.num_voters, self.num_alternatives)
         if approvals.shape != shape:
             raise ValueError(
                 f"approvals has shape {approvals.shape}, expected (L, n, m) = {shape}"
             )
-        approvals.setflags(write=False)
-        object.__setattr__(self, "approvals", approvals)
+        block = read_only(np.moveaxis(approvals, 1, 0).copy(order="C"))
+        object.__setattr__(self, "approvals", np.moveaxis(block, 0, 1))
 
     def __eq__(self, other):
         if not isinstance(other, Profile):
@@ -241,14 +244,15 @@ class Profile:
     def approval_totals(self) -> np.ndarray:
         """Read-only ``int[n]``: how many (instance, alternative) pairs each
         voter approves."""
-        return read_only(self.approvals.sum((0, 2)))
+        return read_only(self.by_voter.sum((1, 2)))
 
     @cached_property
     def by_voter(self) -> np.ndarray:
         """Read-only ``bool[n, L, m]``: ``approvals`` voter-major and
         contiguous, so each voter's ballots over all instances are one block
-        (the truth step reads them voter by voter)."""
-        return read_only(np.ascontiguousarray(np.moveaxis(self.approvals, 1, 0)))
+        (the truth step reads them voter by voter).  It views the same block
+        as ``approvals``; no copy is made."""
+        return np.moveaxis(self.approvals, 1, 0)
 
     @classmethod
     def build(
@@ -332,12 +336,6 @@ class ParamVector:
     def packed(self) -> np.ndarray:
         """Flatten as (p_1..p_n, q_1..q_n, t_1..t_m); used for the stop rule."""
         return np.concatenate([self.p, self.q, self.t])
-
-    def require_open_unit(self) -> None:
-        """Raise unless every entry lies strictly inside (0, 1); always holds
-        for a constructed ``ParamVector``."""
-        for name in ("p", "q", "t"):
-            require_open_unit(getattr(self, name), name)
 
     def require_fit(self, ballots_shape) -> None:
         """Raise ValueError unless ``ballots_shape`` is the ``(n, m)`` of one

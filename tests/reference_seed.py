@@ -12,8 +12,9 @@ Do not optimise or refactor this module.  Its value is that it stays the
 slow, obvious version: a change here would silently move the reference that
 the package is checked against.  Only the plain data types (``Bounds``,
 ``ParamVector``, ``Profile``, ``ThieleWeights``, result records, which take
-their truths through ``approval_matrix``), ``validate_profile`` and the
-``DegenerateEstimate`` error type come from the package.
+their truths through ``approval_matrix``), ``validate_profile``,
+``require_open_unit`` and the ``DegenerateEstimate`` error type come from the
+package.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from approvalmle.model import (
     TruthEstimate,
     approval_matrix,
     clamp_unit,
+    require_open_unit,
     validate_profile,
 )
 from approvalmle.reliability import DegenerateEstimate
@@ -203,7 +205,8 @@ def score_ranking(scores) -> list:
 
 
 def estimate_truth(instance, params: ParamVector, bounds: Bounds) -> TruthEstimate:
-    params.require_open_unit()
+    for name in ("p", "q", "t"):
+        require_open_unit(getattr(params, name), name)
     m = params.num_alternatives
     if not bounds.valid_for(m):
         raise ValueError(f"invalid bounds ({bounds.lower}, {bounds.upper}) for m={m}")
@@ -312,7 +315,8 @@ def anna_karenina_init(profile: Profile, t0: float = 0.5) -> ParamVector:
 
 def run_amle(profile: Profile, bounds: Bounds, init: ParamVector, config: AmleConfig) -> AmleResult:
     validate_profile(profile, bounds)
-    init.require_open_unit()
+    for name in ("p", "q", "t"):
+        require_open_unit(getattr(init, name), name)
 
     params = init
     steps = []

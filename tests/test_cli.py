@@ -461,6 +461,28 @@ class TestBenchmark:
 
         assert format_benchmark_table(rows) in printed
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--batch-sizes", 3, "--methods", "modal,majority,modal"],
+                "methods must be distinct; repeated: ['modal']",
+            ),
+            (["--batch-sizes", "3,4,3"], "batch sizes must be distinct; repeated: [3]"),
+        ],
+        ids=["methods", "batch-sizes"],
+    )
+    def test_repeated_methods_or_batch_sizes_fail_before_any_batch(
+        self, truth_dataset, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "bench.csv"
+        code = run(
+            ["benchmark", truth_dataset, "--batches", 4, "--init", "uniform", *flags, "--out", out]
+        )
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_single_batch_has_zero_width_interval(self, truth_dataset, tmp_path):
         out = tmp_path / "bench.csv"
         code = run(
@@ -794,6 +816,23 @@ def test_unwritable_out_fails_before_estimating(tmp_path, monkeypatch, capsys, c
     with pytest.raises(OSError) as opened:
         open(target, "w")
     assert capsys.readouterr().err == f"error: {opened.value}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "out", ["folder", "missing/x.out", "data.json/x.out"],
+    ids=["directory", "missing-parent", "file-parent"],
+)
+def test_unwritable_evaluate_out_fails_before_scoring(tmp_path, capsys, out):
+    data = tmp_path / "data.json"
+    _synthetic_dataset(data)
+    (tmp_path / "folder").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    target = tmp_path / out
+    assert run(["evaluate", data, data, "--out", target]) == 1
+    with pytest.raises(OSError) as opened:
+        open(target, "w")
+    assert capsys.readouterr() == ("", f"error: {opened.value}\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -22,7 +22,9 @@ from approvalmle import (
     validate_profile,
 )
 from approvalmle.benchmark import restrict_voters
+from approvalmle.io import load_dataset, save_dataset
 from approvalmle.model import approval_matrix, ranked_prefixes
+from approvalmle.synth import SynthSpec, sample_dataset
 from conftest import WORKED_FIRST_TRUTHS
 
 
@@ -108,11 +110,8 @@ class TestParamVector:
         )
 
     def test_require_open_unit(self):
-        # the constructor refuses an entry outside (0, 1) before the method
-        # can be called, so the method holds on every ParamVector
         with pytest.raises(ValueError, match=re.escape("p must lie strictly in (0, 1), got 0.0")):
             ParamVector([0.0], [0.5], [0.5])
-        assert ParamVector([0.4], [0.5], [0.5]).require_open_unit() is None
 
     @pytest.mark.parametrize(
         "p, q, t, message",
@@ -206,6 +205,38 @@ class TestProfile:
                 worked_profile.alternative_ids, worked_profile.voters,
                 worked_profile.instance_ids, np.zeros(shape, dtype=bool),
             )
+
+    @pytest.mark.parametrize(
+        "path",
+        ["constructor", "build", "json", "csv", "sample_profile", "restrict_voters"],
+    )
+    def test_ballots_are_one_read_only_voter_major_block(
+        self, worked_profile, tmp_path, path
+    ):
+        def saved(suffix):
+            file = tmp_path / f"data{suffix}"
+            save_dataset(file, worked_profile)
+            return load_dataset(file)[0]
+
+        make = {
+            "constructor": lambda: Profile(
+                worked_profile.alternative_ids, worked_profile.voters,
+                worked_profile.instance_ids, worked_profile.approvals.tolist(),
+            ),
+            "build": lambda: worked_profile,
+            "json": lambda: saved(".json"),
+            "csv": lambda: saved(".csv"),
+            "sample_profile": lambda: sample_dataset(
+                SynthSpec.homogeneous(4, 6, 5, Bounds(1, 2), 0.8, 0.25, seed=3)
+            )[0],
+            "restrict_voters": lambda: restrict_voters(worked_profile, [2, 0]),
+        }
+        profile = make[path]()
+        assert np.shares_memory(profile.approvals, profile.by_voter)
+        assert profile.by_voter.flags.c_contiguous
+        for ballots in (profile.approvals, profile.by_voter):
+            with pytest.raises(ValueError):
+                ballots[0, 0, 0] = True
 
     def test_restrict_voters_equals_build_on_kept_ballots(self, worked_profile):
         keep = [2, 0]
