@@ -23,6 +23,7 @@ import numpy as np
 
 from .amle import AmleConfig, run_amle
 from .baselines import majority_rule, modal_rule
+from .initialization import DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0
 from .initialization import anna_karenina_init, random_init, uniform_init
 from .io import load_params
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy
@@ -30,6 +31,8 @@ from .model import Bounds, GroundTruth, ParamVector, Profile, approval_matrix
 
 METHODS = ("amle-constrained", "amle-free", "modal", "majority")
 METRICS = ("hamming", "subset", "harmonic", "harmonic_norm")
+#: The initialization strategy unless one is named; see parse_init.
+DEFAULT_INIT = "anna-karenina"
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,9 @@ def restrict_voters(profile: Profile, voter_indices) -> Profile:
     )
 
 
-def parse_init(strategy: str, p0: float = 0.6, q0: float = 0.4, t0: float = 0.5):
+def parse_init(
+    strategy: str, p0: float = DEFAULT_P0, q0: float = DEFAULT_Q0, t0: float = DEFAULT_T0
+):
     """Initializer ``profile -> ParamVector`` for a strategy name.
 
     Accepts ``anna-karenina``, ``uniform`` (rates ``p0``/``q0``),
@@ -127,19 +132,23 @@ def run_benchmark(
     num_batches: int,
     seed: int,
     methods=METHODS,
-    init_strategy: str = "anna-karenina",
+    init_strategy: str = DEFAULT_INIT,
     config: AmleConfig = AmleConfig(),
 ) -> list:
     """Accuracy table over voter batches against frozenset ``truths``; see module docstring.
 
     Raises ValueError before any batch runs unless every batch size fits the
-    voters, there is at least one batch, every method is known, no batch size
-    or method is repeated and the initialization strategy is a known one that
-    can initialize any voter batch (so not ``file:``, and not
-    ``anna-karenina`` on a batch of one voter).
+    voters, there is at least one batch, every method is known and no batch
+    size or method is repeated.  When an AMLE method is requested, the
+    initialization strategy must also be a known one that can initialize any
+    voter batch (so not ``file:``, and not ``anna-karenina`` on a batch of one
+    voter); the baselines read no initial parameters, so without an AMLE
+    method the strategy is neither checked nor used.
     """
     n = profile.num_voters
-    if init_strategy.startswith("file:"):
+    # both AMLE methods start from the same parameters, computed once per batch
+    needs_init = any(method.startswith("amle") for method in methods)
+    if needs_init and init_strategy.startswith("file:"):
         raise ValueError(
             "benchmark re-initializes per voter batch; file-based initial "
             "parameters cannot fit every batch size"
@@ -147,7 +156,7 @@ def run_benchmark(
     for size in batch_sizes:
         if not 1 <= size <= n:
             raise ValueError(f"batch size {size} is not in [1, {n}], the available voters")
-    if init_strategy == "anna-karenina" and 1 in batch_sizes:
+    if needs_init and init_strategy == "anna-karenina" and 1 in batch_sizes:
         raise ValueError("batch size 1 is too small for anna-karenina, which compares voters")
     if num_batches < 1:
         raise ValueError(f"the number of batches must be at least 1, got {num_batches}")
@@ -158,10 +167,8 @@ def run_benchmark(
         repeated = sorted(value for value, count in Counter(values).items() if count > 1)
         if repeated:
             raise ValueError(f"{name} must be distinct; repeated: {repeated}")
-    make_init = parse_init(init_strategy)
+    make_init = parse_init(init_strategy) if needs_init else None
     truths = approval_matrix(truths, profile.num_alternatives)
-    # both AMLE methods start from the same parameters, computed once per batch
-    needs_init = any(method.startswith("amle") for method in methods)
     rows = []
     for size in batch_sizes:
         scores = {method: {metric: [] for metric in METRICS} for method in methods}

@@ -32,6 +32,7 @@ import numpy as np
 from . import io
 from .amle import AmleConfig, run_amle
 from .benchmark import (
+    DEFAULT_INIT,
     METHODS,
     format_benchmark_table,
     parse_init,
@@ -39,6 +40,7 @@ from .benchmark import (
     save_benchmark_csv,
     score_estimates,
 )
+from .initialization import DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0
 # unused here; kept because perfbench's tracer wraps these names on this module
 from .initialization import anna_karenina_init, random_init, uniform_init  # noqa: F401
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noqa: F401
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     amle = argparse.ArgumentParser(add_help=False)
     amle.add_argument(
         "--init",
-        default="anna-karenina",
+        default=DEFAULT_INIT,
         help="anna-karenina | uniform | random:<seed> | file:<params.json>",
     )
     amle.add_argument("--tolerance", type=float, default=AmleConfig.tolerance)
@@ -334,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     agg.add_argument("dataset", help="dataset file (.json or .csv)")
     agg.add_argument("--lower", type=int, default=0, help="lower cardinality bound")
     agg.add_argument("--upper", type=int, default=None, help="upper cardinality bound (default m)")
-    agg.add_argument("--p0", type=float, default=0.6, help="uniform init p")
-    agg.add_argument("--q0", type=float, default=0.4, help="uniform init q")
-    agg.add_argument("--t0", type=float, default=0.5, help="initial inclusion prior")
+    agg.add_argument("--p0", type=float, default=DEFAULT_P0, help="uniform init p")
+    agg.add_argument("--q0", type=float, default=DEFAULT_Q0, help="uniform init q")
+    agg.add_argument("--t0", type=float, default=DEFAULT_T0, help="initial inclusion prior")
     agg.add_argument("--freeze-priors", action="store_true")
     agg.add_argument("--epsilon-clamp", type=float, default=AmleConfig.epsilon_clamp)
     agg.add_argument("--strict", action="store_true", help="reject omitted ballots")

@@ -6,8 +6,8 @@ answer alike, while unreliable ones each err in their own way.  Uniform and
 seeded-random strategies serve as baselines.
 
 Every strategy returns a full parameter vector; the inclusion priors t are
-not informed by any of them and are filled with a constant (0.5 unless
-overridden).
+not informed by any of them and are filled with a constant (``DEFAULT_T0``
+unless overridden).
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ import warnings
 import numpy as np
 
 from .model import ParamVector, Profile, require_open_unit
+
+#: Starting values unless overridden: the uniform strategy's rates and every
+#: strategy's inclusion prior.
+DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0 = 0.6, 0.4, 0.5
 
 
 def _pooled_distance_sums(by_voter: np.ndarray) -> np.ndarray:
@@ -35,15 +39,15 @@ def _pooled_distance_sums(by_voter: np.ndarray) -> np.ndarray:
 
 
 def uniform_init(
-    n: int, m: int, p0: float = 0.6, q0: float = 0.4, t0: float = 0.5
+    n: int, m: int, p0: float = DEFAULT_P0, q0: float = DEFAULT_Q0, t0: float = DEFAULT_T0
 ) -> ParamVector:
-    """Give every voter the same starting rates (defaults (0.6, 0.4))."""
+    """Give every voter the same starting rates (defaults ``DEFAULT_P0``, ``DEFAULT_Q0``)."""
     for name, value in (("p0", p0), ("q0", q0), ("t0", t0)):
         require_open_unit(value, name)
     return ParamVector(np.full(n, p0), np.full(n, q0), np.full(m, t0))
 
 
-def random_init(n: int, m: int, seed: int, t0: float = 0.5) -> ParamVector:
+def random_init(n: int, m: int, seed: int, t0: float = DEFAULT_T0) -> ParamVector:
     """Draw p_i uniformly from (0.5, 1) and q_i from (0, 0.5).
 
     Uses a seeded PCG64 generator; the same seed always reproduces the same
@@ -56,7 +60,7 @@ def random_init(n: int, m: int, seed: int, t0: float = 0.5) -> ParamVector:
     return ParamVector(p, q, np.full(m, t0))
 
 
-def anna_karenina_init(profile: Profile, t0: float = 0.5) -> ParamVector:
+def anna_karenina_init(profile: Profile, t0: float = DEFAULT_T0) -> ParamVector:
     """Distance-based initialization of the voter rates.
 
     For each voter, sum the Jaccard distances between her pooled ballots and

@@ -12,7 +12,8 @@ alternative is forced in (or out) reduce to the same quantity on the remaining
 m-1 alternatives with shifted bounds, and they yield a closed-form coordinate
 update for each t_j given occurrence counts.  A sweep over all t_j shares one
 prefix row of the counting DP between its coordinates and continues it once
-per coordinate (see sweep_inclusion_priors).
+per coordinate that reads a mass from it (see sweep_inclusion_priors).  Every
+interval mass is read in one place, ``_interval_mass``.
 """
 
 from __future__ import annotations
@@ -68,38 +69,24 @@ class CardinalityDP:
         return cls(np.array(rows))
 
 
-def _count_row(t: np.ndarray, cap: int) -> list:
-    """The last row of ``CardinalityDP.build(t, cap)``, bit for bit, built
-    without keeping the rows before it."""
-    probs = t.tolist()
-    return _extend([1.0] + [0.0] * min(cap, len(probs)), probs)
-
-
-def _interval_masses(coins: int, intervals, count_row) -> list:
+def _interval_mass(coins: int, lower: int, upper: int, row=None):
     """Probability that the number of heads among ``coins`` independent coins
-    lies in [lower, upper], for each ``(lower, upper)`` of ``intervals``.
-
-    ``count_row()`` returns the coins' counting-DP row, truncated at the
-    largest upper or wider.  It is called at most once, and not at all when
-    every interval is empty (mass 0.0) or covers every count 0..coins
-    (mass 1.0).
+    lies in [lower, upper], read from their counting-DP ``row`` (truncated at
+    ``upper`` or wider): exactly 0.0 for an empty interval and exactly 1.0 for
+    one covering every count 0..coins, without reading ``row``; for any other
+    interval, None when no ``row`` is given, so the caller builds one.
     """
-    masses = []
-    row = None
-    for lower, upper in intervals:
-        upper = min(upper, coins)
-        lower = max(lower, 0)
-        if lower > upper:
-            masses.append(0.0)
-        elif lower == 0 and upper == coins:
-            masses.append(1.0)
-        else:
-            if row is None:
-                row = count_row()
-            # numpy's pairwise sum (np.sum's own reduction, without its
-            # wrapper): the builtin sum adds in another order
-            masses.append(float(np.add.reduce(row[lower : upper + 1])))
-    return masses
+    upper = min(upper, coins)
+    lower = max(lower, 0)
+    if lower > upper:
+        return 0.0
+    if lower == 0 and upper == coins:
+        return 1.0
+    if row is None:
+        return None
+    # numpy's pairwise sum (np.sum's own reduction, without its wrapper): the
+    # builtin sum adds in another order
+    return float(np.add.reduce(row[lower : upper + 1]))
 
 
 def cardinality_mass(t, bounds: Bounds) -> float:
@@ -115,29 +102,12 @@ def cardinality_mass(t, bounds: Bounds) -> float:
     0.46875
     """
     t = require_open_unit(t, "inclusion probabilities")
-    (mass,) = _interval_masses(
-        len(t), [(bounds.lower, bounds.upper)],
-        lambda: _count_row(t, bounds.upper),
-    )
+    m = len(t)
+    mass = _interval_mass(m, bounds.lower, bounds.upper)
+    if mass is None:
+        row = _extend([1.0] + [0.0] * min(bounds.upper, m), t.tolist())
+        mass = _interval_mass(m, bounds.lower, bounds.upper, row)
     return mass
-
-
-def _included_interval(j: int, bounds: Bounds) -> tuple:
-    """Counts the other alternatives may reach with j forced in."""
-    if bounds.upper < 1:
-        raise ValueError(
-            f"alternative {j} can never be included under upper bound {bounds.upper}"
-        )
-    return max(bounds.lower - 1, 0), bounds.upper - 1
-
-
-def _excluded_interval(j: int, m: int, bounds: Bounds) -> tuple:
-    """Counts the other m - 1 alternatives may reach with j forced out."""
-    if bounds.lower > m - 1:
-        raise ValueError(
-            f"alternative {j} can never be excluded under lower bound {bounds.lower}"
-        )
-    return bounds.lower, min(bounds.upper, m - 1)
 
 
 #: Coordinate update rules for the inclusion priors; see sweep_inclusion_priors.
@@ -147,24 +117,6 @@ PRIOR_UPDATE_RULES = ("exact", "legacy")
 def require_rule(rule: str) -> None:
     if rule not in PRIOR_UPDATE_RULES:
         raise ValueError(f"unknown prior update rule {rule!r}")
-
-
-def _raw_update(
-    j: int, occ: int, length: int, m: int, bounds: Bounds, rule: str, count_row
-) -> float:
-    """Unclamped update of t_j from the ``occ`` of ``length`` truths holding j
-    (see sweep_inclusion_priors).  ``count_row()`` returns the counting row of
-    the other m - 1 alternatives, truncated at min(u, m - 1) or wider; it is
-    called at most once, and only when 0 < occ < length."""
-    if occ == 0:
-        return 0.0
-    if occ == length:
-        return 1.0
-    intervals = [_included_interval(j, bounds), _excluded_interval(j, m, bounds)]
-    a_in, a_out = _interval_masses(m - 1, intervals, count_row)
-    if rule == "exact":
-        return occ * a_out / ((length - occ) * a_in + occ * a_out)
-    return occ * a_in / ((length - occ) * a_out + occ * a_in)
 
 
 def sweep_inclusion_priors(
@@ -216,6 +168,8 @@ def sweep_inclusion_priors(
     the old t[j+1..m-1] and reads both conditional masses from the result,
     which is, bit for bit, the counting row of the other m - 1 alternatives
     built from scratch: the same steps over the same coins in the same order.
+    No row is continued when both intervals are empty or cover every count,
+    as with [l, u] = [0, m]: their masses do not depend on t.
     Each coordinate is clamped like ``clamp_unit`` does, on the scalar.
     """
     require_rule(rule)
@@ -230,12 +184,37 @@ def sweep_inclusion_priors(
     length = counts.num_instances
     old = current.tolist()
     low, high = epsilon, 1.0 - epsilon
-    prefix = [1.0] + [0.0] * max(min(bounds.upper, m - 1), 0)
+    others = m - 1
+    inside = (max(bounds.lower - 1, 0), bounds.upper - 1)
+    outside = (bounds.lower, min(bounds.upper, others))
+    # None unless the interval is empty or full, when the mass is fixed
+    a_in = _interval_mass(others, *inside)
+    a_out = _interval_mass(others, *outside)
+    needs_row = a_in is None or a_out is None
+    prefix = [1.0] + [0.0] * max(min(bounds.upper, others), 0)
     for j in range(m):
-        raw = _raw_update(
-            j, occurrences[j], length, m, bounds, rule,
-            lambda: _extend(prefix[:], old[j + 1 :]),
-        )
+        occ = occurrences[j]
+        if occ == 0:
+            raw = 0.0
+        elif occ == length:
+            raw = 1.0
+        else:
+            if bounds.upper < 1:
+                raise ValueError(
+                    f"alternative {j} can never be included under upper bound {bounds.upper}"
+                )
+            if bounds.lower > others:
+                raise ValueError(
+                    f"alternative {j} can never be excluded under lower bound {bounds.lower}"
+                )
+            if needs_row:
+                row = _extend(prefix[:], old[j + 1 :])
+                a_in = _interval_mass(others, *inside, row)
+                a_out = _interval_mass(others, *outside, row)
+            if rule == "exact":
+                raw = occ * a_out / ((length - occ) * a_in + occ * a_out)
+            else:
+                raw = occ * a_in / ((length - occ) * a_out + occ * a_in)
         current[j] = value = min(max(raw, low), high)
         _extend(prefix, (value,))
     return current

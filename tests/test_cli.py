@@ -571,6 +571,23 @@ class TestBenchmark:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sizes, methods, init, reference_init",
+        [
+            ("1,4", "modal,majority", [], ["--init", "uniform"]),
+            ("4", "modal", ["--init", "file:x.json"], []),
+        ],
+        ids=["batch-of-one", "init-file"],
+    )
+    def test_baselines_alone_neither_check_nor_use_the_init_strategy(
+        self, truth_dataset, tmp_path, sizes, methods, init, reference_init
+    ):
+        flags = ["benchmark", truth_dataset, "--batch-sizes", sizes, "--batches", 3,
+                 "--methods", methods]
+        assert run([*flags, *init, "--out", tmp_path / "run.csv"]) == 0
+        assert run([*flags, *reference_init, "--out", tmp_path / "reference.csv"]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_full_set_bounds_exit_2(self, tmp_path, capsys):
         # bounds [m, m] leave no negative labels, so q is inestimable in every batch
         from approvalmle.model import Profile

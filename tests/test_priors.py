@@ -232,3 +232,28 @@ class TestUpdateInclusionPrior:
         assert len(calls) <= 1
         # every coordinate took the interior update, which needs both masses
         assert np.all((swept > 1e-4) & (swept < 1 - 1e-4))
+
+    def test_no_counting_row_for_trivial_intervals(self, monkeypatch):
+        # under [0, m] every interval is empty or covers every count, so its
+        # mass is exact without a row; the sweep only grows its prefix
+        import approvalmle.priors
+
+        extend = approvalmle.priors._extend
+        calls = []
+
+        def counting(row, probs):
+            calls.append(len(row))
+            return extend(row, probs)
+
+        monkeypatch.setattr(approvalmle.priors, "_extend", counting)
+        m = 6
+        t = np.linspace(0.2, 0.8, m)
+        assert cardinality_mass(t, Bounds(0, m)) == 1.0
+        assert calls == []
+        truths = (frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({3}), frozenset())
+        counts = voterless_counts(truths, m)
+        swept = sweep_inclusion_priors(counts, Bounds(0, m), t)
+        assert len(calls) == m
+        # with both masses 1 the update is the raw occurrence rate
+        rates = counts.occurrences / len(truths)
+        assert swept.tolist() == clamp_unit(rates).tolist()
