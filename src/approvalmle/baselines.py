@@ -62,6 +62,7 @@ def majority_rule(profile: Profile, bounds: Bounds) -> np.ndarray:
     (count descending, index ascending) order, so each set is that order's
     first clip(max(#majority, 1), l, u) alternatives.
     """
+    bounds.require_fit(profile.num_alternatives)
     counts = profile.by_voter.sum(0)
     order = np.argsort(-counts, axis=-1, kind="stable")
     majority = np.count_nonzero(2 * counts > profile.num_voters, axis=-1)

@@ -54,6 +54,7 @@ def random_init(n: int, m: int, seed: int, t0: float = DEFAULT_T0) -> ParamVecto
     vector.  Lower interval endpoints are excluded by nudging them up one ulp,
     so every initial voter weight is strictly positive.
     """
+    require_open_unit(t0, "t0")
     rng = np.random.default_rng(seed)
     p = rng.uniform(np.nextafter(0.5, 1.0), 1.0, size=n)
     q = rng.uniform(np.nextafter(0.0, 1.0), 0.5, size=n)
@@ -78,6 +79,7 @@ def anna_karenina_init(profile: Profile, t0: float = DEFAULT_T0) -> ParamVector:
     distance sums coincide, which also covers the two-voter case where the
     two sums are equal by symmetry.
     """
+    require_open_unit(t0, "t0")
     n = profile.num_voters
     if n < 2:
         raise ValueError("distance-based initialization needs at least 2 voters")

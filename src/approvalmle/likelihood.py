@@ -18,7 +18,6 @@ import numpy as np
 from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthCounts
 from .model import approval_matrix, require_open_unit
 from .priors import cardinality_mass
-from .truth_mle import check_fit
 
 
 class _ImpossibleType:
@@ -129,7 +128,8 @@ def brute_force_truth_mle(ballots: np.ndarray, params: ParamVector, bounds: Boun
     if m > 20:
         raise ValueError(f"enumeration over {m} alternatives is not supported (max 20)")
     ballots = np.asarray(ballots, dtype=bool)
-    check_fit(ballots.shape, params, bounds)
+    bounds.require_fit(m)
+    params.require_fit(ballots.shape)
 
     scored = []
     for k in range(bounds.lower, bounds.upper + 1):

@@ -122,8 +122,12 @@ class Bounds:
     def contains(self, size: int) -> bool:
         return self.lower <= size <= self.upper
 
-    def valid_for(self, num_alternatives: int) -> bool:
-        return 0 <= self.lower <= self.upper <= num_alternatives
+    def require_fit(self, num_alternatives: int) -> None:
+        """Raise ValueError unless 0 <= lower <= upper <= ``num_alternatives``."""
+        if not 0 <= self.lower <= self.upper <= num_alternatives:
+            raise ValueError(
+                f"invalid bounds ({self.lower}, {self.upper}) for m={num_alternatives}"
+            )
 
 
 @dataclass(frozen=True)

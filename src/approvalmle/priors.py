@@ -180,6 +180,7 @@ def sweep_inclusion_priors(
         raise ValueError(
             f"{m} inclusion priors for truth counts over {len(counts.occurrences)} alternatives"
         )
+    bounds.require_fit(m)
     occurrences = counts.occurrences.tolist()
     length = counts.num_instances
     old = current.tolist()

@@ -50,11 +50,7 @@ class SynthSpec:
             raise ValueError(f"t has {len(self.t)} entries for m={self.m}")
         if len(self.p) != self.n or len(self.q) != self.n:
             raise ValueError("p and q must have one entry per voter")
-        if not self.bounds.valid_for(self.m):
-            raise ValueError(
-                f"invalid bounds ({self.bounds.lower}, {self.bounds.upper}) "
-                f"for m={self.m}"
-            )
+        self.bounds.require_fit(self.m)
 
     @classmethod
     def homogeneous(

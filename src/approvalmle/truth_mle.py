@@ -82,15 +82,6 @@ def _top_k(scores: np.ndarray, threshold: float, bounds: Bounds) -> tuple:
     return np.argsort(-scores, axis=-1, kind="stable"), k
 
 
-def check_fit(ballots_shape: tuple, params: ParamVector, bounds: Bounds) -> None:
-    """Raise ValueError unless the bounds are valid and ``ballots_shape`` is
-    the ``(n, m)`` that ``params`` is sized for."""
-    m = params.num_alternatives
-    if not bounds.valid_for(m):
-        raise ValueError(f"invalid bounds ({bounds.lower}, {bounds.upper}) for m={m}")
-    params.require_fit(ballots_shape)
-
-
 def estimate_truth(profile: Profile, params: ParamVector, bounds: Bounds) -> np.ndarray:
     """Constrained maximum-likelihood truth set of every instance.
 
@@ -105,7 +96,8 @@ def estimate_truth(profile: Profile, params: ParamVector, bounds: Bounds) -> np.
     lower bound) and resolve equal scores by ascending index, which makes runs
     reproducible.
     """
-    check_fit(profile.approvals.shape[1:], params, bounds)
+    bounds.require_fit(params.num_alternatives)
+    params.require_fit(profile.approvals.shape[1:])
     return ranked_prefixes(*_top_k(*_board(profile.by_voter, params), bounds))
 
 
@@ -118,7 +110,8 @@ def explain_truth(ballots: np.ndarray, params: ParamVector, bounds: Bounds) -> T
     above, within ``TIE_TOLERANCE`` of, and below the threshold.
     """
     ballots = np.asarray(ballots, dtype=bool)
-    check_fit(ballots.shape, params, bounds)
+    bounds.require_fit(params.num_alternatives)
+    params.require_fit(ballots.shape)
     scores, threshold = _board(ballots, params)
     order, k = _top_k(scores, threshold, bounds)
     diff = scores - threshold

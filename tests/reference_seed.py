@@ -208,8 +208,7 @@ def estimate_truth(instance, params: ParamVector, bounds: Bounds) -> TruthEstima
     for name in ("p", "q", "t"):
         require_open_unit(getattr(params, name), name)
     m = params.num_alternatives
-    if not bounds.valid_for(m):
-        raise ValueError(f"invalid bounds ({bounds.lower}, {bounds.upper}) for m={m}")
+    bounds.require_fit(m)
     weights = voter_weights(params)
     scores = np.log(params.t) - np.log(1.0 - params.t)
     for i, ballot in enumerate(instance.ballots):

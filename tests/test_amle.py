@@ -267,6 +267,10 @@ class TestValidationAndErrors:
         with pytest.raises(ValueError, match="epsilon_clamp"):
             AmleConfig(epsilon_clamp=epsilon)
 
+    def test_config_rejects_unknown_prior_update_rule(self):
+        with pytest.raises(ValueError, match="^unknown prior update rule 'x'$"):
+            AmleConfig(prior_update="x")
+
 
 def test_estimation_beats_majority_on_average_at_scale():
     # homogeneous synthetic regime: constrained estimation edges out the

@@ -75,6 +75,14 @@ class TestMajorityRule:
         ballots = instance_with_counts([2, 2, 2], 3)
         assert _majority(ballots, Bounds(1, 2)) == frozenset({0, 1})
 
+    @pytest.mark.parametrize("bounds", [Bounds(2, 1), Bounds(0, 9)],
+                             ids=["inverted", "upper-above-m"])
+    def test_rejects_bounds_that_do_not_fit_m(self, bounds):
+        ballots = instance_with_counts([3, 1, 1], 4)
+        message = rf"^invalid bounds \({bounds.lower}, {bounds.upper}\) for m=3$"
+        with pytest.raises(ValueError, match=message):
+            _majority(ballots, bounds)
+
     def test_cardinality_always_within_bounds(self):
         rng = np.random.default_rng(31)
         for _ in range(200):

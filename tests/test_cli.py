@@ -203,21 +203,30 @@ class TestAggregate:
         assert f"{key!r} must be a list" in err
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, message",
         [
-            ["--tolerance", 0],
-            ["--epsilon-clamp", 0.7],
+            (["--tolerance", 0], "tolerance must be finite and positive, got 0.0"),
+            (["--epsilon-clamp", 0.7], "epsilon_clamp must be in (0, 0.5), got 0.7"),
             # a report would hold NaN or Infinity, which is not JSON
-            ["--tolerance", "nan"],
-            ["--tolerance", "inf"],
+            (["--tolerance", "nan"], "tolerance must be finite and positive, got nan"),
+            (["--tolerance", "inf"], "tolerance must be finite and positive, got inf"),
+            (["--max-iter", 0], "max_iterations must be at least 1"),
         ],
-        ids=["tolerance", "epsilon", "tolerance-nan", "tolerance-inf"],
+        ids=["tolerance", "epsilon", "tolerance-nan", "tolerance-inf", "max-iter"],
     )
-    def test_bad_config_exits_1(self, dataset_path, tmp_path, flags, capsys):
+    def test_bad_config_exits_1(self, dataset_path, tmp_path, flags, message, capsys):
         out = tmp_path / "report.json"
         assert run(["aggregate", dataset_path, *flags, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("init", ["anna-karenina", "uniform", "random:3"])
+    def test_bad_t0_is_named_under_every_strategy(self, dataset_path, tmp_path, init, capsys):
+        out = tmp_path / "report.json"
+        assert run(["aggregate", dataset_path, "--init", init, "--t0", 1.5, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: t0 must lie strictly in (0, 1), got 1.5\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -397,8 +406,13 @@ class TestSimulate:
         sizes = {len(v) for v in doc["ground_truth"].values()}
         assert sizes <= {1, 2}
 
-    def test_bad_rates_exit_1(self, tmp_path):
-        assert run(["simulate", "--p", "1.5", "--out", tmp_path / "x.json"]) == 1
+    def test_bad_rates_exit_1(self, tmp_path, capsys):
+        for flags, message in (
+            (["--p", "1.5"], "p must lie strictly in (0, 1), got 1.5"),
+            (["--n", 3, "--p", "0.5,0.6"], "--p needs 1 or 3 comma-separated values"),
+        ):
+            assert run(["simulate", *flags, "--out", tmp_path / "x.json"]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_rate_that_is_not_a_number_exits_1_naming_the_flag(self, tmp_path, capsys):
         assert run(["simulate", "--p", "0.5,x", "--out", tmp_path / "x.json"]) == 1
@@ -541,17 +555,27 @@ class TestBenchmark:
         )
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--init", "random:abc"], ["--init", "bogus"], ["--tolerance", 0], ["--batches", 0]],
-        ids=["init-seed", "init-name", "tolerance", "batches-zero"],
+        "flags, message",
+        [
+            (["--init", "random:abc"], "bad seed in initialization strategy 'random:abc'; "
+             "expected random:<non-negative integer>"),
+            (["--init", "bogus"], "unknown initialization strategy 'bogus'; expected "
+             "anna-karenina, uniform, random:<seed> or file:<params.json>"),
+            (["--tolerance", 0], "tolerance must be finite and positive, got 0.0"),
+            (["--batches", 0], "the number of batches must be at least 1, got 0"),
+            (["--batch-sizes", "1,x"], "--batch-sizes must be comma-separated integers"),
+        ],
+        ids=["init-seed", "init-name", "tolerance", "batches-zero", "batch-sizes"],
     )
-    def test_bad_flag_exits_1(self, truth_dataset, tmp_path, flags, capsys):
+    def test_bad_flag_exits_1(self, truth_dataset, tmp_path, flags, message, capsys):
         code = run(
             ["benchmark", truth_dataset, "--batch-sizes", "4", *flags,
              "--out", tmp_path / "x.csv"]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err == f"error: {message}\n"
 
     def test_negative_seed_exits_1(self, truth_dataset, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -873,8 +897,9 @@ def test_exit_code_follows_the_error_type(
 
 @ESTIMATING_COMMANDS
 def test_invalid_profile_is_one_line_without_warnings(tmp_path, capsys, command, flags):
-    # every one of the 15 ground truths lies outside the inverted bounds, and
-    # the second dataset names one voter twice
+    # every one of the 15 ground truths lies outside the inverted bounds, the
+    # second dataset names one voter twice, and the last three declare no
+    # alternatives, voters or instances
     inverted = tmp_path / "inverted.json"
     spec = SynthSpec.homogeneous(5, 10, 15, Bounds(1, 2), 0.7, 0.4, 1)
     save_dataset(inverted, *sample_dataset(spec))
@@ -885,9 +910,23 @@ def test_invalid_profile_is_one_line_without_warnings(tmp_path, capsys, command,
         "instances": [{"id": "z1", "ballots": {"v1": ["a"]}}],
         "ground_truth": {"z1": ["a"]},
     }))
+    empty = {}
+    for key, doc in (
+        ("alternatives", {"alternatives": [], "voters": ["v1", "v2"],
+                          "instances": [{"id": "z1", "ballots": {"v1": [], "v2": []}}]}),
+        ("voters", {"alternatives": ["a", "b"], "voters": [],
+                    "instances": [{"id": "z1", "ballots": {}}]}),
+        ("instances", {"alternatives": ["a", "b"], "voters": ["v1", "v2"], "instances": []}),
+    ):
+        empty[key] = tmp_path / f"no-{key}.json"
+        empty[key].write_text(json.dumps(doc))
     for path, bounds, violation in (
         (inverted, ["--lower", 3, "--upper", 2], "l exceeds u: bounds (3, 2)"),
         (duplicate, [], "duplicate voter ids"),
+        (inverted, ["--lower", -1], "negative lower bound -1"),
+        (empty["alternatives"], ["--lower", 0, "--upper", 0], "profile declares no alternatives"),
+        (empty["voters"], [], "profile declares no voters"),
+        (empty["instances"], [], "profile declares no instances"),
     ):
         assert run([command, path, *flags, *bounds, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == f"error: invalid profile: {violation}\n"

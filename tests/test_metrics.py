@@ -42,6 +42,10 @@ class TestHamming:
         with pytest.raises(ValueError, match="at least one alternative"):
             hamming_accuracy(np.zeros((2, 0), dtype=bool), np.zeros((2, 0), dtype=bool))
 
+    def test_rejects_arrays_without_instances(self):
+        with pytest.raises(ValueError, match="^need at least one instance$"):
+            hamming_accuracy(np.zeros((0, 2), dtype=bool), np.zeros((0, 2), dtype=bool))
+
     @given(st.permutations(range(5)))
     def test_invariant_under_joint_relabeling(self, perm):
         estimates = (S({0, 2}), S({1}))
@@ -111,6 +115,11 @@ class TestHarmonic:
         estimates = (S({0, 1}), S({0}))
         truths = (S({0, 1}), S({0, 1}))
         assert harmonic_accuracy(A(estimates, 2), A(truths, 2), weights=w) == pytest.approx(0.5)
+
+    def test_rejects_weights_of_another_length(self):
+        truths = A((S({0}),), 2)
+        with pytest.raises(ValueError, match=r"^need m \+ 1 = 3 weights, got 2$"):
+            harmonic_accuracy(truths, truths, weights=ThieleWeights([0.0, 1.0]))
 
 
 class TestThieleWeights:

@@ -96,6 +96,15 @@ class TestConditionalMasses:
         with pytest.raises(ValueError, match="never be included under upper bound 0"):
             sweep_inclusion_priors(counts, Bounds(0, 0), [0.5, 0.5])
 
+    @pytest.mark.parametrize("bounds", [Bounds(2, 1), Bounds(0, 4), Bounds(-1, 2)],
+                             ids=["inverted", "upper-above-m", "negative-lower"])
+    def test_rejects_bounds_that_do_not_fit_m(self, bounds):
+        # with inverted bounds both conditional masses are 0
+        counts = voterless_counts((frozenset({0}), frozenset({1})), 3)
+        message = rf"^invalid bounds \({bounds.lower}, {bounds.upper}\) for m=3$"
+        with pytest.raises(ValueError, match=message):
+            sweep_inclusion_priors(counts, bounds, [0.5] * 3)
+
     def test_excluded_worked_value(self):
         # of the 16 subsets of the other 4 coins, 4 singletons + 6 pairs qualify
         _, a_out = conditional_masses(0, [0.5] * 5, Bounds(1, 2))
