@@ -71,7 +71,9 @@ def _read_json_object(path) -> dict:
         text = _utf8(fh.read(), path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer literal over Python's digit limit;
+        # RecursionError is nesting deeper than the decoder's recursion
         raise DatasetFormatError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path} does not contain a JSON object")
@@ -90,7 +92,13 @@ def load_dataset(path, strict: bool = False):
 
 
 def parse_dataset(doc: dict, strict: bool = False):
-    """Build a profile (and optional ground truth) from a dataset document."""
+    """Build a profile (and optional ground truth) from a dataset document.
+
+    A valid document is read in whole-document passes, with no Python loop
+    body per instance.  When a pass finds an anomaly, ``_instance_error``
+    reads the instances one by one, to issue the same warnings and raise the
+    same first error as a per-instance reading.
+    """
     if not isinstance(doc, dict):
         raise DatasetFormatError("dataset document must be a JSON object")
     for key in ("alternatives", "voters", "instances"):
@@ -105,48 +113,35 @@ def parse_dataset(doc: dict, strict: bool = False):
     voter_ids = [str(v) for v in doc["voters"]]
     index = {aid: j for j, aid in enumerate(alt_ids)}
     declared = set(voter_ids)
-
-    instance_ids = []
-    sizes = []  # one ballot size per (instance, voter), instance-major
-    members = []  # the alternative indices of those ballots, in the same order
-    for pos, entry in enumerate(doc["instances"]):
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise DatasetFormatError(
-                f"instance entry {pos} must be an object with an 'id' key, got {entry!r}"
-            )
-        zid = str(entry["id"])
-        ballots_map = entry.get("ballots", {})
-        if not isinstance(ballots_map, dict):
-            raise DatasetFormatError(
-                f"instance {zid!r}: ballots must map voter ids to lists of alternatives"
-            )
-        unknown_voters = ballots_map.keys() - declared
-        if unknown_voters:
-            raise DatasetFormatError(
-                f"instance {zid!r} has ballots for undeclared voters "
-                f"{sorted(unknown_voters)}"
-            )
-        if len(ballots_map) < len(declared):
-            missing = [v for v in voter_ids if v not in ballots_map]
-            if strict:
-                raise DatasetFormatError(
-                    f"instance {zid!r} omits ballots for voters {missing}"
-                )
-            warnings.warn(
-                f"instance {zid!r} omits ballots for {len(missing)} voter(s); "
-                "treating them as empty",
-                stacklevel=2,
-            )
+    instances = doc["instances"]
+    try:
+        if not all(map(isinstance, instances, itertools.repeat(dict))):
+            raise TypeError
+        instance_ids = [str(entry["id"]) for entry in instances]
+        maps = [entry.get("ballots", {}) for entry in instances]
+        if not all(map(isinstance, maps, itertools.repeat(dict))):
+            raise TypeError
+        omitting = [z for z, ballots_map in enumerate(maps) if ballots_map.keys() != declared]
+        if omitting and (strict or any(maps[z].keys() - declared for z in omitting)):
+            raise KeyError
+        # one ballot per (instance, voter), instance-major
+        ballots = list(itertools.chain.from_iterable(
+            map(ballots_map.get, voter_ids, itertools.repeat([])) for ballots_map in maps
+        ))
+        if not all(map(isinstance, ballots, itertools.repeat(list))):
+            raise TypeError
+        sizes = np.fromiter(map(len, ballots), np.intp, len(ballots))
+        ids = itertools.chain.from_iterable(ballots)
         try:
-            ballots = list(map(ballots_map.get, voter_ids, itertools.repeat([])))
-            if not all(map(isinstance, ballots, itertools.repeat(list))):
-                raise TypeError
-            alts = list(map(index.__getitem__, map(str, itertools.chain.from_iterable(ballots))))
+            members = np.fromiter(map(index.__getitem__, ids), np.intp, sizes.sum())
         except (KeyError, TypeError):
-            raise _ballot_error(zid, voter_ids, ballots_map, index) from None
-        sizes.extend(map(len, ballots))
-        members.extend(alts)
-        instance_ids.append(zid)
+            # a member written as a JSON number, such as 1 for the id "1"
+            ids = map(str, itertools.chain.from_iterable(ballots))
+            members = np.fromiter(map(index.__getitem__, ids), np.intp, sizes.sum())
+    except (KeyError, TypeError):
+        raise _instance_error(instances, voter_ids, index, strict) from None
+    for z in omitting:
+        warnings.warn(_omission(instance_ids[z], maps[z], voter_ids), stacklevel=2)
 
     shape = (len(instance_ids), len(voter_ids), len(alt_ids))
     approvals = marked_rows(sizes, members, len(alt_ids)).reshape(shape)
@@ -157,23 +152,55 @@ def parse_dataset(doc: dict, strict: bool = False):
     return profile, truths
 
 
-def _ballot_error(zid: str, voter_ids: list, ballots_map: dict, index: dict) -> DatasetFormatError:
-    """The DatasetFormatError naming one instance's first bad ballot or member
-    in voter order, read voter by voter once the whole-instance reading has
-    failed."""
-    for vid in voter_ids:
-        approved = ballots_map.get(vid, [])
-        if not isinstance(approved, list):
+def _omission(zid: str, ballots_map: dict, voter_ids: list) -> str:
+    """The warning for an instance whose ballots map omits declared voters."""
+    missing = sum(vid not in ballots_map for vid in voter_ids)
+    return f"instance {zid!r} omits ballots for {missing} voter(s); treating them as empty"
+
+
+def _instance_error(instances: list, voter_ids: list, index: dict, strict: bool) -> DatasetFormatError:
+    """The DatasetFormatError naming the first bad instance entry, ballots
+    map, voter set, ballot or member in document order, read instance by
+    instance once the whole-document passes have failed.  The omitted-voter
+    warnings of the instances before it are issued on the way."""
+    declared = set(voter_ids)
+    for pos, entry in enumerate(instances):
+        if not isinstance(entry, dict) or "id" not in entry:
             return DatasetFormatError(
-                f"instance {zid!r}, voter {vid!r}: a ballot must be a list of "
-                f"alternative ids, got {approved!r}"
+                f"instance entry {pos} must be an object with an 'id' key, got {entry!r}"
             )
-        for aid in map(str, approved):
-            if aid not in index:
+        zid = str(entry["id"])
+        ballots_map = entry.get("ballots", {})
+        if not isinstance(ballots_map, dict):
+            return DatasetFormatError(
+                f"instance {zid!r}: ballots must map voter ids to lists of alternatives"
+            )
+        unknown_voters = ballots_map.keys() - declared
+        if unknown_voters:
+            return DatasetFormatError(
+                f"instance {zid!r} has ballots for undeclared voters "
+                f"{sorted(unknown_voters)}"
+            )
+        if len(ballots_map) < len(declared):
+            if strict:
+                missing = [v for v in voter_ids if v not in ballots_map]
                 return DatasetFormatError(
-                    f"instance {zid!r}, voter {vid!r} approves unknown "
-                    f"alternative {aid!r}"
+                    f"instance {zid!r} omits ballots for voters {missing}"
                 )
+            warnings.warn(_omission(zid, ballots_map, voter_ids), stacklevel=3)
+        for vid in voter_ids:
+            approved = ballots_map.get(vid, [])
+            if not isinstance(approved, list):
+                return DatasetFormatError(
+                    f"instance {zid!r}, voter {vid!r}: a ballot must be a list of "
+                    f"alternative ids, got {approved!r}"
+                )
+            for aid in map(str, approved):
+                if aid not in index:
+                    return DatasetFormatError(
+                        f"instance {zid!r}, voter {vid!r} approves unknown "
+                        f"alternative {aid!r}"
+                    )
 
 
 def dataset_document(profile: Profile, ground_truth: GroundTruth | None = None) -> dict:

@@ -784,6 +784,35 @@ def test_directory_path_exits_1(tmp_path, capsys, args):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["aggregate", "{doc}"],
+        ["aggregate", "{data}", "--init", "file:{doc}"],
+        ["evaluate", "{doc}", "{data}"],
+    ],
+    ids=["dataset", "params", "assignment"],
+)
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"p": ' + "1" * 5_000 + "}", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["too-deep", "integer-over-the-digit-limit"],
+)
+def test_json_the_decoder_cannot_hold_is_one_line(tmp_path, capsys, args, text, reason):
+    data = tmp_path / "data.json"
+    _synthetic_dataset(data)
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    code = run([a.format(doc=doc, data=data) for a in args])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {doc} is not valid JSON: {reason}")
+    assert err.count("\n") == 1 and err.count("error:") == 1
+
+
 def test_simulate_with_too_little_prior_mass_exits_1(tmp_path, capsys):
     # a prior that admits only the full set of 30 alternatives at t=0.1 cannot
     # be sampled; nothing is estimated, so this is an input failure

@@ -4,8 +4,10 @@ row-by-row readers in ``reference_io``.
 A long-form CSV is read by a whole-file array scan when it is plain, and by
 ``csv.reader`` otherwise.  On generated files both readings and the
 reference give the same profile, ids in the same order, or the same error
-message; plain files must be taken by the scan.  A dataset document read
-instance by instance gives the reference's profile, warnings and first error.
+message; plain files must be taken by the scan.  A dataset document read in
+whole-document passes, or by the instance-by-instance error reporter when a
+pass fails, gives the reference's profile, warnings and first error; valid
+documents never reach the reporter.
 """
 
 import csv
@@ -20,7 +22,9 @@ from hypothesis import strategies as st
 
 import reference_io as ref
 from approvalmle import io
-from approvalmle.io import DatasetFormatError, load_dataset, load_profile_csv, parse_dataset
+from approvalmle.io import (
+    DatasetFormatError, dataset_document, load_dataset, load_profile_csv, parse_dataset,
+)
 
 HEADER = ",".join(io.CSV_HEADER)
 #: Ids with spaces, non-ASCII letters, an empty one, and ones over 8 bytes.
@@ -174,12 +178,24 @@ VOTERS = ["v1", "v2", "v3", "w"]
 NOT_LISTS = [5, "a", {"a": 1}, None]
 
 
+#: Instance entries: well-formed objects, and the malformed kinds.
+ENTRY_KINDS = ["object"] * 5 + [
+    "not-an-object", "no-id", "no-ballots", "null-ballots", "list-ballots", "undeclared-voter",
+]
+
+
 @st.composite
 def documents(draw):
     """A dataset document; some ballots omit voters, name unknown
-    alternatives or are not lists."""
+    alternatives or are not lists.  Ids may be JSON numbers and voter ids
+    may repeat.  Some entries are not objects or lack an id, some ballots
+    maps are absent, null, lists or name undeclared voters; an instance that
+    only warns may come before the first failing one."""
+    sometimes = st.sampled_from([False, False, True])
     alternatives = draw(st.lists(st.sampled_from(ALTERNATIVES), unique=True, max_size=4))
     voters = draw(st.lists(st.sampled_from(VOTERS), unique=True, max_size=4))
+    if voters and draw(sometimes):
+        voters.append(draw(st.sampled_from(voters)))
     members = alternatives + [1] * ("1" in alternatives)
     if draw(st.booleans()):
         members = members + ["zz", 2.5, None]
@@ -187,10 +203,26 @@ def documents(draw):
     if draw(st.booleans()):
         ballot = st.one_of(ballot, st.sampled_from(NOT_LISTS))
     omit = draw(st.booleans())
+    kinds = st.sampled_from(ENTRY_KINDS if draw(sometimes) else ["object"])
     instances = []
-    for z in range(draw(st.integers(0, 4))):
+    for z in range(draw(st.integers(0, 5))):
         present = [v for v in voters if not omit or draw(st.booleans())]
-        instances.append({"id": f"z{z}", "ballots": {v: draw(ballot) for v in present}})
+        ballots = {v: draw(ballot) for v in present}
+        entry = {"id": draw(st.sampled_from([f"z{z}", z])), "ballots": ballots}
+        kind = draw(kinds)
+        if kind == "not-an-object":
+            entry = draw(st.sampled_from([5, "z", [entry], None]))
+        elif kind == "no-id":
+            del entry["id"]
+        elif kind == "no-ballots":
+            del entry["ballots"]
+        elif kind == "null-ballots":
+            entry["ballots"] = None
+        elif kind == "list-ballots":
+            entry["ballots"] = list(ballots.items())
+        elif kind == "undeclared-voter":
+            ballots["u"] = draw(ballot)
+        instances.append(entry)
     return {"alternatives": alternatives, "voters": voters, "instances": instances}
 
 
@@ -228,6 +260,49 @@ class TestParseDataset:
                "instances": [{"id": "z", "ballots": ballots}]}
         assert outcome(parse_dataset, doc) == ("error", message)
         assert outcome(ref.parse_dataset, doc) == ("error", message)
+
+    @pytest.mark.parametrize(
+        "failing, message",
+        [
+            (5, "instance entry 2 must be an object with an 'id' key, got 5"),
+            ({"id": "z2", "ballots": None},
+             "instance 'z2': ballots must map voter ids to lists of alternatives"),
+            ({"id": "z2", "ballots": {"v1": [], "v2": [], "u": []}},
+             "instance 'z2' has ballots for undeclared voters ['u']"),
+            ({"id": "z2", "ballots": {"v1": ["zz"], "v2": []}},
+             "instance 'z2', voter 'v1' approves unknown alternative 'zz'"),
+        ],
+        ids=["not-an-object", "null-ballots", "undeclared-voter", "unknown-member"],
+    )
+    def test_warnings_of_earlier_instances_come_before_the_error(self, failing, message):
+        doc = {"alternatives": ["a"], "voters": ["v1", "v2"], "instances": [
+            {"id": "z0", "ballots": {"v1": ["a"]}},
+            {"id": 1},
+            failing,
+            {"id": "z3", "ballots": {"v2": ["a"]}},
+        ]}
+        expected = (("error", message), [
+            "instance 'z0' omits ballots for 1 voter(s); treating them as empty",
+            "instance '1' omits ballots for 2 voter(s); treating them as empty",
+        ])
+        assert parse_outcome(parse_dataset, doc, False) == expected
+        assert parse_outcome(ref.parse_dataset, doc, False) == expected
+
+    @pytest.mark.parametrize("kind", ["saved", "omitted-voters", "number-members"])
+    def test_valid_documents_take_the_passes(self, worked_profile, kind):
+        doc = dataset_document(worked_profile, [frozenset({0})] * 4)
+        if kind == "omitted-voters":
+            del doc["instances"][1]["ballots"]["v2"]
+            del doc["instances"][3]["ballots"]
+        elif kind == "number-members":
+            doc = {"alternatives": ["1", "2", "a"], "voters": ["v1", "v2"], "instances": [
+                {"id": 7, "ballots": {"v1": [1, "a"], "v2": [2, 1]}},
+                {"id": "z", "ballots": {"v1": [], "v2": ["2"]}},
+            ]}
+        with mock.patch.object(io, "_instance_error", side_effect=AssertionError):
+            result = parse_outcome(parse_dataset, doc, False)
+        assert result[0][0] == "profile"
+        assert result == parse_outcome(ref.parse_dataset, doc, False)
 
     def test_single_voter_documents(self):
         doc = {"alternatives": ["a", "b"], "voters": ["v"],
