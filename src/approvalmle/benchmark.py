@@ -211,23 +211,6 @@ def save_benchmark_csv(path, rows) -> None:
             )
 
 
-def load_benchmark_csv(path) -> list:
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != BENCHMARK_HEADER:
-            raise ValueError(f"expected header {BENCHMARK_HEADER}, got {header}")
-        for record in reader:
-            if not record:
-                continue
-            method, n, metric, mean, lo, hi = record
-            rows.append(
-                BenchmarkRow(method, int(n), metric, float(mean), float(lo), float(hi))
-            )
-    return rows
-
-
 def format_benchmark_table(rows) -> str:
     lines = [
         f"{'method':<18} {'n':>4} {'metric':<14} {'mean':>8} {'ci_low':>8} {'ci_high':>8}"

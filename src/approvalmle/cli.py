@@ -44,7 +44,7 @@ from .initialization import DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0
 # unused here; kept because perfbench's tracer wraps these names on this module
 from .initialization import anna_karenina_init, random_init, uniform_init  # noqa: F401
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noqa: F401
-from .model import Bounds, approval_matrix, validate_profile
+from .model import Bounds, ParamVector, approval_matrix, validate_profile
 from .priors import PRIOR_UPDATE_RULES
 from .reliability import DegenerateEstimate
 from .synth import SynthSpec, sample_profile, sample_truths
@@ -252,17 +252,12 @@ def cmd_simulate(args) -> int:
         if size < 1:
             raise ValueError(f"--{flag} must be at least 1, got {size}")
     _require_seed(args.seed)
-    upper = args.upper if args.upper is not None else args.m
-    spec = SynthSpec(
-        m=args.m,
-        n=args.n,
-        num_instances=args.instances,
-        bounds=Bounds(args.lower, upper),
-        t=_parse_rates(args.t, args.m, "t"),
-        p=_parse_rates(args.p, args.n, "p"),
-        q=_parse_rates(args.q, args.n, "q"),
-        seed=args.seed,
+    params = ParamVector(
+        _parse_rates(args.p, args.n, "p"),
+        _parse_rates(args.q, args.n, "q"),
+        _parse_rates(args.t, args.m, "t"),
     )
+    spec = SynthSpec(args.instances, Bounds(args.lower, args.upper), params, args.seed)
     truths = sample_truths(spec)
     profile = sample_profile(spec, truths)
     out = _out_path(args.out, "synthetic.json")

@@ -415,13 +415,6 @@ def load_params(path) -> ParamVector:
         raise DatasetFormatError(f"{path}: {exc}") from None
 
 
-def save_params(path, params: ParamVector) -> None:
-    doc = {"p": params.p.tolist(), "q": params.q.tolist(), "t": params.t.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def load_assignment(path):
     """Read instance->set assignments for evaluation.
 

@@ -375,10 +375,11 @@ def validate_profile(
     """Check a profile's ids, the bounds and any ground truth.
 
     Raises one ValueError, ``invalid profile: a; b``, listing every violation
-    found (duplicate ids, inverted bounds, unknown truth members, ...).
-    Otherwise returns the warnings: one for each ground-truth set whose size
-    falls outside the bounds.  The ballots need no check here: the
-    ``approvals`` array has the profile's shape by construction.
+    found (duplicate ids, bounds that ``Bounds.require_fit`` refuses, unknown
+    truth members, ...).  Otherwise returns the warnings: one for each
+    ground-truth set whose size falls outside the bounds.  The ballots need
+    no check here: the ``approvals`` array has the profile's shape by
+    construction.
     """
     violations, warnings = [], []
     m = profile.num_alternatives
@@ -399,12 +400,10 @@ def validate_profile(
         if len(set(ids)) != len(ids):
             violations.append(f"duplicate {name} ids")
 
-    if bounds.lower > bounds.upper:
-        violations.append(f"l exceeds u: bounds ({bounds.lower}, {bounds.upper})")
-    if bounds.lower < 0:
-        violations.append(f"negative lower bound {bounds.lower}")
-    if bounds.upper > m:
-        violations.append(f"upper bound {bounds.upper} exceeds the {m} alternatives")
+    try:
+        bounds.require_fit(m)
+    except ValueError as exc:
+        violations.append(str(exc))
 
     if ground_truth is not None:
         if len(ground_truth) != length:

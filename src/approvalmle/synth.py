@@ -1,5 +1,10 @@
 """Synthetic data generation from the noise model.
 
+A ``SynthSpec`` draws from one ``ParamVector``: voter i approves a winner
+with probability p_i and a non-winner with probability q_i, and alternative j
+enters the truth with prior t_j.  The spec's m and n are the lengths of t and
+p, and ``ParamVector`` is the one check of the three rate vectors.
+
 Truth sets are drawn from the cardinality-constrained prior by rejection:
 sample independent Bernoulli(t_j) inclusions and retry until the size lands in
 [l, u].  The acceptance probability is exactly the admissible mass, which is
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Bounds, GroundTruth, Profile, approval_matrix, require_open_unit
+from .model import Bounds, GroundTruth, ParamVector, Profile, approval_matrix
 from .priors import cardinality_mass
 
 #: Refuse rejection sampling when the admissible prior mass is below this.
@@ -27,30 +32,25 @@ MIN_ACCEPTANCE = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class SynthSpec:
-    """Generator configuration: sizes, bounds, prior, voter rates, seed."""
+    """Generator configuration: instance count, bounds, the rates drawn from, seed."""
 
-    m: int
-    n: int
     num_instances: int
     bounds: Bounds
-    t: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
+    params: ParamVector
     seed: int
 
     def __post_init__(self):
-        for name in ("m", "n", "num_instances"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("t", "p", "q"):
-            arr = require_open_unit(np.array(getattr(self, name), dtype=float), name)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if len(self.t) != self.m:
-            raise ValueError(f"t has {len(self.t)} entries for m={self.m}")
-        if len(self.p) != self.n or len(self.q) != self.n:
-            raise ValueError("p and q must have one entry per voter")
+        if self.num_instances < 0:
+            raise ValueError(f"num_instances must be non-negative, got {self.num_instances}")
         self.bounds.require_fit(self.m)
+
+    @property
+    def m(self) -> int:
+        return self.params.num_alternatives
+
+    @property
+    def n(self) -> int:
+        return self.params.num_voters
 
     @classmethod
     def homogeneous(
@@ -65,21 +65,13 @@ class SynthSpec:
         t: float = 0.5,
     ) -> "SynthSpec":
         """All voters share (p, q) and all alternatives share prior t."""
-        return cls(
-            m=m,
-            n=n,
-            num_instances=num_instances,
-            bounds=bounds,
-            t=np.full(m, t),
-            p=np.full(n, p),
-            q=np.full(n, q),
-            seed=seed,
-        )
+        params = ParamVector(np.full(n, p), np.full(n, q), np.full(m, t))
+        return cls(num_instances, bounds, params, seed)
 
 
 def sample_truths(spec: SynthSpec) -> GroundTruth:
     """Draw one truth set per instance from the constrained prior."""
-    acceptance = cardinality_mass(spec.t, spec.bounds)
+    acceptance = cardinality_mass(spec.params.t, spec.bounds)
     if acceptance < MIN_ACCEPTANCE:
         raise ValueError(
             f"admissible prior mass {acceptance:.2e} is too small for rejection "
@@ -89,7 +81,7 @@ def sample_truths(spec: SynthSpec) -> GroundTruth:
     for z in range(spec.num_instances):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0, z)))
         while True:
-            included = rng.random(spec.m) < spec.t
+            included = rng.random(spec.m) < spec.params.t
             size = int(included.sum())
             if spec.bounds.contains(size):
                 truths.append(frozenset(np.flatnonzero(included).tolist()))
@@ -107,7 +99,7 @@ def sample_profile(spec: SynthSpec, truths: GroundTruth) -> Profile:
     approvals = np.empty((spec.num_instances, spec.n, spec.m), dtype=bool)
     for z, member in enumerate(members):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1, z)))
-        probs = np.where(member[None, :], spec.p[:, None], spec.q[:, None])
+        probs = np.where(member[None, :], spec.params.p[:, None], spec.params.q[:, None])
         approvals[z] = rng.random((spec.n, spec.m)) < probs
     return Profile(
         [f"a{j + 1}" for j in range(spec.m)],

@@ -237,7 +237,7 @@ class TestLoopProperties:
 
 class TestValidationAndErrors:
     def test_invalid_profile_rejected(self, worked_profile, worked_init):
-        with pytest.raises(ValueError, match="l exceeds u"):
+        with pytest.raises(ValueError, match=r"invalid bounds \(2, 1\)"):
             run_amle(worked_profile, Bounds(2, 1), worked_init)
 
     def test_out_of_range_init_rejected(self, worked_profile, worked_bounds):

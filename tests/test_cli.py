@@ -1,6 +1,8 @@
 import contextlib
 import copy
+import csv
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -10,10 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from approvalmle import cli
-from approvalmle.benchmark import load_benchmark_csv
+from approvalmle.benchmark import BENCHMARK_HEADER, BenchmarkRow
 from approvalmle.cli import main
-from approvalmle.io import save_dataset, save_params
-from approvalmle.model import Bounds, ParamVector
+from approvalmle.io import save_dataset
+from approvalmle.model import Bounds
 from approvalmle.reliability import DegenerateEstimate
 from approvalmle.synth import SynthSpec, sample_dataset
 
@@ -28,14 +30,23 @@ def dataset_path(tmp_path, worked_profile):
 @pytest.fixture
 def init_file(tmp_path):
     path = tmp_path / "init.json"
-    save_params(
-        path, ParamVector([0.5] * 3, [0.44, 0.41, 0.32], [0.5] * 5)
-    )
+    path.write_text(json.dumps({"p": [0.5] * 3, "q": [0.44, 0.41, 0.32], "t": [0.5] * 5}))
     return path
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_benchmark_rows(path) -> list:
+    """The rows of a ``benchmark`` CSV, under its fixed header."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert header == BENCHMARK_HEADER
+    return [
+        BenchmarkRow(method, int(n), metric, *map(float, values))
+        for method, n, metric, *values in records
+    ]
 
 
 class TestAggregate:
@@ -144,7 +155,7 @@ class TestAggregate:
         # the worked profile has 3 voters and 5 alternatives
         for p, t in (([0.6] * 4, [0.5] * 5), ([0.6] * 3, [0.5] * 2)):
             path = tmp_path / "params.json"
-            save_params(path, ParamVector(p, [0.4] * len(p), t))
+            path.write_text(json.dumps({"p": p, "q": [0.4] * len(p), "t": t}))
             assert run(["aggregate", dataset_path, "--init", f"file:{path}"]) == 1
             err = capsys.readouterr().err
             assert err == (
@@ -383,6 +394,18 @@ class TestSimulate:
         assert run(["simulate", "--seed", 3, "--out", out2, "--quiet"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "01ccad3279410c39a4100c60498873922beeaae135ba725a8a2dacf26016fad1"),
+            (7, "e600f7b112ffaf4b94d9dd557ef8c19ce7c582f06876add2eb6b530b002ea6a6"),
+        ],
+    )
+    def test_seeded_output_is_pinned(self, tmp_path, seed, digest):
+        out = tmp_path / "synthetic.json"
+        assert run(["simulate", "--seed", seed, "--out", out, "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_noiseless_ballots_equal_truth(self, tmp_path):
         out = tmp_path / "clean.json"
         code = run(
@@ -465,7 +488,7 @@ class TestBenchmark:
             ]
         )
         assert code == 0
-        rows = load_benchmark_csv(out)
+        rows = read_benchmark_rows(out)
         methods = {r.method for r in rows}
         assert methods == {"amle-constrained", "amle-free", "modal", "majority"}
         assert {r.n for r in rows} == {4, 8}
@@ -508,7 +531,7 @@ class TestBenchmark:
             ]
         )
         assert code == 0
-        for row in load_benchmark_csv(out):
+        for row in read_benchmark_rows(out):
             assert row.ci_low == row.mean == row.ci_high
 
     def test_deterministic_given_seed(self, truth_dataset, tmp_path):
@@ -950,9 +973,9 @@ def test_invalid_profile_is_one_line_without_warnings(tmp_path, capsys, command,
         empty[key] = tmp_path / f"no-{key}.json"
         empty[key].write_text(json.dumps(doc))
     for path, bounds, violation in (
-        (inverted, ["--lower", 3, "--upper", 2], "l exceeds u: bounds (3, 2)"),
+        (inverted, ["--lower", 3, "--upper", 2], "invalid bounds (3, 2) for m=5"),
         (duplicate, [], "duplicate voter ids"),
-        (inverted, ["--lower", -1], "negative lower bound -1"),
+        (inverted, ["--lower", -1, "--upper", 2], "invalid bounds (-1, 2) for m=5"),
         (empty["alternatives"], ["--lower", 0, "--upper", 0], "profile declares no alternatives"),
         (empty["voters"], [], "profile declares no voters"),
         (empty["instances"], [], "profile declares no instances"),

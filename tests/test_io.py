@@ -17,7 +17,6 @@ from approvalmle.io import (
     load_profile_csv,
     parse_dataset,
     save_dataset,
-    save_params,
     save_profile_csv,
 )
 
@@ -268,7 +267,7 @@ class TestParams:
     def test_round_trip(self, tmp_path):
         params = ParamVector([0.5, 0.6], [0.4, 0.3], [0.5, 0.2, 0.9])
         path = tmp_path / "params.json"
-        save_params(path, params)
+        path.write_text(json.dumps({"p": [0.5, 0.6], "q": [0.4, 0.3], "t": [0.5, 0.2, 0.9]}))
         loaded = load_params(path)
         np.testing.assert_array_equal(loaded.packed(), params.packed())
 

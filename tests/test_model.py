@@ -33,7 +33,7 @@ class TestValidateProfile:
         assert validate_profile(worked_profile, worked_bounds) == []
 
     def test_inverted_bounds_reported(self, worked_profile):
-        with pytest.raises(ValueError, match=r"^invalid profile: l exceeds u: bounds \(3, 2\)$"):
+        with pytest.raises(ValueError, match=r"^invalid profile: invalid bounds \(3, 2\) for m=5$"):
             validate_profile(worked_profile, Bounds(3, 2))
 
     def test_ragged_ballots_reported(self):
@@ -63,7 +63,7 @@ class TestValidateProfile:
         ]
 
     def test_upper_bound_above_m_reported(self, worked_profile):
-        with pytest.raises(ValueError, match="^invalid profile: upper bound 9 exceeds"):
+        with pytest.raises(ValueError, match=r"^invalid profile: invalid bounds \(0, 9\) for m=5$"):
             validate_profile(worked_profile, Bounds(0, 9))
 
     def test_ground_truth_size_warns_not_violates(self, worked_profile, worked_bounds):

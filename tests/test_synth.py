@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from approvalmle import (
     Bounds,
+    ParamVector,
     SynthSpec,
     run_amle,
     sample_dataset,
@@ -12,6 +14,7 @@ from approvalmle import (
     sample_truths,
     uniform_init,
 )
+from approvalmle.model import approval_matrix
 
 
 def spec_with(seed=0, **overrides):
@@ -32,16 +35,40 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         assert sample_truths(spec_with(seed=1)) != sample_truths(spec_with(seed=2))
 
+    def test_seeded_draw_is_pinned(self):
+        # the benchmark's datasets, and so its accuracy figures, are such draws
+        spec = SynthSpec.homogeneous(6, 9, 20, Bounds(1, 3), 0.75, 0.3, 13, t=0.4)
+        profile, truths = sample_dataset(spec)
+        drawn = profile.approvals.tobytes() + approval_matrix(truths, 6).tobytes()
+        assert hashlib.sha256(drawn).hexdigest() == (
+            "e917c1e08eb4f6cb81919a0f4b91cfd0ea4f53c3260f3c8c8098b4728d47343f"
+        )
+
 
 class TestSpecValidation:
-    @pytest.mark.parametrize("field", ["m", "n", "num_instances"])
+    @pytest.mark.parametrize("field", ["num_instances"])
     def test_negative_size_rejected(self, field):
-        fields = dict(
-            m=2, n=1, num_instances=1, bounds=Bounds(0, 0), t=[0.5] * 2, p=[0.7], q=[0.3], seed=0
-        )
+        params = ParamVector([0.7], [0.3], [0.5] * 2)
+        fields = dict(num_instances=1, bounds=Bounds(0, 0), params=params, seed=0)
         fields[field] = -1
         with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
             SynthSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("p", [[0.7]], r"^p must be 1-D, got shape \(1, 1\)$"),
+            ("t", [[0.5]], r"^t must be 1-D, got shape \(1, 1\)$"),
+            ("t", 0.5, r"^t must be 1-D, got shape \(\)$"),
+            ("t", ["a", "b"], "^t must be a list of numbers$"),
+        ],
+        ids=["2-D-p", "2-D-t-with-m-1", "scalar-t", "non-numeric-t"],
+    )
+    def test_malformed_rates_refused_naming_the_field(self, field, value, message):
+        rates = dict(p=[0.7], q=[0.3], t=[0.5])
+        rates[field] = value
+        with pytest.raises(ValueError, match=message):
+            SynthSpec(1, Bounds(0, 1), ParamVector(**rates), seed=0)
 
 
 class TestSampleTruths:
@@ -75,13 +102,9 @@ class TestSampleTruths:
 
     def test_pathological_prior_refused(self):
         spec = SynthSpec(
-            m=8,
-            n=2,
             num_instances=1,
             bounds=Bounds(8, 8),
-            t=np.full(8, 1e-3),
-            p=np.full(2, 0.7),
-            q=np.full(2, 0.3),
+            params=ParamVector(p=np.full(2, 0.7), q=np.full(2, 0.3), t=np.full(8, 1e-3)),
             seed=0,
         )
         with pytest.raises(ValueError, match="rejection"):
