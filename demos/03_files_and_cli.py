@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 from approvalmle.cli import main
-from approvalmle.io import load_dataset, save_profile_csv
+from approvalmle.io import load_dataset, save_dataset
 
 with tempfile.TemporaryDirectory(prefix="approvalmle_demo_") as tmp:
     workdir = Path(tmp)
@@ -32,7 +32,7 @@ with tempfile.TemporaryDirectory(prefix="approvalmle_demo_") as tmp:
     print(f"simulated {profile.num_instances} instances for {profile.num_voters} voters")
 
     # the same ballots in the long CSV form, for spreadsheets
-    save_profile_csv(workdir / "dataset.csv", profile)
+    save_dataset(workdir / "dataset.csv", profile)
     print(f"long-form CSV rows: {sum(1 for _ in open(workdir / 'dataset.csv'))}")
 
     # --- aggregate -----------------------------------------------------------

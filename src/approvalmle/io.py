@@ -13,6 +13,12 @@ Two dataset encodings are supported and round-trip losslessly:
 
 In the JSON format a ballots map may omit voters; unless strict mode is on,
 omitted voters get an empty ballot and a warning.
+
+``save_dataset`` writes the bytes ``json.dump(..., indent=2)`` and
+``csv.writer`` would write, from ids encoded once and each distinct ballot
+rendered once, one instance block at a time.  It refuses a dataset that
+would not read back as written, and raises on an id the format cannot
+encode, before the file is created.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GroundTruth, ParamVector, Profile, marked_rows
+from .model import GroundTruth, ParamVector, Profile, marked_rows, profile_violations
 
 
 class DatasetFormatError(ValueError):
@@ -229,33 +235,173 @@ def dataset_document(profile: Profile, ground_truth: GroundTruth | None = None) 
 
 
 def save_dataset(path, profile: Profile, ground_truth: GroundTruth | None = None):
+    """Write a profile (and optional ground truth) as JSON, or as the
+    long-form CSV when ``path`` ends in ``.csv``.
+
+    The bytes are those of ``json.dump(dataset_document(...), indent=2)``
+    and a newline, or of one ``csv.writer`` row per cell.  Each id is
+    encoded once by the ``json`` or ``csv`` module, each distinct ballot is
+    rendered once, and the file is written one instance at a time.  A
+    dataset that would not read back as written (``profile_violations``:
+    repeated ids, a ground truth of the wrong length or naming unknown
+    alternatives) is refused with ValueError, and an id the format cannot
+    encode raises, before the file is created.
+    """
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        if ground_truth is not None:
-            raise DatasetFormatError(
-                "the long-form CSV carries ballots only; write ground truth "
-                "to the JSON format"
-            )
-        save_profile_csv(path, profile)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_document(profile, ground_truth), fh, indent=2)
-        fh.write("\n")
+    is_csv = path.suffix.lower() == ".csv"
+    if is_csv and ground_truth is not None:
+        raise DatasetFormatError(
+            "the long-form CSV carries ballots only; write ground truth "
+            "to the JSON format"
+        )
+    violations = profile_violations(profile, ground_truth)
+    if violations:
+        raise ValueError("cannot save a dataset that would not read back: "
+                         + "; ".join(violations))
+    chunks = _csv_chunks(profile) if is_csv else _json_chunks(profile, ground_truth)
+    with open(path, "w", encoding="utf-8", newline="" if is_csv else None) as fh:
+        fh.writelines(chunks)
+
+
+def _json_chunks(profile: Profile, ground_truth: GroundTruth | None):
+    """The text ``save_dataset`` writes as JSON: a head, one chunk per
+    instance, and a tail with the ground truth.  Every id is encoded, and
+    the tail built, before this returns."""
+    encode = json.JSONEncoder(indent=2).encode
+    alternatives = list(map(encode, profile.alternative_ids))
+    voters = _nested(map(encode, profile.voters), 2)
+    head = (
+        '{\n  "alternatives": ' + _json_block("[]", _nested(alternatives, 2), 1)
+        + ',\n  "voters": ' + _json_block("[]", voters, 1)
+        + ',\n  "instances": ' + ("[" if profile.num_instances else "[]")
+    )
+    # voter ids are keys only inside an instance's ballots
+    voter_keys = _json_keys(encode, profile.voters if profile.num_instances else ())
+    voter_heads = [f"{key}: " for key in voter_keys]
+    instance_ids = _nested(map(encode, profile.instance_ids), 3)
+    tail = "\n  ]" if profile.num_instances else ""
+    if ground_truth is not None:
+        members = _nested(alternatives, 3)
+        truths = [
+            f"{key}: " + _json_block("[]", [members[j] for j in sorted(truth)], 2)
+            for key, truth in zip(_json_keys(encode, profile.instance_ids), ground_truth)
+        ]
+        tail += ',\n  "ground_truth": ' + _json_block("{}", truths, 1)
+    tail += "\n}\n"
+    ballot_members = _nested(alternatives, 5)
+
+    def render(rows: np.ndarray) -> list:
+        return [_json_block("[]", list(itertools.compress(ballot_members, row)), 4)
+                for row in rows.tolist()]
+
+    def instance(z: int, zid: str, ballots: list) -> str:
+        entries = list(map(str.__add__, voter_heads, ballots))
+        fields = ['"id": ' + zid, '"ballots": ' + _json_block("{}", entries, 3)]
+        return ("\n    " if z == 0 else ",\n    ") + _json_block("{}", fields, 2)
+
+    ballots = _ballot_texts(profile.approvals, render)
+    return itertools.chain([head], map(instance, itertools.count(), instance_ids, ballots), [tail])
+
+
+def _json_block(brackets: str, items: list, level: int) -> str:
+    """Encoded ``items`` in ``brackets``, as ``json.dump(..., indent=2)``
+    writes a list or object whose first line is at nesting ``level``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def _nested(texts, level: int) -> list:
+    """Encoded values re-indented to start on a line at nesting ``level``;
+    only a list or object value spans lines."""
+    pad = "\n" + "  " * level
+    return [text.replace("\n", pad) for text in texts]
+
+
+def _json_keys(encode, ids) -> list:
+    """Distinct ``ids`` as ``encode`` writes them as object keys: a number,
+    a bool or None becomes a string, any other non-string raises."""
+    lines = encode(dict.fromkeys(ids, 0)).split("\n")[1:-1]
+    return [line[2:].rpartition(": ")[0] for line in lines]
+
+
+class _Echo:
+    """A file whose ``write`` returns its text, so that ``writerow`` of a
+    ``csv.writer`` on it returns the row as written."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def _csv_chunks(profile: Profile):
+    """The text ``save_dataset`` writes as CSV: the header, then one chunk
+    per instance.  Every id is quoted before this returns."""
+    row = csv.writer(_Echo()).writerow
+    # a trailing empty field leaves an empty id unquoted, as it is mid-row
+    instance_ids, voters, alternatives = (
+        [row([x, None])[:-3] for x in ids]
+        for ids in (profile.instance_ids, profile.voters, profile.alternative_ids)
+    )
+    # column 0 is empty; alternative j's line with flag b is column 1 + 2j + b
+    lines = np.array(
+        ["", *(f",{aid},{flag}\r\n" for aid in alternatives for flag in "01")], dtype=object
+    )
+    columns = np.arange(1, 2 * len(alternatives), 2)
+
+    def render(rows: np.ndarray) -> list:
+        # a row's texts, joined by a voter's "instance,voter" prefix, are its m lines
+        picks = np.zeros((len(rows), len(alternatives) + 1), dtype=np.intp)
+        picks[:, 1:] = columns + rows
+        return lines[picks].tolist()
+
+    def instance(zid: str, ballots: list) -> str:
+        return "".join(map(str.join, map(f"{zid},".__add__, voters), ballots))
+
+    ballots = _ballot_texts(profile.approvals, render)
+    return itertools.chain([row(CSV_HEADER)], map(instance, instance_ids, ballots))
+
+
+def _ballot_texts(approvals: np.ndarray, render):
+    """Per instance z, the text of each voter's ballot row of ``approvals[z]``,
+    where ``render`` maps a ``bool[k, m]`` array of rows to their k texts.
+
+    Rows are keyed by their packed bits.  Each distinct row is rendered once,
+    at the first instance that has it, and dropped after the last, so the
+    texts held at any time are those of rows still to be written.
+    """
+    length, n, m = approvals.shape
+    width = (m + 7) // 8
+    matrix, keys = _byte_keys(length * n, width)
+    matrix[:, :width] = np.packbits(approvals, axis=-1).reshape(length * n, width)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, from_end = np.unique(keys[::-1], return_index=True)
+    last = keys.size - 1 - from_end
+    # distinct rows in order of first and of last appearance, cut per instance
+    by_first, by_last = np.argsort(first), np.argsort(last)
+    cuts = np.arange(length + 1) * n
+    births = np.searchsorted(first[by_first], cuts).tolist()
+    deaths = np.searchsorted(last[by_last], cuts).tolist()
+    texts = {}
+    for z in range(length):
+        new = by_first[births[z]:births[z + 1]]
+        if new.size:
+            texts.update(zip(new.tolist(), render(approvals[z, first[new] - z * n])))
+        yield list(map(texts.__getitem__, inverse[z * n:(z + 1) * n].tolist()))
+        for u in by_last[deaths[z]:deaths[z + 1]].tolist():
+            del texts[u]
+
+
+def _byte_keys(rows: int, width: int) -> tuple:
+    """A zeroed ``uint8[rows, w]`` matrix to fill with keys of up to
+    ``width`` bytes, and its 1-D view with one sortable entry per row: keys
+    of up to 8 bytes compare as one integer, longer ones as byte strings."""
+    matrix = np.zeros((rows, max(width, 8)), dtype=np.uint8)
+    return matrix, matrix.view(np.uint64 if width <= 8 else f"S{width}").ravel()
 
 
 CSV_HEADER = ["instance_id", "voter_id", "alternative_id", "approved"]
-
-
-def save_profile_csv(path, profile: Profile) -> None:
-    """Write the full dense (instance, voter, alternative) grid as 0/1 rows."""
-    alt_ids = list(profile.alternative_ids)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for zid, rows in zip(profile.instance_ids, profile.approvals.tolist()):
-            for vid, row in zip(profile.voters, rows):
-                for aid, approved in zip(alt_ids, row):
-                    writer.writerow([zid, vid, aid, int(approved)])
 
 
 _HEADER = ",".join(CSV_HEADER).encode()
@@ -382,12 +528,10 @@ def _first_appearance_codes(text: np.ndarray, starts, widths, path) -> tuple:
     """The distinct ids of one column of ``text``, in order of first
     appearance, and each row's index into them."""
     width = int(widths.max())
-    # ids of up to 8 bytes compare as one integer, longer ones as byte strings
-    keys = np.zeros((starts.size, 8 if width <= 8 else width), dtype=np.uint8)
+    matrix, keys = _byte_keys(starts.size, width)
     for offset in range(width):
         # one byte column at a time; rows whose id is shorter keep a 0 pad
-        keys[:, offset] = np.where(widths > offset, text.take(starts + offset, mode="clip"), 0)
-    keys = keys.view(np.uint64 if width <= 8 else f"S{width}").ravel()
+        matrix[:, offset] = np.where(widths > offset, text.take(starts + offset, mode="clip"), 0)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(order.size, dtype=starts.dtype)

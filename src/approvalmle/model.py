@@ -367,31 +367,19 @@ class TruthEstimate:
     admissible_k: int
 
 
-def validate_profile(
+def profile_violations(
     profile: Profile,
-    bounds: Bounds,
     ground_truth: GroundTruth | None = None,
+    bounds: Bounds | None = None,
 ) -> list:
-    """Check a profile's ids, the bounds and any ground truth.
-
-    Raises one ValueError, ``invalid profile: a; b``, listing every violation
-    found (duplicate ids, bounds that ``Bounds.require_fit`` refuses, unknown
-    truth members, ...).  Otherwise returns the warnings: one for each
-    ground-truth set whose size falls outside the bounds.  The ballots need
-    no check here: the ``approvals`` array has the profile's shape by
-    construction.
-    """
-    violations, warnings = [], []
+    """What keeps ``profile`` from being read as it is: repeated ids, bounds
+    that ``Bounds.require_fit`` refuses (when ``bounds`` is given), and a
+    ground truth that does not give one set of known alternatives per
+    instance.  Each violation is one message; the list is empty when there
+    is none."""
+    violations = []
     m = profile.num_alternatives
     length = profile.num_instances
-
-    if m < 1:
-        violations.append("profile declares no alternatives")
-    if profile.num_voters < 1:
-        violations.append("profile declares no voters")
-    if length < 1:
-        violations.append("profile declares no instances")
-
     for name, ids in (
         ("alternative", profile.alternative_ids),
         ("voter", profile.voters),
@@ -400,10 +388,11 @@ def validate_profile(
         if len(set(ids)) != len(ids):
             violations.append(f"duplicate {name} ids")
 
-    try:
-        bounds.require_fit(m)
-    except ValueError as exc:
-        violations.append(str(exc))
+    if bounds is not None:
+        try:
+            bounds.require_fit(m)
+        except ValueError as exc:
+            violations.append(str(exc))
 
     if ground_truth is not None:
         if len(ground_truth) != length:
@@ -418,11 +407,38 @@ def validate_profile(
                         f"ground truth of instance {zid!r} names unknown "
                         f"alternatives {sorted(bad)}"
                     )
-                elif not bounds.contains(len(truth)):
-                    warnings.append(
-                        f"ground truth of instance {zid!r} has size "
-                        f"{len(truth)} outside [{bounds.lower}, {bounds.upper}]"
-                    )
+    return violations
+
+
+def validate_profile(
+    profile: Profile,
+    bounds: Bounds,
+    ground_truth: GroundTruth | None = None,
+) -> list:
+    """Check a profile's ids, the bounds and any ground truth.
+
+    Raises one ValueError, ``invalid profile: a; b``, listing every violation
+    found: an empty id list, then those of ``profile_violations``.
+    Otherwise returns the warnings: one for each ground-truth set whose size
+    falls outside the bounds.  The ballots need no check here: the
+    ``approvals`` array has the profile's shape by construction.
+    """
+    violations = [
+        f"profile declares no {name}"
+        for name, size in (
+            ("alternatives", profile.num_alternatives),
+            ("voters", profile.num_voters),
+            ("instances", profile.num_instances),
+        )
+        if size < 1
+    ]
+    violations += profile_violations(profile, ground_truth, bounds)
     if violations:
         raise ValueError("invalid profile: " + "; ".join(violations))
-    return warnings
+    truths = () if ground_truth is None else ground_truth
+    return [
+        f"ground truth of instance {zid!r} has size "
+        f"{len(truth)} outside [{bounds.lower}, {bounds.upper}]"
+        for zid, truth in zip(profile.instance_ids, truths)
+        if not bounds.contains(len(truth))
+    ]

@@ -65,6 +65,9 @@ class SynthSpec:
         t: float = 0.5,
     ) -> "SynthSpec":
         """All voters share (p, q) and all alternatives share prior t."""
+        for name, size in (("m", m), ("n", n)):
+            if size < 1:
+                raise ValueError(f"{name} must be at least 1, got {size}")
         params = ParamVector(np.full(n, p), np.full(n, q), np.full(m, t))
         return cls(num_instances, bounds, params, seed)
 

@@ -1,15 +1,20 @@
-"""Frozen row-by-row reference readers for the two dataset formats.
+"""Frozen row-by-row reference readers and writers for the two dataset formats.
 
 ``parse_dataset`` reads a dataset document ballot by ballot, and
 ``load_profile_csv`` reads a long-form CSV row by row with ``csv.reader``
 into a dict of cells.  These were the package's readers before it read
-whole instances and whole files at once; the differential tests in
-``test_io_differential`` compare the package with them.
+whole instances and whole files at once.  ``save_dataset`` writes a
+dataset with ``json.dump(..., indent=2)`` or, through ``save_profile_csv``,
+with one ``csv.writer`` row per cell: the package's writers before it
+encoded each id once and rendered each distinct ballot once.  The
+differential tests in ``test_io_differential`` compare the package with
+them.
 
 Do not optimise or refactor this module: it is the slow, obvious version
-that the package's readers are checked against.  Only the plain data types
-and ``DatasetFormatError`` come from the package; the JSON document's ground
-truth is left out, as it is read by code the readers share.
+that the package's readers and writer are checked against.  Only the plain
+data types, ``DatasetFormatError`` and ``dataset_document`` come from the
+package; the JSON document's ground truth is left out of the reader, as it
+is read by code the readers share.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ from __future__ import annotations
 import collections
 import csv
 import itertools
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 
-from approvalmle.io import CSV_HEADER, DatasetFormatError
+from approvalmle.io import CSV_HEADER, DatasetFormatError, dataset_document
 from approvalmle.model import Profile, approval_matrix
 
 
@@ -128,3 +135,31 @@ def load_profile_csv(path) -> Profile:
     approvals = np.zeros((len(instance_ids), len(voter_ids), len(alt_ids)), dtype=bool)
     approvals[tuple(indices.T)] = np.fromiter(cells.values(), bool, len(cells))
     return Profile(alt_ids, voter_ids, instance_ids, approvals)
+
+
+def save_dataset(path, profile: Profile, ground_truth=None):
+    """Write a dataset as JSON, or as the long-form CSV for a ``.csv`` path."""
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        if ground_truth is not None:
+            raise DatasetFormatError(
+                "the long-form CSV carries ballots only; write ground truth "
+                "to the JSON format"
+            )
+        save_profile_csv(path, profile)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dataset_document(profile, ground_truth), fh, indent=2)
+        fh.write("\n")
+
+
+def save_profile_csv(path, profile: Profile) -> None:
+    """Write the full dense (instance, voter, alternative) grid as 0/1 rows."""
+    alt_ids = list(profile.alternative_ids)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for zid, rows in zip(profile.instance_ids, profile.approvals.tolist()):
+            for vid, row in zip(profile.voters, rows):
+                for aid, approved in zip(alt_ids, row):
+                    writer.writerow([zid, vid, aid, int(approved)])

@@ -130,6 +130,7 @@ class TestRecord:
 PARENT_COMMAND = ["python3", "old/run.py"]
 END_TO_END = [
     {"name": "command_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
     {"name": "hamming_acc", "unit": "fraction", "better": "higher", "bound": 0.15},
     {"name": "not_printed", "unit": "s", "better": "lower", "bound": 0.1},
 ]
@@ -153,13 +154,16 @@ def comparer(bench, tmp_path, monkeypatch):
     return bench
 
 
-def fake_runs(monkeypatch, module, times, incorrect=None):
+def fake_runs(monkeypatch, module, times, incorrect=None, more=None):
     """Make each benchmark run print a result whose ``command_s`` is the next
-    of ``times[side]``; the run numbered ``incorrect`` (0-based, over all
-    runs) reports ``"correct": false``.  Returns the log of runs:
-    (side, command, files in the side's tree)."""
+    of ``times[side]``, and whose metric ``name`` in ``more``, when given, is
+    the next of ``more[name][side]``; the run numbered ``incorrect``
+    (0-based, over all runs) reports ``"correct": false``.  Returns the log
+    of runs: (side, command, files in the side's tree)."""
     log = []
     queues = {side: list(values) for side, values in times.items()}
+    more_queues = {name: {side: list(values) for side, values in sides.items()}
+                   for name, sides in (more or {}).items()}
 
     def run(argv, cwd, **kwargs):
         if argv[0] == "git":
@@ -172,6 +176,8 @@ def fake_runs(monkeypatch, module, times, incorrect=None):
             "metrics": {
                 "command_s": {"value": queues[side].pop(0), "unit": "s"},
                 "hamming_acc": {"value": 0.8, "unit": "fraction"},
+                **{name: {"value": sides[side].pop(0), "unit": "s"}
+                   for name, sides in more_queues.items()},
             },
         }
         provenance = {"commit": side, "python": "3.11.7", "numpy": "2.4.6", "nproc": 2,
@@ -240,6 +246,43 @@ class TestCompare:
         assert comparer.verdict(PARENT, shifted)["holds"] is True
         shifted = [p - 0.99 * IQR for p in PARENT]
         assert comparer.verdict(PARENT, shifted)["holds"] is False
+
+    @pytest.mark.parametrize(
+        "name, shift, holds",
+        [
+            ("setup_s", -0.2, True),  # lower is better: lower in every pair
+            ("setup_s", +0.2, False),
+            ("hamming_acc", +0.2, True),  # higher is better: higher in every pair
+            ("hamming_acc", -0.2, False),
+        ],
+        ids=["setup-lower", "setup-higher", "accuracy-higher", "accuracy-lower"],
+    )
+    def test_gain_rule_is_computed_for_every_metric_in_its_direction(
+        self, comparer, monkeypatch, capsys, name, shift, holds
+    ):
+        more = {name: {"parent": PARENT, "change": [p + shift for p in PARENT]}}
+        fake_runs(monkeypatch, comparer, {"parent": PARENT, "change": PARENT}, more=more)
+        assert comparer.main([*ARGS, "--pairs", "10"]) == 0
+        doc = json.loads((comparer.ROOT / "BENCH_x_ab.json").read_text())
+        claim = doc["end_to_end"][name]["verdict"]
+        assert claim["better"] == ("higher" if name == "hamming_acc" else "lower")
+        assert claim["faster_pairs"] == (10 if holds else 0)
+        assert claim["median_gap"] == pytest.approx(0.2 if holds else -0.2)
+        assert claim["holds"] is holds
+        # command_s did not move; the top-level verdict is still its rule
+        assert doc["verdict"] == doc["end_to_end"]["command_s"]["verdict"]
+        assert doc["verdict"]["holds"] is False
+        line = next(line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith(f"{name}: "))
+        rule = "holds" if holds else "does not hold"
+        assert f"; change better in {10 if holds else 0} of 10 pairs, gain rule {rule};" in line
+
+    def test_verdict_reads_a_higher_is_better_metric_upward(self, comparer):
+        nine = [p + 0.2 for p in PARENT[:9]] + [PARENT[9] - 1]
+        assert comparer.verdict(PARENT, nine, "higher")["holds"] is True
+        assert comparer.verdict(PARENT, nine, "lower")["holds"] is False
+        eight = [p + 0.2 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]]
+        assert comparer.verdict(PARENT, eight, "higher")["holds"] is False
 
     def test_refuses_to_write_when_a_run_is_incorrect(self, comparer, monkeypatch, capsys):
         fake_runs(monkeypatch, comparer, {"parent": [1.0] * 10, "change": [0.5] * 10},

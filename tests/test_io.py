@@ -17,7 +17,6 @@ from approvalmle.io import (
     load_profile_csv,
     parse_dataset,
     save_dataset,
-    save_profile_csv,
 )
 
 
@@ -81,7 +80,7 @@ class TestJsonRoundTrip:
 class TestCsvRoundTrip:
     def test_file_round_trip(self, tmp_path, worked_profile):
         path = tmp_path / "data.csv"
-        save_profile_csv(path, worked_profile)
+        save_dataset(path, worked_profile)
         assert load_profile_csv(path) == worked_profile
 
     def test_load_dataset_dispatches_on_extension(self, tmp_path, worked_profile):
@@ -102,6 +101,77 @@ class TestCsvRoundTrip:
             load_profile_csv(path)
 
 
+ONE_CELL = np.zeros((1, 1, 1), dtype=bool)
+
+
+class TestSaveRefusals:
+    """A dataset that would not read back as written is refused, with
+    ``validate_profile``'s messages, before the file is created."""
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ((["a", "a"], ["v"], ["z"]), "duplicate alternative ids"),
+            ((["a"], ["v", "v"], ["z"]), "duplicate voter ids"),
+            ((["a"], ["v"], ["z", "z"]), "duplicate instance ids"),
+        ],
+        ids=["alternatives", "voters", "instances"],
+    )
+    def test_repeated_ids(self, tmp_path, suffix, ids, message):
+        alternatives, voters, instances = ids
+        approvals = np.zeros((len(instances), len(voters), len(alternatives)), dtype=bool)
+        path = tmp_path / ("d" + suffix)
+        with pytest.raises(ValueError, match=f"^cannot save a dataset that would not read "
+                                             f"back: {message}$"):
+            save_dataset(path, Profile(alternatives, voters, instances, approvals))
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "truths, message",
+        [
+            ((frozenset({-1}),), r"ground truth of instance 'z' names unknown alternatives \[-1]"),
+            ((frozenset({0, 1}),), r"ground truth of instance 'z' names unknown alternatives \[1]"),
+            ((frozenset(), frozenset({0})), "ground truth covers 2 instances, expected 1"),
+        ],
+        ids=["minus-one", "equal-to-m", "extra-sets"],
+    )
+    def test_ground_truth_that_does_not_fit(self, tmp_path, truths, message):
+        path = tmp_path / "d.json"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match=f"^cannot save a dataset that would not read "
+                                             f"back: {message}$"):
+            save_dataset(path, Profile(["a"], ["v"], ["z"], ONE_CELL), truths)
+        assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (([object()], ["v"], ["z"]), "Object of type object is not JSON serializable"),
+            ((["a"], [("v", 1)], ["z"]), "keys must be str, int, float, bool or None, not tuple"),
+        ],
+        ids=["value", "key"],
+    )
+    def test_id_json_cannot_encode_leaves_no_file(self, tmp_path, ids, message):
+        path = tmp_path / "d.json"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            save_dataset(path, Profile(*ids, ONE_CELL))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize("shape", [(0, 1, 1), (1, 0, 1), (1, 1, 0)],
+                             ids=["no-instances", "no-voters", "no-alternatives"])
+    def test_empty_profiles_are_still_written(self, tmp_path, suffix, shape):
+        length, n, m = shape
+        profile = Profile(["a"][:m], ["v"][:n], ["z"][:length], np.zeros(shape, dtype=bool))
+        path = tmp_path / ("d" + suffix)
+        save_dataset(path, profile)
+        if suffix == ".json":
+            assert load_dataset(path) == (profile, None)
+        else:
+            assert path.read_bytes() == b"instance_id,voter_id,alternative_id,approved\r\n"
+
+
 def _write_csv(path, *rows):
     path.write_text("\n".join(["instance_id,voter_id,alternative_id,approved", *rows, ""]))
     return path
@@ -113,7 +183,7 @@ class TestCsvSemantics:
     def test_round_trip(self, profile):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
-            save_profile_csv(path, profile)
+            save_dataset(path, profile)
             assert load_profile_csv(path) == profile
 
     def test_scrambled_rows_declare_ids_in_first_appearance_order(self, tmp_path):

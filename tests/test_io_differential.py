@@ -1,5 +1,5 @@
-"""Differential tests: the package's dataset readers against the frozen
-row-by-row readers in ``reference_io``.
+"""Differential tests: the package's dataset readers and writer against
+the frozen row-by-row readers and writers in ``reference_io``.
 
 A long-form CSV is read by a whole-file array scan when it is plain, and by
 ``csv.reader`` otherwise.  On generated files both readings and the
@@ -7,7 +7,9 @@ reference give the same profile, ids in the same order, or the same error
 message; plain files must be taken by the scan.  A dataset document read in
 whole-document passes, or by the instance-by-instance error reporter when a
 pass fails, gives the reference's profile, warnings and first error; valid
-documents never reach the reporter.
+documents never reach the reporter.  ``save_dataset`` writes the
+reference's bytes in both formats, and what it writes reads back as the
+profile written.
 """
 
 import csv
@@ -16,12 +18,13 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_io as ref
-from approvalmle import io
+from approvalmle import Profile, io
 from approvalmle.io import (
     DatasetFormatError, dataset_document, load_dataset, load_profile_csv, parse_dataset,
 )
@@ -112,7 +115,7 @@ class TestCsvScan:
 
     def test_saved_files_take_the_scan(self, tmp_path, worked_profile):
         path = tmp_path / "d.csv"
-        io.save_profile_csv(path, worked_profile)
+        io.save_dataset(path, worked_profile)
         assert io._scan_csv(path.read_bytes(), path) is not None
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -316,3 +319,74 @@ class TestParseDataset:
         with pytest.raises(DatasetFormatError) as info:
             read(path)
         assert str(info.value) == f"{path} is not UTF-8 text"
+
+
+# -- writers ---------------------------------------------------------------
+
+#: Ids the formats must quote or escape: separators, quotes, line breaks,
+#: an empty id, non-ASCII letters, and ones over 8 bytes.
+WRITTEN_IDS = ["a", "", "x,y", 'q"r', "c\rd", "e\nf", "g\r\nh", "ä", "日本", " s ", "\\",
+               "long_identifier_x"]
+#: Ids that are not strings: JSON writes numbers, bools and null, and keys
+#: them as strings; CSV writes each as its ``str``.
+OTHER_IDS = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, width=16), st.booleans(),
+                      st.none())
+
+
+@st.composite
+def written_datasets(draw):
+    """``(profile, truths, text_ids)``: a profile with distinct ids of one
+    kind, empty, full or mixed ballots and 0 to 3 instances, voters and
+    alternatives, and a ground truth of one set per instance."""
+    text_ids = draw(st.booleans())
+    pool = st.sampled_from(WRITTEN_IDS) | st.text(max_size=3) if text_ids else OTHER_IDS
+    length, n, m = (draw(st.integers(0, 3)) for _ in range(3))
+    alternatives, voters, instances = (
+        draw(st.lists(pool, min_size=size, max_size=size, unique=True))
+        for size in (m, n, length)
+    )
+    cells = length * n * m
+    fill = draw(st.sampled_from(["empty", "full", "mixed"]))
+    if fill == "mixed":
+        approvals = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    else:
+        approvals = [fill == "full"] * cells
+    profile = Profile(alternatives, voters, instances,
+                      np.array(approvals, dtype=bool).reshape(length, n, m))
+    truths = tuple(frozenset(draw(st.sets(st.integers(0, m - 1), max_size=m)) if m else ())
+                   for _ in range(length))
+    return profile, truths, text_ids
+
+
+class TestSaveDataset:
+    @given(written_datasets())
+    @settings(max_examples=300, deadline=None)
+    def test_writes_the_reference_bytes_and_reads_back(self, dataset):
+        profile, truths, text_ids = dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, truth in (("d.json", truths), ("d.json", None), ("d.csv", None)):
+                expected, path = Path(tmp) / ("ref_" + name), Path(tmp) / name
+                ref.save_dataset(expected, profile, truth)
+                io.save_dataset(path, profile, truth)
+                assert path.read_bytes() == expected.read_bytes()
+                sizes = (profile.num_instances, profile.num_voters, profile.num_alternatives)
+                # a CSV without cells has no rows to declare its ids
+                if text_ids and (name == "d.json" or min(sizes) > 0):
+                    assert load_dataset(path) == (profile, truth)
+
+    def test_list_valued_ids_keep_the_reference_layout(self, tmp_path):
+        # JSON writes a tuple id as a list spread over lines at its nesting depth
+        profile = Profile([("a", 1), "b"], ["v"], [("z", (2,))], np.array([[[True, True]]]))
+        io.save_dataset(tmp_path / "d.json", profile)
+        ref.save_dataset(tmp_path / "ref.json", profile)
+        assert (tmp_path / "d.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_non_string_ids_read_back_as_their_strings(self, tmp_path):
+        approvals = np.array([[[True, False], [False, True]]])
+        profile = Profile([1, 2.5], [3, -4], [5], approvals)
+        read_back = Profile(["1", "2.5"], ["3", "-4"], ["5"], approvals)
+        for name in ("d.json", "d.csv"):
+            io.save_dataset(tmp_path / name, profile)
+            ref.save_dataset(tmp_path / ("ref_" + name), profile)
+            assert (tmp_path / name).read_bytes() == (tmp_path / ("ref_" + name)).read_bytes()
+            assert load_dataset(tmp_path / name) == (read_back, None)

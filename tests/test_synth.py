@@ -54,6 +54,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
             SynthSpec(**fields)
 
+    @pytest.mark.parametrize("size", [-1, 0])
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_homogeneous_size_below_one_rejected_naming_the_field(self, field, size):
+        sizes = dict(m=3, n=2)
+        sizes[field] = size
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {size}$"):
+            SynthSpec.homogeneous(**sizes, num_instances=2, bounds=Bounds(0, 0), p=0.7, q=0.3,
+                                  seed=0)
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

@@ -29,17 +29,19 @@ odd, so a drift of the machine's speed over the session weighs on both sides
 alike.
 
 ``BENCH_<tag>_ab.json`` at the checkout's root holds the provenance, every
-pair's end-to-end metrics as the runs printed them, and for ``command_s``
-each side's median and quartiles and the verdict of the rule for a speed
-claim: at least ``MIN_PAIRS`` pairs, the change faster in at least nine of
-every ten pairs (rounded up), and the gap between the two medians larger
-than the parent's interquartile range (``statistics.quantiles``, exclusive
-method).
+pair's end-to-end metrics as the runs printed them, and under ``verdict``,
+for ``command_s``, each side's median and quartiles and the verdict of the
+rule for a claimed gain: at least ``MIN_PAIRS`` pairs, the change better in
+at least nine of every ten pairs (rounded up), and the gap between the two
+medians larger than the parent's interquartile range
+(``statistics.quantiles``, exclusive method).  The verdict's ``faster``
+keys count pairs where the change is better in the metric's direction.
 
 Under ``end_to_end`` it also holds, for every end-to-end metric that the
 change's ``BENCHMARK.json`` declares and every run printed, each side's
-median and quartiles and a no-regression check that reads only the metric's
-``better`` and ``bound``.
+median and quartiles, the same rule's ``verdict`` in the direction the
+metric's ``better`` gives, and a no-regression check that reads only the
+metric's ``better`` and ``bound``.
 ``bound`` is a fraction of the parent's median: the metric is ``worse`` when
 the change's median is worse than the parent's by more than ``bound`` times
 the parent's median, and ``unresolved`` when the parent's own interquartile
@@ -176,18 +178,20 @@ def quartiles(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def verdict(parent: list, change: list) -> dict:
-    """The rule on paired times, lower being better."""
-    wins = sum(c < p for p, c in zip(parent, change))
+def verdict(parent: list, change: list, better: str = "lower") -> dict:
+    """The rule for a claimed gain on paired runs of one metric, in the
+    direction ``better`` (``"lower"`` or ``"higher"``)."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     base, new = quartiles(parent), quartiles(change)
-    gap = base["median"] - new["median"]
+    gap = sign * (base["median"] - new["median"])
     tests = {
         "enough_pairs": len(parent) >= MIN_PAIRS,
         "faster_in_nine_of_ten": wins >= math.ceil(0.9 * len(parent)),
         "gap_above_parent_iqr": gap > base["iqr"],
     }
-    return {"parent": base, "change": new, "faster_pairs": wins, "median_gap": gap,
-            **tests, "holds": all(tests.values())}
+    return {"parent": base, "change": new, "better": better, "faster_pairs": wins,
+            "median_gap": gap, **tests, "holds": all(tests.values())}
 
 
 def regression(parent: list, change: list, better: str, bound: float) -> dict:
@@ -239,23 +243,27 @@ def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: floa
 
     doc["verdict"] = verdict(series("parent", "command_s"), series("change", "command_s"))
     printed = set.intersection(*(set(pair[side]) for pair in runs for side in SIDES))
-    doc["end_to_end"] = {
-        metric["name"]: regression(
-            series("parent", metric["name"]), series("change", metric["name"]),
-            metric["better"], metric["bound"],
-        )
-        for metric in specs["change"].get("end_to_end", [])
-        if metric["name"] in printed
-    }
+    doc["end_to_end"] = {}
+    for metric in specs["change"].get("end_to_end", []):
+        name, better = metric["name"], metric["better"]
+        if name in printed:
+            parent, change = series("parent", name), series("change", name)
+            doc["end_to_end"][name] = {
+                **regression(parent, change, better, metric["bound"]),
+                "verdict": verdict(parent, change, better),
+            }
     return doc
 
 
-def describe(name: str, check: dict) -> str:
+def describe(name: str, check: dict, pairs: int) -> str:
     state = ("worse" if check["worse"] else "unresolved" if check["unresolved"]
              else "no regression")
+    claim = check["verdict"]
     return (
         f"{name}: parent median {check['parent']['median']:.4g} (IQR "
         f"{check['parent']['iqr']:.4g}), change median {check['change']['median']:.4g}; "
+        f"change better in {claim['faster_pairs']} of {pairs} pairs, gain rule "
+        f"{'holds' if claim['holds'] else 'does not hold'}; "
         f"{check['better']} is better, bound {check['bound']:g} of the parent's median: {state}"
     )
 
@@ -299,7 +307,7 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
     for name, check in doc["end_to_end"].items():
-        print(describe(name, check), file=sys.stderr)
+        print(describe(name, check, args.pairs), file=sys.stderr)
     return 0
 
 
