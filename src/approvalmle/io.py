@@ -100,10 +100,11 @@ def load_dataset(path, strict: bool = False):
 def parse_dataset(doc: dict, strict: bool = False):
     """Build a profile (and optional ground truth) from a dataset document.
 
-    A valid document is read in whole-document passes, with no Python loop
-    body per instance.  When a pass finds an anomaly, ``_instance_error``
-    reads the instances one by one, to issue the same warnings and raise the
-    same first error as a per-instance reading.
+    The instances are read once, in document order, and the first anomaly
+    raises DatasetFormatError where a ballot-by-ballot reading would meet
+    it; an instance that omits voters warns first, or raises when strict.
+    Within an instance, the ballots are listed in voter order and all their
+    members are looked up in one sweep.
     """
     if not isinstance(doc, dict):
         raise DatasetFormatError("dataset document must be a JSON object")
@@ -119,37 +120,49 @@ def parse_dataset(doc: dict, strict: bool = False):
     voter_ids = [str(v) for v in doc["voters"]]
     index = {aid: j for j, aid in enumerate(alt_ids)}
     declared = set(voter_ids)
-    instances = doc["instances"]
-    try:
-        if not all(map(isinstance, instances, itertools.repeat(dict))):
-            raise TypeError
-        instance_ids = [str(entry["id"]) for entry in instances]
-        maps = [entry.get("ballots", {}) for entry in instances]
-        if not all(map(isinstance, maps, itertools.repeat(dict))):
-            raise TypeError
-        omitting = [z for z, ballots_map in enumerate(maps) if ballots_map.keys() != declared]
-        if omitting and (strict or any(maps[z].keys() - declared for z in omitting)):
-            raise KeyError
-        # one ballot per (instance, voter), instance-major
-        ballots = list(itertools.chain.from_iterable(
-            map(ballots_map.get, voter_ids, itertools.repeat([])) for ballots_map in maps
-        ))
+    instance_ids, sizes, members = [], [], []
+    for pos, entry in enumerate(doc["instances"]):
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise DatasetFormatError(
+                f"instance entry {pos} must be an object with an 'id' key, got {entry!r}"
+            )
+        zid = str(entry["id"])
+        ballots_map = entry.get("ballots", {})
+        if not isinstance(ballots_map, dict):
+            raise DatasetFormatError(
+                f"instance {zid!r}: ballots must map voter ids to lists of alternatives"
+            )
+        if ballots_map.keys() != declared:
+            unknown_voters = ballots_map.keys() - declared
+            if unknown_voters:
+                raise DatasetFormatError(
+                    f"instance {zid!r} has ballots for undeclared voters "
+                    f"{sorted(unknown_voters)}"
+                )
+            missing = [v for v in voter_ids if v not in ballots_map]
+            if strict:
+                raise DatasetFormatError(f"instance {zid!r} omits ballots for voters {missing}")
+            warnings.warn(
+                f"instance {zid!r} omits ballots for {len(missing)} voter(s); "
+                "treating them as empty",
+                stacklevel=2,
+            )
+        ballots = list(map(ballots_map.get, voter_ids, itertools.repeat([])))
         if not all(map(isinstance, ballots, itertools.repeat(list))):
-            raise TypeError
-        sizes = np.fromiter(map(len, ballots), np.intp, len(ballots))
-        ids = itertools.chain.from_iterable(ballots)
+            _member_indices(zid, voter_ids, ballots, index)  # raises at the first bad one
+        start = len(members)
         try:
-            members = np.fromiter(map(index.__getitem__, ids), np.intp, sizes.sum())
+            members += map(index.__getitem__, itertools.chain.from_iterable(ballots))
         except (KeyError, TypeError):
-            # a member written as a JSON number, such as 1 for the id "1"
-            ids = map(str, itertools.chain.from_iterable(ballots))
-            members = np.fromiter(map(index.__getitem__, ids), np.intp, sizes.sum())
-    except (KeyError, TypeError):
-        raise _instance_error(instances, voter_ids, index, strict) from None
-    for z in omitting:
-        warnings.warn(_omission(instance_ids[z], maps[z], voter_ids), stacklevel=2)
+            # an unknown member, or one written as a JSON number, such as 1 for the id "1"
+            del members[start:]
+            members += _member_indices(zid, voter_ids, ballots, index)
+        sizes += map(len, ballots)
+        instance_ids.append(zid)
 
     shape = (len(instance_ids), len(voter_ids), len(alt_ids))
+    sizes = np.fromiter(sizes, np.intp, len(sizes))
+    members = np.fromiter(members, np.intp, len(members))
     approvals = marked_rows(sizes, members, len(alt_ids)).reshape(shape)
     profile = Profile(alt_ids, voter_ids, instance_ids, approvals)
     truths = None
@@ -158,88 +171,32 @@ def parse_dataset(doc: dict, strict: bool = False):
     return profile, truths
 
 
-def _omission(zid: str, ballots_map: dict, voter_ids: list) -> str:
-    """The warning for an instance whose ballots map omits declared voters."""
-    missing = sum(vid not in ballots_map for vid in voter_ids)
-    return f"instance {zid!r} omits ballots for {missing} voter(s); treating them as empty"
-
-
-def _instance_error(instances: list, voter_ids: list, index: dict, strict: bool) -> DatasetFormatError:
-    """The DatasetFormatError naming the first bad instance entry, ballots
-    map, voter set, ballot or member in document order, read instance by
-    instance once the whole-document passes have failed.  The omitted-voter
-    warnings of the instances before it are issued on the way."""
-    declared = set(voter_ids)
-    for pos, entry in enumerate(instances):
-        if not isinstance(entry, dict) or "id" not in entry:
-            return DatasetFormatError(
-                f"instance entry {pos} must be an object with an 'id' key, got {entry!r}"
+def _member_indices(zid: str, voter_ids: list, ballots: list, index: dict) -> list:
+    """The alternative indices of instance ``zid``'s ``ballots``, voter by
+    voter, each member read as its ``str``; DatasetFormatError names the
+    first ballot that is not a list or member that is not an alternative."""
+    indices = []
+    for vid, approved in zip(voter_ids, ballots):
+        if not isinstance(approved, list):
+            raise DatasetFormatError(
+                f"instance {zid!r}, voter {vid!r}: a ballot must be a list of "
+                f"alternative ids, got {approved!r}"
             )
-        zid = str(entry["id"])
-        ballots_map = entry.get("ballots", {})
-        if not isinstance(ballots_map, dict):
-            return DatasetFormatError(
-                f"instance {zid!r}: ballots must map voter ids to lists of alternatives"
-            )
-        unknown_voters = ballots_map.keys() - declared
-        if unknown_voters:
-            return DatasetFormatError(
-                f"instance {zid!r} has ballots for undeclared voters "
-                f"{sorted(unknown_voters)}"
-            )
-        if len(ballots_map) < len(declared):
-            if strict:
-                missing = [v for v in voter_ids if v not in ballots_map]
-                return DatasetFormatError(
-                    f"instance {zid!r} omits ballots for voters {missing}"
+        for aid in map(str, approved):
+            if aid not in index:
+                raise DatasetFormatError(
+                    f"instance {zid!r}, voter {vid!r} approves unknown alternative {aid!r}"
                 )
-            warnings.warn(_omission(zid, ballots_map, voter_ids), stacklevel=3)
-        for vid in voter_ids:
-            approved = ballots_map.get(vid, [])
-            if not isinstance(approved, list):
-                return DatasetFormatError(
-                    f"instance {zid!r}, voter {vid!r}: a ballot must be a list of "
-                    f"alternative ids, got {approved!r}"
-                )
-            for aid in map(str, approved):
-                if aid not in index:
-                    return DatasetFormatError(
-                        f"instance {zid!r}, voter {vid!r} approves unknown "
-                        f"alternative {aid!r}"
-                    )
-
-
-def dataset_document(profile: Profile, ground_truth: GroundTruth | None = None) -> dict:
-    """Serialize a profile (and optional ground truth) to a dataset document."""
-    alt_ids = list(profile.alternative_ids)
-    doc = {
-        "alternatives": alt_ids,
-        "voters": list(profile.voters),
-        "instances": [
-            {
-                "id": zid,
-                "ballots": {
-                    vid: list(itertools.compress(alt_ids, row))
-                    for vid, row in zip(profile.voters, rows)
-                },
-            }
-            for zid, rows in zip(profile.instance_ids, profile.approvals.tolist())
-        ],
-    }
-    if ground_truth is not None:
-        doc["ground_truth"] = {
-            zid: [alt_ids[j] for j in sorted(truth)]
-            for zid, truth in zip(profile.instance_ids, ground_truth)
-        }
-    return doc
+            indices.append(index[aid])
+    return indices
 
 
 def save_dataset(path, profile: Profile, ground_truth: GroundTruth | None = None):
     """Write a profile (and optional ground truth) as JSON, or as the
     long-form CSV when ``path`` ends in ``.csv``.
 
-    The bytes are those of ``json.dump(dataset_document(...), indent=2)``
-    and a newline, or of one ``csv.writer`` row per cell.  Each id is
+    The bytes are those of ``json.dump(..., indent=2)`` on the dataset
+    document and a newline, or of one ``csv.writer`` row per cell.  Each id is
     encoded once by the ``json`` or ``csv`` module, each distinct ballot is
     rendered once, and the file is written one instance at a time.  A
     dataset that would not read back as written (``profile_violations``:

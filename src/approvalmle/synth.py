@@ -42,6 +42,7 @@ class SynthSpec:
     def __post_init__(self):
         if self.num_instances < 0:
             raise ValueError(f"num_instances must be non-negative, got {self.num_instances}")
+        _require_sizes(self.m, self.n)
         self.bounds.require_fit(self.m)
 
     @property
@@ -65,11 +66,17 @@ class SynthSpec:
         t: float = 0.5,
     ) -> "SynthSpec":
         """All voters share (p, q) and all alternatives share prior t."""
-        for name, size in (("m", m), ("n", n)):
-            if size < 1:
-                raise ValueError(f"{name} must be at least 1, got {size}")
+        _require_sizes(m, n)  # before np.full, which has its own message for a negative size
         params = ParamVector(np.full(n, p), np.full(n, q), np.full(m, t))
         return cls(num_instances, bounds, params, seed)
+
+
+def _require_sizes(m: int, n: int) -> None:
+    """Raise ValueError, naming the size, unless a spec has at least one
+    alternative and one voter."""
+    for name, size in (("m", m), ("n", n)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
 
 
 def sample_truths(spec: SynthSpec) -> GroundTruth:

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from approvalmle.io import CSV_HEADER, DatasetFormatError, dataset_document
-from approvalmle.model import Profile, approval_matrix
+from approvalmle.io import CSV_HEADER, DatasetFormatError
+from approvalmle.model import GroundTruth, Profile, approval_matrix
 
 
 def parse_dataset(doc: dict, strict: bool = False) -> Profile:
@@ -135,6 +135,31 @@ def load_profile_csv(path) -> Profile:
     approvals = np.zeros((len(instance_ids), len(voter_ids), len(alt_ids)), dtype=bool)
     approvals[tuple(indices.T)] = np.fromiter(cells.values(), bool, len(cells))
     return Profile(alt_ids, voter_ids, instance_ids, approvals)
+
+
+def dataset_document(profile: Profile, ground_truth: GroundTruth | None = None) -> dict:
+    """Serialize a profile (and optional ground truth) to a dataset document."""
+    alt_ids = list(profile.alternative_ids)
+    doc = {
+        "alternatives": alt_ids,
+        "voters": list(profile.voters),
+        "instances": [
+            {
+                "id": zid,
+                "ballots": {
+                    vid: list(itertools.compress(alt_ids, row))
+                    for vid, row in zip(profile.voters, rows)
+                },
+            }
+            for zid, rows in zip(profile.instance_ids, profile.approvals.tolist())
+        ],
+    }
+    if ground_truth is not None:
+        doc["ground_truth"] = {
+            zid: [alt_ids[j] for j in sorted(truth)]
+            for zid, truth in zip(profile.instance_ids, ground_truth)
+        }
+    return doc
 
 
 def save_dataset(path, profile: Profile, ground_truth=None):

@@ -216,9 +216,10 @@ class TestCompare:
         assert doc["provenance"]["parent"] == "f" * 40
         assert doc["provenance"]["commit"] == "change"
         assert doc["provenance"]["seed"] == 53
-        assert doc["verdict"]["faster_pairs"] == 4
-        assert doc["verdict"]["enough_pairs"] is False
-        assert doc["verdict"]["holds"] is False
+        claim = doc["end_to_end"]["command_s"]["verdict"]
+        assert claim["faster_pairs"] == 4
+        assert claim["enough_pairs"] is False
+        assert claim["holds"] is False
 
     @pytest.mark.parametrize(
         "change, holds",
@@ -269,9 +270,9 @@ class TestCompare:
         assert claim["faster_pairs"] == (10 if holds else 0)
         assert claim["median_gap"] == pytest.approx(0.2 if holds else -0.2)
         assert claim["holds"] is holds
-        # command_s did not move; the top-level verdict is still its rule
-        assert doc["verdict"] == doc["end_to_end"]["command_s"]["verdict"]
-        assert doc["verdict"]["holds"] is False
+        # command_s did not move
+        assert doc["end_to_end"]["command_s"]["verdict"]["holds"] is False
+        assert "verdict" not in doc
         line = next(line for line in capsys.readouterr().err.splitlines()
                     if line.startswith(f"{name}: "))
         rule = "holds" if holds else "does not hold"

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_io import dataset_document
 
 from approvalmle import ParamVector, Profile
 from approvalmle.io import (
     DatasetFormatError,
-    dataset_document,
     load_assignment,
     load_dataset,
     load_params,

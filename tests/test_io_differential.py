@@ -4,12 +4,11 @@ the frozen row-by-row readers and writers in ``reference_io``.
 A long-form CSV is read by a whole-file array scan when it is plain, and by
 ``csv.reader`` otherwise.  On generated files both readings and the
 reference give the same profile, ids in the same order, or the same error
-message; plain files must be taken by the scan.  A dataset document read in
-whole-document passes, or by the instance-by-instance error reporter when a
-pass fails, gives the reference's profile, warnings and first error; valid
-documents never reach the reporter.  ``save_dataset`` writes the
-reference's bytes in both formats, and what it writes reads back as the
-profile written.
+message; plain files must be taken by the scan.  A dataset document, read
+instance by instance with each instance's members looked up in one sweep,
+gives the reference's profile, warnings and first error.  ``save_dataset``
+writes the reference's bytes in both formats, and what it writes reads back
+as the profile written.
 """
 
 import csv
@@ -25,9 +24,7 @@ from hypothesis import strategies as st
 
 import reference_io as ref
 from approvalmle import Profile, io
-from approvalmle.io import (
-    DatasetFormatError, dataset_document, load_dataset, load_profile_csv, parse_dataset,
-)
+from approvalmle.io import DatasetFormatError, load_dataset, load_profile_csv, parse_dataset
 
 HEADER = ",".join(io.CSV_HEADER)
 #: Ids with spaces, non-ASCII letters, an empty one, and ones over 8 bytes.
@@ -291,9 +288,11 @@ class TestParseDataset:
         assert parse_outcome(parse_dataset, doc, False) == expected
         assert parse_outcome(ref.parse_dataset, doc, False) == expected
 
-    @pytest.mark.parametrize("kind", ["saved", "omitted-voters", "number-members"])
-    def test_valid_documents_take_the_passes(self, worked_profile, kind):
-        doc = dataset_document(worked_profile, [frozenset({0})] * 4)
+    @pytest.mark.parametrize(
+        "kind", ["saved", "omitted-voters", "number-members", "string-before-number-member"]
+    )
+    def test_valid_documents_match_the_reference(self, worked_profile, kind):
+        doc = ref.dataset_document(worked_profile, [frozenset({0})] * 4)
         if kind == "omitted-voters":
             del doc["instances"][1]["ballots"]["v2"]
             del doc["instances"][3]["ballots"]
@@ -302,8 +301,12 @@ class TestParseDataset:
                 {"id": 7, "ballots": {"v1": [1, "a"], "v2": [2, 1]}},
                 {"id": "z", "ballots": {"v1": [], "v2": ["2"]}},
             ]}
-        with mock.patch.object(io, "_instance_error", side_effect=AssertionError):
-            result = parse_outcome(parse_dataset, doc, False)
+        elif kind == "string-before-number-member":
+            # the lookup of "a" succeeds before that of 1 fails
+            doc = {"alternatives": ["a", "1"], "voters": ["v1", "v2"], "instances": [
+                {"id": "z", "ballots": {"v1": ["a", 1], "v2": [1]}},
+            ]}
+        result = parse_outcome(parse_dataset, doc, False)
         assert result[0][0] == "profile"
         assert result == parse_outcome(ref.parse_dataset, doc, False)
 

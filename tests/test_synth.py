@@ -64,6 +64,14 @@ class TestSpecValidation:
                                   seed=0)
 
     @pytest.mark.parametrize(
+        "field, params",
+        [("m", ParamVector([0.7], [0.3], [])), ("n", ParamVector([], [], [0.5]))],
+    )
+    def test_constructor_refuses_a_spec_without_alternatives_or_voters(self, field, params):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
+            SynthSpec(2, Bounds(0, 0), params, seed=0)
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("p", [[0.7]], r"^p must be 1-D, got shape \(1, 1\)$"),

@@ -29,19 +29,16 @@ odd, so a drift of the machine's speed over the session weighs on both sides
 alike.
 
 ``BENCH_<tag>_ab.json`` at the checkout's root holds the provenance, every
-pair's end-to-end metrics as the runs printed them, and under ``verdict``,
-for ``command_s``, each side's median and quartiles and the verdict of the
-rule for a claimed gain: at least ``MIN_PAIRS`` pairs, the change better in
-at least nine of every ten pairs (rounded up), and the gap between the two
-medians larger than the parent's interquartile range
+pair's end-to-end metrics as the runs printed them, and under
+``end_to_end``, for every end-to-end metric that the change's
+``BENCHMARK.json`` declares and every run printed, each side's median and
+quartiles, a no-regression check that reads only the metric's ``better``
+and ``bound``, and under ``verdict`` the verdict of the rule for a claimed
+gain in the direction ``better`` gives: at least ``MIN_PAIRS`` pairs, the
+change better in at least nine of every ten pairs (rounded up), and the gap
+between the two medians larger than the parent's interquartile range
 (``statistics.quantiles``, exclusive method).  The verdict's ``faster``
 keys count pairs where the change is better in the metric's direction.
-
-Under ``end_to_end`` it also holds, for every end-to-end metric that the
-change's ``BENCHMARK.json`` declares and every run printed, each side's
-median and quartiles, the same rule's ``verdict`` in the direction the
-metric's ``better`` gives, and a no-regression check that reads only the
-metric's ``better`` and ``bound``.
 ``bound`` is a fraction of the parent's median: the metric is ``worse`` when
 the change's median is worse than the parent's by more than ``bound`` times
 the parent's median, and ``unresolved`` when the parent's own interquartile
@@ -241,7 +238,6 @@ def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: floa
     def series(side, name):
         return [pair[side][name] for pair in runs]
 
-    doc["verdict"] = verdict(series("parent", "command_s"), series("change", "command_s"))
     printed = set.intersection(*(set(pair[side]) for pair in runs for side in SIDES))
     doc["end_to_end"] = {}
     for metric in specs["change"].get("end_to_end", []):
@@ -295,19 +291,10 @@ def main(argv=None) -> int:
     name = f"BENCH_{args.tag}.json" if args.job == "record" else f"BENCH_{args.tag}_ab.json"
     out = ROOT / name
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    if args.job == "record":
-        print(f"wrote {out}", file=sys.stderr)
-        return 0
-    v = doc["verdict"]
-    print(
-        f"command_s: parent median {v['parent']['median']:.4f} (IQR "
-        f"{v['parent']['iqr']:.4f}), change median {v['change']['median']:.4f}; "
-        f"change faster in {v['faster_pairs']} of {args.pairs} pairs; rule "
-        f"{'holds' if v['holds'] else 'does not hold'}; wrote {out}",
-        file=sys.stderr,
-    )
-    for name, check in doc["end_to_end"].items():
-        print(describe(name, check, args.pairs), file=sys.stderr)
+    if args.job == "compare":
+        for name, check in doc["end_to_end"].items():
+            print(describe(name, check, args.pairs), file=sys.stderr)
+    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 
