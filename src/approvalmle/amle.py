@@ -144,7 +144,7 @@ def run_amle(
             )
         updated = ParamVector(p_hat, q_hat, t_hat)
 
-        delta = float(np.max(np.abs(updated.packed() - params.packed())))
+        delta = float(np.maximum.reduce(np.abs(updated.packed() - params.packed())))
         loglik = total_loglik(profile, counts, updated, bounds)
         steps.append(
             AmleStep(iteration, updated, truths, loglik_truth_step, loglik, delta)

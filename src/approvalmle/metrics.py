@@ -10,6 +10,7 @@ diminishing harmonic sums w_c = sum_{k=1..c} 1/(m+1-k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,11 @@ class ThieleWeights:
         0.45
         """
         return cls(np.concatenate([[0.0], np.cumsum(1.0 / np.arange(m, 0, -1))]))
+
+
+#: ``harmonic_accuracy``'s default weights, built once per m; sharing them is
+#: safe because a ThieleWeights is frozen and its array read-only.
+_harmonic = lru_cache(maxsize=64)(ThieleWeights.harmonic)
 
 
 def _check_pair(estimates: np.ndarray, truths: np.ndarray) -> None:
@@ -80,16 +86,15 @@ def harmonic_accuracy(
     """
     _check_pair(estimates, truths)
     m = truths.shape[1]
-    if weights is None:
-        weights = ThieleWeights.harmonic(m)
-    w = weights.weights
+    w = (_harmonic(m) if weights is None else weights).weights
     if len(w) != m + 1:
         raise ValueError(f"need m + 1 = {m + 1} weights, got {len(w)}")
 
-    scores = w[np.count_nonzero(estimates & truths, axis=1)]
+    # the reduction np.count_nonzero runs on bools, without its wrapper
+    scores = w[np.add.reduce(estimates & truths, axis=1, dtype=np.intp)]
     if normalized:
-        self_scores = w[np.count_nonzero(truths, axis=1)]
+        self_scores = w[np.add.reduce(truths, axis=1, dtype=np.intp)]
         exact = (estimates == truths).all(axis=1).astype(float)
         scores = np.divide(scores, self_scores, out=exact, where=self_scores != 0.0)
-    # cumsum adds left to right; a pairwise .sum() can move the last bits
-    return np.cumsum(scores)[-1] / len(truths)
+    # np.cumsum's ufunc adds left to right; a pairwise .sum() can move the last bits
+    return np.add.accumulate(scores)[-1] / len(truths)

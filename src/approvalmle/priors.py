@@ -75,6 +75,11 @@ def _interval_mass(coins: int, lower: int, upper: int, row=None):
     ``upper`` or wider): exactly 0.0 for an empty interval and exactly 1.0 for
     one covering every count 0..coins, without reading ``row``; for any other
     interval, None when no ``row`` is given, so the caller builds one.
+
+    An interval of one or two counts is read directly: one or two terms are
+    rounded once in any order, so the value equals numpy's sum bit for bit.
+    Wider ones take numpy's pairwise sum (np.sum's own reduction, without its
+    wrapper; the builtin sum adds in another order).
     """
     upper = min(upper, coins)
     lower = max(lower, 0)
@@ -84,8 +89,8 @@ def _interval_mass(coins: int, lower: int, upper: int, row=None):
         return 1.0
     if row is None:
         return None
-    # numpy's pairwise sum (np.sum's own reduction, without its wrapper): the
-    # builtin sum adds in another order
+    if upper - lower < 2:
+        return row[lower] + row[upper] if upper > lower else row[lower]
     return float(np.add.reduce(row[lower : upper + 1]))
 
 
@@ -212,6 +217,11 @@ def sweep_inclusion_priors(
                 row = _extend(prefix[:], old[j + 1 :])
                 a_in = _interval_mass(others, *inside, row)
                 a_out = _interval_mass(others, *outside, row)
+                if a_in + a_out == 0.0:
+                    raise ValueError(
+                        f"the prior masses of alternative {j} under bounds "
+                        f"[{bounds.lower}, {bounds.upper}] underflow to 0"
+                    )
             if rule == "exact":
                 raw = occ * a_out / ((length - occ) * a_in + occ * a_out)
             else:

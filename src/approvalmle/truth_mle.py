@@ -59,7 +59,7 @@ def _board(by_voter: np.ndarray, params: ParamVector) -> tuple:
     """
     prior = np.log(params.t) - np.log(1.0 - params.t)
     weights = voter_weights(params)
-    threshold = float(np.sum(np.log(1.0 - params.q) - np.log(1.0 - params.p)))
+    threshold = float(np.add.reduce(np.log(1.0 - params.q) - np.log(1.0 - params.p)))
     cells = by_voter.shape[1:]
     if by_voter.size <= _STACK_LIMIT and math.prod(cells) > 1:
         terms = np.empty((len(weights) + 1, *cells))
@@ -77,9 +77,10 @@ def _board(by_voter: np.ndarray, params: ParamVector) -> tuple:
 def _top_k(scores: np.ndarray, threshold: float, bounds: Bounds) -> tuple:
     """Per row of ``scores``: the ranking, equal scores by ascending index,
     and the smallest admissible k (see ``estimate_truth``)."""
-    above = np.count_nonzero(scores - threshold > TIE_TOLERANCE, axis=-1)
-    k = np.clip(above, bounds.lower, bounds.upper)
-    return np.argsort(-scores, axis=-1, kind="stable"), k
+    # what np.count_nonzero, np.clip and np.argsort run, without their wrappers
+    above = np.add.reduce(scores - threshold > TIE_TOLERANCE, axis=-1, dtype=np.intp)
+    k = np.minimum(np.maximum(above, bounds.lower), bounds.upper)
+    return (-scores).argsort(axis=-1, kind="stable"), k
 
 
 def estimate_truth(profile: Profile, params: ParamVector, bounds: Bounds) -> np.ndarray:

@@ -11,8 +11,9 @@ compare the two.
 Do not optimise or refactor this module.  Its value is that it stays the
 slow, obvious version: a change here would silently move the reference that
 the package is checked against.  Only the plain data types (``Bounds``,
-``ParamVector``, ``Profile``, ``ThieleWeights``, result records, which take
-their truths through ``approval_matrix``), ``validate_profile``,
+``ParamVector``, ``Profile``, ``Instance``, ``ThieleWeights``, the loop's
+``AmleConfig`` and the result records, which take their truths through
+``approval_matrix``), ``DEFAULT_EPSILON_CLAMP``, ``validate_profile``,
 ``require_open_unit`` and the ``DegenerateEstimate`` error type come from the
 package.
 """
@@ -32,13 +33,18 @@ from approvalmle.model import (
     Profile,
     TruthEstimate,
     approval_matrix,
-    clamp_unit,
     require_open_unit,
     validate_profile,
 )
 from approvalmle.reliability import DegenerateEstimate
 
 TIE_TOLERANCE = 1e-9
+
+
+def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon}")
+    return np.clip(np.asarray(values, dtype=float), epsilon, 1.0 - epsilon)
 
 
 # -- priors ------------------------------------------------------------------

@@ -17,6 +17,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,19 @@ class TestRecord:
         assert recorder.main(RECORD) == 1
         assert not (tmp_path / "BENCH_x.json").exists()
         assert "wide --trace 1: 1 of 4 calls failed" in capsys.readouterr().err
+
+    def test_a_run_that_prints_no_result_line_is_one_line(self, recorder, tmp_path, capsys):
+        # a real command that exits 0 after its provenance, with a last line
+        # that is not JSON
+        fake = tmp_path / "fake_run.py"
+        fake.write_text('print("provenance {}")\nprint("interrupted")\n')
+        benchmark = {"command": [sys.executable, str(fake)], "workloads": [{"name": "crowd"}]}
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+        assert recorder.main(RECORD) == 1
+        assert not (tmp_path / "BENCH_x.json").exists()
+        assert capsys.readouterr().err == (
+            "bench record: not written: crowd --trace 0 printed no result line\n"
+        )
 
 
 PARENT_COMMAND = ["python3", "old/run.py"]

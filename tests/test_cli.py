@@ -79,6 +79,30 @@ class TestAggregate:
         code = run(["aggregate", dataset_path, "--lower", 3, "--upper", 2])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "shape, digest",
+        [
+            (
+                (5, 10, 30, 1, 2, 0.5, 11),
+                "9404ac777b836b326c52213e53a756768024f7467250528e1d840ae160415d08",
+            ),
+            (
+                (12, 4, 6, 2, 4, 0.25, 12),
+                "be4c78eb4be01779afc7bf4e6835df0a9ef7fba3a583491d28129f998ec015ef",
+            ),
+        ],
+        ids=["crowd-like", "wide-like"],
+    )
+    def test_seeded_report_is_pinned(self, tmp_path, monkeypatch, shape, digest):
+        # the report names the dataset as given, so the run reads a relative path
+        monkeypatch.chdir(tmp_path)
+        m, n, instances, lower, upper, t, seed = shape
+        spec = SynthSpec.homogeneous(m, n, instances, Bounds(lower, upper), 0.7, 0.4, seed, t)
+        save_dataset("data.json", *sample_dataset(spec))
+        args = ["--lower", lower, "--upper", upper, "--max-iter", 10, "--quiet"]
+        assert run(["aggregate", "data.json", *args, "--out", "report.json"]) == 0
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
     def test_upper_zero_is_legal_and_empty(self, dataset_path, tmp_path):
         out = tmp_path / "report.json"
         code = run(
@@ -546,6 +570,23 @@ class TestBenchmark:
         assert run(args + ["--out", out1]) == 0
         assert run(args + ["--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (3, "fa97efa4c28206efaeec8a7aec5693dac24e486f6c7d72cff734d349f4b60ee1"),
+            (8, "20f2b389444ac67a56169c72a9d9c7d360a81f784da468cba24d89357c0a4542"),
+        ],
+    )
+    def test_seeded_csv_is_pinned(self, tmp_path, seed, digest):
+        # football-like shape: many small AMLE runs, each scored four ways
+        spec = SynthSpec.homogeneous(5, 20, 15, Bounds(1, 2), 0.7, 0.4, seed)
+        data, out = tmp_path / "data.json", tmp_path / "bench.csv"
+        save_dataset(data, *sample_dataset(spec))
+        args = ["--lower", 1, "--upper", 2, "--max-iter", 10, "--seed", seed]
+        assert run(["benchmark", data, "--batch-sizes", "5,10", "--batches", 3, *args,
+                    "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_oversized_batch_exits_1(self, truth_dataset, tmp_path):
         code = run(

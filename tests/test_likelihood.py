@@ -8,6 +8,7 @@ from approvalmle import (
     IMPOSSIBLE,
     Bounds,
     ParamVector,
+    Profile,
     brute_force_truth_mle,
     cardinality_mass,
     explain_truth,
@@ -103,6 +104,18 @@ class TestPriorLogprob:
                         prior_logprob(frozenset(combo), t, Bounds(lower, upper))
                     )
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_underflowing_mass_is_one_line_naming_the_bounds(self):
+        # P(150 <= |S| <= 200) under 400 coins of bias 1e-3 is below the
+        # smallest double: log(0) raised "math domain error"
+        t, bounds = np.full(400, 1e-3), Bounds(150, 200)
+        message = r"^the prior mass of set sizes in \[150, 200\] underflows to 0$"
+        with pytest.raises(ValueError, match=message):
+            prior_logprob(frozenset(range(160)), t, bounds)
+        profile = Profile.build([f"a{j}" for j in range(400)], ["v"], [[set(range(160))]])
+        params = ParamVector([0.6], [0.3], t)
+        with pytest.raises(ValueError, match=message):
+            total_loglik(profile, counts_of(profile, (frozenset(range(160)),)), params, bounds)
 
 
 class TestTotalLoglik:

@@ -105,6 +105,14 @@ class TestConditionalMasses:
         with pytest.raises(ValueError, match=message):
             sweep_inclusion_priors(counts, bounds, [0.5] * 3)
 
+    def test_underflowing_masses_are_one_line_naming_the_bounds(self):
+        # the masses of 399 coins of bias 1e-3 on counts 149..199 and 150..200
+        # are below the smallest double: the update divided 0 by 0
+        truths = (frozenset(range(160)),) + (frozenset(range(1, 161)),) * 2
+        message = r"^the prior masses of alternative 0 under bounds \[150, 200\] underflow to 0$"
+        with pytest.raises(ValueError, match=message):
+            sweep_inclusion_priors(voterless_counts(truths, 400), Bounds(150, 200), [1e-3] * 400)
+
     def test_excluded_worked_value(self):
         # of the 16 subsets of the other 4 coins, 4 singletons + 6 pairs qualify
         _, a_out = conditional_masses(0, [0.5] * 5, Bounds(1, 2))

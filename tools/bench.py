@@ -93,7 +93,10 @@ def run_once(command: list, workload: str, seed: int, seconds: float, trace: int
     provenance = [json.loads(line[11:]) for line in lines if line.startswith("provenance ")]
     if not provenance:
         raise RunFailed(f"{what} printed no provenance line")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise RunFailed(f"{what} printed no result line") from None
     if not result["correct"]:
         raise RunFailed(f"{what}: {result['failed']} of {result['attempted']} calls failed "
                         f"their checks: {done.stderr.strip()}")
