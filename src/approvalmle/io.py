@@ -14,11 +14,11 @@ Two dataset encodings are supported and round-trip losslessly:
 In the JSON format a ballots map may omit voters; unless strict mode is on,
 omitted voters get an empty ballot and a warning.
 
-``save_dataset`` writes the bytes ``json.dump(..., indent=2)`` and
-``csv.writer`` would write, from ids encoded once and each distinct ballot
-rendered once, one instance block at a time.  It refuses a dataset that
-would not read back as written, and raises on an id the format cannot
-encode, before the file is created.
+Ids are strings that UTF-8 can encode.  ``save_dataset`` writes the bytes
+``json.dump(..., indent=2)`` and ``csv.writer`` would write, from ids
+encoded once and each distinct ballot rendered once, one instance block at
+a time.  It refuses a dataset that would not read back as written, any
+other id included, before the file is created.
 """
 
 from __future__ import annotations
@@ -199,10 +199,10 @@ def save_dataset(path, profile: Profile, ground_truth: GroundTruth | None = None
     document and a newline, or of one ``csv.writer`` row per cell.  Each id is
     encoded once by the ``json`` or ``csv`` module, each distinct ballot is
     rendered once, and the file is written one instance at a time.  A
-    dataset that would not read back as written (``profile_violations``:
-    repeated ids, a ground truth of the wrong length or naming unknown
-    alternatives) is refused with ValueError, and an id the format cannot
-    encode raises, before the file is created.
+    dataset that would not read back as written (an id that is not a string
+    UTF-8 can encode, and ``profile_violations``: repeated ids, a ground
+    truth of the wrong length or naming unknown alternatives) is refused
+    with ValueError before the file is created.
     """
     path = Path(path)
     is_csv = path.suffix.lower() == ".csv"
@@ -212,6 +212,12 @@ def save_dataset(path, profile: Profile, ground_truth: GroundTruth | None = None
             "to the JSON format"
         )
     violations = profile_violations(profile, ground_truth)
+    for name, ids in (("alternative", profile.alternative_ids), ("voter", profile.voters),
+                      ("instance", profile.instance_ids)):
+        try:
+            "".join(ids).encode("utf-8")
+        except (TypeError, UnicodeError):
+            violations.append(f"{name} ids must be strings that UTF-8 can encode")
     if violations:
         raise ValueError("cannot save a dataset that would not read back: "
                          + "; ".join(violations))
@@ -222,33 +228,30 @@ def save_dataset(path, profile: Profile, ground_truth: GroundTruth | None = None
 
 def _json_chunks(profile: Profile, ground_truth: GroundTruth | None):
     """The text ``save_dataset`` writes as JSON: a head, one chunk per
-    instance, and a tail with the ground truth.  Every id is encoded, and
-    the tail built, before this returns."""
-    encode = json.JSONEncoder(indent=2).encode
-    alternatives = list(map(encode, profile.alternative_ids))
-    voters = _nested(map(encode, profile.voters), 2)
+    instance, and a tail with the ground truth.  Every id is encoded once,
+    one text serving as its value and its object key, and the tail built,
+    before this returns."""
+    alternatives, voters, instance_ids = (
+        list(map(json.dumps, ids))
+        for ids in (profile.alternative_ids, profile.voters, profile.instance_ids)
+    )
     head = (
-        '{\n  "alternatives": ' + _json_block("[]", _nested(alternatives, 2), 1)
+        '{\n  "alternatives": ' + _json_block("[]", alternatives, 1)
         + ',\n  "voters": ' + _json_block("[]", voters, 1)
         + ',\n  "instances": ' + ("[" if profile.num_instances else "[]")
     )
-    # voter ids are keys only inside an instance's ballots
-    voter_keys = _json_keys(encode, profile.voters if profile.num_instances else ())
-    voter_heads = [f"{key}: " for key in voter_keys]
-    instance_ids = _nested(map(encode, profile.instance_ids), 3)
+    voter_heads = [f"{key}: " for key in voters]
     tail = "\n  ]" if profile.num_instances else ""
     if ground_truth is not None:
-        members = _nested(alternatives, 3)
         truths = [
-            f"{key}: " + _json_block("[]", [members[j] for j in sorted(truth)], 2)
-            for key, truth in zip(_json_keys(encode, profile.instance_ids), ground_truth)
+            f"{key}: " + _json_block("[]", [alternatives[j] for j in sorted(truth)], 2)
+            for key, truth in zip(instance_ids, ground_truth)
         ]
         tail += ',\n  "ground_truth": ' + _json_block("{}", truths, 1)
     tail += "\n}\n"
-    ballot_members = _nested(alternatives, 5)
 
     def render(rows: np.ndarray) -> list:
-        return [_json_block("[]", list(itertools.compress(ballot_members, row)), 4)
+        return [_json_block("[]", list(itertools.compress(alternatives, row)), 4)
                 for row in rows.tolist()]
 
     def instance(z: int, zid: str, ballots: list) -> str:
@@ -267,20 +270,6 @@ def _json_block(brackets: str, items: list, level: int) -> str:
         return brackets
     pad = "\n" + "  " * (level + 1)
     return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
-
-
-def _nested(texts, level: int) -> list:
-    """Encoded values re-indented to start on a line at nesting ``level``;
-    only a list or object value spans lines."""
-    pad = "\n" + "  " * level
-    return [text.replace("\n", pad) for text in texts]
-
-
-def _json_keys(encode, ids) -> list:
-    """Distinct ``ids`` as ``encode`` writes them as object keys: a number,
-    a bool or None becomes a string, any other non-string raises."""
-    lines = encode(dict.fromkeys(ids, 0)).split("\n")[1:-1]
-    return [line[2:].rpartition(": ")[0] for line in lines]
 
 
 class _Echo:

@@ -37,10 +37,6 @@ def _prior_term(occurrences: np.ndarray, length: int, t: np.ndarray, bounds: Bou
     occurrence counts are ``occurrences``: they weigh ln t and ln(1 - t), and
     each set pays the log normalizing mass once."""
     mass = cardinality_mass(t, bounds)
-    if mass == 0.0:
-        raise ValueError(
-            f"the prior mass of set sizes in [{bounds.lower}, {bounds.upper}] underflows to 0"
-        )
     return float(
         occurrences @ np.log(t) + (length - occurrences) @ np.log1p(-t) - length * math.log(mass)
     )

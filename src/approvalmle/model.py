@@ -148,7 +148,9 @@ class Instance:
         )
 
 
-_INDEX_TYPES = (int, np.integer)
+def _unknown_members(members, m: int) -> list:
+    """The entries of ``members`` that are not alternative indices in [0, m)."""
+    return [a for a in members if not (isinstance(a, (int, np.integer)) and 0 <= a < m)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +287,7 @@ class Profile:
                     f"ragged ballots: instance {zid!r} has {len(row)} ballots, expected {n}"
                 )
             for i, ballot in enumerate(row):
-                bad = [a for a in ballot if not (isinstance(a, _INDEX_TYPES) and 0 <= a < m)]
+                bad = _unknown_members(ballot, m)
                 if bad:
                     problems.append(
                         f"unknown alternatives {sorted(map(str, bad))} in instance "
@@ -402,11 +404,11 @@ def profile_violations(
             )
         else:
             for zid, truth in zip(profile.instance_ids, ground_truth):
-                bad = [a for a in truth if not 0 <= a < m]
+                bad = _unknown_members(truth, m)
                 if bad:
                     violations.append(
                         f"ground truth of instance {zid!r} names unknown "
-                        f"alternatives {sorted(bad)}"
+                        f"alternatives {sorted(bad, key=str)}"
                     )
     return violations
 

@@ -98,7 +98,10 @@ def cardinality_mass(t, bounds: Bounds) -> float:
     """Probability that an independent-Bernoulli(t) set has size within bounds.
 
     Equals the exhaustive sum over admissible subsets of their product
-    probabilities, but runs in O(m * upper) time.
+    probabilities, but runs in O(m * upper) time.  An empty interval has
+    mass exactly 0.0; a nonempty one whose mass underflows to 0 raises a
+    one-line ValueError naming the bounds, the one such refusal for every
+    caller (the log prior, the log-likelihood, synthetic truths).
 
     >>> from approvalmle import Bounds, cardinality_mass
     >>> cardinality_mass([0.5] * 4, Bounds(0, 1))
@@ -112,6 +115,10 @@ def cardinality_mass(t, bounds: Bounds) -> float:
     if mass is None:
         row = _extend([1.0] + [0.0] * min(bounds.upper, m), t.tolist())
         mass = _interval_mass(m, bounds.lower, bounds.upper, row)
+        if mass == 0.0:
+            raise ValueError(
+                f"the prior mass of set sizes in [{bounds.lower}, {bounds.upper}] underflows to 0"
+            )
     return mass
 
 

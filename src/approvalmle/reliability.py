@@ -7,8 +7,6 @@ labels, q̂_i the false-positive rate over all negative labels.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .model import DEFAULT_EPSILON_CLAMP, Profile, TruthCounts, clamp_unit
 
 

@@ -522,6 +522,12 @@ class TestBenchmark:
 
         assert format_benchmark_table(rows) in printed
 
+    def test_run_method_rejects_an_unknown_method(self, worked_profile, worked_bounds):
+        from approvalmle.benchmark import run_method
+
+        with pytest.raises(ValueError, match=r"^unknown method 'mode'$"):
+            run_method("mode", worked_profile, worked_bounds, None)
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -147,16 +147,39 @@ class TestSaveRefusals:
     @pytest.mark.parametrize(
         "ids, message",
         [
-            (([object()], ["v"], ["z"]), "Object of type object is not JSON serializable"),
-            ((["a"], [("v", 1)], ["z"]), "keys must be str, int, float, bool or None, not tuple"),
+            (([object()], ["v"], ["z"]), "alternative ids must be strings that UTF-8 can encode"),
+            ((["a"], [("v", 1)], ["z"]), "voter ids must be strings that UTF-8 can encode"),
         ],
         ids=["value", "key"],
     )
     def test_id_json_cannot_encode_leaves_no_file(self, tmp_path, ids, message):
         path = tmp_path / "d.json"
-        with pytest.raises(TypeError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^cannot save a dataset that would not read "
+                                             f"back: {message}$"):
             save_dataset(path, Profile(*ids, ONE_CELL))
         assert not path.exists()
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize("kind", ["alternative", "voter", "instance"])
+    @pytest.mark.parametrize(
+        "bad",
+        [[1], [2.5], [True], [None], [("a", 1)], [object()], ["b\ud800"], ["1", 1]],
+        ids=["int", "float", "bool", "none", "tuple", "object", "surrogate", "equal-as-str"],
+    )
+    def test_ids_that_are_not_utf8_strings(self, tmp_path, suffix, kind, bad):
+        # every reader turns an id into its str, so "1" and 1 would read back equal
+        ids = {"alternative": ["a"], "voter": ["v"], "instance": ["z"], kind: bad}
+        profile = Profile(ids["alternative"], ids["voter"], ids["instance"], np.zeros(
+            (len(ids["instance"]), len(ids["voter"]), len(ids["alternative"])), dtype=bool))
+        message = f"^cannot save a dataset that would not read back: {kind} ids must be " \
+                  "strings that UTF-8 can encode$"
+        kept, fresh = tmp_path / ("kept" + suffix), tmp_path / ("fresh" + suffix)
+        kept.write_text("kept\n")
+        for path in (kept, fresh):
+            with pytest.raises(ValueError, match=message):
+                save_dataset(path, profile)
+        assert kept.read_text() == "kept\n"
+        assert not fresh.exists()
 
     @pytest.mark.parametrize("suffix", [".json", ".csv"])
     @pytest.mark.parametrize("shape", [(0, 1, 1), (1, 0, 1), (1, 1, 0)],
@@ -233,6 +256,11 @@ class TestCsvSemantics:
 
 
 class TestParseDataset:
+    @pytest.mark.parametrize("doc", [[], "x", None], ids=["list", "string", "null"])
+    def test_document_that_is_not_an_object_rejected(self, doc):
+        with pytest.raises(DatasetFormatError, match="^dataset document must be a JSON object$"):
+            parse_dataset(doc)
+
     def test_missing_key_rejected(self):
         with pytest.raises(DatasetFormatError, match="instances"):
             parse_dataset({"alternatives": ["a"], "voters": ["v"]})

@@ -330,8 +330,8 @@ class TestParseDataset:
 #: an empty id, non-ASCII letters, and ones over 8 bytes.
 WRITTEN_IDS = ["a", "", "x,y", 'q"r', "c\rd", "e\nf", "g\r\nh", "ä", "日本", " s ", "\\",
                "long_identifier_x"]
-#: Ids that are not strings: JSON writes numbers, bools and null, and keys
-#: them as strings; CSV writes each as its ``str``.
+#: Ids that are not strings, which ``save_dataset`` refuses: every reader
+#: would turn them into their ``str``.
 OTHER_IDS = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, width=16), st.booleans(),
                       st.none())
 
@@ -361,14 +361,24 @@ def written_datasets(draw):
     return profile, truths, text_ids
 
 
+REFUSED = "^cannot save a dataset that would not read back: .* ids must be strings"
+
+
 class TestSaveDataset:
     @given(written_datasets())
     @settings(max_examples=300, deadline=None)
     def test_writes_the_reference_bytes_and_reads_back(self, dataset):
         profile, truths, text_ids = dataset
+        refused = not all(isinstance(x, str) for x in (
+            *profile.alternative_ids, *profile.voters, *profile.instance_ids))
         with tempfile.TemporaryDirectory() as tmp:
             for name, truth in (("d.json", truths), ("d.json", None), ("d.csv", None)):
                 expected, path = Path(tmp) / ("ref_" + name), Path(tmp) / name
+                if refused:
+                    with pytest.raises(ValueError, match=REFUSED):
+                        io.save_dataset(path, profile, truth)
+                    assert not path.exists()
+                    continue
                 ref.save_dataset(expected, profile, truth)
                 io.save_dataset(path, profile, truth)
                 assert path.read_bytes() == expected.read_bytes()
@@ -378,18 +388,28 @@ class TestSaveDataset:
                     assert load_dataset(path) == (profile, truth)
 
     def test_list_valued_ids_keep_the_reference_layout(self, tmp_path):
-        # JSON writes a tuple id as a list spread over lines at its nesting depth
-        profile = Profile([("a", 1), "b"], ["v"], [("z", (2,))], np.array([[[True, True]]]))
+        # a tuple id is refused; its str is written as the reference writes it
+        approvals = np.array([[[True, True]]])
+        with pytest.raises(ValueError, match=REFUSED):
+            io.save_dataset(tmp_path / "d.json", Profile([("a", 1), "b"], ["v"], [("z", (2,))],
+                                                         approvals))
+        assert not (tmp_path / "d.json").exists()
+        profile = Profile([str(("a", 1)), "b"], ["v"], [str(("z", (2,)))], approvals)
         io.save_dataset(tmp_path / "d.json", profile)
         ref.save_dataset(tmp_path / "ref.json", profile)
         assert (tmp_path / "d.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert load_dataset(tmp_path / "d.json") == (profile, None)
 
     def test_non_string_ids_read_back_as_their_strings(self, tmp_path):
+        # non-string ids are refused; their strs write and read back
         approvals = np.array([[[True, False], [False, True]]])
         profile = Profile([1, 2.5], [3, -4], [5], approvals)
         read_back = Profile(["1", "2.5"], ["3", "-4"], ["5"], approvals)
         for name in ("d.json", "d.csv"):
-            io.save_dataset(tmp_path / name, profile)
-            ref.save_dataset(tmp_path / ("ref_" + name), profile)
+            with pytest.raises(ValueError, match=REFUSED):
+                io.save_dataset(tmp_path / name, profile)
+            assert not (tmp_path / name).exists()
+            io.save_dataset(tmp_path / name, read_back)
+            ref.save_dataset(tmp_path / ("ref_" + name), read_back)
             assert (tmp_path / name).read_bytes() == (tmp_path / ("ref_" + name)).read_bytes()
             assert load_dataset(tmp_path / name) == (read_back, None)

@@ -86,6 +86,11 @@ class TestPriorLogprob:
     def test_size_outside_bounds_is_impossible(self):
         assert prior_logprob(frozenset({0, 1, 2}), [0.5] * 5, Bounds(1, 2)) is IMPOSSIBLE
 
+    def test_instance_loglik_of_inadmissible_truth_is_impossible(self):
+        ballots = np.array([[True, False, True], [False, False, True]])
+        params = ParamVector([0.7, 0.6], [0.3, 0.2], [0.5] * 3)
+        assert instance_loglik(ballots, {0, 1, 2}, params, Bounds(1, 2)) is IMPOSSIBLE
+
     def test_constrained_fair_coins(self):
         value = prior_logprob(frozenset({4}), [0.5] * 5, Bounds(1, 2))
         assert value == pytest.approx(math.log(1 / 15), abs=1e-12)

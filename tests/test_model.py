@@ -76,6 +76,20 @@ class TestValidateProfile:
         with pytest.raises(ValueError, match="^invalid profile: duplicate voter ids$"):
             validate_profile(profile, Bounds(0, 1))
 
+    @pytest.mark.parametrize("member, shown", [("a", "'a'"), (None, "None"), (1.5, "1.5")],
+                             ids=["string", "none", "float"])
+    def test_ground_truth_members_that_are_not_indices(self, tmp_path, member, shown):
+        # the member test of Profile.build: an int or numpy integer in [0, m)
+        profile = Profile.build(["a", "b"], ["v"], [[{0}]])
+        message = f"ground truth of instance 'z1' names unknown alternatives \\[{shown}]$"
+        with pytest.raises(ValueError, match="^invalid profile: " + message):
+            validate_profile(profile, Bounds(0, 2), (frozenset({member}),))
+        path = tmp_path / "d.json"
+        with pytest.raises(ValueError, match="^cannot save a dataset that would not read back: "
+                                             + message):
+            save_dataset(path, profile, (frozenset({member}),))
+        assert not path.exists()
+
 
 class TestClamp:
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
@@ -256,6 +270,11 @@ def test_instance_coerces_ballots_to_frozensets():
 
 
 class TestTruthArray:
+    @pytest.mark.parametrize("member", [3, -1], ids=["m", "negative"])
+    def test_approval_matrix_rejects_indices_outside(self, member):
+        with pytest.raises(ValueError, match=r"^alternative indices must lie in \[0, 3\)$"):
+            approval_matrix([{0}, {member}], 3)
+
     @given(st.lists(st.frozensets(st.integers(0, 5)), max_size=6))
     def test_truth_sets_inverts_approval_matrix(self, sets):
         assert truth_sets(approval_matrix(sets, 6)) == tuple(sets)

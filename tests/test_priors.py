@@ -61,6 +61,17 @@ class TestCardinalityMass:
         with pytest.raises(ValueError):
             cardinality_mass([0.5, 1.0], Bounds(0, 1))
 
+    def test_underflowing_mass_is_one_line_naming_the_bounds(self):
+        # P(150 <= |S| <= 200) under 400 coins of bias 1e-3 is below the
+        # smallest double: it used to be returned as 0.0
+        message = r"^the prior mass of set sizes in \[150, 200\] underflows to 0$"
+        with pytest.raises(ValueError, match=message):
+            cardinality_mass(np.full(400, 1e-3), Bounds(150, 200))
+
+    @pytest.mark.parametrize("bounds", [Bounds(2, 1), Bounds(4, 5)], ids=["inverted", "above-m"])
+    def test_empty_interval_is_exactly_zero(self, bounds):
+        assert cardinality_mass([0.5] * 3, bounds) == 0.0
+
 
 class TestCardinalityDP:
     def test_base_cell_and_row_masses(self):
@@ -174,6 +185,12 @@ def profile_objective(t_j, j, truths, bounds, t):
 
 
 class TestUpdateInclusionPrior:
+    def test_rejects_priors_sized_for_other_counts(self):
+        counts = voterless_counts(WORKED_FIRST_TRUTHS, 5)
+        message = r"^4 inclusion priors for truth counts over 5 alternatives$"
+        with pytest.raises(ValueError, match=message):
+            sweep_inclusion_priors(counts, Bounds(1, 2), [0.5] * 4)
+
     def test_worked_value(self):
         counts = voterless_counts(WORKED_FIRST_TRUTHS, 5)
         swept = sweep_inclusion_priors(counts, Bounds(1, 2), [0.5] * 5)

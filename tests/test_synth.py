@@ -127,8 +127,19 @@ class TestSampleTruths:
         with pytest.raises(ValueError, match="rejection"):
             sample_truths(spec)
 
+    def test_underflowing_prior_mass_names_the_bounds(self):
+        spec = spec_with(m=400, bounds=Bounds(150, 200), t=1e-3)
+        message = r"^the prior mass of set sizes in \[150, 200\] underflows to 0$"
+        with pytest.raises(ValueError, match=message):
+            sample_truths(spec)
+
 
 class TestSampleProfile:
+    def test_rejects_truths_for_other_instance_counts(self):
+        spec = spec_with(num_instances=2)
+        with pytest.raises(ValueError, match=r"^got 1 truth sets for 2 instances$"):
+            sample_profile(spec, (frozenset({0}),))
+
     def test_noiseless_voter_copies_truth(self):
         spec = spec_with(p=1 - 1e-12, q=1e-12, num_instances=20)
         truths = sample_truths(spec)
