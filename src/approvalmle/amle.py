@@ -8,11 +8,15 @@ coordinate.  When the truth array equals the previous iteration's, the
 counts are the previous ones, and so are the log-likelihood before the update
 (the previous step's ``loglik``: same counts, same parameters) and (p, q),
 which depend on the counts alone; only the sweep and the log-likelihood after
-it are computed again.  Under the default ``exact`` prior update every step
-maximizes the total likelihood in its own block, so the likelihood never
-decreases and stopping early still yields a usable, likelihood-improved
-estimate; the ``legacy`` update trades that guarantee for compatibility with
-previously circulated AMLE runs (see ``sweep_inclusion_priors``).
+it are computed again.  The log-likelihoods take the prior normalizer of
+each t from the sweep that produced it, which reads it off its last counting
+row, so a run builds one normalizer row, for the initial priors; the loop
+checks no value that a ``ParamVector`` holds again.  Under the default
+``exact`` prior update every step maximizes the total likelihood in its own
+block, so the likelihood never decreases and stopping early still yields a
+usable, likelihood-improved estimate; the ``legacy`` update trades that
+guarantee for compatibility with previously circulated AMLE runs (see
+``sweep_inclusion_priors``).
 
 The parameter vector is packed as (p_1..p_n, q_1..q_n, t_1..t_m) and the stop
 rule compares successive vectors in the sup norm.
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import likelihood
 from .likelihood import total_loglik
 from .model import (
     DEFAULT_EPSILON_CLAMP,
@@ -37,7 +42,9 @@ from .model import (
     truth_sets,
     validate_profile,
 )
-from .priors import require_rule, sweep_inclusion_priors
+from .priors import _sweep, require_rule
+# unused here; kept because perfbench's tracer wraps this name on this module
+from .priors import sweep_inclusion_priors  # noqa: F401
 from .reliability import update_reliabilities
 from .truth_mle import estimate_truth
 
@@ -121,6 +128,9 @@ def run_amle(
     init.require_fit(profile.approvals.shape[1:])
 
     params = init
+    # the initial priors' normalizer; each sweep hands on the next one (looked
+    # up on likelihood, where perfbench's tracer wraps it)
+    prior_mass = likelihood.cardinality_mass(params.t, bounds)
     steps = []
     counts = None
     converged = False
@@ -134,18 +144,20 @@ def run_amle(
             p_hat, q_hat = params.p, params.q
         else:
             counts = TruthCounts.count(profile.approvals, truths)
-            loglik_truth_step = total_loglik(profile, counts, params, bounds)
+            loglik_truth_step = total_loglik(
+                profile, counts, params, bounds, prior_mass=prior_mass
+            )
             p_hat, q_hat = update_reliabilities(profile, counts, config.epsilon_clamp)
         if config.freeze_priors:
             t_hat = params.t
         else:
-            t_hat = sweep_inclusion_priors(
+            t_hat, prior_mass = _sweep(
                 counts, bounds, params.t, config.epsilon_clamp, config.prior_update
             )
         updated = ParamVector(p_hat, q_hat, t_hat)
 
         delta = float(np.maximum.reduce(np.abs(updated.packed() - params.packed())))
-        loglik = total_loglik(profile, counts, updated, bounds)
+        loglik = total_loglik(profile, counts, updated, bounds, prior_mass=prior_mass)
         steps.append(
             AmleStep(iteration, updated, truths, loglik_truth_step, loglik, delta)
         )

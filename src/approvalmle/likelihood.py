@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthCounts
 from .model import approval_matrix, require_open_unit
-from .priors import cardinality_mass
+from .priors import _require_mass, cardinality_mass
 
 
 class _ImpossibleType:
@@ -32,11 +32,10 @@ class _ImpossibleType:
 IMPOSSIBLE = _ImpossibleType()
 
 
-def _prior_term(occurrences: np.ndarray, length: int, t: np.ndarray, bounds: Bounds) -> float:
+def _prior_term(occurrences: np.ndarray, length: int, t: np.ndarray, mass: float) -> float:
     """Log prior of ``length`` admissible truth sets whose per-alternative
     occurrence counts are ``occurrences``: they weigh ln t and ln(1 - t), and
-    each set pays the log normalizing mass once."""
-    mass = cardinality_mass(t, bounds)
+    each set pays the log normalizing ``mass`` once."""
     return float(
         occurrences @ np.log(t) + (length - occurrences) @ np.log1p(-t) - length * math.log(mass)
     )
@@ -71,7 +70,8 @@ def prior_logprob(candidate, t, bounds: Bounds):
     if not bounds.contains(len(candidate)):
         return IMPOSSIBLE
     t = require_open_unit(t, "t")
-    return _prior_term(approval_matrix([candidate], len(t)).sum(0), 1, t, bounds)
+    mass = cardinality_mass(t, bounds)
+    return _prior_term(approval_matrix([candidate], len(t)).sum(0), 1, t, mass)
 
 
 def instance_loglik(ballots: np.ndarray, truth, params: ParamVector, bounds: Bounds):
@@ -93,14 +93,19 @@ def total_loglik(
     counts: TruthCounts,
     params: ParamVector,
     bounds: Bounds,
+    *,
+    prior_mass: float | None = None,
 ) -> float:
     """Total log-likelihood over all instances of the truths that ``counts``
     (from ``TruthCounts.count``) holds.
 
     Instances are independent given the parameters, so the total depends on
     the ballots and truths only through per-voter and per-alternative counts.
-    An inadmissible truth set raises, naming the instance.
+    Bounds that do not fit m raise, and so does an inadmissible truth set,
+    naming the instance.  ``prior_mass`` is ``cardinality_mass(params.t,
+    bounds)`` when it is already known (``run_amle`` has it from the sweep).
     """
+    bounds.require_fit(params.num_alternatives)
     sizes = counts.sizes
     outside = np.flatnonzero((sizes < bounds.lower) | (sizes > bounds.upper))
     if outside.size:
@@ -109,8 +114,12 @@ def total_loglik(
             f"truth set of instance {profile.instance_ids[z]!r} has size {sizes[z]} "
             f"outside bounds [{bounds.lower}, {bounds.upper}]"
         )
+    if prior_mass is None:
+        prior_mass = cardinality_mass(params.t, bounds)
+    else:
+        _require_mass(prior_mass, bounds)
     return _prior_term(
-        counts.occurrences, counts.num_instances, params.t, bounds
+        counts.occurrences, counts.num_instances, params.t, prior_mass
     ) + _ballot_term(counts, profile.approval_totals, params)
 
 

@@ -49,6 +49,16 @@ def require_open_unit(values, name: str) -> np.ndarray:
     return arr
 
 
+def _require_open_fields(names, fields) -> np.ndarray:
+    """The 1-D ``fields`` packed into one new array; raise, naming the first
+    field with an entry outside (0, 1), unless every entry lies inside."""
+    packed = np.concatenate(fields)
+    if not np.logical_and.reduce((packed > 0.0) & (packed < 1.0)):
+        for name, arr in zip(names, fields):
+            require_open_unit(arr, name)
+    return packed
+
+
 def read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -311,7 +321,9 @@ class ParamVector:
 
     Valid by construction: raises ValueError, naming the field, unless p, q
     and t are 1-D lists of numbers, ``len(q) == len(p)`` and every entry lies
-    strictly inside (0, 1), which keeps the log-odds weights finite.
+    strictly inside (0, 1), which keeps the log-odds weights finite.  The
+    first failure in the order p, q, t (each by shape, then by value) is
+    raised; the fields are views of one packed array, checked in one pass.
     """
 
     p: np.ndarray
@@ -319,18 +331,28 @@ class ParamVector:
     t: np.ndarray
 
     def __post_init__(self):
-        for name in ("p", "q", "t"):
+        names = ("p", "q", "t")
+        fields = []
+        for name in names:
             try:
-                arr = np.array(getattr(self, name), dtype=float)
+                arr = np.asarray(getattr(self, name), dtype=float)
             except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a list of numbers") from None
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-            require_open_unit(arr, name)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if len(self.q) != len(self.p):
-            raise ValueError(f"q has {len(self.q)} entries for the {len(self.p)} of p")
+                problem = f"{name} must be a list of numbers"
+            else:
+                problem = None if arr.ndim == 1 else f"{name} must be 1-D, got shape {arr.shape}"
+            if problem:
+                if fields:
+                    _require_open_fields(names, fields)
+                raise ValueError(problem)
+            fields.append(arr)
+        packed = read_only(_require_open_fields(names, fields))
+        n, voters = len(fields[0]), len(fields[1])
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "p", packed[:n])
+        object.__setattr__(self, "q", packed[n : n + voters])
+        object.__setattr__(self, "t", packed[n + voters :])
+        if voters != n:
+            raise ValueError(f"q has {voters} entries for the {n} of p")
 
     @property
     def num_voters(self) -> int:
@@ -341,8 +363,8 @@ class ParamVector:
         return len(self.t)
 
     def packed(self) -> np.ndarray:
-        """Flatten as (p_1..p_n, q_1..q_n, t_1..t_m); used for the stop rule."""
-        return np.concatenate([self.p, self.q, self.t])
+        """The read-only (p_1..p_n, q_1..q_n, t_1..t_m); used for the stop rule."""
+        return self._packed
 
     def require_fit(self, ballots_shape) -> None:
         """Raise ValueError unless ``ballots_shape`` is the ``(n, m)`` of one

@@ -6,7 +6,10 @@ cardinality DP with the inclusion-prior sweep, the distance-based
 initialization, the alternating loop that strings them together, the
 baselines and the accuracy metrics over frozenset truth sets.  The
 package computes the same quantities on dense arrays; the differential tests
-compare the two.
+compare the two.  Two later kernels are frozen here too, as they were before
+they were sped up: the one-coin-per-pass counting-row step
+(``extend_one_coin``) and the field checks of the ``ParamVector``
+constructor (``param_vector_fields``).
 
 Do not optimise or refactor this module.  Its value is that it stays the
 slow, obvious version: a change here would silently move the reference that
@@ -47,6 +50,30 @@ def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
     return np.clip(np.asarray(values, dtype=float), epsilon, 1.0 - epsilon)
 
 
+# -- parameters --------------------------------------------------------------
+
+
+def param_vector_fields(p, q, t) -> tuple:
+    """The ``ParamVector`` constructor's checks as they were, field by field:
+    the read-only (p, q, t) arrays, or the ValueError it raised."""
+    fields = []
+    for name, value in (("p", p), ("q", q), ("t", t)):
+        try:
+            arr = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be a list of numbers") from None
+        if arr.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+        inside = (arr > 0.0) & (arr < 1.0)
+        if not inside.all():
+            raise ValueError(f"{name} must lie strictly in (0, 1), got {arr[~inside].flat[0]}")
+        arr.setflags(write=False)
+        fields.append(arr)
+    if len(fields[1]) != len(fields[0]):
+        raise ValueError(f"q has {len(fields[1])} entries for the {len(fields[0])} of p")
+    return tuple(fields)
+
+
 # -- priors ------------------------------------------------------------------
 
 
@@ -67,6 +94,17 @@ def _dp_last_row(t: np.ndarray, cap: int) -> np.ndarray:
         table[j, 1:] = row[1:] * (1.0 - prob) + row[:-1] * prob
         table[j, 0] = row[0] * (1.0 - prob)
     return table[-1]
+
+
+def extend_one_coin(row: list, probs) -> list:
+    """The counting-row step as ``priors._extend`` took it one coin per pass."""
+    top = len(row) - 1
+    for prob in probs:
+        keep = 1.0 - prob
+        for k in range(top, 0, -1):
+            row[k] = row[k] * keep + row[k - 1] * prob
+        row[0] *= keep
+    return row
 
 
 def _interval_mass(t: np.ndarray, lower: int, upper: int) -> float:

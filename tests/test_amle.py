@@ -286,3 +286,31 @@ def test_estimation_beats_majority_on_average_at_scale():
         amle_acc.append(subset_accuracy(result.truth_array, truths))
         majority_acc.append(subset_accuracy(baseline, truths))
     assert np.mean(amle_acc) > np.mean(majority_acc)
+
+
+@pytest.mark.parametrize("freeze_priors", [False, True], ids=["free", "frozen"])
+def test_one_counting_row_for_the_log_likelihoods_per_run(monkeypatch, freeze_priors):
+    # the sweep's last prefix row gives the normalizer of the new priors, so
+    # the log-likelihoods build the row of the initial priors only
+    import approvalmle.likelihood
+
+    mass = approvalmle.likelihood.cardinality_mass
+    calls = []
+
+    def counting(t, bounds):
+        calls.append(len(t))
+        return mass(t, bounds)
+
+    monkeypatch.setattr(approvalmle.likelihood, "cardinality_mass", counting)
+    bounds = Bounds(2, 5)
+    spec = SynthSpec.homogeneous(9, 6, 12, bounds, 0.7, 0.35, 4)
+    profile, _ = sample_dataset(spec)
+    config = AmleConfig(tolerance=1e-12, max_iterations=6, freeze_priors=freeze_priors)
+    result = run_amle(profile, bounds, uniform_init(6, 9), config)
+    changed = [
+        not np.array_equal(step.truth_array, before.truth_array)
+        for before, step in zip(result.trace, result.trace[1:])
+    ]
+    # truths changed after the first iteration, so a fresh count was scored
+    assert any(changed)
+    assert calls == [9]

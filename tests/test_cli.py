@@ -90,8 +90,18 @@ class TestAggregate:
                 (12, 4, 6, 2, 4, 0.25, 12),
                 "be4c78eb4be01779afc7bf4e6835df0a9ef7fba3a583491d28129f998ec015ef",
             ),
+            # counting rows 13 wide, continued through odd and even counts of coins
+            (
+                (30, 6, 20, 3, 12, 0.2, 13),
+                "c7cb2b88602cc578f2c2aea673a5a716648b6ece400f2132e21feee8a822e26a",
+            ),
+            # u = m: the normalizer reads column m, one past the sweep's own rows
+            (
+                (8, 5, 15, 2, 8, 0.4, 14),
+                "8bad3c27a20df1cf82c27b5c37772e29be3f9cee6dcdba960bb44382a612ebe6",
+            ),
         ],
-        ids=["crowd-like", "wide-like"],
+        ids=["crowd-like", "wide-like", "wide-bounds", "upper-at-m"],
     )
     def test_seeded_report_is_pinned(self, tmp_path, monkeypatch, shape, digest):
         # the report names the dataset as given, so the run reads a relative path

@@ -124,6 +124,26 @@ class TestPriorLogprob:
 
 
 class TestTotalLoglik:
+    def test_refuses_bounds_that_do_not_fit_m_without_instances(self):
+        # no truth set is checked, and the empty interval's exact 0.0 mass
+        # used to reach log(0): "math domain error"
+        profile = Profile.build(["a", "b"], ["v"], [])
+        params = ParamVector([0.6], [0.3], [0.5, 0.5])
+        counts = counts_of(profile, ())
+        for prior_mass in (None, 1.0):
+            with pytest.raises(ValueError, match=r"^invalid bounds \(3, 4\) for m=2$"):
+                total_loglik(profile, counts, params, Bounds(3, 4), prior_mass=prior_mass)
+
+    def test_given_prior_mass_stands_in_for_the_counting_row(self, worked_profile, worked_init):
+        counts = counts_of(worked_profile, WORKED_FIRST_TRUTHS)
+        bounds = Bounds(1, 2)
+        mass = cardinality_mass(worked_init.t, bounds)
+        built = total_loglik(worked_profile, counts, worked_init, bounds)
+        assert total_loglik(worked_profile, counts, worked_init, bounds, prior_mass=mass) == built
+        message = r"^the prior mass of set sizes in \[1, 2\] underflows to 0$"
+        with pytest.raises(ValueError, match=message):
+            total_loglik(worked_profile, counts, worked_init, bounds, prior_mass=0.0)
+
     def test_single_instance_composition(self):
         params = ParamVector([0.6], [0.3], [0.5, 0.5])
         profile_like = _single_instance_profile()

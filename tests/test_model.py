@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from approvalmle import (
@@ -26,6 +26,7 @@ from approvalmle.io import load_dataset, save_dataset
 from approvalmle.model import approval_matrix, ranked_prefixes
 from approvalmle.synth import SynthSpec, sample_dataset
 from conftest import WORKED_FIRST_TRUTHS
+from reference_seed import param_vector_fields
 
 
 class TestValidateProfile:
@@ -111,11 +112,32 @@ class TestClamp:
             clamp_unit(0.5, epsilon=0.6)
 
 
+#: One ParamVector field, valid or not: every kind of refusal the
+#: constructor names (a non-number, a shape other than 1-D, a value outside
+#: (0, 1), NaN) and lengths that may not match.
+PARAM_FIELD = st.one_of(
+    st.lists(st.floats(0.01, 0.99), max_size=4),
+    st.lists(
+        st.one_of(
+            st.floats(0.01, 0.99),
+            st.sampled_from([0.0, 1.0, -0.5, 2.0, 5e-324, float("nan"), float("inf")]),
+        ),
+        max_size=4,
+    ),
+    st.sampled_from([0.5, 2.0, "x", None, [[0.5]], [[2.0, 0.5]], [[0.5], [0.5, 0.5]]]),
+    st.sampled_from([["x"], [{"a": 1}], ["0.5"], [None], [True, 0.5]]),
+    st.lists(st.floats(0.01, 0.99), max_size=4).map(np.array),
+    st.lists(st.floats(0.01, 2.0), max_size=4).map(lambda values: np.array([values])),
+)
+
+
 class TestParamVector:
     def test_arrays_are_read_only(self):
         params = ParamVector([0.5, 0.6], [0.4, 0.3], [0.5] * 3)
-        with pytest.raises(ValueError):
-            params.p[0] = 0.9
+        for array in (params.p, params.q, params.t, params.packed()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.9
 
     def test_packed_order_is_p_q_t(self):
         params = ParamVector([0.1, 0.2], [0.3, 0.4], [0.5, 0.6, 0.7])
@@ -153,6 +175,26 @@ class TestParamVector:
         with pytest.raises(ValueError) as info:
             ParamVector([0.5] * 100 + [1.0], [0.4] * 101, [0.5])
         assert str(info.value) == "p must lie strictly in (0, 1), got 1.0"
+
+    @given(PARAM_FIELD, PARAM_FIELD, PARAM_FIELD)
+    @example([2.0], [[0.5]], [0.5])
+    @example([0.5], [0.5, 2.0], [[0.5]])
+    @example([0.5, 0.5], [0.5], [2.0])
+    def test_refuses_exactly_as_the_field_by_field_constructor(self, p, q, t):
+        # one pass over the packed values must keep the order of the refusals:
+        # p, q, t, each by type and shape and then by value, then the lengths
+        try:
+            want = param_vector_fields(p, q, t)
+        except Exception as error:
+            with pytest.raises(Exception) as info:
+                ParamVector(p, q, t)
+            assert (type(info.value), str(info.value)) == (type(error), str(error))
+            return
+        params = ParamVector(p, q, t)
+        for got, field in zip((params.p, params.q, params.t), want):
+            assert got.dtype == field.dtype and got.shape == field.shape
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in field.tolist()]
+        assert params.packed().tolist() == [x for field in want for x in field.tolist()]
 
 
 @st.composite

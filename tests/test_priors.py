@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import reference_seed as ref
 from approvalmle import (
     Bounds,
     CardinalityDP,
@@ -12,6 +15,7 @@ from approvalmle import (
     clamp_unit,
     sweep_inclusion_priors,
 )
+from approvalmle.priors import _extend, _sweep
 from conftest import WORKED_FIRST_TRUTHS, conditional_masses, voterless_counts
 
 
@@ -71,6 +75,55 @@ class TestCardinalityMass:
     @pytest.mark.parametrize("bounds", [Bounds(2, 1), Bounds(4, 5)], ids=["inverted", "above-m"])
     def test_empty_interval_is_exactly_zero(self, bounds):
         assert cardinality_mass([0.5] * 3, bounds) == 0.0
+
+
+#: Entries of a counting row: zeros and subnormals next to ordinary values.
+ROW_ENTRY = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(0.0, 1.0))
+#: Coin probabilities from 1e-300 up to the largest double below 1.
+COIN = st.one_of(
+    st.sampled_from([1e-300, 1e-16, 0.5, 1 - 1e-16, 1 - 2**-53]),
+    st.floats(1e-300, 1 - 2**-53),
+)
+
+
+class TestExtend:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(ROW_ENTRY, min_size=1, max_size=41), st.lists(COIN, max_size=9))
+    def test_matches_the_one_coin_step_bit_for_bit(self, row, coins):
+        # two coins per pass, an odd count padded with a probability-0 coin,
+        # must round every entry as one coin per pass does
+        want = ref.extend_one_coin(row[:], coins)
+        got = row[:]
+        assert _extend(got, coins) is got
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+class TestSweepMass:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_is_the_mass_of_the_swept_priors_bit_for_bit(self, data):
+        m = data.draw(st.integers(1, 16))
+        lower = data.draw(st.integers(0, m))
+        upper = data.draw(st.integers(lower, m))
+        bounds = data.draw(
+            st.sampled_from(
+                [Bounds(lower, upper), Bounds(0, upper), Bounds(lower, m), Bounds(0, m)]
+            )
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        length = data.draw(st.integers(1, 12))
+        truths = tuple(
+            frozenset(np.flatnonzero(rng.random(m) < rng.random()).tolist()) for _ in range(length)
+        )
+        counts = voterless_counts(truths, m)
+        t = clamp_unit(rng.random(m))
+        rule = data.draw(st.sampled_from(("exact", "legacy")))
+        try:
+            swept, mass = _sweep(counts, bounds, t, 1e-4, rule)
+        except ValueError:
+            assume(False)
+        assert swept.tolist() == sweep_inclusion_priors(counts, bounds, t, 1e-4, rule).tolist()
+        assert mass.hex() == cardinality_mass(swept, bounds).hex()
 
 
 class TestCardinalityDP:
