@@ -201,14 +201,7 @@ def cmd_evaluate(args) -> int:
     estimates_map, est_alts = io.load_assignment(args.estimates)
     truths_map, truth_alts = io.load_assignment(args.truths)
 
-    est_ids = set(estimates_map)
-    truth_ids = set(truths_map)
-    if est_ids != truth_ids:
-        diff = sorted(est_ids ^ truth_ids)
-        raise ValueError(
-            f"instance ids differ between the two files; symmetric difference: {diff}"
-        )
-    if not estimates_map:
+    if not estimates_map and not truths_map:
         raise ValueError("the assignments name no instances, so there is nothing to score")
 
     if args.alternatives:
@@ -228,16 +221,12 @@ def cmd_evaluate(args) -> int:
         repeated = sorted({aid for j, aid in enumerate(alt_ids) if index[aid] != j})
         raise ValueError(f"alternative ids must be distinct; repeated: {repeated}")
 
-    order = sorted(estimates_map)
-    try:
-        estimates, truths = (
-            approval_matrix([[index[a] for a in sets[zid]] for zid in order], len(alt_ids))
-            for sets in (estimates_map, truths_map)
-        )
-    except KeyError as exc:
-        raise ValueError(f"assignment names unknown alternative {exc}") from None
-
-    table = score_estimates(estimates, truths)
+    # scored in the truth file's order, as aggregate scores a dataset's instances
+    estimates, truths = (
+        io.read_assignment(sets, list(truths_map), alt_ids, f"{path}: the assignment")
+        for sets, path in ((estimates_map, args.estimates), (truths_map, args.truths))
+    )
+    table = score_estimates(*(approval_matrix(sets, len(alt_ids)) for sets in (estimates, truths)))
     for name, value in table.items():
         print(f"{name:<14} {value:.4f}")
     if out:

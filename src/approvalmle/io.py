@@ -4,7 +4,7 @@ Two dataset encodings are supported and round-trip losslessly:
 
 * JSON document with keys ``alternatives`` (list of ids), ``voters`` (list of
   ids), ``instances`` (list of ``{"id":..., "ballots": {voter_id: [alt_id]}}``)
-  and an optional ``ground_truth`` map from instance id to a list of
+  and an optional ``ground_truth`` map from every instance id to a list of
   alternative ids.
 * Long-form CSV with header ``instance_id,voter_id,alternative_id,approved``
   and one 0/1 row per (instance, voter, alternative) cell, for spreadsheet
@@ -12,7 +12,8 @@ Two dataset encodings are supported and round-trip losslessly:
   does not fit this shape and travels in the JSON format only.
 
 In the JSON format a ballots map may omit voters; unless strict mode is on,
-omitted voters get an empty ballot and a warning.
+omitted voters get an empty ballot and a warning.  ``read_assignment`` reads
+every instance->alternatives map: a dataset's ground truth and ``evaluate``'s.
 
 Ids are strings that UTF-8 can encode.  ``save_dataset`` writes the bytes
 ``json.dump(..., indent=2)`` and ``csv.writer`` would write, from ids
@@ -48,26 +49,32 @@ def _is_assignment(mapping) -> bool:
     )
 
 
-def _truth_tuple(profile: Profile, truth_map) -> GroundTruth:
-    if not _is_assignment(truth_map):
+def read_assignment(mapping, instance_ids, alternative_ids, what: str) -> GroundTruth:
+    """Per id of ``instance_ids``, in order, the alternative indices that the
+    ``{instance id: [alternative id]}`` map ``mapping``, named ``what``, gives
+    it.  DatasetFormatError refuses a map that is not one of id-string lists
+    (as a dataset document's key), one whose instances are not exactly
+    ``instance_ids``, and the first unknown alternative, naming its instance.
+    """
+    if not _is_assignment(mapping):
         raise DatasetFormatError(
-            "dataset document: 'ground_truth' must map instance ids to lists of "
+            f"dataset document: {what!r} must map instance ids to lists of "
             "alternative id strings"
         )
-    unknown = set(truth_map) - set(profile.instance_ids)
-    if unknown:
+    if mapping.keys() != set(instance_ids):
+        unknown = sorted(mapping.keys() - set(instance_ids))
+        omitted = [zid for zid in instance_ids if zid not in mapping]
         raise DatasetFormatError(
-            f"ground_truth names unknown instances: {sorted(unknown)}"
+            f"{what} names unknown instances {unknown} and omits instances {omitted}"
         )
-    index = {aid: j for j, aid in enumerate(profile.alternative_ids)}
+    index = {aid: j for j, aid in enumerate(alternative_ids)}
     truths = []
-    for zid in profile.instance_ids:
-        ids = truth_map.get(zid, [])
+    for zid in instance_ids:
         try:
-            truths.append(frozenset(index[aid] for aid in ids))
+            truths.append(frozenset(map(index.__getitem__, mapping[zid])))
         except KeyError as exc:
             raise DatasetFormatError(
-                f"ground_truth of instance {zid!r} names unknown alternative {exc}"
+                f"{what} of instance {zid!r} names unknown alternative {exc}"
             ) from None
     return tuple(truths)
 
@@ -164,11 +171,10 @@ def parse_dataset(doc: dict, strict: bool = False):
     sizes = np.fromiter(sizes, np.intp, len(sizes))
     members = np.fromiter(members, np.intp, len(members))
     approvals = marked_rows(sizes, members, len(alt_ids)).reshape(shape)
-    profile = Profile(alt_ids, voter_ids, instance_ids, approvals)
     truths = None
-    if "ground_truth" in doc and doc["ground_truth"] is not None:
-        truths = _truth_tuple(profile, doc["ground_truth"])
-    return profile, truths
+    if doc.get("ground_truth") is not None:
+        truths = read_assignment(doc["ground_truth"], instance_ids, alt_ids, "ground_truth")
+    return Profile(alt_ids, voter_ids, instance_ids, approvals), truths
 
 
 def _member_indices(zid: str, voter_ids: list, ballots: list, index: dict) -> list:

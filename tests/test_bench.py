@@ -320,6 +320,28 @@ class TestCompare:
         assert lines[0].endswith(": worse")
         assert lines[1].startswith("hamming_acc: ") and lines[1].endswith(": no regression")
 
+    def test_records_both_sides_src_line_counts(self, comparer, monkeypatch, capsys):
+        def write_src(root, files):
+            for name, text in files.items():
+                (root / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / "src" / name).write_text(text)
+
+        export = comparer.export
+
+        def export_with_src(rev, dest):
+            # 3 + 2 lines of Python; the README's line is not counted
+            write_src(dest, {"pkg/a.py": "a\nb\nc\n", "pkg/sub/b.py": "x\ny\n",
+                             "README": "text\n"})
+            return export(rev, dest)
+
+        monkeypatch.setattr(comparer, "export", export_with_src)
+        write_src(comparer.ROOT, {"pkg/a.py": "a\n", "b.py": "x\ny\nz\n", "c.txt": "1\n2\n"})
+        fake_runs(monkeypatch, comparer, {"parent": PARENT, "change": PARENT})
+        assert comparer.main([*ARGS, "--pairs", "10"]) == 0
+        doc = json.loads((comparer.ROOT / "BENCH_x_ab.json").read_text())
+        assert doc["provenance"]["src_lines"] == {"parent": 5, "change": 4}
+        assert "src/ lines: parent 5, change 4, net -1" in capsys.readouterr().err.splitlines()
+
     @pytest.mark.parametrize(
         "better, change, worse",
         [

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import operator
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -420,7 +421,58 @@ class TestEvaluate:
         assert run(["evaluate", est, est, "--alternatives", "a"]) == 0
 
 
+    def test_unknown_alternative_is_named_with_its_instance(self, tmp_path, capsys):
+        est = tmp_path / "est.json"
+        tru = tmp_path / "tru.json"
+        est.write_text(json.dumps({"z1": ["a", "zz"]}))
+        tru.write_text(json.dumps({"z1": ["a"]}))
+        assert run(["evaluate", est, tru, "--alternatives", "a,b"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {est}: the assignment of instance 'z1' names unknown alternative 'zz'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "estimates, truths, named",
+        [
+            ({"z1": ["a"]}, {"z2": ["a"]}, "unknown instances ['z1'] and omits instances ['z2']"),
+            ({"z1": ["a"]}, {"z1": ["a"], "z2": []}, "unknown instances [] and omits instances "
+             "['z2']"),
+            ({}, {"z1": ["a"]}, "unknown instances [] and omits instances ['z1']"),
+            ({"z2": [], "z1": ["a"]}, {}, "unknown instances ['z1', 'z2'] and omits instances []"),
+        ],
+        ids=["disjoint", "omits", "empty-estimates", "empty-truths"],
+    )
+    def test_instances_that_differ_are_one_line_naming_both_sides(
+        self, tmp_path, capsys, estimates, truths, named
+    ):
+        est = tmp_path / "est.json"
+        tru = tmp_path / "tru.json"
+        est.write_text(json.dumps(estimates))
+        tru.write_text(json.dumps(truths))
+        assert run(["evaluate", est, tru, "--alternatives", "a,b"]) == 1
+        assert capsys.readouterr().err == f"error: {est}: the assignment names {named}\n"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_reproduces_the_metrics_of_the_aggregate_report(self, tmp_path, seed):
+        # scored in the dataset's instance order, every float matches bit for bit
+        data, report, metrics = (tmp_path / name for name in ("d.json", "r.json", "m.json"))
+        assert run(["simulate", "--m", 7, "--n", 9, "--instances", 40, "--lower", 1,
+                    "--upper", 4, "--seed", seed, "--out", data, "--quiet"]) == 0
+        assert run(["aggregate", data, "--lower", 1, "--upper", 4, "--out", report,
+                    "--quiet"]) == 0
+        assert run(["evaluate", report, data, "--out", metrics]) == 0
+        expected = json.loads(report.read_text())["metrics"]
+        assert json.loads(metrics.read_text()) == expected
+
+
 class TestSimulate:
+    def test_prints_what_it_wrote(self, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--out", out]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 15 instances, 10 voters, 5 alternatives to {out}\n"
+        )
+
     def test_deterministic_output(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -708,6 +760,17 @@ class TestBenchmark:
         assert err.startswith("estimation error: ") and "every truth set is full" in err
         assert not out.exists()
 
+    def test_unknown_method_exits_1_naming_the_choices(self, truth_dataset, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["benchmark", truth_dataset, "--batch-sizes", 2, "--methods", "foo",
+                    "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: unknown methods ['foo']; choose from ['amle-constrained', 'amle-free', "
+            "'modal', 'majority']\n"
+        )
+        assert not out.exists()
+
     def test_missing_ground_truth_exits_1(self, tmp_path, worked_profile):
         path = tmp_path / "no_truth.json"
         save_dataset(path, worked_profile)
@@ -783,6 +846,65 @@ def test_malformed_ground_truth_exits_1(tmp_path, capsys, command, flags, truth)
         "alternative id strings\n"
     )
     assert not out.exists()
+
+
+def test_ground_truth_naming_an_unknown_alternative_is_refused_before_the_bounds(
+    tmp_path, capsys
+):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "alternatives": ["a", "b"],
+        "voters": ["v1", "v2"],
+        "instances": [{"id": "z1", "ballots": {"v1": ["a"], "v2": ["b"]}}],
+        "ground_truth": {"z1": ["a", "nope"]},
+    }))
+    assert run(["aggregate", path, "--lower", 3, "--upper", 2, "--out", tmp_path / "r"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ground_truth of instance 'z1' names unknown alternative 'nope'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "truth, omitted",
+    [({}, "['z1', 'z2', 'z3']"), ({"z3": ["a"], "z1": []}, "['z2']")],
+    ids=["empty", "one-omitted"],
+)
+@pytest.mark.parametrize(
+    "command, flags",
+    [("aggregate", []), ("benchmark", ["--batch-sizes", "2", "--batches", 1])],
+    ids=["aggregate", "benchmark"],
+)
+def test_ground_truth_that_omits_instances_exits_1(
+    tmp_path, capsys, command, flags, truth, omitted
+):
+    # an omitted instance was once scored against an empty truth set
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({
+        "alternatives": ["a", "b"],
+        "voters": ["v1", "v2"],
+        "instances": [{"id": zid, "ballots": {"v1": ["a"], "v2": ["b"]}}
+                      for zid in ("z1", "z2", "z3")],
+        "ground_truth": truth,
+    }))
+    out = tmp_path / "out"
+    assert run([command, path, *flags, "--lower", 1, "--upper", 1, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ground_truth names unknown instances [] and omits instances {omitted}\n"
+    )
+    assert not out.exists()
+
+
+def test_other_warnings_keep_pythons_own_format(monkeypatch, capsys):
+    # only a UserWarning is a message for the user; a RuntimeWarning goes to
+    # Python's own warning display, here pytest's recorder
+    def command(args):
+        warnings.warn("overflow in a fake command", RuntimeWarning)
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_simulate", command)
+    with pytest.warns(RuntimeWarning, match="overflow in a fake command"):
+        assert run(["simulate"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from approvalmle.io import (
     load_params,
     load_profile_csv,
     parse_dataset,
+    read_assignment,
     save_dataset,
 )
 
@@ -345,6 +346,17 @@ class TestParseDataset:
         with pytest.raises(DatasetFormatError, match="unknown instances"):
             parse_dataset(doc)
 
+    @pytest.mark.parametrize("truth", [{}, {"z2": ["a"]}], ids=["empty", "one-omitted"])
+    def test_ground_truth_that_omits_an_instance_rejected(self, truth):
+        doc = {
+            "alternatives": ["a"],
+            "voters": ["v"],
+            "instances": [{"id": "z1", "ballots": {"v": []}}, {"id": "z2", "ballots": {"v": []}}],
+            "ground_truth": truth,
+        }
+        with pytest.raises(DatasetFormatError, match=r"omits instances \['z1'"):
+            parse_dataset(doc)
+
     @pytest.mark.parametrize(
         "truth",
         [[["a"]], {"z": 5}, {"z": "a"}, {"z": {"a": 1}}, {"z": [["a"]]}, {"z": [1]}],
@@ -359,6 +371,98 @@ class TestParseDataset:
         }
         with pytest.raises(DatasetFormatError, match="'ground_truth' must map instance ids"):
             parse_dataset(doc)
+
+
+IDS = st.text(max_size=3)
+
+
+@st.composite
+def assignments(draw):
+    """``(mapping, instance_ids, alternative_ids)``: distinct instance and
+    alternative ids, and a map that gives each instance a list of the
+    alternatives, repeats allowed, with keys in drawn order."""
+    instance_ids = draw(st.lists(IDS, unique=True, max_size=5))
+    alternative_ids = draw(st.lists(IDS, unique=True, max_size=5))
+    members = st.lists(st.sampled_from(alternative_ids), max_size=6) if alternative_ids \
+        else st.builds(list)
+    keys = draw(st.permutations(instance_ids))
+    return {zid: draw(members) for zid in keys}, instance_ids, alternative_ids
+
+
+class TestReadAssignment:
+    @given(assignments(), st.sampled_from(["ground_truth", "est.json: the assignment"]))
+    def test_matches_a_dict_comprehension(self, drawn, what):
+        mapping, instance_ids, alternative_ids = drawn
+        index = {aid: j for j, aid in enumerate(alternative_ids)}
+        expected = tuple(
+            frozenset(index[aid] for aid in mapping[zid]) for zid in instance_ids
+        )
+        assert read_assignment(mapping, instance_ids, alternative_ids, what) == expected
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [[["a"]], {"z": 5}, {"z": "a"}, {"z": {"a": 1}}, {"z": [["a"]]}, {"z": [1]}, None],
+        ids=["list", "number", "string", "object", "nested-list", "number-member", "null"],
+    )
+    def test_refuses_what_is_not_a_map_of_id_lists(self, mapping):
+        with pytest.raises(DatasetFormatError) as info:
+            read_assignment(mapping, ["z"], ["a"], "ground_truth")
+        assert str(info.value) == (
+            "dataset document: 'ground_truth' must map instance ids to lists of "
+            "alternative id strings"
+        )
+
+    @given(assignments(), IDS)
+    def test_refuses_an_unknown_instance(self, drawn, extra):
+        mapping, instance_ids, alternative_ids = drawn
+        if extra in mapping:
+            return
+        mapping[extra] = []
+        with pytest.raises(DatasetFormatError) as info:
+            read_assignment(mapping, instance_ids, alternative_ids, "ground_truth")
+        assert str(info.value) == (
+            f"ground_truth names unknown instances {[extra]} and omits instances []"
+        )
+
+    @given(assignments(), st.data())
+    def test_refuses_an_omitted_instance(self, drawn, data):
+        mapping, instance_ids, alternative_ids = drawn
+        if not instance_ids:
+            return
+        omitted = data.draw(st.sets(st.sampled_from(instance_ids), min_size=1))
+        for zid in omitted:
+            del mapping[zid]
+        with pytest.raises(DatasetFormatError) as info:
+            read_assignment(mapping, instance_ids, alternative_ids, "ground_truth")
+        listed = [zid for zid in instance_ids if zid in omitted]
+        assert str(info.value) == (
+            f"ground_truth names unknown instances [] and omits instances {listed}"
+        )
+        assert "\n" not in str(info.value)
+
+    @given(assignments(), st.data(), IDS)
+    def test_refuses_an_unknown_alternative_naming_its_instance(self, drawn, data, bad):
+        mapping, instance_ids, alternative_ids = drawn
+        if not instance_ids or bad in alternative_ids:
+            return
+        zid = data.draw(st.sampled_from(instance_ids))
+        position = data.draw(st.integers(0, len(mapping[zid])))
+        mapping[zid].insert(position, bad)
+        with pytest.raises(DatasetFormatError) as info:
+            read_assignment(mapping, instance_ids, alternative_ids, "ground_truth")
+        assert str(info.value) == (
+            f"ground_truth of instance {zid!r} names unknown alternative {bad!r}"
+        )
+        assert "\n" not in str(info.value)
+
+    @given(profiles_with_truths())
+    @settings(max_examples=50)
+    def test_load_dataset_reads_back_the_saved_ground_truth(self, drawn):
+        profile, truths = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.json"
+            save_dataset(path, profile, truths)
+            assert load_dataset(path) == (profile, truths)
 
 
 class TestParams:

@@ -91,6 +91,9 @@ class TestPriorLogprob:
         params = ParamVector([0.7, 0.6], [0.3, 0.2], [0.5] * 3)
         assert instance_loglik(ballots, {0, 1, 2}, params, Bounds(1, 2)) is IMPOSSIBLE
 
+    def test_impossible_reads_as_its_name(self):
+        assert repr(IMPOSSIBLE) == "IMPOSSIBLE"
+
     def test_constrained_fair_coins(self):
         value = prior_logprob(frozenset({4}), [0.5] * 5, Bounds(1, 2))
         assert value == pytest.approx(math.log(1 / 15), abs=1e-12)

@@ -220,6 +220,10 @@ class TestProfile:
             profile.approvals, approval_matrix(flat, m).reshape(len(ballots), n, m)
         )
 
+    def test_compares_unequal_to_another_type(self, worked_profile):
+        assert worked_profile.__eq__(5) is NotImplemented
+        assert (worked_profile == 5) is False
+
     def test_approvals_are_read_only_copies(self, worked_profile):
         source = worked_profile.approvals.copy()
         profile = Profile(

@@ -28,8 +28,9 @@ Pair i runs the parent first when i is even and the change first when it is
 odd, so a drift of the machine's speed over the session weighs on both sides
 alike.
 
-``BENCH_<tag>_ab.json`` at the checkout's root holds the provenance, every
-pair's end-to-end metrics as the runs printed them, and under
+``BENCH_<tag>_ab.json`` at the checkout's root holds the provenance, with
+``src_lines``: each side's line count of ``src/**/*.py``, every pair's
+end-to-end metrics as the runs printed them, and under
 ``end_to_end``, for every end-to-end metric that the change's
 ``BENCHMARK.json`` declares and every run printed, each side's median and
 quartiles, a no-regression check that reads only the metric's ``better``
@@ -43,7 +44,8 @@ keys count pairs where the change is better in the metric's direction.
 the change's median is worse than the parent's by more than ``bound`` times
 the parent's median, and ``unresolved`` when the parent's own interquartile
 range is wider than that allowance, unless every run of the change reads
-better than every run of the parent.  One line per metric goes to stderr.
+better than every run of the parent.  One line per metric, and one with the
+net change of ``src/`` lines, goes to stderr.
 
 Neither job writes its file when a benchmark run fails, prints no result, or
 reports ``"correct": false``.  Standard library only, so it runs on any
@@ -173,6 +175,11 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
+def src_lines(root: Path) -> int:
+    """The number of lines of the files ``src/**/*.py`` under ``root``."""
+    return sum(path.read_bytes().count(b"\n") for path in root.glob("src/**/*.py"))
+
+
 def quartiles(values: list) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
@@ -228,6 +235,7 @@ def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: floa
                 provenance.setdefault(side, info)
                 pair[side] = {name: m["value"] for name, m in result["metrics"].items()}
             runs.append(pair)
+        lines = {side: src_lines(root) for side, root in roots.items()}
     doc = {
         "provenance": {
             **{key: provenance["change"][key] for key in PROVENANCE},
@@ -235,6 +243,7 @@ def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: floa
             "modified": modified_files(),
             "workload": workload,
             "seconds": seconds,
+            "src_lines": lines,
         },
         "pairs": runs,
     }
@@ -297,6 +306,9 @@ def main(argv=None) -> int:
     if args.job == "compare":
         for name, check in doc["end_to_end"].items():
             print(describe(name, check, args.pairs), file=sys.stderr)
+        lines = doc["provenance"]["src_lines"]
+        print(f"src/ lines: parent {lines['parent']}, change {lines['change']}, net "
+              f"{lines['change'] - lines['parent']:+d}", file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
