@@ -5,8 +5,8 @@ success; 2 on ``DegenerateEstimate``, the estimated truths holding no positive
 or no negative label (``estimation error: <message>``); 1 on every other
 failure, a usage error, any other ValueError or an OSError on any path
 (``error: <message>``).  Every command is deterministic given its flags; seeds
-are explicit and outputs carry no timestamps.  A library warning reaches
-stderr as one ``warning: <message>`` line.
+are explicit and outputs carry no timestamps.  Only this module prints; a
+library ``UserWarning`` reaches stderr as one ``warning: <message>`` line.
 
 When ``--out`` is a bare filename it is written under the directory named by
 the ``APPROVALMLE_REPORT_DIR`` environment variable (default: current
@@ -101,15 +101,22 @@ def _require_seed(seed: int) -> None:
 
 
 def _load_checked(args, strict: bool = False):
-    """Load ``args.dataset`` and validate it under ``--lower``/``--upper``
-    (default: every alternative); print each warning and return the profile,
-    its ground truth and the bounds."""
+    """Load ``args.dataset``, validate it under ``--lower``/``--upper`` (default:
+    every alternative) and return the profile, its ground truth and the bounds."""
     profile, ground_truth = io.load_dataset(args.dataset, strict=strict)
     upper = args.upper if args.upper is not None else profile.num_alternatives
     bounds = Bounds(args.lower, upper)
-    for warning in validate_profile(profile, bounds, ground_truth):
-        print(f"warning: {warning}", file=sys.stderr)
+    validate_profile(profile, bounds, ground_truth)
     return profile, ground_truth, bounds
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _print_metrics(table: dict) -> None:
+    for name, value in table.items():
+        print(f"{name:<14} {value:.4f}")
 
 
 def cmd_aggregate(args) -> int:
@@ -177,9 +184,7 @@ def cmd_aggregate(args) -> int:
     if ground_truth is not None:
         report["metrics"] = score_estimates(truths, approval_matrix(ground_truth, len(alt_ids)))
 
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(out, report)
 
     if not args.quiet:
         print(f"converged={convergence['converged']} after {convergence['iterations']} iteration(s)")
@@ -190,8 +195,7 @@ def cmd_aggregate(args) -> int:
         for i, vid in enumerate(profile.voters):
             print(f"{vid:<12} {params.p[i]:>7.4f} {params.q[i]:>7.4f} {weights[i]:>8.4f}")
         if "metrics" in report:
-            for name, value in report["metrics"].items():
-                print(f"{name:<14} {value:.4f}")
+            _print_metrics(report["metrics"])
         print(f"report written to {out}")
     return EXIT_OK
 
@@ -200,20 +204,18 @@ def cmd_evaluate(args) -> int:
     out = _out_path(args.out, "metrics.json") if args.out else None
     estimates_map, est_alts = io.load_assignment(args.estimates)
     truths_map, truth_alts = io.load_assignment(args.truths)
-
-    if not estimates_map and not truths_map:
+    alt_ids = (
+        args.alternatives.split(",") if args.alternatives
+        else est_alts or truth_alts
+        or sorted(set().union(*estimates_map.values(), *truths_map.values()))
+    )
+    # scored in the truth file's order, as aggregate scores a dataset's instances
+    estimates, truths = (
+        io.read_assignment(sets, list(truths_map), alt_ids, f"{path}: the assignment")
+        for sets, path in ((estimates_map, args.estimates), (truths_map, args.truths))
+    )
+    if not truths:
         raise ValueError("the assignments name no instances, so there is nothing to score")
-
-    if args.alternatives:
-        alt_ids = args.alternatives.split(",")
-    elif est_alts:
-        alt_ids = list(est_alts)
-    elif truth_alts:
-        alt_ids = list(truth_alts)
-    else:
-        alt_ids = sorted(
-            {a for sets in (estimates_map, truths_map) for ids in sets.values() for a in ids}
-        )
     if not alt_ids:
         raise ValueError("the assignments name no alternatives; pass them with --alternatives")
     index = {aid: j for j, aid in enumerate(alt_ids)}
@@ -221,18 +223,10 @@ def cmd_evaluate(args) -> int:
         repeated = sorted({aid for j, aid in enumerate(alt_ids) if index[aid] != j})
         raise ValueError(f"alternative ids must be distinct; repeated: {repeated}")
 
-    # scored in the truth file's order, as aggregate scores a dataset's instances
-    estimates, truths = (
-        io.read_assignment(sets, list(truths_map), alt_ids, f"{path}: the assignment")
-        for sets, path in ((estimates_map, args.estimates), (truths_map, args.truths))
-    )
     table = score_estimates(*(approval_matrix(sets, len(alt_ids)) for sets in (estimates, truths)))
-    for name, value in table.items():
-        print(f"{name:<14} {value:.4f}")
+    _print_metrics(table)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(table, fh, indent=2)
-            fh.write("\n")
+        _write_json(out, table)
     return EXIT_OK
 
 
@@ -370,6 +364,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
+            warnings.simplefilter("default", UserWarning)  # even under -W error or ignore
             python_show = warnings.showwarning
 
             def show(message, category, *rest, **kwargs):

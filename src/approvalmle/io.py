@@ -15,15 +15,17 @@ In the JSON format a ballots map may omit voters; unless strict mode is on,
 omitted voters get an empty ballot and a warning.  ``read_assignment`` reads
 every instance->alternatives map: a dataset's ground truth and ``evaluate``'s.
 
-Ids are strings that UTF-8 can encode.  ``save_dataset`` writes the bytes
-``json.dump(..., indent=2)`` and ``csv.writer`` would write, from ids
-encoded once and each distinct ballot rendered once, one instance block at
-a time.  It refuses a dataset that would not read back as written, any
-other id included, before the file is created.
+Ids are strings that UTF-8 can encode; a file's leading byte-order mark is
+skipped.  ``save_dataset`` writes the bytes ``json.dump(..., indent=2)`` and
+``csv.writer`` would write, from ids encoded once and each distinct ballot
+rendered once, one instance block at a time.  It refuses a dataset that
+would not read back as written, any other id included, before the file is
+created.
 """
 
 from __future__ import annotations
 
+import codecs
 import collections
 import csv
 import itertools
@@ -81,7 +83,7 @@ def read_assignment(mapping, instance_ids, alternative_ids, what: str) -> Ground
 
 def _read_json_object(path) -> dict:
     with open(path, "rb") as fh:
-        text = _utf8(fh.read(), path)
+        text = _utf8(fh.read().removeprefix(codecs.BOM_UTF8), path)
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -370,9 +372,10 @@ def load_profile_csv(path) -> Profile:
     passes; a file with quotes, NUL bytes or bare carriage returns, and any
     file those passes cannot split into four fields per row with a one-byte
     0/1 last field, is read with ``csv.reader``, which also gives every error.
-    Both readings give the same profile.
+    Both readings give the same profile.  A leading UTF-8 byte-order mark,
+    as spreadsheets write it, is skipped.
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     rows = _scan_csv(data, path)
     if rows is None:
         rows = _read_csv(data, path)

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -439,14 +440,14 @@ def validate_profile(
     profile: Profile,
     bounds: Bounds,
     ground_truth: GroundTruth | None = None,
-) -> list:
+) -> None:
     """Check a profile's ids, the bounds and any ground truth.
 
     Raises one ValueError, ``invalid profile: a; b``, listing every violation
     found: an empty id list, then those of ``profile_violations``.
-    Otherwise returns the warnings: one for each ground-truth set whose size
-    falls outside the bounds.  The ballots need no check here: the
-    ``approvals`` array has the profile's shape by construction.
+    Otherwise warns, with one UserWarning per ground-truth set whose size
+    falls outside the bounds, in instance order.  The ballots need no check
+    here: the ``approvals`` array has the profile's shape by construction.
     """
     violations = [
         f"profile declares no {name}"
@@ -460,10 +461,10 @@ def validate_profile(
     violations += profile_violations(profile, ground_truth, bounds)
     if violations:
         raise ValueError("invalid profile: " + "; ".join(violations))
-    truths = () if ground_truth is None else ground_truth
-    return [
-        f"ground truth of instance {zid!r} has size "
-        f"{len(truth)} outside [{bounds.lower}, {bounds.upper}]"
-        for zid, truth in zip(profile.instance_ids, truths)
-        if not bounds.contains(len(truth))
-    ]
+    for zid, truth in zip(profile.instance_ids, ground_truth or ()):
+        if not bounds.contains(len(truth)):
+            warnings.warn(
+                f"ground truth of instance {zid!r} has size "
+                f"{len(truth)} outside [{bounds.lower}, {bounds.upper}]",
+                stacklevel=2,
+            )

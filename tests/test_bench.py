@@ -100,11 +100,23 @@ class TestRecord:
         assert doc["provenance"] == {
             "commit": "abc", "python": "3.11.7", "numpy": "2.4.6", "nproc": 2,
             "seed": 53, "seconds": 2.0, "modified": ["src/approvalmle/priors.py"],
+            "src_lines": 0,
         }
         assert list(doc["workloads"]) == ["crowd", "wide"]
         for metrics in doc["workloads"].values():
             assert list(metrics["end_to_end"]) == ["trace0"]
             assert list(metrics["per_layer"]) == ["trace1"]
+
+    def test_records_the_checkouts_src_line_count(self, recorder, monkeypatch, tmp_path):
+        # 3 + 2 lines of Python under src/; other files and other trees are not counted
+        for name, text in {"src/pkg/a.py": "a\nb\nc\n", "src/pkg/sub/b.py": "x\ny\n",
+                           "src/README": "text\n", "tools/c.py": "1\n"}.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        fake_benchmark(monkeypatch, recorder)
+        assert recorder.main(RECORD) == 0
+        doc = json.loads((tmp_path / "BENCH_x.json").read_text())
+        assert doc["provenance"]["src_lines"] == 5
 
     def test_records_tier1_time_and_slowest_tests(self, recorder, monkeypatch, tmp_path):
         fake_benchmark(monkeypatch, recorder)

@@ -452,6 +452,30 @@ class TestEvaluate:
         assert run(["evaluate", est, tru, "--alternatives", "a,b"]) == 1
         assert capsys.readouterr().err == f"error: {est}: the assignment names {named}\n"
 
+    @pytest.mark.parametrize(
+        "estimates, truths, flags, message",
+        [
+            ({"z1": []}, {}, [],
+             "{est}: the assignment names unknown instances ['z1'] and omits instances []"),
+            ({}, {}, [], "the assignments name no instances, so there is nothing to score"),
+            ({"z1": [], "z2": []}, {"z2": [], "z1": []}, [],
+             "the assignments name no alternatives; pass them with --alternatives"),
+            ({"z1": ["b"]}, {"z1": []}, ["--alternatives", "a,a"],
+             "{est}: the assignment of instance 'z1' names unknown alternative 'b'"),
+        ],
+        ids=["instances-before-alternatives", "no-instances", "no-alternatives",
+             "unknown-before-repeated"],
+    )
+    def test_the_reader_refuses_before_the_scoring_checks(
+        self, tmp_path, capsys, estimates, truths, flags, message
+    ):
+        est = tmp_path / "est.json"
+        tru = tmp_path / "tru.json"
+        est.write_text(json.dumps(estimates))
+        tru.write_text(json.dumps(truths))
+        assert run(["evaluate", est, tru, *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(est=est)}\n")
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_reproduces_the_metrics_of_the_aggregate_report(self, tmp_path, seed):
         # scored in the dataset's instance order, every float matches bit for bit
@@ -1052,6 +1076,24 @@ def test_truth_outside_bounds_warns_once_in_aggregate_and_benchmark(tmp_path, ca
     rows = run_benchmark(profile, truths, Bounds(1, 2), [4], 2, 3, init_strategy="uniform")
     save_benchmark_csv(direct, rows)
     assert out.read_bytes() == direct.read_bytes()
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_library_warnings_print_under_any_interpreter_filter(tmp_path, capsys, action):
+    # as `python -W error` or PYTHONWARNINGS=ignore would set them
+    path = tmp_path / "wide_truth.json"
+    profile, _ = _synthetic_dataset(
+        path, lambda truths: (frozenset({0, 1, 2}), frozenset()) + tuple(truths[2:])
+    )
+    first, second = profile.instance_ids[:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert run(["aggregate", path, "--lower", 1, "--upper", 2, "--init", "uniform",
+                    "--quiet", "--out", tmp_path / "r.json"]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: ground truth of instance {first!r} has size 3 outside [1, 2]\n"
+        f"warning: ground truth of instance {second!r} has size 0 outside [1, 2]\n"
+    )
 
 
 #: aggregate and benchmark on a valid dataset, which needs no more flags

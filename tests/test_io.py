@@ -1,3 +1,4 @@
+import codecs
 import json
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from reference_io import dataset_document
 
 from approvalmle import ParamVector, Profile
+from approvalmle import io as dataset_io
 from approvalmle.io import (
     DatasetFormatError,
     load_assignment,
@@ -100,6 +102,39 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DatasetFormatError):
             load_profile_csv(path)
+
+
+class TestByteOrderMark:
+    """A file that starts with the UTF-8 byte-order mark, as a spreadsheet's
+    "CSV UTF-8" export writes it, reads as if it had none."""
+
+    @pytest.mark.parametrize("voter, scanned", [("v1", True), ("v,1", False)],
+                             ids=["numpy-scan", "csv-reader"])
+    def test_long_csv(self, tmp_path, monkeypatch, voter, scanned):
+        profile = Profile.build(["a", "b"], [voter, "v2"], [[{0}, {0, 1}], [set(), {1}]])
+        path = tmp_path / "d.csv"
+        save_dataset(path, profile)
+        assert not path.read_bytes().startswith(codecs.BOM_UTF8)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        # a quoted id sends the file to csv.reader; a plain one is scanned
+        read_csv, readers = dataset_io._read_csv, []
+        monkeypatch.setattr(dataset_io, "_read_csv",
+                            lambda data, name: readers.append(name) or read_csv(data, name))
+        assert load_profile_csv(path) == profile
+        assert readers == ([] if scanned else [path])
+
+    def test_json_dataset(self, tmp_path, worked_profile):
+        path = tmp_path / "d.json"
+        truths = (frozenset({1}), frozenset(), frozenset({0, 4}), frozenset({2}))
+        save_dataset(path, worked_profile, truths)
+        saved = path.read_bytes()
+        assert not saved.startswith(codecs.BOM_UTF8)
+        path.write_bytes(codecs.BOM_UTF8 + saved)
+        assert load_dataset(path) == (worked_profile, truths)
+        # only one mark is skipped
+        path.write_bytes(codecs.BOM_UTF8 * 2 + saved)
+        with pytest.raises(DatasetFormatError, match="is not valid JSON: Unexpected UTF-8 BOM"):
+            load_dataset(path)
 
 
 ONE_CELL = np.zeros((1, 1, 1), dtype=bool)

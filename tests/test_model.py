@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from reference_seed import param_vector_fields
 
 class TestValidateProfile:
     def test_worked_profile_is_valid(self, worked_profile, worked_bounds):
-        assert validate_profile(worked_profile, worked_bounds) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_profile(worked_profile, worked_bounds) is None
+            assert validate_profile(worked_profile, worked_bounds, (frozenset({0}),) * 4) is None
 
     def test_inverted_bounds_reported(self, worked_profile):
         with pytest.raises(ValueError, match=r"^invalid profile: invalid bounds \(3, 2\) for m=5$"):
@@ -68,9 +72,16 @@ class TestValidateProfile:
             validate_profile(worked_profile, Bounds(0, 9))
 
     def test_ground_truth_size_warns_not_violates(self, worked_profile, worked_bounds):
-        truths = (frozenset({0, 1, 2}),) + (frozenset({0}),) * 3
-        warnings = validate_profile(worked_profile, worked_bounds, truths)
-        assert len(warnings) == 1 and "outside" in warnings[0]
+        # one UserWarning per set outside [1, 2], in instance order
+        truths = (frozenset({0, 1, 2}), frozenset({0}), frozenset(), frozenset({1}))
+        with pytest.warns(UserWarning) as record:
+            assert validate_profile(worked_profile, worked_bounds, truths) is None
+        assert [(w.category, str(w.message)) for w in record] == [
+            (UserWarning, "ground truth of instance 'z1' has size 3 outside [1, 2]"),
+            (UserWarning, "ground truth of instance 'z3' has size 0 outside [1, 2]"),
+        ]
+        # stacklevel=2: each warning points at the caller's line
+        assert {w.filename for w in record} == {__file__}
 
     def test_duplicate_voter_ids_reported(self):
         profile = Profile.build(["a"], ["v", "v"], [[{0}, set()]])

@@ -13,7 +13,8 @@ end-to-end metrics and then with ``--trace 1`` for the per-layer metrics, at
 the given seed and run length.  Then it runs the Tier-1 tests (``TIER1``,
 with ``--durations=10``) once.  It writes ``BENCH_<tag>.json`` at the
 checkout's root: the provenance of the runs (commit, the tracked files
-modified since it, Python, numpy, CPU count, seed, seconds), each workload's
+modified since it, Python, numpy, CPU count, seed, seconds, and
+``src_lines``, the checkout's line count of ``src/**/*.py``), each workload's
 ``end_to_end`` and ``per_layer`` metrics as the runs printed them, and
 ``tier1``: the test run's wall seconds, exit code, summary line and ten
 slowest test phases.
@@ -150,7 +151,8 @@ def record(seed: int, seconds: float) -> dict:
         _, traced = run_once(spec["command"], name, seed, seconds, 1)
         if doc["provenance"] is None:
             doc["provenance"] = {key: provenance[key] for key in PROVENANCE}
-            doc["provenance"].update(seconds=seconds, modified=modified_files())
+            doc["provenance"].update(seconds=seconds, modified=modified_files(),
+                                     src_lines=src_lines(ROOT))
         doc["workloads"][name] = {
             "end_to_end": untraced["metrics"],
             "per_layer": traced["metrics"],
