@@ -47,7 +47,7 @@ from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noq
 from .model import Bounds, ParamVector, approval_matrix, validate_profile
 from .priors import PRIOR_UPDATE_RULES
 from .reliability import DegenerateEstimate
-from .synth import SynthSpec, sample_profile, sample_truths
+from .synth import SynthSpec, sample_dataset
 from .truth_mle import voter_weights
 
 EXIT_OK = 0
@@ -241,8 +241,7 @@ def cmd_simulate(args) -> int:
         _parse_rates(args.t, args.m, "t"),
     )
     spec = SynthSpec(args.instances, Bounds(args.lower, args.upper), params, args.seed)
-    truths = sample_truths(spec)
-    profile = sample_profile(spec, truths)
+    profile, truths = sample_dataset(spec)
     out = _out_path(args.out, "synthetic.json")
     io.save_dataset(out, profile, truths)
     if not args.quiet:

@@ -221,7 +221,12 @@ class Profile:
 
     def __post_init__(self):
         for name in ("alternative_ids", "voters", "instance_ids"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            ids = tuple(getattr(self, name))
+            try:
+                hash(ids)
+            except TypeError:
+                raise ValueError(f"{name} must be hashable") from None
+            object.__setattr__(self, name, ids)
         approvals = np.asarray(self.approvals, dtype=bool)
         shape = (self.num_instances, self.num_voters, self.num_alternatives)
         if approvals.shape != shape:

@@ -354,6 +354,53 @@ class TestCompare:
         assert doc["provenance"]["src_lines"] == {"parent": 5, "change": 4}
         assert "src/ lines: parent 5, change 4, net -1" in capsys.readouterr().err.splitlines()
 
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    @pytest.mark.parametrize("edited", [False, True], ids=["same", "one-file-changed"])
+    def test_records_whether_the_benchmark_changed(self, comparer, monkeypatch, capsys,
+                                                   edited):
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+        monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        root = comparer.ROOT
+        spec = {"command": CHANGE_COMMAND, "paths": ["perfbench"], "end_to_end": END_TO_END}
+        tree = {"BENCHMARK.json": json.dumps(spec), "perfbench/run.py": "run\n",
+                "perfbench/data/shape.txt": "5 50 250\n", "tools/other.py": "1\n"}
+        for name, text in tree.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+        (root / ".gitignore").write_text("__pycache__/\n")
+        # an ignored file on this side only does not count
+        (root / "perfbench" / "__pycache__").mkdir()
+        (root / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"\0")
+
+        def export(rev, dest):
+            for name, text in tree.items():
+                (dest / name).parent.mkdir(parents=True, exist_ok=True)
+                (dest / name).write_text(text)
+            if edited:
+                (dest / "perfbench" / "run.py").write_text("old run\n")
+            (dest / "tools" / "other.py").write_text("outside the paths\n")
+            return "f" * 40
+
+        monkeypatch.setattr(comparer, "export", export)
+        real_run = subprocess.run
+        fake_runs(monkeypatch, comparer, {"parent": PARENT, "change": PARENT})
+        fake_run = comparer.subprocess.run
+
+        def run(argv, cwd, **kwargs):
+            if argv[:2] == ["git", "ls-files"]:
+                return real_run(argv, cwd=cwd, **kwargs)
+            return fake_run(argv, cwd, **kwargs)
+
+        monkeypatch.setattr(comparer.subprocess, "run", run)
+        assert comparer.main([*ARGS, "--pairs", "10"]) == 0
+        doc = json.loads((root / "BENCH_x_ab.json").read_text())
+        assert doc["provenance"]["benchmark_same"] is not edited
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("the benchmark differs")]
+        assert lines == (["the benchmark differs between the sides: perfbench/run.py"]
+                         if edited else [])
+
     @pytest.mark.parametrize(
         "better, change, worse",
         [

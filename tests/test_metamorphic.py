@@ -6,6 +6,12 @@ occurrences, true positives, the initialization's Gram entries), and each
 instance's truth depends only on its own ballots and the parameters.  So
 duplicating every instance doubles the numerator and the denominator of every
 update, which is exact, and permuting the instances changes no count.
+
+Voters are exchangeable too, over one AMLE iteration from equal starting
+rates and in the baselines: with equal weights every truth score adds the
+same nonzero terms in the same order, and every rate is a ratio of integer
+counts.  Later iterations and the distance-based init sum over voters in
+index order, so a voter permutation may move their last bits.
 """
 
 import warnings
@@ -14,7 +20,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approvalmle import AmleConfig, Bounds, Profile, anna_karenina_init, run_amle
+from approvalmle import (
+    AmleConfig,
+    Bounds,
+    Profile,
+    anna_karenina_init,
+    majority_rule,
+    modal_rule,
+    run_amle,
+    uniform_init,
+)
 from approvalmle.synth import SynthSpec, sample_dataset
 from approvalmle.truth_mle import _STACK_LIMIT
 
@@ -96,3 +111,48 @@ def test_duplication_across_the_stacking_limit():
     profile, _ = sample_dataset(SynthSpec.homogeneous(5, 20, 400, bounds, 0.7, 0.3, 11))
     assert profile.approvals.size <= _STACK_LIMIT < 2 * profile.approvals.size
     assert_relation(profile, bounds, np.tile(np.arange(profile.num_instances), 2))
+
+
+def _permuted_voters(profile, data):
+    order = np.array(data.draw(st.permutations(range(profile.num_voters)), label="order"))
+    derived = Profile(
+        profile.alternative_ids,
+        [profile.voters[i] for i in order],
+        profile.instance_ids,
+        profile.approvals[:, order],
+    )
+    return order, derived
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), data=st.data())
+def test_permuting_voters_keeps_the_baselines(case, data):
+    profile, bounds = case
+    _, derived = _permuted_voters(profile, data)
+    assert modal_rule(derived).tobytes() == modal_rule(profile).tobytes()
+    assert majority_rule(derived, bounds).tobytes() == majority_rule(profile, bounds).tobytes()
+
+
+def _one_iteration(profile, bounds):
+    """One exact-rule iteration from equal starting rates, or the type and
+    message of the error it raises."""
+    init = uniform_init(profile.num_voters, profile.num_alternatives)
+    try:
+        return run_amle(profile, bounds, init, AmleConfig(max_iterations=1))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), data=st.data())
+def test_permuting_voters_permutes_one_iteration_from_uniform_init(case, data):
+    profile, bounds = case
+    order, derived = _permuted_voters(profile, data)
+    base, other = _one_iteration(profile, bounds), _one_iteration(derived, bounds)
+    if isinstance(base, tuple):
+        assert other == base
+        return
+    assert other.truth_array.tobytes() == base.truth_array.tobytes()
+    assert other.params.t.tobytes() == base.params.t.tobytes()
+    for name in ("p", "q"):
+        assert getattr(other.params, name).tobytes() == getattr(base.params, name)[order].tobytes()

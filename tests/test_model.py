@@ -277,6 +277,18 @@ class TestProfile:
                 worked_profile.instance_ids, np.zeros(shape, dtype=bool),
             )
 
+    @pytest.mark.parametrize("kind", ["alternative_ids", "voters", "instance_ids"])
+    @pytest.mark.parametrize(
+        "bad", [["b"], ("b", ["c"]), {"b": 1}], ids=["list", "nested", "dict"]
+    )
+    def test_constructor_refuses_unhashable_ids(self, kind, bad):
+        # every later set() of the ids (validate_profile, run_amle,
+        # save_dataset) would fail on such an id with a traceback
+        ids = {"alternative_ids": ["a", "b"], "voters": ["v", "w"], "instance_ids": ["z", "y"]}
+        ids[kind][1] = bad
+        with pytest.raises(ValueError, match=f"^{kind} must be hashable$"):
+            Profile(**ids, approvals=np.zeros((2, 2, 2), dtype=bool))
+
     @pytest.mark.parametrize(
         "path",
         ["constructor", "build", "json", "csv", "sample_profile", "restrict_voters"],

@@ -27,7 +27,12 @@ its own ``BENCHMARK.json``, that is its own ``perfbench/run.py``) from its
 own root with ``--trace 0`` and the same workload, seed and run length.
 Pair i runs the parent first when i is even and the change first when it is
 odd, so a drift of the machine's speed over the session weighs on both sides
-alike.
+alike.  So an edit to the benchmark changes what is measured: before the
+runs, ``benchmark_same`` in the provenance records whether ``BENCHMARK.json``
+and the files under either side's ``paths`` have the same names and bytes on
+both sides (on this side, tracked files and untracked ones git does not
+ignore, so no ``__pycache__``), and one line on stderr names the files that
+differ.
 
 ``BENCH_<tag>_ab.json`` at the checkout's root holds the provenance, with
 ``src_lines``: each side's line count of ``src/**/*.py``, every pair's
@@ -56,6 +61,7 @@ commit's checkout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -177,6 +183,22 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
+def benchmark_files(root: Path, paths: list, exported: bool) -> dict:
+    """The sha256 of each file named ``BENCHMARK.json`` or under ``paths``
+    in ``root``, by its path relative to ``root``: every file of an exported
+    tree, and only tracked or not ignored ones of this checkout."""
+    if exported:
+        found = (p for path in paths for p in [root / path, *(root / path).rglob("*")])
+        names = [str(p.relative_to(root)) for p in found if p.is_file()]
+    else:
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard", "--", *paths],
+            cwd=root, capture_output=True, text=True, check=True,
+        )
+        names = [name for name in listed.stdout.split("\0") if (root / name).is_file()]
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
+
+
 def src_lines(root: Path) -> int:
     """The number of lines of the files ``src/**/*.py`` under ``root``."""
     return sum(path.read_bytes().count(b"\n") for path in root.glob("src/**/*.py"))
@@ -226,6 +248,13 @@ def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: floa
             for side, root in roots.items()
         }
         commands = {side: spec["command"] for side, spec in specs.items()}
+        paths = {"BENCHMARK.json", *(p for spec in specs.values() for p in spec.get("paths", []))}
+        files = {side: benchmark_files(root, sorted(paths), side == "parent")
+                 for side, root in roots.items()}
+        differ = {name for name, _ in set(files["parent"].items()) ^ set(files["change"].items())}
+        if differ:
+            names = ", ".join(sorted(differ))
+            print(f"the benchmark differs between the sides: {names}", file=sys.stderr)
         runs, provenance = [], {}
         for i in range(pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -246,6 +275,7 @@ def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: floa
             "workload": workload,
             "seconds": seconds,
             "src_lines": lines,
+            "benchmark_same": not differ,
         },
         "pairs": runs,
     }
