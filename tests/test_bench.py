@@ -91,6 +91,7 @@ RECORD = ["record", "--tag", "x", "--seed", "53", "--seconds", "2"]
 
 class TestRecord:
     def test_writes_provenance_and_both_metric_sets(self, recorder, monkeypatch, tmp_path):
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
         calls = fake_benchmark(monkeypatch, recorder)
         assert recorder.main(RECORD) == 0
         assert calls == [
@@ -100,7 +101,7 @@ class TestRecord:
         assert doc["provenance"] == {
             "commit": "abc", "python": "3.11.7", "numpy": "2.4.6", "nproc": 2,
             "seed": 53, "seconds": 2.0, "modified": ["src/approvalmle/priors.py"],
-            "src_lines": 0,
+            "src_lines": 0, "dont_write_bytecode": False,
         }
         assert list(doc["workloads"]) == ["crowd", "wide"]
         for metrics in doc["workloads"].values():
@@ -117,6 +118,20 @@ class TestRecord:
         assert recorder.main(RECORD) == 0
         doc = json.loads((tmp_path / "BENCH_x.json").read_text())
         assert doc["provenance"]["src_lines"] == 5
+
+    @pytest.mark.parametrize("value, written", [(None, False), ("", False), ("1", True),
+                                                 ("x", True)])
+    def test_records_whether_bytecode_writing_is_off(self, recorder, monkeypatch, tmp_path,
+                                                      value, written):
+        # Python skips writing .pyc files when the variable is a non-empty string
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        fake_benchmark(monkeypatch, recorder)
+        assert recorder.main(RECORD) == 0
+        doc = json.loads((tmp_path / "BENCH_x.json").read_text())
+        assert doc["provenance"]["dont_write_bytecode"] is written
 
     def test_records_tier1_time_and_slowest_tests(self, recorder, monkeypatch, tmp_path):
         fake_benchmark(monkeypatch, recorder)
@@ -353,6 +368,18 @@ class TestCompare:
         doc = json.loads((comparer.ROOT / "BENCH_x_ab.json").read_text())
         assert doc["provenance"]["src_lines"] == {"parent": 5, "change": 4}
         assert "src/ lines: parent 5, change 4, net -1" in capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("value, written", [(None, False), ("", False), ("1", True)])
+    def test_records_whether_bytecode_writing_is_off(self, comparer, monkeypatch, value,
+                                                      written):
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        fake_runs(monkeypatch, comparer, {"parent": PARENT, "change": PARENT})
+        assert comparer.main([*ARGS, "--pairs", "10"]) == 0
+        doc = json.loads((comparer.ROOT / "BENCH_x_ab.json").read_text())
+        assert doc["provenance"]["dont_write_bytecode"] is written
 
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
     @pytest.mark.parametrize("edited", [False, True], ids=["same", "one-file-changed"])

@@ -1,15 +1,18 @@
 import codecs
+import gc
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference_io
 from reference_io import dataset_document
 
-from approvalmle import ParamVector, Profile
+from approvalmle import Bounds, ParamVector, Profile
 from approvalmle import io as dataset_io
 from approvalmle.io import (
     DatasetFormatError,
@@ -21,6 +24,7 @@ from approvalmle.io import (
     read_assignment,
     save_dataset,
 )
+from approvalmle.synth import SynthSpec, sample_dataset
 
 
 @st.composite
@@ -561,3 +565,121 @@ class TestLoadAssignment:
         mapping, alts = load_assignment(path)
         assert mapping["z1"] == ["a1"]
         assert alts == list(worked_profile.alternative_ids)
+
+
+@pytest.fixture
+def collector():
+    """Restores the garbage collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _json_file(tmp_path, kind):
+    """A file for each JSON reader, or for each of its refusals."""
+    path = tmp_path / "doc.json"
+    if kind == "not-utf8":
+        path.write_bytes(b'{"p": ["\xff"]}')
+    elif kind == "invalid":
+        path.write_text("{not json")
+    elif kind == "too-deep":
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    elif kind == "not-an-object":
+        path.write_text("[0.5]")
+    elif kind == "dataset":
+        save_dataset(path, Profile.build(["a"], ["v1", "v2"], [[{0}, set()]]), (frozenset(),))
+    elif kind == "params":
+        path.write_text(json.dumps({"p": [0.6], "q": [0.3], "t": [0.5]}))
+    else:
+        path.write_text(json.dumps({"z": ["a"]}))
+    return path
+
+
+READERS = [load_dataset, load_params, load_assignment]
+
+
+class TestCollectorPause:
+    """The JSON readers pause the cyclic garbage collector while they decode
+    and read a document, and leave it as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("read, kind", [(load_dataset, "dataset"), (load_params, "params"),
+                                            (load_assignment, "assignment")],
+                             ids=["dataset", "params", "assignment"])
+    def test_a_successful_read_keeps_the_callers_state(self, tmp_path, collector, read, kind,
+                                                       enabled):
+        path = _json_file(tmp_path, kind)
+        (gc.enable if enabled else gc.disable)()
+        read(path)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("kind, message", [
+        ("not-utf8", "is not UTF-8 text"),
+        ("invalid", "is not valid JSON"),
+        ("too-deep", "is not valid JSON: maximum recursion depth exceeded"),
+        ("not-an-object", "does not contain a JSON object"),
+    ])
+    @pytest.mark.parametrize("read", READERS)
+    def test_a_refusal_keeps_the_callers_state(self, tmp_path, collector, read, kind, message,
+                                               enabled):
+        path = _json_file(tmp_path, kind)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(DatasetFormatError, match=message):
+            read(path)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("read, doc, message", [
+        (load_dataset, {}, "lacks the 'alternatives' key"),
+        (load_params, {}, "lacks keys"),
+        (load_assignment, {"z": 5}, "must map instance ids"),
+    ], ids=["dataset", "params", "assignment"])
+    def test_a_document_refused_after_its_decode_keeps_the_callers_state(
+            self, tmp_path, collector, read, doc, message, enabled):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(DatasetFormatError, match=message):
+            read(path)
+        assert gc.isenabled() is enabled
+
+    def test_the_document_is_read_with_the_collector_paused(self, tmp_path, collector,
+                                                            monkeypatch):
+        seen = []
+        parse = dataset_io.parse_dataset
+        monkeypatch.setattr(dataset_io, "parse_dataset",
+                            lambda doc, strict: seen.append(gc.isenabled()) or parse(doc, strict))
+        gc.enable()
+        load_dataset(_json_file(tmp_path, "dataset"))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_a_benchmark_scale_load_runs_no_collection(self, tmp_path, collector):
+        # pausing the decode alone would leave a young collection over the
+        # whole document, about 13,000 containers, to the parse
+        path = tmp_path / "crowd.json"
+        save_dataset(path, *sample_dataset(CROWD))
+        generations = []
+        gc.callbacks.append(record := lambda phase, info: generations.append(info["generation"]))
+        try:
+            gc.enable()
+            load_dataset(path)
+        finally:
+            gc.callbacks.remove(record)
+        assert generations == []
+
+
+#: The benchmark's ``crowd`` shape: 250 instances of 50 voters over 5
+#: alternatives, enough containers that a decode would meet collections.
+CROWD = SynthSpec.homogeneous(5, 50, 250, Bounds(1, 2), p=0.7, q=0.4, seed=53)
+
+
+def test_benchmark_scale_dataset_reads_back_as_the_reference_reads_it(tmp_path):
+    profile, truths = sample_dataset(CROWD)
+    path = tmp_path / "crowd.json"
+    save_dataset(path, profile, truths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_dataset(path) == (profile, truths)
+        assert reference_io.parse_dataset(json.loads(path.read_text())) == profile

@@ -188,7 +188,8 @@ ENTRY_KINDS = ["object"] * 5 + [
 def documents(draw):
     """A dataset document; some ballots omit voters, name unknown
     alternatives or are not lists.  Ids may be JSON numbers and voter ids
-    may repeat.  Some entries are not objects or lack an id, some ballots
+    may repeat, and each ballots map lists its voters in a drawn order, so
+    a ballot must be found by its voter id, not its position.  Some entries are not objects or lack an id, some ballots
     maps are absent, null, lists or name undeclared voters; an instance that
     only warns may come before the first failing one."""
     sometimes = st.sampled_from([False, False, True])
@@ -207,7 +208,7 @@ def documents(draw):
     instances = []
     for z in range(draw(st.integers(0, 5))):
         present = [v for v in voters if not omit or draw(st.booleans())]
-        ballots = {v: draw(ballot) for v in present}
+        ballots = {v: draw(ballot) for v in draw(st.permutations(present))}
         entry = {"id": draw(st.sampled_from([f"z{z}", z])), "ballots": ballots}
         kind = draw(kinds)
         if kind == "not-an-object":
@@ -309,6 +310,15 @@ class TestParseDataset:
         result = parse_outcome(parse_dataset, doc, False)
         assert result[0][0] == "profile"
         assert result == parse_outcome(ref.parse_dataset, doc, False)
+
+    def test_ballots_listed_in_reverse_voter_order(self):
+        doc = {"alternatives": ["a", "b"], "voters": ["v1", "v2", "v3"], "instances": [
+            {"id": "z", "ballots": {"v3": ["b"], "v2": [], "v1": ["a", "b"]}},
+        ]}
+        assert outcome(parse_dataset, doc) == outcome(ref.parse_dataset, doc) == (
+            "profile", (("z",), ("v1", "v2", "v3"), ("a", "b"),
+                        [[[True, True], [False, False], [False, True]]]),
+        )
 
     def test_single_voter_documents(self):
         doc = {"alternatives": ["a", "b"], "voters": ["v"],

@@ -13,8 +13,11 @@ end-to-end metrics and then with ``--trace 1`` for the per-layer metrics, at
 the given seed and run length.  Then it runs the Tier-1 tests (``TIER1``,
 with ``--durations=10``) once.  It writes ``BENCH_<tag>.json`` at the
 checkout's root: the provenance of the runs (commit, the tracked files
-modified since it, Python, numpy, CPU count, seed, seconds, and
-``src_lines``, the checkout's line count of ``src/**/*.py``), each workload's
+modified since it, Python, numpy, CPU count, seed, seconds, ``src_lines``,
+the checkout's line count of ``src/**/*.py``, and ``dont_write_bytecode``,
+whether ``PYTHONDONTWRITEBYTECODE`` is set, so that every benchmark child
+compiles the package from source in its set-up, which moves ``setup_s``
+and ``peak_rss_mb``), each workload's
 ``end_to_end`` and ``per_layer`` metrics as the runs printed them, and
 ``tier1``: the test run's wall seconds, exit code, summary line and ten
 slowest test phases.
@@ -35,7 +38,8 @@ ignore, so no ``__pycache__``), and one line on stderr names the files that
 differ.
 
 ``BENCH_<tag>_ab.json`` at the checkout's root holds the provenance, with
-``src_lines``: each side's line count of ``src/**/*.py``, every pair's
+``src_lines``: each side's line count of ``src/**/*.py``, and
+``dont_write_bytecode`` as in ``record``, every pair's
 end-to-end metrics as the runs printed them, and under
 ``end_to_end``, for every end-to-end metric that the change's
 ``BENCHMARK.json`` declares and every run printed, each side's median and
@@ -82,6 +86,12 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=1
 _DURATION = re.compile(r"^(\d+(?:\.\d+)?)s\s+(\w+)\s+(.+)$")
 MIN_PAIRS = 10
 SIDES = ("parent", "change")
+
+
+def dont_write_bytecode() -> bool:
+    """Whether ``PYTHONDONTWRITEBYTECODE`` is set, as Python reads it: to a
+    non-empty string.  The benchmark runs inherit it."""
+    return bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
 
 
 class RunFailed(Exception):
@@ -158,7 +168,8 @@ def record(seed: int, seconds: float) -> dict:
         if doc["provenance"] is None:
             doc["provenance"] = {key: provenance[key] for key in PROVENANCE}
             doc["provenance"].update(seconds=seconds, modified=modified_files(),
-                                     src_lines=src_lines(ROOT))
+                                     src_lines=src_lines(ROOT),
+                                     dont_write_bytecode=dont_write_bytecode())
         doc["workloads"][name] = {
             "end_to_end": untraced["metrics"],
             "per_layer": traced["metrics"],
@@ -275,6 +286,7 @@ def compare(parent_rev: str, workload: str, pairs: int, seed: int, seconds: floa
             "workload": workload,
             "seconds": seconds,
             "src_lines": lines,
+            "dont_write_bytecode": dont_write_bytecode(),
             "benchmark_same": not differ,
         },
         "pairs": runs,
