@@ -11,7 +11,6 @@ import numpy as np
 
 from approvalmle import (
     Bounds,
-    approval_matrix,
     hamming_accuracy,
     majority_rule,
     modal_rule,
@@ -19,7 +18,7 @@ from approvalmle import (
     subset_accuracy,
     uniform_init,
 )
-from approvalmle.synth import SynthSpec, sample_dataset
+from approvalmle.synth import SynthSpec, sample_profile, sample_truths
 
 BOUNDS = Bounds(1, 2)
 M, L = 5, 15
@@ -31,8 +30,8 @@ for n in (10, 30, 50):
     hamming_scores = {k: [] for k in subset_scores}
     for seed in range(SEEDS):
         spec = SynthSpec.homogeneous(M, n, L, BOUNDS, p=0.7, q=0.4, seed=seed)
-        profile, sampled = sample_dataset(spec)
-        truths = approval_matrix(sampled, M)
+        truths = sample_truths(spec)
+        profile = sample_profile(spec, truths)
         estimates = {
             "amle-constrained": run_amle(profile, BOUNDS, uniform_init(n, M)).truth_array,
             "amle-free": run_amle(profile, Bounds(0, M), uniform_init(n, M)).truth_array,

@@ -25,7 +25,6 @@ from .metrics import (
 )
 from .model import (
     Bounds,
-    GroundTruth,
     Instance,
     ParamVector,
     Profile,
@@ -54,7 +53,6 @@ __all__ = [
     "Bounds",
     "CardinalityDP",
     "DegenerateEstimate",
-    "GroundTruth",
     "IMPOSSIBLE",
     "Instance",
     "ParamVector",

@@ -34,7 +34,6 @@ from .likelihood import total_loglik
 from .model import (
     DEFAULT_EPSILON_CLAMP,
     Bounds,
-    GroundTruth,
     ParamVector,
     Profile,
     TruthCounts,
@@ -77,7 +76,7 @@ class AmleConfig:
 
 class _TruthSets:
     @property
-    def truths(self) -> GroundTruth:
+    def truths(self) -> tuple:
         """One frozenset per instance, from ``truth_array``."""
         return truth_sets(self.truth_array)
 

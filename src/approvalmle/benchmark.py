@@ -27,7 +27,7 @@ from .initialization import DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0
 from .initialization import anna_karenina_init, random_init, uniform_init
 from .io import load_params
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy
-from .model import Bounds, GroundTruth, ParamVector, Profile, approval_matrix
+from .model import Bounds, ParamVector, Profile, require_truth_array
 
 METHODS = ("amle-constrained", "amle-free", "modal", "majority")
 METRICS = ("hamming", "subset", "harmonic", "harmonic_norm")
@@ -126,7 +126,7 @@ def score_estimates(estimates: np.ndarray, truths: np.ndarray) -> dict:
 
 def run_benchmark(
     profile: Profile,
-    truths: GroundTruth,
+    truths: np.ndarray,
     bounds: Bounds,
     batch_sizes,
     num_batches: int,
@@ -135,16 +135,18 @@ def run_benchmark(
     init_strategy: str = DEFAULT_INIT,
     config: AmleConfig = AmleConfig(),
 ) -> list:
-    """Accuracy table over voter batches against frozenset ``truths``; see module docstring.
+    """Accuracy table over voter batches against the truth array ``truths``; see module docstring.
 
-    Raises ValueError before any batch runs unless every batch size fits the
-    voters, there is at least one batch, every method is known and no batch
-    size or method is repeated.  When an AMLE method is requested, the
-    initialization strategy must also be a known one that can initialize any
-    voter batch (so not ``file:``, and not ``anna-karenina`` on a batch of one
-    voter); the baselines read no initial parameters, so without an AMLE
-    method the strategy is neither checked nor used.
+    Raises ValueError before any batch runs unless ``truths`` is a bool
+    array of the profile's shape (L, m), every batch size fits the voters,
+    there is at least one batch, every method is known and no batch size or
+    method is repeated.  When an AMLE method is requested, the initialization
+    strategy must also be a known one that can initialize any voter batch
+    (so not ``file:``, and not ``anna-karenina`` on a batch of one voter);
+    the baselines read no initial parameters, so without an AMLE method the
+    strategy is neither checked nor used.
     """
+    require_truth_array(truths, profile.num_instances, profile.num_alternatives)
     n = profile.num_voters
     # both AMLE methods start from the same parameters, computed once per batch
     needs_init = any(method.startswith("amle") for method in methods)
@@ -168,7 +170,6 @@ def run_benchmark(
         if repeated:
             raise ValueError(f"{name} must be distinct; repeated: {repeated}")
     make_init = parse_init(init_strategy) if needs_init else None
-    truths = approval_matrix(truths, profile.num_alternatives)
     rows = []
     for size in batch_sizes:
         scores = {method: {metric: [] for metric in METRICS} for method in methods}

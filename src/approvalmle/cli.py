@@ -44,10 +44,10 @@ from .initialization import DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0
 # unused here; kept because perfbench's tracer wraps these names on this module
 from .initialization import anna_karenina_init, random_init, uniform_init  # noqa: F401
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noqa: F401
-from .model import Bounds, ParamVector, approval_matrix, validate_profile
+from .model import Bounds, ParamVector, validate_profile
 from .priors import PRIOR_UPDATE_RULES
 from .reliability import DegenerateEstimate
-from .synth import SynthSpec, sample_dataset
+from .synth import SynthSpec, sample_profile, sample_truths
 from .truth_mle import voter_weights
 
 EXIT_OK = 0
@@ -182,7 +182,7 @@ def cmd_aggregate(args) -> int:
         "loglik_trace": trace_logliks,
     }
     if ground_truth is not None:
-        report["metrics"] = score_estimates(truths, approval_matrix(ground_truth, len(alt_ids)))
+        report["metrics"] = score_estimates(truths, ground_truth)
 
     _write_json(out, report)
 
@@ -211,10 +211,10 @@ def cmd_evaluate(args) -> int:
     )
     # scored in the truth file's order, as aggregate scores a dataset's instances
     estimates, truths = (
-        io.read_assignment(sets, list(truths_map), alt_ids, f"{path}: the assignment")
-        for sets, path in ((estimates_map, args.estimates), (truths_map, args.truths))
+        io.read_assignment(mapping, list(truths_map), alt_ids, f"{path}: the assignment")
+        for mapping, path in ((estimates_map, args.estimates), (truths_map, args.truths))
     )
-    if not truths:
+    if len(truths) == 0:
         raise ValueError("the assignments name no instances, so there is nothing to score")
     if not alt_ids:
         raise ValueError("the assignments name no alternatives; pass them with --alternatives")
@@ -223,7 +223,7 @@ def cmd_evaluate(args) -> int:
         repeated = sorted({aid for j, aid in enumerate(alt_ids) if index[aid] != j})
         raise ValueError(f"alternative ids must be distinct; repeated: {repeated}")
 
-    table = score_estimates(*(approval_matrix(sets, len(alt_ids)) for sets in (estimates, truths)))
+    table = score_estimates(estimates, truths)
     _print_metrics(table)
     if out:
         _write_json(out, table)
@@ -241,7 +241,8 @@ def cmd_simulate(args) -> int:
         _parse_rates(args.t, args.m, "t"),
     )
     spec = SynthSpec(args.instances, Bounds(args.lower, args.upper), params, args.seed)
-    profile, truths = sample_dataset(spec)
+    truths = sample_truths(spec)
+    profile = sample_profile(spec, truths)
     out = _out_path(args.out, "synthetic.json")
     io.save_dataset(out, profile, truths)
     if not args.quiet:

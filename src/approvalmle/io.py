@@ -13,7 +13,7 @@ Two dataset encodings are supported and round-trip losslessly:
 
 In the JSON format a ballots map may omit voters; unless strict mode is on,
 omitted voters get an empty ballot and a warning.  ``read_assignment`` reads
-every instance->alternatives map: a dataset's ground truth and ``evaluate``'s.
+every instance->alternatives map (ground truth, ``evaluate``'s) to a truth array.
 
 Ids are strings that UTF-8 can encode; a file's leading byte-order mark is
 skipped.  ``save_dataset`` writes the bytes ``json.dump(..., indent=2)`` and
@@ -39,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GroundTruth, ParamVector, Profile, marked_rows, profile_violations
+from .model import (ParamVector, Profile, _unknown_members, approval_matrix, marked_rows,
+                    profile_violations, read_only)
 
 
 class DatasetFormatError(ValueError):
@@ -54,11 +55,12 @@ def _is_assignment(mapping) -> bool:
     )
 
 
-def read_assignment(mapping, instance_ids, alternative_ids, what: str) -> GroundTruth:
-    """Per id of ``instance_ids``, in order, the alternative indices that the
-    ``{instance id: [alternative id]}`` map ``mapping``, named ``what``, gives
-    it.  DatasetFormatError refuses a map that is not one of id-string lists
-    (as a dataset document's key), one whose instances are not exactly
+def read_assignment(mapping, instance_ids, alternative_ids, what: str) -> np.ndarray:
+    """The read-only ``bool[L, m]`` array whose row z marks the alternatives,
+    columns in ``alternative_ids`` order, that the ``{instance id: [alternative
+    id]}`` map ``mapping``, named ``what``, gives the z-th of ``instance_ids``.
+    DatasetFormatError refuses a map that is not one of id-string lists (as a
+    dataset document's key), one whose instances are not exactly
     ``instance_ids``, and the first unknown alternative, naming its instance.
     """
     if not _is_assignment(mapping):
@@ -73,15 +75,15 @@ def read_assignment(mapping, instance_ids, alternative_ids, what: str) -> Ground
             f"{what} names unknown instances {unknown} and omits instances {omitted}"
         )
     index = {aid: j for j, aid in enumerate(alternative_ids)}
-    truths = []
-    for zid in instance_ids:
-        try:
-            truths.append(frozenset(map(index.__getitem__, mapping[zid])))
-        except KeyError as exc:
-            raise DatasetFormatError(
-                f"{what} of instance {zid!r} names unknown alternative {exc}"
-            ) from None
-    return tuple(truths)
+    rows = list(map(mapping.__getitem__, instance_ids))
+    try:
+        members = list(map(index.__getitem__, itertools.chain.from_iterable(rows)))
+    except KeyError as exc:
+        zid = next(zid for zid, row in zip(instance_ids, rows) if exc.args[0] in row)
+        raise DatasetFormatError(
+            f"{what} of instance {zid!r} names unknown alternative {exc}"
+        ) from None
+    return read_only(marked_rows(list(map(len, rows)), members, len(alternative_ids)))
 
 
 def _read_json_object(path, read):
@@ -129,7 +131,7 @@ def _json_object(text: str, path) -> dict:
 def load_dataset(path, strict: bool = False):
     """Read a dataset file (JSON or CSV by extension).
 
-    Returns ``(profile, ground_truth_or_None)``.
+    Returns ``(profile, truth_array_or_None)``.
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -138,7 +140,7 @@ def load_dataset(path, strict: bool = False):
 
 
 def parse_dataset(doc: dict, strict: bool = False):
-    """Build a profile (and optional ground truth) from a dataset document.
+    """Build a profile (and optional ``bool[L, m]`` ground truth) from a dataset document.
 
     The instances are read once, in document order, and the first anomaly
     raises DatasetFormatError where a ballot-by-ballot reading would meet
@@ -241,9 +243,9 @@ def _member_indices(zid: str, voter_ids: list, ballots: list, index: dict) -> li
     return indices
 
 
-def save_dataset(path, profile: Profile, ground_truth: GroundTruth | None = None):
-    """Write a profile (and optional ground truth) as JSON, or as the
-    long-form CSV when ``path`` ends in ``.csv``.
+def save_dataset(path, profile: Profile, ground_truth: np.ndarray | None = None):
+    """Write a profile (and optional ``bool[L, m]`` ground truth) as JSON,
+    or as the long-form CSV when ``path`` ends in ``.csv``.
 
     The bytes are those of ``json.dump(..., indent=2)`` on the dataset
     document and a newline, or of one ``csv.writer`` row per cell.  Each id is
@@ -251,8 +253,9 @@ def save_dataset(path, profile: Profile, ground_truth: GroundTruth | None = None
     rendered once, and the file is written one instance at a time.  A
     dataset that would not read back as written (an id that is not a string
     UTF-8 can encode, and ``profile_violations``: repeated ids, a ground
-    truth of the wrong length or naming unknown alternatives) is refused
-    with ValueError before the file is created.
+    truth that is not a ``bool[L, m]`` array of the profile's shape) is
+    refused with ValueError before the file is created.  A ground truth may
+    also be one set of alternative indices in [0, m) per instance.
     """
     path = Path(path)
     is_csv = path.suffix.lower() == ".csv"
@@ -261,7 +264,15 @@ def save_dataset(path, profile: Profile, ground_truth: GroundTruth | None = None
             "the long-form CSV carries ballots only; write ground truth "
             "to the JSON format"
         )
-    violations = profile_violations(profile, ground_truth)
+    unknown = []
+    if ground_truth is not None and not isinstance(ground_truth, np.ndarray):
+        # sets, because perfbench/workloads.py writes the ground truth of sample_dataset
+        m, sets = profile.num_alternatives, tuple(ground_truth)
+        bad = [_unknown_members(truth, m) for truth in sets]
+        unknown = [f"ground truth of instance {zid!r} names unknown alternatives "
+                   f"{sorted(b, key=str)}" for zid, b in zip(profile.instance_ids, bad) if b]
+        ground_truth = approval_matrix([() if b else t for t, b in zip(sets, bad)], m)
+    violations = profile_violations(profile, ground_truth) + unknown
     for name, ids in (("alternative", profile.alternative_ids), ("voter", profile.voters),
                       ("instance", profile.instance_ids)):
         try:
@@ -276,7 +287,7 @@ def save_dataset(path, profile: Profile, ground_truth: GroundTruth | None = None
         fh.writelines(chunks)
 
 
-def _json_chunks(profile: Profile, ground_truth: GroundTruth | None):
+def _json_chunks(profile: Profile, ground_truth: np.ndarray | None):
     """The text ``save_dataset`` writes as JSON: a head, one chunk per
     instance, and a tail with the ground truth.  Every id is encoded once,
     one text serving as its value and its object key, and the tail built,
@@ -294,8 +305,8 @@ def _json_chunks(profile: Profile, ground_truth: GroundTruth | None):
     tail = "\n  ]" if profile.num_instances else ""
     if ground_truth is not None:
         truths = [
-            f"{key}: " + _json_block("[]", [alternatives[j] for j in sorted(truth)], 2)
-            for key, truth in zip(instance_ids, ground_truth)
+            f"{key}: " + _json_block("[]", list(itertools.compress(alternatives, row)), 2)
+            for key, row in zip(instance_ids, ground_truth.tolist())
         ]
         tail += ',\n  "ground_truth": ' + _json_block("{}", truths, 1)
     tail += "\n}\n"

@@ -10,12 +10,12 @@ Conventions used throughout the package:
   ``bool[L, n, m]`` view of the same block (one instance's ballots are
   ``approvals[z]``).  Code that sums or pools over voters (the truth step,
   the vote counts, the distance init) reads ``by_voter``; the rest reads
-  ``approvals``.  Frozensets of alternative indices appear only in
-  ``Profile.build`` and the read-only ``Profile.instances`` view.  One truth
-  set per instance is a read-only ``bool[L, m]`` truth array, which
-  ``TruthCounts.count`` turns into the counts later steps read; the edges
-  (files, synthetic truths, single-set oracles) convert frozensets to and from
-  it with ``approval_matrix`` and ``truth_sets``.
+  ``approvals``.
+* One truth set per instance, estimated or given, is a row of a read-only
+  ``bool[L, m]`` truth array, which ``TruthCounts.count`` turns into the
+  counts later steps read.  Frozensets, converted with ``approval_matrix`` and
+  ``truth_sets``, appear only in views, builders, single-set oracles and the
+  set-valued ground truth of ``sample_dataset`` and ``io.save_dataset``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ DEFAULT_EPSILON_CLAMP = 1e-4
 #: Absolute log-space tolerance under which two scores or likelihoods tie; they
 #: are float sums over up to n*m terms, so exact equality is meaningless.
 TIE_TOLERANCE = 1e-9
-
-GroundTruth = tuple
 
 
 def require_open_unit(values, name: str) -> np.ndarray:
@@ -72,7 +70,7 @@ def approval_matrix(sets, m: int) -> np.ndarray:
     return marked_rows(sizes, members, m)
 
 
-def truth_sets(truths: np.ndarray) -> GroundTruth:
+def truth_sets(truths: np.ndarray) -> tuple:
     """The frozenset of marked columns of each row of a 2-D bool array."""
     columns = range(truths.shape[1])
     return tuple(frozenset(itertools.compress(columns, row)) for row in truths.tolist())
@@ -126,10 +124,14 @@ def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Prior cardinality interval [lower, upper] on every instance's truth set."""
+    """Prior cardinality interval [lower, upper], of integers, on every instance's truth set."""
 
     lower: int
     upper: int
+
+    def __post_init__(self):
+        if not all(isinstance(end, (int, np.integer)) for end in (self.lower, self.upper)):
+            raise ValueError(f"bounds must be integers, got ({self.lower!r}, {self.upper!r})")
 
     def contains(self, size: int) -> bool:
         return self.lower <= size <= self.upper
@@ -400,17 +402,16 @@ class TruthEstimate:
 
 def profile_violations(
     profile: Profile,
-    ground_truth: GroundTruth | None = None,
+    ground_truth: np.ndarray | None = None,
     bounds: Bounds | None = None,
 ) -> list:
     """What keeps ``profile`` from being read as it is: repeated ids, bounds
     that ``Bounds.require_fit`` refuses (when ``bounds`` is given), and a
-    ground truth that does not give one set of known alternatives per
-    instance.  Each violation is one message; the list is empty when there
-    is none."""
+    ground truth that is not a ``bool[L, m]`` array of the profile's L and
+    m.  Each violation is one message; the list is empty when there is
+    none."""
     violations = []
     m = profile.num_alternatives
-    length = profile.num_instances
     for name, ids in (
         ("alternative", profile.alternative_ids),
         ("voter", profile.voters),
@@ -426,27 +427,19 @@ def profile_violations(
             violations.append(str(exc))
 
     if ground_truth is not None:
-        if len(ground_truth) != length:
-            violations.append(
-                f"ground truth covers {len(ground_truth)} instances, expected {length}"
-            )
-        else:
-            for zid, truth in zip(profile.instance_ids, ground_truth):
-                bad = _unknown_members(truth, m)
-                if bad:
-                    violations.append(
-                        f"ground truth of instance {zid!r} names unknown "
-                        f"alternatives {sorted(bad, key=str)}"
-                    )
+        try:
+            require_truth_array(ground_truth, profile.num_instances, m, "ground truth")
+        except ValueError as exc:
+            violations.append(str(exc))
     return violations
 
 
 def validate_profile(
     profile: Profile,
     bounds: Bounds,
-    ground_truth: GroundTruth | None = None,
+    ground_truth: np.ndarray | None = None,
 ) -> None:
-    """Check a profile's ids, the bounds and any ground truth.
+    """Check a profile's ids, the bounds and any ``bool[L, m]`` ground truth.
 
     Raises one ValueError, ``invalid profile: a; b``, listing every violation
     found: an empty id list, then those of ``profile_violations``.
@@ -466,10 +459,11 @@ def validate_profile(
     violations += profile_violations(profile, ground_truth, bounds)
     if violations:
         raise ValueError("invalid profile: " + "; ".join(violations))
-    for zid, truth in zip(profile.instance_ids, ground_truth or ()):
-        if not bounds.contains(len(truth)):
+    sizes = [] if ground_truth is None else ground_truth.sum(1).tolist()
+    for zid, size in zip(profile.instance_ids, sizes):
+        if not bounds.contains(size):
             warnings.warn(
                 f"ground truth of instance {zid!r} has size "
-                f"{len(truth)} outside [{bounds.lower}, {bounds.upper}]",
+                f"{size} outside [{bounds.lower}, {bounds.upper}]",
                 stacklevel=2,
             )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Bounds, GroundTruth, ParamVector, Profile, approval_matrix
+from .model import Bounds, ParamVector, Profile, read_only, require_truth_array, truth_sets
 from .priors import cardinality_mass
 
 #: Refuse rejection sampling when the admissible prior mass is below this.
@@ -79,35 +79,29 @@ def _require_sizes(m: int, n: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {size}")
 
 
-def sample_truths(spec: SynthSpec) -> GroundTruth:
-    """Draw one truth set per instance from the constrained prior."""
+def sample_truths(spec: SynthSpec) -> np.ndarray:
+    """Draw the read-only ``bool[L, m]`` truth array from the constrained prior."""
     acceptance = cardinality_mass(spec.params.t, spec.bounds)
     if acceptance < MIN_ACCEPTANCE:
         raise ValueError(
             f"admissible prior mass {acceptance:.2e} is too small for rejection "
             "sampling; the prior needs direct conditional sampling"
         )
-    truths = []
+    truths = np.empty((spec.num_instances, spec.m), dtype=bool)
     for z in range(spec.num_instances):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0, z)))
         while True:
-            included = rng.random(spec.m) < spec.params.t
-            size = int(included.sum())
-            if spec.bounds.contains(size):
-                truths.append(frozenset(np.flatnonzero(included).tolist()))
+            truths[z] = rng.random(spec.m) < spec.params.t
+            if spec.bounds.contains(int(truths[z].sum())):
                 break
-    return tuple(truths)
+    return read_only(truths)
 
 
-def sample_profile(spec: SynthSpec, truths: GroundTruth) -> Profile:
-    """Draw approval ballots for every instance given its truth set."""
-    if len(truths) != spec.num_instances:
-        raise ValueError(
-            f"got {len(truths)} truth sets for {spec.num_instances} instances"
-        )
-    members = approval_matrix(truths, spec.m)
+def sample_profile(spec: SynthSpec, truths: np.ndarray) -> Profile:
+    """Draw approval ballots given the ``bool[L, m]`` truths, of the spec's L and m."""
+    require_truth_array(truths, spec.num_instances, spec.m)
     approvals = np.empty((spec.num_instances, spec.n, spec.m), dtype=bool)
-    for z, member in enumerate(members):
+    for z, member in enumerate(truths):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1, z)))
         probs = np.where(member[None, :], spec.params.p[:, None], spec.params.q[:, None])
         approvals[z] = rng.random((spec.n, spec.m)) < probs
@@ -120,6 +114,7 @@ def sample_profile(spec: SynthSpec, truths: GroundTruth) -> Profile:
 
 
 def sample_dataset(spec: SynthSpec):
-    """Convenience: draw truths and a matching profile in one call."""
+    """Convenience: draw truths, one frozenset per instance, and a matching profile."""
     truths = sample_truths(spec)
-    return sample_profile(spec, truths), truths
+    # sets, because perfbench/workloads.py sorts each set's members for truths.json
+    return sample_profile(spec, truths), truth_sets(truths)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from approvalmle.io import CSV_HEADER, DatasetFormatError
-from approvalmle.model import GroundTruth, Profile, approval_matrix
+from approvalmle.model import Profile, approval_matrix
 
 
 def parse_dataset(doc: dict, strict: bool = False) -> Profile:
@@ -137,7 +137,7 @@ def load_profile_csv(path) -> Profile:
     return Profile(alt_ids, voter_ids, instance_ids, approvals)
 
 
-def dataset_document(profile: Profile, ground_truth: GroundTruth | None = None) -> dict:
+def dataset_document(profile: Profile, ground_truth: tuple | None = None) -> dict:
     """Serialize a profile (and optional ground truth) to a dataset document."""
     alt_ids = list(profile.alternative_ids)
     doc = {

@@ -10,6 +10,7 @@ directory is not a package.
 import importlib.util
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,6 @@ def test_tiny_dataset_is_written_and_read_back(name, tmp_path):
         assert ground_truth is None
     else:
         alt_ids = profile.alternative_ids
-        assert [sorted(alt_ids[j] for j in truth) for truth in ground_truth] == [
+        assert [sorted(compress(alt_ids, row)) for row in ground_truth.tolist()] == [
             sorted(truth) for truth in truths.values()
         ]

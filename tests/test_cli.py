@@ -8,6 +8,7 @@ import json
 import operator
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -608,6 +609,49 @@ class TestBenchmark:
 
         assert format_benchmark_table(rows) in printed
 
+    @staticmethod
+    def noiseless_profile():
+        """Two voters who each approve exactly the truth rows {b} and {c}."""
+        from approvalmle.model import Profile, approval_matrix
+
+        truths = approval_matrix([{1}, {2}], 3)
+        approvals = np.repeat(truths[:, np.newaxis], 2, axis=1)
+        return Profile(["a", "b", "c"], ["v1", "v2"], ["z1", "z2"], approvals), truths
+
+    def test_run_benchmark_scores_a_truth_array(self):
+        # each row is one truth set, not a set of the values 0 and 1
+        from approvalmle.benchmark import run_benchmark
+
+        profile, truths = self.noiseless_profile()
+        rows = run_benchmark(profile, truths, Bounds(1, 1), [2], 1, 0, methods=["modal"])
+        scores = {row.metric: row.mean for row in rows}
+        assert scores["hamming"] == scores["subset"] == scores["harmonic_norm"] == 1.0
+
+    @pytest.mark.parametrize(
+        "truths, got",
+        [
+            (np.zeros((1, 3), dtype=bool), "bool array of shape (1, 3)"),
+            (np.zeros((2, 4), dtype=bool), "bool array of shape (2, 4)"),
+            ((frozenset({1}), frozenset({2})), "tuple"),
+        ],
+        ids=["too-few-rows", "too-many-columns", "tuple-of-sets"],
+    )
+    def test_run_benchmark_refuses_truths_of_another_shape_before_any_batch(
+        self, monkeypatch, truths, got
+    ):
+        from approvalmle import benchmark
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(benchmark, "run_method", no_batch)
+        profile, _ = self.noiseless_profile()
+        with pytest.raises(ValueError) as info:
+            benchmark.run_benchmark(profile, truths, Bounds(1, 1), [2], 1, 0)
+        assert str(info.value) == (
+            f"truths must be a bool array of shape (L, m) = (2, 3), got {got}"
+        )
+
     def test_run_method_rejects_an_unknown_method(self, worked_profile, worked_bounds):
         from approvalmle.benchmark import run_method
 
@@ -1054,7 +1098,7 @@ def test_simulate_with_too_little_prior_mass_exits_1(tmp_path, capsys):
 
 def test_truth_outside_bounds_warns_once_in_aggregate_and_benchmark(tmp_path, capsys):
     from approvalmle.benchmark import run_benchmark, save_benchmark_csv
-    from approvalmle.model import Bounds
+    from approvalmle.model import Bounds, approval_matrix
 
     path = tmp_path / "wide_truth.json"
     profile, truths = _synthetic_dataset(
@@ -1073,6 +1117,7 @@ def test_truth_outside_bounds_warns_once_in_aggregate_and_benchmark(tmp_path, ca
     assert run(["benchmark", path, *bounds, *batches, "--out", out]) == 0
     assert capsys.readouterr().err == expected
     direct = tmp_path / "direct.csv"
+    truths = approval_matrix(truths, profile.num_alternatives)
     rows = run_benchmark(profile, truths, Bounds(1, 2), [4], 2, 3, init_strategy="uniform")
     save_benchmark_csv(direct, rows)
     assert out.read_bytes() == direct.read_bytes()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import reference_io
 from reference_io import dataset_document
 
-from approvalmle import Bounds, ParamVector, Profile
+from approvalmle import Bounds, ParamVector, Profile, approval_matrix, truth_sets
 from approvalmle import io as dataset_io
 from approvalmle.io import (
     DatasetFormatError,
@@ -73,15 +73,16 @@ class TestJsonRoundTrip:
         profile, truths = profile_truths
         parsed, parsed_truths = parse_dataset(dataset_document(profile, truths))
         assert parsed == profile
-        assert parsed_truths == truths
+        assert truth_sets(parsed_truths) == truths
 
     def test_file_round_trip(self, tmp_path, worked_profile):
         path = tmp_path / "data.json"
-        truths = (frozenset({1}),) * 4
+        truths = approval_matrix([{1}] * 4, 5)
         save_dataset(path, worked_profile, truths)
         profile, parsed_truths = load_dataset(path)
         assert profile == worked_profile
-        assert parsed_truths == truths
+        np.testing.assert_array_equal(parsed_truths, truths)
+        assert parsed_truths.dtype == bool and not parsed_truths.flags.writeable
 
 
 class TestCsvRoundTrip:
@@ -129,12 +130,14 @@ class TestByteOrderMark:
 
     def test_json_dataset(self, tmp_path, worked_profile):
         path = tmp_path / "d.json"
-        truths = (frozenset({1}), frozenset(), frozenset({0, 4}), frozenset({2}))
+        truths = approval_matrix([{1}, set(), {0, 4}, {2}], 5)
         save_dataset(path, worked_profile, truths)
         saved = path.read_bytes()
         assert not saved.startswith(codecs.BOM_UTF8)
         path.write_bytes(codecs.BOM_UTF8 + saved)
-        assert load_dataset(path) == (worked_profile, truths)
+        profile, loaded = load_dataset(path)
+        assert profile == worked_profile
+        np.testing.assert_array_equal(loaded, truths)
         # only one mark is skipped
         path.write_bytes(codecs.BOM_UTF8 * 2 + saved)
         with pytest.raises(DatasetFormatError, match="is not valid JSON: Unexpected UTF-8 BOM"):
@@ -172,9 +175,18 @@ class TestSaveRefusals:
         [
             ((frozenset({-1}),), r"ground truth of instance 'z' names unknown alternatives \[-1]"),
             ((frozenset({0, 1}),), r"ground truth of instance 'z' names unknown alternatives \[1]"),
-            ((frozenset(), frozenset({0})), "ground truth covers 2 instances, expected 1"),
+            ((frozenset(), frozenset({0})), r"ground truth must be a bool array of shape "
+             r"\(L, m\) = \(1, 1\), got bool array of shape \(2, 1\)"),
+            # an extra set is counted, not read, so its None is no TypeError
+            ((frozenset(), frozenset({None})), r"ground truth must be a bool array of shape "
+             r"\(L, m\) = \(1, 1\), got bool array of shape \(2, 1\)"),
+            (np.ones((1, 2), dtype=bool), r"ground truth must be a bool array of shape "
+             r"\(L, m\) = \(1, 1\), got bool array of shape \(1, 2\)"),
+            (np.ones((1, 1), dtype=int), r"ground truth must be a bool array of shape "
+             r"\(L, m\) = \(1, 1\), got int64 array of shape \(1, 1\)"),
         ],
-        ids=["minus-one", "equal-to-m", "extra-sets"],
+        ids=["minus-one", "equal-to-m", "extra-sets", "extra-set-naming-none",
+             "array-too-wide", "int-array"],
     )
     def test_ground_truth_that_does_not_fit(self, tmp_path, truths, message):
         path = tmp_path / "d.json"
@@ -433,10 +445,13 @@ class TestReadAssignment:
     def test_matches_a_dict_comprehension(self, drawn, what):
         mapping, instance_ids, alternative_ids = drawn
         index = {aid: j for j, aid in enumerate(alternative_ids)}
-        expected = tuple(
-            frozenset(index[aid] for aid in mapping[zid]) for zid in instance_ids
-        )
-        assert read_assignment(mapping, instance_ids, alternative_ids, what) == expected
+        expected = np.zeros((len(instance_ids), len(alternative_ids)), dtype=bool)
+        for z, zid in enumerate(instance_ids):
+            for aid in mapping[zid]:
+                expected[z, index[aid]] = True
+        got = read_assignment(mapping, instance_ids, alternative_ids, what)
+        assert got.dtype == bool and not got.flags.writeable
+        np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize(
         "mapping",
@@ -494,14 +509,27 @@ class TestReadAssignment:
         )
         assert "\n" not in str(info.value)
 
+    def test_names_the_first_unknown_alternative_in_instance_order(self):
+        # instances in the listed order, not the map's; members in list order
+        mapping = {"z3": ["a", "q"], "z1": ["a"], "z2": ["b", "p", "q"]}
+        with pytest.raises(DatasetFormatError) as info:
+            read_assignment(mapping, ["z1", "z2", "z3"], ["a", "b"], "ground_truth")
+        assert str(info.value) == "ground_truth of instance 'z2' names unknown alternative 'p'"
+
     @given(profiles_with_truths())
     @settings(max_examples=50)
     def test_load_dataset_reads_back_the_saved_ground_truth(self, drawn):
+        # the array, and the same truths as sets, write the same bytes
         profile, truths = drawn
+        array = approval_matrix(truths, profile.num_alternatives)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "data.json"
-            save_dataset(path, profile, truths)
-            assert load_dataset(path) == (profile, truths)
+            path, from_sets = Path(tmp) / "data.json", Path(tmp) / "sets.json"
+            save_dataset(path, profile, array)
+            save_dataset(from_sets, profile, truths)
+            assert from_sets.read_bytes() == path.read_bytes()
+            loaded_profile, loaded = load_dataset(path)
+            assert loaded_profile == profile
+            np.testing.assert_array_equal(loaded, array)
 
 
 class TestParams:
@@ -587,7 +615,8 @@ def _json_file(tmp_path, kind):
     elif kind == "not-an-object":
         path.write_text("[0.5]")
     elif kind == "dataset":
-        save_dataset(path, Profile.build(["a"], ["v1", "v2"], [[{0}, set()]]), (frozenset(),))
+        save_dataset(path, Profile.build(["a"], ["v1", "v2"], [[{0}, set()]]),
+                     np.zeros((1, 1), dtype=bool))
     elif kind == "params":
         path.write_text(json.dumps({"p": [0.6], "q": [0.3], "t": [0.5]}))
     else:
@@ -681,5 +710,7 @@ def test_benchmark_scale_dataset_reads_back_as_the_reference_reads_it(tmp_path):
     save_dataset(path, profile, truths)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert load_dataset(path) == (profile, truths)
+        loaded_profile, loaded = load_dataset(path)
+        assert loaded_profile == profile
+        assert truth_sets(loaded) == truths
         assert reference_io.parse_dataset(json.loads(path.read_text())) == profile

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_io as ref
-from approvalmle import Profile, io
+from approvalmle import Profile, approval_matrix, io
 from approvalmle.io import DatasetFormatError, load_dataset, load_profile_csv, parse_dataset
 
 HEADER = ",".join(io.CSV_HEADER)
@@ -381,21 +381,29 @@ class TestSaveDataset:
         profile, truths, text_ids = dataset
         refused = not all(isinstance(x, str) for x in (
             *profile.alternative_ids, *profile.voters, *profile.instance_ids))
+        # the reference writes the sets, the package their truth array
+        array = approval_matrix(truths, profile.num_alternatives)
         with tempfile.TemporaryDirectory() as tmp:
-            for name, truth in (("d.json", truths), ("d.json", None), ("d.csv", None)):
+            for name, truth, written in (("d.json", truths, array), ("d.json", None, None),
+                                         ("d.csv", None, None)):
                 expected, path = Path(tmp) / ("ref_" + name), Path(tmp) / name
                 if refused:
                     with pytest.raises(ValueError, match=REFUSED):
-                        io.save_dataset(path, profile, truth)
+                        io.save_dataset(path, profile, written)
                     assert not path.exists()
                     continue
                 ref.save_dataset(expected, profile, truth)
-                io.save_dataset(path, profile, truth)
+                io.save_dataset(path, profile, written)
                 assert path.read_bytes() == expected.read_bytes()
                 sizes = (profile.num_instances, profile.num_voters, profile.num_alternatives)
                 # a CSV without cells has no rows to declare its ids
                 if text_ids and (name == "d.json" or min(sizes) > 0):
-                    assert load_dataset(path) == (profile, truth)
+                    read_profile, read_truth = load_dataset(path)
+                    assert read_profile == profile
+                    if written is None:
+                        assert read_truth is None
+                    else:
+                        np.testing.assert_array_equal(read_truth, written)
 
     def test_list_valued_ids_keep_the_reference_layout(self, tmp_path):
         # a tuple id is refused; its str is written as the reference writes it

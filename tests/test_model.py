@@ -35,7 +35,8 @@ class TestValidateProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert validate_profile(worked_profile, worked_bounds) is None
-            assert validate_profile(worked_profile, worked_bounds, (frozenset({0}),) * 4) is None
+            truths = approval_matrix([{0}] * 4, 5)
+            assert validate_profile(worked_profile, worked_bounds, truths) is None
 
     def test_inverted_bounds_reported(self, worked_profile):
         with pytest.raises(ValueError, match=r"^invalid profile: invalid bounds \(3, 2\) for m=5$"):
@@ -73,7 +74,7 @@ class TestValidateProfile:
 
     def test_ground_truth_size_warns_not_violates(self, worked_profile, worked_bounds):
         # one UserWarning per set outside [1, 2], in instance order
-        truths = (frozenset({0, 1, 2}), frozenset({0}), frozenset(), frozenset({1}))
+        truths = approval_matrix([{0, 1, 2}, {0}, set(), {1}], 5)
         with pytest.warns(UserWarning) as record:
             assert validate_profile(worked_profile, worked_bounds, truths) is None
         assert [(w.category, str(w.message)) for w in record] == [
@@ -88,19 +89,59 @@ class TestValidateProfile:
         with pytest.raises(ValueError, match="^invalid profile: duplicate voter ids$"):
             validate_profile(profile, Bounds(0, 1))
 
+    @pytest.mark.parametrize(
+        "truths, got",
+        [
+            (np.zeros((2, 2), dtype=bool), "bool array of shape \\(2, 2\\)"),
+            (np.zeros((1, 3), dtype=bool), "bool array of shape \\(1, 3\\)"),
+            (np.zeros(2, dtype=bool), "bool array of shape \\(2,\\)"),
+            (np.zeros((1, 2), dtype=np.uint8), "uint8 array of shape \\(1, 2\\)"),
+            # the set form, which a reading of each row as a set would misread
+            ((frozenset({1}),), "tuple"),
+            ([[True, False]], "list"),
+        ],
+        ids=["too-many-rows", "too-many-columns", "one-dimensional", "uint8", "tuple-of-sets",
+             "nested-list"],
+    )
+    def test_ground_truth_that_is_not_a_truth_array(self, truths, got):
+        profile = Profile.build(["a", "b"], ["v"], [[{0}]])
+        message = ("^invalid profile: ground truth must be a bool array of shape "
+                   "\\(L, m\\) = \\(1, 2\\), got " + got + "$")
+        with pytest.raises(ValueError, match=message):
+            validate_profile(profile, Bounds(0, 2), truths)
+
     @pytest.mark.parametrize("member, shown", [("a", "'a'"), (None, "None"), (1.5, "1.5")],
                              ids=["string", "none", "float"])
     def test_ground_truth_members_that_are_not_indices(self, tmp_path, member, shown):
-        # the member test of Profile.build: an int or numpy integer in [0, m)
+        # save_dataset still takes sets: the member test of Profile.build, an
+        # int or numpy integer in [0, m)
         profile = Profile.build(["a", "b"], ["v"], [[{0}]])
         message = f"ground truth of instance 'z1' names unknown alternatives \\[{shown}]$"
-        with pytest.raises(ValueError, match="^invalid profile: " + message):
-            validate_profile(profile, Bounds(0, 2), (frozenset({member}),))
         path = tmp_path / "d.json"
         with pytest.raises(ValueError, match="^cannot save a dataset that would not read back: "
                                              + message):
             save_dataset(path, profile, (frozenset({member}),))
         assert not path.exists()
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(1.0, 2.0), (1, 2.5), (np.float64(1.0), 2), ("1", 2), (None, 2), (1, [2])],
+        ids=["floats", "float-upper", "numpy-float", "string", "none", "list"],
+    )
+    def test_refuses_ends_that_are_not_integers(self, lower, upper):
+        with pytest.raises(ValueError) as info:
+            Bounds(lower, upper)
+        assert str(info.value) == f"bounds must be integers, got ({lower!r}, {upper!r})"
+
+    def test_numpy_integers_are_integers(self):
+        assert Bounds(np.int64(1), np.uint8(2)) == Bounds(1, 2)
+
+    def test_run_amle_never_meets_float_bounds(self, worked_profile, worked_init):
+        # float ends used to reach the counting row, which raised a TypeError
+        with pytest.raises(ValueError, match=r"^bounds must be integers, got \(1.0, 2.0\)$"):
+            run_amle(worked_profile, Bounds(1.0, 2.0), worked_init)
 
 
 class TestClamp:

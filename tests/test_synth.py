@@ -27,13 +27,15 @@ class TestDeterminism:
     def test_same_seed_same_draws(self):
         a_truths = sample_truths(spec_with(seed=5))
         b_truths = sample_truths(spec_with(seed=5))
-        assert a_truths == b_truths
+        assert a_truths.dtype == bool and not a_truths.flags.writeable
+        np.testing.assert_array_equal(a_truths, b_truths)
         a_profile = sample_profile(spec_with(seed=5), a_truths)
         b_profile = sample_profile(spec_with(seed=5), b_truths)
         assert a_profile == b_profile
 
     def test_different_seeds_differ(self):
-        assert sample_truths(spec_with(seed=1)) != sample_truths(spec_with(seed=2))
+        one, two = sample_truths(spec_with(seed=1)), sample_truths(spec_with(seed=2))
+        assert not np.array_equal(one, two)
 
     def test_seeded_draw_is_pinned(self):
         # the benchmark's datasets, and so its accuracy figures, are such draws
@@ -92,28 +94,27 @@ class TestSampleTruths:
     def test_unconstrained_bernoulli_sets(self):
         spec = spec_with(bounds=Bounds(0, 5), num_instances=2000, t=0.3)
         truths = sample_truths(spec)
-        freq = np.mean([len(s) for s in truths]) / spec.m
+        freq = truths.sum(1).mean() / spec.m
         sigma = math.sqrt(0.3 * 0.7 / (2000 * spec.m))
         assert abs(freq - 0.3) < 3 * sigma
 
     def test_sizes_respect_bounds(self):
         truths = sample_truths(spec_with(num_instances=500))
-        assert all(1 <= len(s) <= 2 for s in truths)
+        assert truths.shape == (500, 5)
+        assert ((truths.sum(1) >= 1) & (truths.sum(1) <= 2)).all()
 
     def test_single_winner_symmetry(self):
         spec = spec_with(m=4, bounds=Bounds(1, 1), num_instances=10_000)
         truths = sample_truths(spec)
-        counts = np.zeros(4)
-        for s in truths:
-            counts[next(iter(s))] += 1
-        freq = counts / 10_000
+        assert (truths.sum(1) == 1).all()
+        freq = truths.sum(0) / 10_000
         sigma = math.sqrt(0.25 * 0.75 / 10_000)
         assert np.all(np.abs(freq - 0.25) < 3 * sigma)
 
     def test_size_ratio_matches_prior(self):
         # fair coins, sizes 1..2 over 5 alternatives: 5 singles vs 10 pairs
         truths = sample_truths(spec_with(num_instances=10_000))
-        share_single = np.mean([len(s) == 1 for s in truths])
+        share_single = np.mean(truths.sum(1) == 1)
         sigma = math.sqrt((1 / 3) * (2 / 3) / 10_000)
         assert abs(share_single - 1 / 3) < 3 * sigma
 
@@ -135,18 +136,35 @@ class TestSampleTruths:
 
 
 class TestSampleProfile:
-    def test_rejects_truths_for_other_instance_counts(self):
+    @pytest.mark.parametrize(
+        "truths, got",
+        [
+            (np.zeros((1, 5), dtype=bool), r"bool array of shape \(1, 5\)"),
+            (np.zeros((2, 4), dtype=bool), r"bool array of shape \(2, 4\)"),
+            (np.zeros((2, 5), dtype=int), r"int64 array of shape \(2, 5\)"),
+            # the set form: one frozenset per instance, as sample_dataset returns
+            ((frozenset({0}), frozenset({1, 2})), "tuple"),
+        ],
+        ids=["too-few-rows", "too-few-columns", "int-array", "tuple-of-sets"],
+    )
+    def test_refuses_truths_of_another_shape(self, truths, got):
         spec = spec_with(num_instances=2)
-        with pytest.raises(ValueError, match=r"^got 1 truth sets for 2 instances$"):
-            sample_profile(spec, (frozenset({0}),))
+        with pytest.raises(ValueError, match=r"^truths must be a bool array of shape "
+                                             r"\(L, m\) = \(2, 5\), got " + got + "$"):
+            sample_profile(spec, truths)
 
     def test_noiseless_voter_copies_truth(self):
         spec = spec_with(p=1 - 1e-12, q=1e-12, num_instances=20)
         truths = sample_truths(spec)
         profile = sample_profile(spec, truths)
-        for inst, truth in zip(profile.instances, truths):
-            for ballot in inst.ballots:
-                assert ballot == truth
+        assert (profile.approvals == truths[:, np.newaxis]).all()
+
+    def test_noiseless_voters_copy_a_truth_array(self):
+        # each row is one truth set, not a set of the values 0 and 1
+        truths = approval_matrix([{2}, {3, 4}, set(), {0, 1, 2, 3, 4}], 5)
+        spec = spec_with(p=1 - 1e-12, q=1e-12, num_instances=4)
+        profile = sample_profile(spec, truths)
+        assert (profile.approvals == truths[:, np.newaxis]).all()
 
     def test_coin_flip_voter_ignores_truth(self):
         spec = spec_with(p=0.5, q=0.5, n=1, num_instances=2000)
@@ -161,10 +179,8 @@ class TestSampleProfile:
         spec = spec_with(p=0.7, q=0.3, n=1, num_instances=4000)
         truths = sample_truths(spec)
         profile = sample_profile(spec, truths)
-        hits = positives = 0
-        for inst, truth in zip(profile.instances, truths):
-            positives += len(truth)
-            hits += len(inst.ballots[0] & truth)
+        positives = int(truths.sum())
+        hits = int((profile.approvals[:, 0] & truths).sum())
         sigma = math.sqrt(0.7 * 0.3 / positives)
         assert abs(hits / positives - 0.7) < 3 * sigma
 
