@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .initialization import DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0
 from .initialization import anna_karenina_init, random_init, uniform_init
 from .io import load_params
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy
-from .model import Bounds, ParamVector, Profile, require_truth_array
+from .model import Bounds, ParamVector, Profile, require_distinct, require_truth_array
 
 METHODS = ("amle-constrained", "amle-free", "modal", "majority")
 METRICS = ("hamming", "subset", "harmonic", "harmonic_norm")
@@ -165,10 +164,8 @@ def run_benchmark(
     unknown = [method for method in methods if method not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
-    for name, values in (("batch sizes", batch_sizes), ("methods", methods)):
-        repeated = sorted(value for value, count in Counter(values).items() if count > 1)
-        if repeated:
-            raise ValueError(f"{name} must be distinct; repeated: {repeated}")
+    require_distinct(batch_sizes, "batch sizes")
+    require_distinct(methods, "methods")
     make_init = parse_init(init_strategy) if needs_init else None
     rows = []
     for size in batch_sizes:

@@ -44,7 +44,7 @@ from .initialization import DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0
 # unused here; kept because perfbench's tracer wraps these names on this module
 from .initialization import anna_karenina_init, random_init, uniform_init  # noqa: F401
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noqa: F401
-from .model import Bounds, ParamVector, validate_profile
+from .model import Bounds, ParamVector, require_distinct, validate_profile
 from .priors import PRIOR_UPDATE_RULES
 from .reliability import DegenerateEstimate
 from .synth import SynthSpec, sample_profile, sample_truths
@@ -218,10 +218,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError("the assignments name no instances, so there is nothing to score")
     if not alt_ids:
         raise ValueError("the assignments name no alternatives; pass them with --alternatives")
-    index = {aid: j for j, aid in enumerate(alt_ids)}
-    if len(index) < len(alt_ids):
-        repeated = sorted({aid for j, aid in enumerate(alt_ids) if index[aid] != j})
-        raise ValueError(f"alternative ids must be distinct; repeated: {repeated}")
+    require_distinct(alt_ids, "alternative ids")
 
     table = score_estimates(estimates, truths)
     _print_metrics(table)

@@ -15,12 +15,12 @@ In the JSON format a ballots map may omit voters; unless strict mode is on,
 omitted voters get an empty ballot and a warning.  ``read_assignment`` reads
 every instance->alternatives map (ground truth, ``evaluate``'s) to a truth array.
 
-Ids are strings that UTF-8 can encode; a file's leading byte-order mark is
+Every reader turns an id into its ``str``; the ``Profile`` it builds refuses
+a repeated id and one UTF-8 cannot encode.  A leading byte-order mark is
 skipped.  ``save_dataset`` writes the bytes ``json.dump(..., indent=2)`` and
 ``csv.writer`` would write, from ids encoded once and each distinct ballot
-rendered once, one instance block at a time.  It refuses a dataset that
-would not read back as written, any other id included, before the file is
-created.
+rendered once, one instance block at a time.  It refuses a ground truth
+that would not read back as written before the file is created.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (ParamVector, Profile, _unknown_members, approval_matrix, marked_rows,
-                    profile_violations, read_only)
+                    read_only, require_truth_array)
 
 
 class DatasetFormatError(ValueError):
@@ -250,12 +250,12 @@ def save_dataset(path, profile: Profile, ground_truth: np.ndarray | None = None)
     The bytes are those of ``json.dump(..., indent=2)`` on the dataset
     document and a newline, or of one ``csv.writer`` row per cell.  Each id is
     encoded once by the ``json`` or ``csv`` module, each distinct ballot is
-    rendered once, and the file is written one instance at a time.  A
-    dataset that would not read back as written (an id that is not a string
-    UTF-8 can encode, and ``profile_violations``: repeated ids, a ground
-    truth that is not a ``bool[L, m]`` array of the profile's shape) is
-    refused with ValueError before the file is created.  A ground truth may
-    also be one set of alternative indices in [0, m) per instance.
+    rendered once, and the file is written one instance at a time.  The
+    profile's ids read back as written by construction (see ``Profile``);
+    a ground truth that would not, one that is not a ``bool[L, m]`` array
+    of the profile's shape, is refused with ValueError before the file is
+    created.  A ground truth may also be one set of alternative indices in
+    [0, m) per instance, each member an int or numpy integer.
     """
     path = Path(path)
     is_csv = path.suffix.lower() == ".csv"
@@ -264,21 +264,20 @@ def save_dataset(path, profile: Profile, ground_truth: np.ndarray | None = None)
             "the long-form CSV carries ballots only; write ground truth "
             "to the JSON format"
         )
-    unknown = []
+    violations = []
     if ground_truth is not None and not isinstance(ground_truth, np.ndarray):
         # sets, because perfbench/workloads.py writes the ground truth of sample_dataset
         m, sets = profile.num_alternatives, tuple(ground_truth)
         bad = [_unknown_members(truth, m) for truth in sets]
-        unknown = [f"ground truth of instance {zid!r} names unknown alternatives "
-                   f"{sorted(b, key=str)}" for zid, b in zip(profile.instance_ids, bad) if b]
+        violations = [f"ground truth of instance {zid!r} names unknown alternatives "
+                      f"{sorted(b, key=str)}" for zid, b in zip(profile.instance_ids, bad) if b]
         ground_truth = approval_matrix([() if b else t for t, b in zip(sets, bad)], m)
-    violations = profile_violations(profile, ground_truth) + unknown
-    for name, ids in (("alternative", profile.alternative_ids), ("voter", profile.voters),
-                      ("instance", profile.instance_ids)):
+    if ground_truth is not None:
         try:
-            "".join(ids).encode("utf-8")
-        except (TypeError, UnicodeError):
-            violations.append(f"{name} ids must be strings that UTF-8 can encode")
+            require_truth_array(ground_truth, profile.num_instances, profile.num_alternatives,
+                                "ground truth")
+        except ValueError as exc:
+            violations.insert(0, str(exc))
     if violations:
         raise ValueError("cannot save a dataset that would not read back: "
                          + "; ".join(violations))

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthCounts
-from .model import approval_matrix, require_open_unit
+from .model import _unknown_members, approval_matrix, require_open_unit
 from .priors import _require_mass, cardinality_mass
 
 
@@ -64,9 +64,13 @@ def prior_logprob(candidate, t, bounds: Bounds):
 
     Admissible sets get sum_{j in S} ln t_j + sum_{j not in S} ln(1 - t_j)
     minus the log normalizing mass; sets whose size violates the bounds get
-    the IMPOSSIBLE marker.
+    the IMPOSSIBLE marker.  A member that is not an alternative index in
+    [0, len(t)), an int or numpy integer, raises ValueError naming it.
     """
     candidate = frozenset(candidate)
+    unknown = _unknown_members(candidate, len(t))
+    if unknown:
+        raise ValueError(f"candidate names unknown alternatives {sorted(unknown, key=str)}")
     if not bounds.contains(len(candidate)):
         return IMPOSSIBLE
     t = require_open_unit(t, "t")
@@ -76,7 +80,7 @@ def prior_logprob(candidate, t, bounds: Bounds):
 
 def instance_loglik(ballots: np.ndarray, truth, params: ParamVector, bounds: Bounds):
     """Joint log-likelihood of one instance's ``bool[n, m]`` ballots, such as
-    ``profile.approvals[z]``, and its truth set."""
+    ``profile.approvals[z]``, and its truth set, checked by ``prior_logprob``."""
     ballots = np.asarray(ballots, dtype=bool)
     params.require_fit(ballots.shape)
     prior = prior_logprob(truth, params.t, bounds)

@@ -16,6 +16,8 @@ Conventions used throughout the package:
   counts later steps read.  Frozensets, converted with ``approval_matrix`` and
   ``truth_sets``, appear only in views, builders, single-set oracles and the
   set-valued ground truth of ``sample_dataset`` and ``io.save_dataset``.
+* Ids are strings that UTF-8 can encode, distinct within each kind;
+  ``Profile`` checks them once, at construction, and nothing checks them again.
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ def _require_open_fields(names, fields) -> np.ndarray:
         for name, arr in zip(names, fields):
             require_open_unit(arr, name)
     return packed
+
+
+def require_distinct(values, name: str) -> None:
+    """Raise ValueError, listing the repeated entries sorted, unless
+    ``values`` are distinct."""
+    if len(set(values)) < len(values):
+        seen, repeated = set(), set()
+        for value in values:
+            (repeated if value in seen else seen).add(value)
+        raise ValueError(f"{name} must be distinct; repeated: {sorted(repeated)}")
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -122,6 +134,11 @@ def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
     return np.minimum(np.maximum(np.asarray(values, dtype=float), epsilon), 1.0 - epsilon)
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` is an int or numpy integer; a bool is neither here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Prior cardinality interval [lower, upper], of integers, on every instance's truth set."""
@@ -130,7 +147,7 @@ class Bounds:
     upper: int
 
     def __post_init__(self):
-        if not all(isinstance(end, (int, np.integer)) for end in (self.lower, self.upper)):
+        if not all(_is_index(end) for end in (self.lower, self.upper)):
             raise ValueError(f"bounds must be integers, got ({self.lower!r}, {self.upper!r})")
 
     def contains(self, size: int) -> bool:
@@ -163,7 +180,7 @@ class Instance:
 
 def _unknown_members(members, m: int) -> list:
     """The entries of ``members`` that are not alternative indices in [0, m)."""
-    return [a for a in members if not (isinstance(a, (int, np.integer)) and 0 <= a < m)]
+    return [a for a in members if not (_is_index(a) and 0 <= a < m)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +230,10 @@ class Profile:
     is True iff voter i approves alternative j on instance z.  It must have
     the shape the three id tuples give.  The constructor copies it once, into
     the voter-major block ``by_voter``, and keeps ``approvals`` as a view of
-    that block.
+    that block.  Its ids are strings that UTF-8 can encode, distinct within
+    each kind; for the first kind (alternative, voter, instance) that is
+    not, it raises ``voter ids must be strings that UTF-8 can encode`` or
+    ``voter ids must be distinct; repeated: ['v1']``.
     """
 
     alternative_ids: tuple
@@ -222,13 +242,15 @@ class Profile:
     approvals: np.ndarray
 
     def __post_init__(self):
-        for name in ("alternative_ids", "voters", "instance_ids"):
-            ids = tuple(getattr(self, name))
+        for field, kind in (("alternative_ids", "alternative"), ("voters", "voter"),
+                            ("instance_ids", "instance")):
+            ids = tuple(getattr(self, field))
             try:
-                hash(ids)
-            except TypeError:
-                raise ValueError(f"{name} must be hashable") from None
-            object.__setattr__(self, name, ids)
+                "".join(ids).encode("utf-8")
+            except (TypeError, UnicodeError):
+                raise ValueError(f"{kind} ids must be strings that UTF-8 can encode") from None
+            require_distinct(ids, f"{kind} ids")
+            object.__setattr__(self, field, ids)
         approvals = np.asarray(self.approvals, dtype=bool)
         shape = (self.num_instances, self.num_voters, self.num_alternatives)
         if approvals.shape != shape:
@@ -400,52 +422,18 @@ class TruthEstimate:
     admissible_k: int
 
 
-def profile_violations(
-    profile: Profile,
-    ground_truth: np.ndarray | None = None,
-    bounds: Bounds | None = None,
-) -> list:
-    """What keeps ``profile`` from being read as it is: repeated ids, bounds
-    that ``Bounds.require_fit`` refuses (when ``bounds`` is given), and a
-    ground truth that is not a ``bool[L, m]`` array of the profile's L and
-    m.  Each violation is one message; the list is empty when there is
-    none."""
-    violations = []
-    m = profile.num_alternatives
-    for name, ids in (
-        ("alternative", profile.alternative_ids),
-        ("voter", profile.voters),
-        ("instance", profile.instance_ids),
-    ):
-        if len(set(ids)) != len(ids):
-            violations.append(f"duplicate {name} ids")
-
-    if bounds is not None:
-        try:
-            bounds.require_fit(m)
-        except ValueError as exc:
-            violations.append(str(exc))
-
-    if ground_truth is not None:
-        try:
-            require_truth_array(ground_truth, profile.num_instances, m, "ground truth")
-        except ValueError as exc:
-            violations.append(str(exc))
-    return violations
-
-
 def validate_profile(
     profile: Profile,
     bounds: Bounds,
     ground_truth: np.ndarray | None = None,
 ) -> None:
-    """Check a profile's ids, the bounds and any ``bool[L, m]`` ground truth.
+    """Check that a profile has ids of every kind, that the bounds fit it
+    and that any ground truth is a ``bool[L, m]`` array of its L and m.
 
     Raises one ValueError, ``invalid profile: a; b``, listing every violation
-    found: an empty id list, then those of ``profile_violations``.
-    Otherwise warns, with one UserWarning per ground-truth set whose size
-    falls outside the bounds, in instance order.  The ballots need no check
-    here: the ``approvals`` array has the profile's shape by construction.
+    found.  Otherwise warns, with one UserWarning per ground-truth set whose
+    size falls outside the bounds, in instance order.  The ids and ballots
+    need no check here: a ``Profile`` is valid in both by construction.
     """
     violations = [
         f"profile declares no {name}"
@@ -456,7 +444,16 @@ def validate_profile(
         )
         if size < 1
     ]
-    violations += profile_violations(profile, ground_truth, bounds)
+    try:
+        bounds.require_fit(profile.num_alternatives)
+    except ValueError as exc:
+        violations.append(str(exc))
+    if ground_truth is not None:
+        try:
+            require_truth_array(ground_truth, profile.num_instances, profile.num_alternatives,
+                                "ground truth")
+        except ValueError as exc:
+            violations.append(str(exc))
     if violations:
         raise ValueError("invalid profile: " + "; ".join(violations))
     sizes = [] if ground_truth is None else ground_truth.sum(1).tolist()

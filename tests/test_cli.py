@@ -1216,8 +1216,8 @@ def test_exit_code_follows_the_error_type(
 @ESTIMATING_COMMANDS
 def test_invalid_profile_is_one_line_without_warnings(tmp_path, capsys, command, flags):
     # every one of the 15 ground truths lies outside the inverted bounds, the
-    # second dataset names one voter twice, and the last three declare no
-    # alternatives, voters or instances
+    # second dataset names one voter twice, which its Profile refuses as it
+    # is read, and the last three declare no alternatives, voters or instances
     inverted = tmp_path / "inverted.json"
     spec = SynthSpec.homogeneous(5, 10, 15, Bounds(1, 2), 0.7, 0.4, 1)
     save_dataset(inverted, *sample_dataset(spec))
@@ -1238,16 +1238,18 @@ def test_invalid_profile_is_one_line_without_warnings(tmp_path, capsys, command,
     ):
         empty[key] = tmp_path / f"no-{key}.json"
         empty[key].write_text(json.dumps(doc))
-    for path, bounds, violation in (
-        (inverted, ["--lower", 3, "--upper", 2], "invalid bounds (3, 2) for m=5"),
-        (duplicate, [], "duplicate voter ids"),
-        (inverted, ["--lower", -1, "--upper", 2], "invalid bounds (-1, 2) for m=5"),
-        (empty["alternatives"], ["--lower", 0, "--upper", 0], "profile declares no alternatives"),
-        (empty["voters"], [], "profile declares no voters"),
-        (empty["instances"], [], "profile declares no instances"),
+    for path, bounds, message in (
+        (inverted, ["--lower", 3, "--upper", 2], "invalid profile: invalid bounds (3, 2) for m=5"),
+        (duplicate, [], "voter ids must be distinct; repeated: ['v1']"),
+        (inverted, ["--lower", -1, "--upper", 2],
+         "invalid profile: invalid bounds (-1, 2) for m=5"),
+        (empty["alternatives"], ["--lower", 0, "--upper", 0],
+         "invalid profile: profile declares no alternatives"),
+        (empty["voters"], [], "invalid profile: profile declares no voters"),
+        (empty["instances"], [], "invalid profile: profile declares no instances"),
     ):
         assert run([command, path, *flags, *bounds, "--out", tmp_path / "out"]) == 1
-        assert capsys.readouterr().err == f"error: invalid profile: {violation}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 #: Field names of the dataset, assignment and params schemas, plus ids that
@@ -1407,3 +1409,34 @@ def test_any_json_document_meets_the_exit_code_contract(tmp_path, worked_profile
     # a failure is one message line, after any warnings; a success prints none
     messages = [line for line in lines if not line.startswith("warning:")]
     assert len(messages) == (code != 0)
+
+
+#: Datasets whose ids no ``Profile`` holds: a repeated voter, and an
+#: alternative written as a lone surrogate escape, which used to reach
+#: estimation and exit 2 there.
+ID_DOCUMENTS = {
+    "repeated-voter": (
+        {"alternatives": ["a", "b"], "voters": ["v1", "v2", "v1"],
+         "instances": [{"id": "z1", "ballots": {"v1": ["a"], "v2": ["b"]}}]},
+        "voter ids must be distinct; repeated: ['v1']",
+    ),
+    "surrogate-alternative": (
+        {"alternatives": ["a", "\ud800"], "voters": ["v1", "v2"],
+         "instances": [{"id": "z1", "ballots": {"v1": ["a"], "v2": ["\ud800"]}},
+                       {"id": "z2", "ballots": {"v1": ["a"], "v2": []}}]},
+        "alternative ids must be strings that UTF-8 can encode",
+    ),
+}
+
+
+@pytest.mark.parametrize("document", ID_DOCUMENTS)
+@pytest.mark.parametrize("command", ["aggregate", "benchmark"])
+def test_a_dataset_with_ids_no_profile_holds_exits_1(tmp_path, capsys, document, command):
+    doc, message = ID_DOCUMENTS[document]
+    path = tmp_path / "doc.json"
+    truth = {entry["id"]: ["a"] for entry in doc["instances"]}
+    path.write_text(json.dumps({**doc, "ground_truth": truth}))
+    flags = ["--quiet"] if command == "aggregate" else ["--batch-sizes", "1"]
+    assert run([command, path, *flags, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()

@@ -148,27 +148,8 @@ ONE_CELL = np.zeros((1, 1, 1), dtype=bool)
 
 
 class TestSaveRefusals:
-    """A dataset that would not read back as written is refused, with
-    ``validate_profile``'s messages, before the file is created."""
-
-    @pytest.mark.parametrize("suffix", [".json", ".csv"])
-    @pytest.mark.parametrize(
-        "ids, message",
-        [
-            ((["a", "a"], ["v"], ["z"]), "duplicate alternative ids"),
-            ((["a"], ["v", "v"], ["z"]), "duplicate voter ids"),
-            ((["a"], ["v"], ["z", "z"]), "duplicate instance ids"),
-        ],
-        ids=["alternatives", "voters", "instances"],
-    )
-    def test_repeated_ids(self, tmp_path, suffix, ids, message):
-        alternatives, voters, instances = ids
-        approvals = np.zeros((len(instances), len(voters), len(alternatives)), dtype=bool)
-        path = tmp_path / ("d" + suffix)
-        with pytest.raises(ValueError, match=f"^cannot save a dataset that would not read "
-                                             f"back: {message}$"):
-            save_dataset(path, Profile(alternatives, voters, instances, approvals))
-        assert not path.exists()
+    """A ground truth that would not read back as written is refused before
+    the file is created; the ids of a ``Profile`` always read back."""
 
     @pytest.mark.parametrize(
         "truths, message",
@@ -196,42 +177,20 @@ class TestSaveRefusals:
             save_dataset(path, Profile(["a"], ["v"], ["z"], ONE_CELL), truths)
         assert path.read_text() == "kept\n"
 
-    @pytest.mark.parametrize(
-        "ids, message",
-        [
-            (([object()], ["v"], ["z"]), "alternative ids must be strings that UTF-8 can encode"),
-            ((["a"], [("v", 1)], ["z"]), "voter ids must be strings that UTF-8 can encode"),
-        ],
-        ids=["value", "key"],
-    )
-    def test_id_json_cannot_encode_leaves_no_file(self, tmp_path, ids, message):
+    def test_a_truth_array_as_nested_lists_is_not_read_as_sets(self, tmp_path):
+        # each row of bools used to read as the set {0, 1}: True and False
+        # equal indices but are not ones
+        profile = Profile(["a", "b", "c"], ["v"], ["z1", "z2"], np.zeros((2, 1, 3), dtype=bool))
+        truths = np.array([[False, False, True], [True, False, False]])
         path = tmp_path / "d.json"
-        with pytest.raises(ValueError, match=f"^cannot save a dataset that would not read "
-                                             f"back: {message}$"):
-            save_dataset(path, Profile(*ids, ONE_CELL))
+        with pytest.raises(ValueError) as info:
+            save_dataset(path, profile, truths.tolist())
+        assert str(info.value) == (
+            "cannot save a dataset that would not read back: ground truth of instance "
+            "'z1' names unknown alternatives [False, False, True]; ground truth of "
+            "instance 'z2' names unknown alternatives [False, False, True]"
+        )
         assert not path.exists()
-
-    @pytest.mark.parametrize("suffix", [".json", ".csv"])
-    @pytest.mark.parametrize("kind", ["alternative", "voter", "instance"])
-    @pytest.mark.parametrize(
-        "bad",
-        [[1], [2.5], [True], [None], [("a", 1)], [object()], ["b\ud800"], ["1", 1]],
-        ids=["int", "float", "bool", "none", "tuple", "object", "surrogate", "equal-as-str"],
-    )
-    def test_ids_that_are_not_utf8_strings(self, tmp_path, suffix, kind, bad):
-        # every reader turns an id into its str, so "1" and 1 would read back equal
-        ids = {"alternative": ["a"], "voter": ["v"], "instance": ["z"], kind: bad}
-        profile = Profile(ids["alternative"], ids["voter"], ids["instance"], np.zeros(
-            (len(ids["instance"]), len(ids["voter"]), len(ids["alternative"])), dtype=bool))
-        message = f"^cannot save a dataset that would not read back: {kind} ids must be " \
-                  "strings that UTF-8 can encode$"
-        kept, fresh = tmp_path / ("kept" + suffix), tmp_path / ("fresh" + suffix)
-        kept.write_text("kept\n")
-        for path in (kept, fresh):
-            with pytest.raises(ValueError, match=message):
-                save_dataset(path, profile)
-        assert kept.read_text() == "kept\n"
-        assert not fresh.exists()
 
     @pytest.mark.parametrize("suffix", [".json", ".csv"])
     @pytest.mark.parametrize("shape", [(0, 1, 1), (1, 0, 1), (1, 1, 0)],
@@ -305,6 +264,49 @@ class TestCsvSemantics:
         with pytest.raises(DatasetFormatError) as info:
             load_profile_csv(_write_csv(tmp_path / "d.csv"))
         assert str(info.value) == "empty CSV dataset"
+
+
+class TestIdsAtLoad:
+    """A dataset's ids must make a ``Profile``: a JSON file with a repeated
+    id or a lone surrogate escape is refused as it is read."""
+
+    @pytest.mark.parametrize(
+        "key, ids, message",
+        [
+            ("alternatives", ["a", "b", "a"], "alternative ids must be distinct; repeated: ['a']"),
+            ("voters", ["v", "v"], "voter ids must be distinct; repeated: ['v']"),
+            ("alternatives", ["a", "b\ud800"], "alternative ids must be strings that UTF-8 "
+             "can encode"),
+            ("voters", ["\udfff"], "voter ids must be strings that UTF-8 can encode"),
+            # a number reads as its str, which may repeat a string id
+            ("alternatives", ["1", 1], "alternative ids must be distinct; repeated: ['1']"),
+        ],
+        ids=["repeated-alternative", "repeated-voter", "surrogate-alternative",
+             "surrogate-voter", "number-as-str"],
+    )
+    def test_declared_ids(self, tmp_path, key, ids, message):
+        doc = {"alternatives": ["a"], "voters": ["v"], key: ids}
+        doc["instances"] = [{"id": "z", "ballots": {vid: [] for vid in doc["voters"]}}]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [(["z", "z"], "instance ids must be distinct; repeated: ['z']"),
+         (["z\ud800"], "instance ids must be strings that UTF-8 can encode")],
+        ids=["repeated", "surrogate"],
+    )
+    def test_instance_ids(self, tmp_path, ids, message):
+        doc = {"alternatives": ["a"], "voters": ["v"],
+               "instances": [{"id": zid, "ballots": {"v": ["a"]}} for zid in ids]}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == message
 
 
 class TestParseDataset:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,26 @@ class TestPriorLogprob:
         ballots = np.array([[True, False, True], [False, False, True]])
         params = ParamVector([0.7, 0.6], [0.3, 0.2], [0.5] * 3)
         assert instance_loglik(ballots, {0, 1, 2}, params, Bounds(1, 2)) is IMPOSSIBLE
+
+    @pytest.mark.parametrize(
+        "candidate, shown",
+        [({1.5}, "[1.5]"), ({True}, "[True]"), ({np.False_}, "[np.False_]"), ({3}, "[3]"),
+         ({0, -1, "a"}, "[-1, 'a']"), ({0, 1, 2, 2.5}, "[2.5]")],
+        ids=["float", "bool", "numpy-bool", "equal-to-m", "several", "outside-the-bounds"],
+    )
+    def test_members_that_are_not_indices_are_named(self, candidate, shown):
+        # np.intp conversion read 1.5 as 1 and True as 1; a set too large for
+        # the bounds is checked too, not reported IMPOSSIBLE
+        message = re.escape(f"candidate names unknown alternatives {shown}")
+        params = ParamVector([0.7, 0.6], [0.3, 0.2], [0.5] * 3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prior_logprob(candidate, params.t, Bounds(1, 1))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            instance_loglik(np.zeros((2, 3), dtype=bool), candidate, params, Bounds(1, 1))
+
+    def test_numpy_integers_are_indices(self):
+        t = [0.2, 0.6, 0.5]
+        assert prior_logprob({np.int64(1)}, t, Bounds(1, 1)) == prior_logprob({1}, t, Bounds(1, 1))
 
     def test_impossible_reads_as_its_name(self):
         assert repr(IMPOSSIBLE) == "IMPOSSIBLE"

@@ -30,6 +30,10 @@ from conftest import WORKED_FIRST_TRUTHS
 from reference_seed import param_vector_fields
 
 
+#: ``(Profile field, id kind)``, in the order the constructor checks them.
+ID_KINDS = [("alternative_ids", "alternative"), ("voters", "voter"), ("instance_ids", "instance")]
+
+
 class TestValidateProfile:
     def test_worked_profile_is_valid(self, worked_profile, worked_bounds):
         with warnings.catch_warnings():
@@ -59,12 +63,14 @@ class TestValidateProfile:
             Profile.build(
                 ["a", "b"],
                 ["v1", "v2"],
-                [[{0}, {1}], [{0, 2.0, "x"}, {1}], [{0}], [{True, 1}, {-1, np.int64(1)}]],
+                [[{0}, {1}], [{0, 2.0, "x"}, {1}], [{0}], [{True}, {-1, np.int64(1)}]],
                 ["z1", "z2", "z3", "z4"],
             )
+        # a bool equals an index but is not one
         assert str(excinfo.value).split("; ") == [
             "unknown alternatives ['2.0', 'x'] in instance 'z2', voter position 0",
             "ragged ballots: instance 'z3' has 1 ballots, expected 2",
+            "unknown alternatives ['True'] in instance 'z4', voter position 0",
             "unknown alternatives ['-1'] in instance 'z4', voter position 1",
         ]
 
@@ -83,11 +89,6 @@ class TestValidateProfile:
         ]
         # stacklevel=2: each warning points at the caller's line
         assert {w.filename for w in record} == {__file__}
-
-    def test_duplicate_voter_ids_reported(self):
-        profile = Profile.build(["a"], ["v", "v"], [[{0}, set()]])
-        with pytest.raises(ValueError, match="^invalid profile: duplicate voter ids$"):
-            validate_profile(profile, Bounds(0, 1))
 
     @pytest.mark.parametrize(
         "truths, got",
@@ -110,8 +111,10 @@ class TestValidateProfile:
         with pytest.raises(ValueError, match=message):
             validate_profile(profile, Bounds(0, 2), truths)
 
-    @pytest.mark.parametrize("member, shown", [("a", "'a'"), (None, "None"), (1.5, "1.5")],
-                             ids=["string", "none", "float"])
+    @pytest.mark.parametrize(
+        "member, shown", [("a", "'a'"), (None, "None"), (1.5, "1.5"), (True, "True")],
+        ids=["string", "none", "float", "bool"],
+    )
     def test_ground_truth_members_that_are_not_indices(self, tmp_path, member, shown):
         # save_dataset still takes sets: the member test of Profile.build, an
         # int or numpy integer in [0, m)
@@ -127,8 +130,10 @@ class TestValidateProfile:
 class TestBounds:
     @pytest.mark.parametrize(
         "lower, upper",
-        [(1.0, 2.0), (1, 2.5), (np.float64(1.0), 2), ("1", 2), (None, 2), (1, [2])],
-        ids=["floats", "float-upper", "numpy-float", "string", "none", "list"],
+        [(1.0, 2.0), (1, 2.5), (np.float64(1.0), 2), ("1", 2), (None, 2), (1, [2]),
+         (True, True), (0, False)],
+        ids=["floats", "float-upper", "numpy-float", "string", "none", "list", "bools",
+             "bool-upper"],
     )
     def test_refuses_ends_that_are_not_integers(self, lower, upper):
         with pytest.raises(ValueError) as info:
@@ -318,17 +323,48 @@ class TestProfile:
                 worked_profile.instance_ids, np.zeros(shape, dtype=bool),
             )
 
-    @pytest.mark.parametrize("kind", ["alternative_ids", "voters", "instance_ids"])
+    @pytest.mark.parametrize("field, kind", ID_KINDS, ids=[kind for _, kind in ID_KINDS])
     @pytest.mark.parametrize(
-        "bad", [["b"], ("b", ["c"]), {"b": 1}], ids=["list", "nested", "dict"]
+        "bad",
+        [["b"], ("b",), 1, 2.5, True, None, object(), {"b": 1}, "b\ud800"],
+        ids=["list", "tuple", "int", "float", "bool", "none", "object", "dict", "surrogate"],
     )
-    def test_constructor_refuses_unhashable_ids(self, kind, bad):
-        # every later set() of the ids (validate_profile, run_amle,
-        # save_dataset) would fail on such an id with a traceback
+    def test_constructor_refuses_ids_that_are_not_utf8_strings(self, field, kind, bad):
+        # every reader turns an id into its str, so 1 would read back as "1";
+        # a lone surrogate cannot be written at all
         ids = {"alternative_ids": ["a", "b"], "voters": ["v", "w"], "instance_ids": ["z", "y"]}
-        ids[kind][1] = bad
-        with pytest.raises(ValueError, match=f"^{kind} must be hashable$"):
+        ids[field][1] = bad
+        with pytest.raises(ValueError) as info:
             Profile(**ids, approvals=np.zeros((2, 2, 2), dtype=bool))
+        assert str(info.value) == f"{kind} ids must be strings that UTF-8 can encode"
+
+    @pytest.mark.parametrize("field, kind", ID_KINDS, ids=[kind for _, kind in ID_KINDS])
+    def test_constructor_refuses_repeated_ids(self, field, kind):
+        ids = {"alternative_ids": ["a", "b"], "voters": ["v", "w"], "instance_ids": ["z", "y"]}
+        ids[field][1] = ids[field][0]
+        repeated = ids[field][0]
+        with pytest.raises(ValueError) as info:
+            Profile(**ids, approvals=np.zeros((2, 2, 2), dtype=bool))
+        assert str(info.value) == f"{kind} ids must be distinct; repeated: [{repeated!r}]"
+
+    def test_repeated_ids_are_listed_sorted_once_each(self):
+        with pytest.raises(ValueError) as info:
+            Profile.build(["a"], ["w", "v", "w", "u", "v", "w"], [[set()] * 6])
+        assert str(info.value) == "voter ids must be distinct; repeated: ['v', 'w']"
+
+    def test_the_first_kind_that_breaks_the_invariant_is_named(self):
+        # checked in the order alternative, voter, instance; a kind's type
+        # before its repeats, which sorted() could not order
+        with pytest.raises(ValueError) as info:
+            Profile(["a", "a"], [1, 1], [None], np.zeros((1, 2, 2), dtype=bool))
+        assert str(info.value) == "alternative ids must be distinct; repeated: ['a']"
+        with pytest.raises(ValueError) as info:
+            Profile(["a", "b"], [1, "v", 1], ["z", "z"], np.zeros((2, 3, 2), dtype=bool))
+        assert str(info.value) == "voter ids must be strings that UTF-8 can encode"
+
+    def test_string_subclasses_are_strings(self):
+        profile = Profile([np.str_("a")], ["v"], ["z"], np.ones((1, 1, 1), dtype=bool))
+        assert profile.alternative_ids == ("a",)
 
     @pytest.mark.parametrize(
         "path",
