@@ -38,6 +38,7 @@ from .model import (
     Profile,
     TruthCounts,
     require_epsilon,
+    require_integer,
     truth_sets,
     validate_profile,
 )
@@ -68,6 +69,7 @@ class AmleConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        require_integer(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         require_epsilon(self.epsilon_clamp, "epsilon_clamp")

@@ -26,7 +26,8 @@ from .initialization import DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0
 from .initialization import anna_karenina_init, random_init, uniform_init
 from .io import load_params
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy
-from .model import Bounds, ParamVector, Profile, require_distinct, require_truth_array
+from .model import (Bounds, ParamVector, Profile, require_distinct, require_integer,
+                    require_truth_array)
 
 METHODS = ("amle-constrained", "amle-free", "modal", "majority")
 METRICS = ("hamming", "subset", "harmonic", "harmonic_norm")
@@ -137,13 +138,13 @@ def run_benchmark(
     """Accuracy table over voter batches against the truth array ``truths``; see module docstring.
 
     Raises ValueError before any batch runs unless ``truths`` is a bool
-    array of the profile's shape (L, m), every batch size fits the voters,
-    there is at least one batch, every method is known and no batch size or
-    method is repeated.  When an AMLE method is requested, the initialization
-    strategy must also be a known one that can initialize any voter batch
-    (so not ``file:``, and not ``anna-karenina`` on a batch of one voter);
-    the baselines read no initial parameters, so without an AMLE method the
-    strategy is neither checked nor used.
+    array of the profile's shape (L, m), the batch sizes, batch count and
+    seed are integers (sizes fit the voters, count >= 1, seed >= 0), every
+    method is known and no batch size or method is repeated.  When an AMLE
+    method is requested, the initialization strategy must also be a known
+    one that can initialize any voter batch (so not ``file:``, and not
+    ``anna-karenina`` on a batch of one voter); the baselines read no initial
+    parameters, so without an AMLE method the strategy is neither checked nor used.
     """
     require_truth_array(truths, profile.num_instances, profile.num_alternatives)
     n = profile.num_voters
@@ -155,15 +156,16 @@ def run_benchmark(
             "parameters cannot fit every batch size"
         )
     for size in batch_sizes:
+        require_integer(size, "batch size")
         if not 1 <= size <= n:
             raise ValueError(f"batch size {size} is not in [1, {n}], the available voters")
     if needs_init and init_strategy == "anna-karenina" and 1 in batch_sizes:
         raise ValueError("batch size 1 is too small for anna-karenina, which compares voters")
-    if num_batches < 1:
-        raise ValueError(f"the number of batches must be at least 1, got {num_batches}")
+    require_integer(num_batches, "the number of batches", 1)
     unknown = [method for method in methods if method not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+    require_integer(seed, "seed", 0)
     require_distinct(batch_sizes, "batch sizes")
     require_distinct(methods, "methods")
     make_init = parse_init(init_strategy) if needs_init else None

@@ -44,7 +44,7 @@ from .initialization import DEFAULT_P0, DEFAULT_Q0, DEFAULT_T0
 # unused here; kept because perfbench's tracer wraps these names on this module
 from .initialization import anna_karenina_init, random_init, uniform_init  # noqa: F401
 from .metrics import hamming_accuracy, harmonic_accuracy, subset_accuracy  # noqa: F401
-from .model import Bounds, ParamVector, require_distinct, validate_profile
+from .model import Bounds, ParamVector, require_distinct, require_integer, validate_profile
 from .priors import PRIOR_UPDATE_RULES
 from .reliability import DegenerateEstimate
 from .synth import SynthSpec, sample_profile, sample_truths
@@ -93,11 +93,6 @@ def _parse_rates(text: str, count: int, name: str) -> np.ndarray:
     if len(values) != count:
         raise ValueError(f"--{name} needs 1 or {count} comma-separated values")
     return np.array(values)
-
-
-def _require_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
 
 
 def _load_checked(args, strict: bool = False):
@@ -229,9 +224,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_simulate(args) -> int:
     for flag, size in (("m", args.m), ("n", args.n), ("instances", args.instances)):
-        if size < 1:
-            raise ValueError(f"--{flag} must be at least 1, got {size}")
-    _require_seed(args.seed)
+        require_integer(size, f"--{flag}", 1)
+    require_integer(args.seed, "--seed", 0)
     params = ParamVector(
         _parse_rates(args.p, args.n, "p"),
         _parse_rates(args.q, args.n, "q"),
@@ -251,7 +245,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    _require_seed(args.seed)
+    require_integer(args.seed, "--seed", 0)
     profile, ground_truth, bounds = _load_checked(args)
     if ground_truth is None:
         raise ValueError("benchmark needs a dataset with embedded ground truth")

@@ -20,7 +20,7 @@ a repeated id and one UTF-8 cannot encode.  A leading byte-order mark is
 skipped.  ``save_dataset`` writes the bytes ``json.dump(..., indent=2)`` and
 ``csv.writer`` would write, from ids encoded once and each distinct ballot
 rendered once, one instance block at a time.  It refuses a ground truth
-that would not read back as written before the file is created.
+that would not read back before the file is created (sets: ``approval_matrix``).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (ParamVector, Profile, _unknown_members, approval_matrix, marked_rows,
-                    read_only, require_truth_array)
+from .model import (ParamVector, Profile, approval_matrix, marked_rows, read_only,
+                    require_truth_array)
 
 
 class DatasetFormatError(ValueError):
@@ -254,8 +254,8 @@ def save_dataset(path, profile: Profile, ground_truth: np.ndarray | None = None)
     profile's ids read back as written by construction (see ``Profile``);
     a ground truth that would not, one that is not a ``bool[L, m]`` array
     of the profile's shape, is refused with ValueError before the file is
-    created.  A ground truth may also be one set of alternative indices in
-    [0, m) per instance, each member an int or numpy integer.
+    created.  A ground truth may also be one index set per instance: a wrong
+    count is refused by shape, then ``model.approval_matrix`` reads the sets.
     """
     path = Path(path)
     is_csv = path.suffix.lower() == ".csv"
@@ -264,23 +264,18 @@ def save_dataset(path, profile: Profile, ground_truth: np.ndarray | None = None)
             "the long-form CSV carries ballots only; write ground truth "
             "to the JSON format"
         )
-    violations = []
-    if ground_truth is not None and not isinstance(ground_truth, np.ndarray):
-        # sets, because perfbench/workloads.py writes the ground truth of sample_dataset
-        m, sets = profile.num_alternatives, tuple(ground_truth)
-        bad = [_unknown_members(truth, m) for truth in sets]
-        violations = [f"ground truth of instance {zid!r} names unknown alternatives "
-                      f"{sorted(b, key=str)}" for zid, b in zip(profile.instance_ids, bad) if b]
-        ground_truth = approval_matrix([() if b else t for t, b in zip(sets, bad)], m)
     if ground_truth is not None:
+        length, m = profile.num_instances, profile.num_alternatives
         try:
-            require_truth_array(ground_truth, profile.num_instances, profile.num_alternatives,
-                                "ground truth")
+            if not isinstance(ground_truth, np.ndarray):
+                # the set form perfbench/workloads.py passes; a wrong count fails by shape
+                sets = tuple(ground_truth)
+                labels = [f"ground truth of instance {zid!r}" for zid in profile.instance_ids]
+                ground_truth = (approval_matrix(sets, m, labels) if len(sets) == length
+                                else np.zeros((len(sets), m), dtype=bool))
+            require_truth_array(ground_truth, length, m, "ground truth")
         except ValueError as exc:
-            violations.insert(0, str(exc))
-    if violations:
-        raise ValueError("cannot save a dataset that would not read back: "
-                         + "; ".join(violations))
+            raise ValueError(f"cannot save a dataset that would not read back: {exc}") from None
     chunks = _csv_chunks(profile) if is_csv else _json_chunks(profile, ground_truth)
     with open(path, "w", encoding="utf-8", newline="" if is_csv else None) as fh:
         fh.writelines(chunks)

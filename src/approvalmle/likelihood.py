@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthCounts
-from .model import _unknown_members, approval_matrix, require_open_unit
+from .model import approval_matrix, require_open_unit
 from .priors import _require_mass, cardinality_mass
 
 
@@ -64,18 +64,15 @@ def prior_logprob(candidate, t, bounds: Bounds):
 
     Admissible sets get sum_{j in S} ln t_j + sum_{j not in S} ln(1 - t_j)
     minus the log normalizing mass; sets whose size violates the bounds get
-    the IMPOSSIBLE marker.  A member that is not an alternative index in
-    [0, len(t)), an int or numpy integer, raises ValueError naming it.
+    the IMPOSSIBLE marker.  ``approval_matrix`` reads the members first and
+    refuses any but indices in [0, len(t)): ``candidate names unknown ...``.
     """
-    candidate = frozenset(candidate)
-    unknown = _unknown_members(candidate, len(t))
-    if unknown:
-        raise ValueError(f"candidate names unknown alternatives {sorted(unknown, key=str)}")
-    if not bounds.contains(len(candidate)):
+    row = approval_matrix([candidate], len(t), ["candidate"])
+    if not bounds.contains(int(row.sum())):
         return IMPOSSIBLE
     t = require_open_unit(t, "t")
     mass = cardinality_mass(t, bounds)
-    return _prior_term(approval_matrix([candidate], len(t)).sum(0), 1, t, mass)
+    return _prior_term(row.sum(0), 1, t, mass)
 
 
 def instance_loglik(ballots: np.ndarray, truth, params: ParamVector, bounds: Bounds):

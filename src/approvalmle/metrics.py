@@ -19,7 +19,7 @@ from .model import require_truth_array
 
 @dataclass(frozen=True, eq=False)
 class ThieleWeights:
-    """Overlap-count weights: length m+1, w[0] = 0, nondecreasing."""
+    """Overlap-count weights: 1-D and finite, length m+1, w[0] = 0, nondecreasing."""
 
     weights: np.ndarray
 
@@ -27,6 +27,8 @@ class ThieleWeights:
         arr = np.array(self.weights, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
+        if arr.ndim != 1 or not np.isfinite(arr).all():
+            raise ValueError(f"weights must be a 1-D array of finite numbers, got {arr.tolist()}")
         if len(arr) < 1 or arr[0] != 0.0:
             raise ValueError("weights must start at w[0] = 0")
         if np.any(np.diff(arr) < 0):

@@ -13,9 +13,10 @@ Conventions used throughout the package:
   ``approvals``.
 * One truth set per instance, estimated or given, is a row of a read-only
   ``bool[L, m]`` truth array, which ``TruthCounts.count`` turns into the
-  counts later steps read.  Frozensets, converted with ``approval_matrix`` and
-  ``truth_sets``, appear only in views, builders, single-set oracles and the
-  set-valued ground truth of ``sample_dataset`` and ``io.save_dataset``.
+  counts later steps read.  Frozensets, converted with ``approval_matrix`` (the
+  one reader of index sets) and ``truth_sets``, appear only in views, builders,
+  single-set oracles and the set-valued ground truth of ``sample_dataset`` and
+  ``io.save_dataset``.
 * Ids are strings that UTF-8 can encode, distinct within each kind;
   ``Profile`` checks them once, at construction, and nothing checks them again.
 """
@@ -75,11 +76,20 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def approval_matrix(sets, m: int) -> np.ndarray:
-    """Dense ``bool[len(sets), m]`` whose row r marks the members of ``sets[r]``."""
-    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)
-    return marked_rows(sizes, members, m)
+def approval_matrix(sets, m: int, labels=None) -> np.ndarray:
+    """Dense ``bool[len(sets), m]`` marking in row r the members of ``sets[r]``, each
+    an index under ``_is_index`` in [0, m); else one ValueError lists each set at
+    fault, ``<label> names unknown alternatives [...]``, with its bad members' reprs
+    once each, sorted by their ``str``.  ``labels[r]`` defaults to ``set r``."""
+    unknown = lambda member: not (_is_index(member) and 0 <= member < m)  # noqa: E731
+    members = list(itertools.chain.from_iterable(sets))
+    if any(map(unknown, members)):
+        labels = [f"set {r}" for r in range(len(sets))] if labels is None else labels
+        shown = [{repr(a): str(a) for a in given if unknown(a)} for given in sets]
+        raise ValueError("; ".join(
+            f"{label} names unknown alternatives [{', '.join(sorted(bad, key=bad.get))}]"
+            for label, bad in zip(labels, shown, strict=True) if bad))
+    return marked_rows(list(map(len, sets)), members, m)
 
 
 def truth_sets(truths: np.ndarray) -> tuple:
@@ -109,10 +119,8 @@ def require_truth_array(truths, length=None, m=None, name: str = "truths") -> No
 
 def marked_rows(sizes, members, m: int) -> np.ndarray:
     """Dense ``bool[len(sizes), m]`` whose row r marks the next ``sizes[r]``
-    entries of the flat index sequence ``members``."""
+    entries of the flat index sequence ``members``, each in [0, m)."""
     members = np.asarray(members, dtype=np.intp)
-    if members.size and not 0 <= members.min() <= members.max() < m:
-        raise ValueError(f"alternative indices must lie in [0, {m})")
     matrix = np.zeros((len(sizes), m), dtype=bool)
     matrix[np.repeat(np.arange(len(sizes)), sizes), members] = True
     return matrix
@@ -137,6 +145,16 @@ def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
 def _is_index(value) -> bool:
     """Whether ``value`` is an int or numpy integer; a bool is neither here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_integer(value, name: str, least: int | None = None) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer under
+    ``_is_index`` and, where ``least`` is given, at least ``least``."""
+    if not _is_index(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        floor = "a non-negative integer" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {floor}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -176,11 +194,6 @@ class Instance:
         object.__setattr__(
             self, "ballots", tuple(frozenset(b) for b in self.ballots)
         )
-
-
-def _unknown_members(members, m: int) -> list:
-    """The entries of ``members`` that are not alternative indices in [0, m)."""
-    return [a for a in members if not (_is_index(a) and 0 <= a < m)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,31 +325,23 @@ class Profile:
         """Assemble a profile from raw index sets.
 
         ``instance_ballots[z][i]`` is the set of alternative indices approved
-        by voter ``i`` on instance ``z``.  Raises ValueError, listing every
-        instance without one ballot per voter and every ballot member that is
-        not an alternative index, in instance and voter order.
+        by voter ``i`` on instance ``z``.  Raises ValueError listing every
+        instance without one ballot per voter; failing that, ``approval_matrix``
+        lists every ballot with a member that is not an alternative index, as
+        ``instance 'z2', voter position 0 names unknown alternatives [...]``.
         """
         if instance_ids is None:
             instance_ids = [f"z{z + 1}" for z in range(len(instance_ballots))]
         m, n = len(alternative_ids), len(voter_ids)
-        ballots = [[frozenset(b) for b in row] for row in instance_ballots]
-        problems = []
-        for zid, row in zip(instance_ids, ballots):
-            if len(row) != n:
-                problems.append(
-                    f"ragged ballots: instance {zid!r} has {len(row)} ballots, expected {n}"
-                )
-            for i, ballot in enumerate(row):
-                bad = _unknown_members(ballot, m)
-                if bad:
-                    problems.append(
-                        f"unknown alternatives {sorted(map(str, bad))} in instance "
-                        f"{zid!r}, voter position {i}"
-                    )
-        if problems:
-            raise ValueError("; ".join(problems))
-        flat = [ballot for row in ballots for ballot in row]
-        approvals = approval_matrix(flat, m).reshape(len(ballots), n, m)
+        if len(instance_ids) != len(instance_ballots):
+            raise ValueError(f"{len(instance_ids)} instance ids for {len(instance_ballots)} rows")
+        ragged = [f"ragged ballots: instance {zid!r} has {len(row)} ballots, expected {n}"
+                  for zid, row in zip(instance_ids, instance_ballots) if len(row) != n]
+        if ragged:
+            raise ValueError("; ".join(ragged))
+        flat = [ballot for row in instance_ballots for ballot in row]
+        labels = [f"instance {z!r}, voter position {i}" for z in instance_ids for i in range(n)]
+        approvals = approval_matrix(flat, m, labels).reshape(len(instance_ballots), n, m)
         return cls(alternative_ids, voter_ids, instance_ids, approvals)
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Bounds, ParamVector, Profile, read_only, require_truth_array, truth_sets
+from .model import (Bounds, ParamVector, Profile, read_only, require_integer,
+                    require_truth_array, truth_sets)
 from .priors import cardinality_mass
 
 #: Refuse rejection sampling when the admissible prior mass is below this.
@@ -40,8 +41,10 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self):
+        require_integer(self.num_instances, "num_instances")
         if self.num_instances < 0:
             raise ValueError(f"num_instances must be non-negative, got {self.num_instances}")
+        require_integer(self.seed, "seed", 0)
         _require_sizes(self.m, self.n)
         self.bounds.require_fit(self.m)
 
@@ -75,8 +78,7 @@ def _require_sizes(m: int, n: int) -> None:
     """Raise ValueError, naming the size, unless a spec has at least one
     alternative and one voter."""
     for name, size in (("m", m), ("n", n)):
-        if size < 1:
-            raise ValueError(f"{name} must be at least 1, got {size}")
+        require_integer(size, name, 1)
 
 
 def sample_truths(spec: SynthSpec) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,22 @@ class TestValidationAndErrors:
     def test_config_rejects_epsilon_clamp_outside_half_interval(self, epsilon):
         with pytest.raises(ValueError, match="epsilon_clamp"):
             AmleConfig(epsilon_clamp=epsilon)
+
+    @pytest.mark.parametrize(
+        "cap, shown",
+        [(2.5, "2.5"), (True, "True"), (np.float64(3.0), "np.float64(3.0)"), ("3", "'3'")],
+        ids=["float", "bool", "numpy-float", "string"],
+    )
+    def test_config_rejects_max_iterations_that_is_not_an_integer(self, cap, shown):
+        # 2.5 ran 3 iterations and True ran 1
+        with pytest.raises(ValueError, match=re.escape(
+            f"max_iterations must be an integer, got {shown}"
+        ) + "$"):
+            AmleConfig(max_iterations=cap)
+
+    def test_config_takes_a_numpy_integer_cap(self, worked_profile, worked_bounds, worked_init):
+        config = AmleConfig(max_iterations=np.int64(2), tolerance=1e-12)
+        assert run_amle(worked_profile, worked_bounds, worked_init, config).iterations == 2
 
     def test_config_rejects_unknown_prior_update_rule(self):
         with pytest.raises(ValueError, match="^unknown prior update rule 'x'$"):

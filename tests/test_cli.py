@@ -652,6 +652,32 @@ class TestBenchmark:
             f"truths must be a bool array of shape (L, m) = (2, 3), got {got}"
         )
 
+    @pytest.mark.parametrize(
+        "sizes, batches, seed, message",
+        [([2.0], 1, 0, "batch size must be an integer, got 2.0"),
+         ([True], 1, 0, "batch size must be an integer, got True"),
+         ([2], 2.5, 0, "the number of batches must be an integer, got 2.5"),
+         ([2], True, 0, "the number of batches must be an integer, got True"),
+         ([2], 1, 2.0, "seed must be an integer, got 2.0"),
+         ([2], 1, -1, "seed must be a non-negative integer, got -1")],
+        ids=["float-size", "bool-size", "float-batches", "bool-batches", "float-seed",
+             "negative-seed"],
+    )
+    def test_run_benchmark_refuses_counts_that_are_not_integers_before_any_batch(
+        self, monkeypatch, sizes, batches, seed, message
+    ):
+        # a batch size of 2.0 met "seed must be integer" inside numpy
+        from approvalmle import benchmark
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(benchmark, "run_method", no_batch)
+        profile, truths = self.noiseless_profile()
+        with pytest.raises(ValueError) as info:
+            benchmark.run_benchmark(profile, truths, Bounds(1, 1), sizes, batches, seed)
+        assert str(info.value) == message
+
     def test_run_method_rejects_an_unknown_method(self, worked_profile, worked_bounds):
         from approvalmle.benchmark import run_method
 

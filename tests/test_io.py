@@ -179,7 +179,7 @@ class TestSaveRefusals:
 
     def test_a_truth_array_as_nested_lists_is_not_read_as_sets(self, tmp_path):
         # each row of bools used to read as the set {0, 1}: True and False
-        # equal indices but are not ones
+        # equal indices but are not ones; each is listed once
         profile = Profile(["a", "b", "c"], ["v"], ["z1", "z2"], np.zeros((2, 1, 3), dtype=bool))
         truths = np.array([[False, False, True], [True, False, False]])
         path = tmp_path / "d.json"
@@ -187,8 +187,8 @@ class TestSaveRefusals:
             save_dataset(path, profile, truths.tolist())
         assert str(info.value) == (
             "cannot save a dataset that would not read back: ground truth of instance "
-            "'z1' names unknown alternatives [False, False, True]; ground truth of "
-            "instance 'z2' names unknown alternatives [False, False, True]"
+            "'z1' names unknown alternatives [False, True]; ground truth of "
+            "instance 'z2' names unknown alternatives [False, True]"
         )
         assert not path.exists()
 

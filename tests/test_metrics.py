@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -137,6 +139,20 @@ class TestThieleWeights:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
             ThieleWeights([0.0, 0.5, 0.4])
+
+    @pytest.mark.parametrize(
+        "weights, shown",
+        [([0.0, float("nan")], "[0.0, nan]"), ([0.0, 1.0, float("inf")], "[0.0, 1.0, inf]"),
+         ([0.0, -float("inf")], "[0.0, -inf]"), ([[0.0, 1.0]], "[[0.0, 1.0]]"), (0.0, "0.0")],
+        ids=["nan", "inf", "minus-inf", "2-D", "scalar"],
+    )
+    def test_rejects_weights_that_are_not_finite_or_not_1d(self, weights, shown):
+        # a NaN weight made harmonic_accuracy return nan; a 2-D one met
+        # numpy's "truth value of an array is ambiguous"
+        with pytest.raises(ValueError, match=re.escape(
+            f"weights must be a 1-D array of finite numbers, got {shown}"
+        ) + "$"):
+            ThieleWeights(weights)
 
 
 def test_metrics_agree_on_equality():

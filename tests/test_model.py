@@ -54,24 +54,30 @@ class TestValidateProfile:
                 [[{0}, {1}, {0}], [{0}, {1}]],
             )
 
+    @pytest.mark.parametrize("instance_ids", [["z1"], ["z1", "z2", "z3"]], ids=["fewer", "more"])
+    def test_instance_ids_for_another_number_of_rows_reported(self, instance_ids):
+        # a bad member in a row without an id would have no label
+        with pytest.raises(ValueError, match=rf"^{len(instance_ids)} instance ids for 2 rows$"):
+            Profile.build(["a", "b"], ["v"], [[{0}], [{1.5}]], instance_ids)
+
     def test_unknown_alternative_reported(self):
         with pytest.raises(ValueError, match="unknown alternatives"):
             Profile.build(["a", "b"], ["v1"], [[{0, 5}]])
 
     def test_mixed_bad_members_reported_in_order(self):
+        ballots = [[{0}, {1}], [{0, 2.0, "x"}, {1}], [{0}], [{True}, {-1, np.int64(1)}]]
         with pytest.raises(ValueError) as excinfo:
-            Profile.build(
-                ["a", "b"],
-                ["v1", "v2"],
-                [[{0}, {1}], [{0, 2.0, "x"}, {1}], [{0}], [{True}, {-1, np.int64(1)}]],
-                ["z1", "z2", "z3", "z4"],
-            )
+            Profile.build(["a", "b"], ["v1", "v2"], ballots, ["z1", "z2", "z3", "z4"])
+        # ragged instances are raised first, alone
+        assert str(excinfo.value) == "ragged ballots: instance 'z3' has 1 ballots, expected 2"
+        del ballots[2]
+        with pytest.raises(ValueError) as excinfo:
+            Profile.build(["a", "b"], ["v1", "v2"], ballots, ["z1", "z2", "z4"])
         # a bool equals an index but is not one
         assert str(excinfo.value).split("; ") == [
-            "unknown alternatives ['2.0', 'x'] in instance 'z2', voter position 0",
-            "ragged ballots: instance 'z3' has 1 ballots, expected 2",
-            "unknown alternatives ['True'] in instance 'z4', voter position 0",
-            "unknown alternatives ['-1'] in instance 'z4', voter position 1",
+            "instance 'z2', voter position 0 names unknown alternatives [2.0, 'x']",
+            "instance 'z4', voter position 0 names unknown alternatives [True]",
+            "instance 'z4', voter position 1 names unknown alternatives [-1]",
         ]
 
     def test_upper_bound_above_m_reported(self, worked_profile):
@@ -418,7 +424,7 @@ def test_instance_coerces_ballots_to_frozensets():
 class TestTruthArray:
     @pytest.mark.parametrize("member", [3, -1], ids=["m", "negative"])
     def test_approval_matrix_rejects_indices_outside(self, member):
-        with pytest.raises(ValueError, match=r"^alternative indices must lie in \[0, 3\)$"):
+        with pytest.raises(ValueError, match=rf"^set 1 names unknown alternatives \[{member}]$"):
             approval_matrix([{0}, {member}], 3)
 
     @given(st.lists(st.frozensets(st.integers(0, 5)), max_size=6))

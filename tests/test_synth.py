@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,39 @@ class TestSpecValidation:
         fields[field] = -1
         with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
             SynthSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("num_instances", 2.5, "num_instances must be an integer, got 2.5"),
+         ("num_instances", True, "num_instances must be an integer, got True"),
+         ("seed", 2.5, "seed must be an integer, got 2.5"),
+         ("seed", np.True_, "seed must be an integer, got np.True_"),
+         ("seed", -1, "seed must be a non-negative integer, got -1")],
+        ids=["float-count", "bool-count", "float-seed", "bool-seed", "negative-seed"],
+    )
+    def test_count_and_seed_must_be_integers(self, field, value, message):
+        # a float met "'float' object cannot be interpreted as an integer" at
+        # the first draw, and a negative seed numpy's unnamed message
+        fields = dict(num_instances=1, bounds=Bounds(0, 0), seed=0,
+                      params=ParamVector([0.7], [0.3], [0.5] * 2))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthSpec(**fields)
+
+    def test_numpy_integers_are_integers(self):
+        params = ParamVector([0.7], [0.3], [0.5] * 2)
+        spec = SynthSpec(np.int64(2), Bounds(0, 2), params, np.uint8(4))
+        np.testing.assert_array_equal(sample_truths(spec),
+                                      sample_truths(SynthSpec(2, Bounds(0, 2), params, 4)))
+
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_homogeneous_size_that_is_not_an_integer_rejected_naming_the_field(self, field):
+        # np.full met 2.5 with "'float' object cannot be interpreted as an integer"
+        sizes = dict(m=3, n=2)
+        sizes[field] = 2.5
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.5$"):
+            SynthSpec.homogeneous(**sizes, num_instances=2, bounds=Bounds(0, 0), p=0.7, q=0.3,
+                                  seed=0)
 
     @pytest.mark.parametrize("size", [-1, 0])
     @pytest.mark.parametrize("field", ["m", "n"])
