@@ -19,7 +19,9 @@ guarantee for compatibility with previously circulated AMLE runs (see
 ``sweep_inclusion_priors``).
 
 The parameter vector is packed as (p_1..p_n, q_1..q_n, t_1..t_m) and the stop
-rule compares successive vectors in the sup norm.
+rule compares successive vectors in the sup norm.  Bounds with ``upper == 0``
+decide every truth set (empty), so ``run_amle``, for every caller, returns the
+initial parameters after 0 iterations without running the loop.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .model import (
     ParamVector,
     Profile,
     TruthCounts,
+    _is_real,
+    read_only,
     require_epsilon,
     require_integer,
     truth_sets,
@@ -67,11 +71,14 @@ class AmleConfig:
     prior_update: str = "exact"
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        tolerance = self.tolerance
+        if not (_is_real(tolerance) and math.isfinite(tolerance) and tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
         require_integer(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not isinstance(self.freeze_priors, (bool, np.bool_)):
+            raise ValueError(f"freeze_priors must be True or False, got {self.freeze_priors!r}")
         require_epsilon(self.epsilon_clamp, "epsilon_clamp")
         require_rule(self.prior_update)
 
@@ -120,13 +127,19 @@ def run_amle(
 
     Deterministic: identical inputs produce bit-identical results.  Raises
     ValueError on an invalid profile (``validate_profile``) or initial
-    parameters sized for another profile (``ParamVector.require_fit``), and
-    propagates ``DegenerateEstimate`` from the reliability update when the
-    estimated truths are all empty or all full (for example when the bounds
-    force every truth set to be full).
+    parameters sized for another profile (``ParamVector.require_fit``).  When
+    ``bounds.upper == 0`` it then returns at once: the read-only all-empty
+    truth array, ``params`` equal to ``init``, ``trace=()``, converged after 0
+    iterations.  Otherwise it propagates ``DegenerateEstimate`` from the
+    reliability update when the estimated truths are all empty or all full
+    (for example when the bounds force every truth set to be full).
     """
     validate_profile(profile, bounds)
     init.require_fit(profile.approvals.shape[1:])
+    if bounds.upper == 0:
+        # the bounds alone decide every truth set: nothing to alternate over
+        empty = read_only(np.zeros((profile.num_instances, profile.num_alternatives), bool))
+        return AmleResult(empty, init, trace=(), converged=True, iterations=0)
 
     params = init
     # the initial priors' normalizer; each sweep hands on the next one (looked

@@ -116,12 +116,12 @@ def run_method(
 
 
 def score_estimates(estimates: np.ndarray, truths: np.ndarray) -> dict:
-    return {
-        "hamming": hamming_accuracy(estimates, truths),
-        "subset": subset_accuracy(estimates, truths),
-        "harmonic": harmonic_accuracy(estimates, truths),
-        "harmonic_norm": harmonic_accuracy(estimates, truths, normalized=True),
-    }
+    return dict(zip(METRICS, (
+        hamming_accuracy(estimates, truths),
+        subset_accuracy(estimates, truths),
+        harmonic_accuracy(estimates, truths),
+        harmonic_accuracy(estimates, truths, normalized=True),
+    ), strict=True))
 
 
 def run_benchmark(

@@ -126,24 +126,13 @@ def cmd_aggregate(args) -> int:
     init = parse_init(args.init, args.p0, args.q0, args.t0)(profile)
     out = _out_path(args.out, Path(args.dataset).stem + "_report.json")
 
-    if bounds.upper == 0:
-        # Degenerate but legal: the bounds force every truth set to be empty,
-        # so nothing is estimable and the initial parameters are echoed back.
-        init.require_fit(profile.approvals.shape[1:])
-        truths = np.zeros((profile.num_instances, profile.num_alternatives), dtype=bool)
-        params = init
-        convergence = {"converged": True, "iterations": 0, "final_delta": 0.0}
-        trace_logliks = []
-    else:
-        result = run_amle(profile, bounds, init, config)
-        truths = result.truth_array
-        params = result.params
-        convergence = {
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "final_delta": result.trace[-1].param_delta,
-        }
-        trace_logliks = [step.loglik for step in result.trace]
+    result = run_amle(profile, bounds, init, config)
+    truths, params = result.truth_array, result.params
+    convergence = {
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "final_delta": result.trace[-1].param_delta if result.trace else 0.0,
+    }
 
     alt_ids = list(profile.alternative_ids)
     weights = voter_weights(params)
@@ -174,7 +163,7 @@ def cmd_aggregate(args) -> int:
             for i, vid in enumerate(profile.voters)
         },
         "convergence": convergence,
-        "loglik_trace": trace_logliks,
+        "loglik_trace": [step.loglik for step in result.trace],
     }
     if ground_truth is not None:
         report["metrics"] = score_estimates(truths, ground_truth)

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .model import ParamVector, Profile, require_open_unit
+from .model import ParamVector, Profile, require_integer, require_open_unit
 
 #: Starting values unless overridden: the uniform strategy's rates and every
 #: strategy's inclusion prior.
@@ -50,11 +50,13 @@ def uniform_init(
 def random_init(n: int, m: int, seed: int, t0: float = DEFAULT_T0) -> ParamVector:
     """Draw p_i uniformly from (0.5, 1) and q_i from (0, 0.5).
 
-    Uses a seeded PCG64 generator; the same seed always reproduces the same
+    Uses a PCG64 generator seeded with ``seed``, a non-negative integer
+    under ``require_integer``; the same seed always reproduces the same
     vector.  Lower interval endpoints are excluded by nudging them up one ulp,
     so every initial voter weight is strictly positive.
     """
     require_open_unit(t0, "t0")
+    require_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     p = rng.uniform(np.nextafter(0.5, 1.0), 1.0, size=n)
     q = rng.uniform(np.nextafter(0.0, 1.0), 0.5, size=n)

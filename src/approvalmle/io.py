@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (ParamVector, Profile, approval_matrix, marked_rows, read_only,
+from .model import (ParamVector, Profile, _is_real, approval_matrix, marked_rows, read_only,
                     require_truth_array)
 
 
@@ -555,9 +555,7 @@ def _param_vector(path, doc: dict) -> ParamVector:
         raise DatasetFormatError(f"parameter file lacks keys {missing}")
     for key in ("p", "q", "t"):
         # ParamVector alone would parse "0.6" and read true as 1.0
-        if not isinstance(doc[key], list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in doc[key]
-        ):
+        if not isinstance(doc[key], list) or not all(map(_is_real, doc[key])):
             raise DatasetFormatError(f"{path}: {key} must be a list of JSON numbers")
     try:
         return ParamVector(doc["p"], doc["q"], doc["t"])

@@ -77,15 +77,15 @@ def prior_logprob(candidate, t, bounds: Bounds):
 
 def instance_loglik(ballots: np.ndarray, truth, params: ParamVector, bounds: Bounds):
     """Joint log-likelihood of one instance's ``bool[n, m]`` ballots, such as
-    ``profile.approvals[z]``, and its truth set, checked by ``prior_logprob``."""
+    ``profile.approvals[z]``, and its truth set, or IMPOSSIBLE; the set is
+    read once, as ``prior_logprob`` reads it, and the same row is counted."""
     ballots = np.asarray(ballots, dtype=bool)
     params.require_fit(ballots.shape)
-    prior = prior_logprob(truth, params.t, bounds)
-    if prior is IMPOSSIBLE:
+    row = approval_matrix([truth], params.num_alternatives, ["candidate"])
+    if not bounds.contains(int(row.sum())):
         return IMPOSSIBLE
-    counts = TruthCounts.count(
-        ballots[np.newaxis], approval_matrix([truth], params.num_alternatives)
-    )
+    counts = TruthCounts.count(ballots[np.newaxis], row)
+    prior = _prior_term(counts.occurrences, 1, params.t, cardinality_mass(params.t, bounds))
     return prior + _ballot_term(counts, ballots.sum(1), params)
 
 

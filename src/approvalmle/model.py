@@ -127,8 +127,9 @@ def marked_rows(sizes, members, m: int) -> np.ndarray:
 
 
 def require_epsilon(epsilon: float, name: str = "epsilon") -> None:
-    """Raise ValueError unless ``epsilon`` is a usable clamp, in (0, 0.5)."""
-    if not 0.0 < epsilon < 0.5:
+    """Raise ValueError unless ``epsilon`` is a usable clamp: a number under
+    ``_is_real`` in (0, 0.5)."""
+    if not (_is_real(epsilon) and 0.0 < epsilon < 0.5):
         raise ValueError(f"{name} must be in (0, 0.5), got {epsilon}")
 
 
@@ -145,6 +146,11 @@ def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
 def _is_index(value) -> bool:
     """Whether ``value`` is an int or numpy integer; a bool is neither here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is an int, float or numpy real number; a bool is none here."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def require_integer(value, name: str, least: int | None = None) -> None:

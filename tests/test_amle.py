@@ -20,6 +20,7 @@ from approvalmle import (
     update_reliabilities,
 )
 from approvalmle.baselines import majority_rule
+from approvalmle.reliability import DegenerateEstimate
 from approvalmle.synth import SynthSpec
 from conftest import WORKED_FINAL_TRUTHS, WORKED_FIRST_TRUTHS
 
@@ -248,9 +249,23 @@ class TestValidationAndErrors:
             run_amle(worked_profile, worked_bounds, bad)
 
     def test_degenerate_empty_truths_propagate(self):
+        # no approvals under a uniform start: the truth step picks every set empty
         profile = Profile.build(["a", "b"], ["v"], [[set()], [set()]])
-        with pytest.raises(ValueError, match="empty"):
-            run_amle(profile, Bounds(0, 0), uniform_init(1, 2))
+        with pytest.raises(DegenerateEstimate, match="empty"):
+            run_amle(profile, Bounds(0, 2), uniform_init(1, 2))
+
+    def test_upper_zero_returns_empty_sets_and_the_initial_parameters(
+        self, worked_profile, worked_init
+    ):
+        result = run_amle(worked_profile, Bounds(0, 0), worked_init)
+        assert (result.iterations, result.converged, result.trace) == (0, True, ())
+        assert result.params is worked_init
+        truths = result.truth_array
+        assert truths.dtype == bool and truths.shape == (4, 5)
+        assert not truths.any() and not truths.flags.writeable
+        # the parameters are still checked against the profile first
+        with pytest.raises(ValueError, match="^parameters sized for a different profile"):
+            run_amle(worked_profile, Bounds(0, 0), uniform_init(4, 5))
 
     def test_mismatched_init_shape_rejected(self, worked_profile, worked_bounds):
         with pytest.raises(
@@ -259,15 +274,35 @@ class TestValidationAndErrors:
         ):
             run_amle(worked_profile, worked_bounds, uniform_init(4, 5))
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-5, float("nan"), float("inf"), True, "1e-5"])
     def test_config_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):
-        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        # True ran with tolerance 1 and "1e-5" raised a TypeError
+        with pytest.raises(ValueError, match=re.escape(
+            f"tolerance must be finite and positive, got {tolerance}"
+        ) + "$"):
             AmleConfig(tolerance=tolerance)
 
-    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 0.7, -1e-4])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 0.7, -1e-4, "a", None])
     def test_config_rejects_epsilon_clamp_outside_half_interval(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon_clamp"):
+        # "a" raised a TypeError
+        with pytest.raises(ValueError, match=re.escape(
+            f"epsilon_clamp must be in (0, 0.5), got {epsilon}"
+        ) + "$"):
             AmleConfig(epsilon_clamp=epsilon)
+
+    @pytest.mark.parametrize("freeze", ["no", None, 1, ""])
+    def test_config_rejects_freeze_priors_that_is_not_a_bool(self, freeze):
+        # "no" froze the priors and None did not
+        with pytest.raises(ValueError, match=re.escape(
+            f"freeze_priors must be True or False, got {freeze!r}"
+        ) + "$"):
+            AmleConfig(freeze_priors=freeze)
+
+    def test_config_takes_numpy_reals_and_bools(self):
+        config = AmleConfig(
+            tolerance=np.float32(1e-5), epsilon_clamp=np.float64(1e-3), freeze_priors=np.True_
+        )
+        assert config.freeze_priors
 
     @pytest.mark.parametrize(
         "cap, shown",

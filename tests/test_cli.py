@@ -1122,6 +1122,27 @@ def test_simulate_with_too_little_prior_mass_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "lower, upper, code", [(0, 0, 0), (1, 2, 0), (4, 4, 2)],
+    ids=["forced-empty", "bounded", "forced-full"],
+)
+def test_aggregate_and_benchmark_agree_on_one_batch_of_every_voter(
+    tmp_path, lower, upper, code
+):
+    # a batch of all n voters is the profile aggregate estimates on, so the
+    # two commands make the same run and must give the same answer
+    path = tmp_path / "data.json"
+    profile, _ = _synthetic_dataset(path)
+    report, table = tmp_path / "report.json", tmp_path / "bench.csv"
+    bounds = ["--lower", lower, "--upper", upper]
+    assert run(["aggregate", path, *bounds, "--quiet", "--out", report]) == code
+    assert run(["benchmark", path, *bounds, "--methods", "amle-constrained",
+                "--batch-sizes", profile.num_voters, "--batches", 1, "--out", table]) == code
+    if code == 0:
+        means = {row.metric: row.mean for row in read_benchmark_rows(table)}
+        assert means == json.loads(report.read_text())["metrics"]
+
+
 def test_truth_outside_bounds_warns_once_in_aggregate_and_benchmark(tmp_path, capsys):
     from approvalmle.benchmark import run_benchmark, save_benchmark_csv
     from approvalmle.model import Bounds, approval_matrix

@@ -1,7 +1,7 @@
 """Alternative-index sets are read in one place: ``model.approval_matrix``.
 
-``Profile.build``, the set form of ``io.save_dataset`` and
-``likelihood.prior_logprob`` (so ``instance_loglik``) pass their sets to it
+``Profile.build``, the set form of ``io.save_dataset``,
+``likelihood.prior_logprob`` and ``likelihood.instance_loglik`` pass their sets to it
 with labels of their own.  A member counts only if it is an int or numpy
 integer, not a bool, in [0, m); otherwise one ValueError lists each set at
 fault as ``<label> names unknown alternatives [...]``.  The phrase is built

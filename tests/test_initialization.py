@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ class TestRandomInit:
         b = random_init(6, 4, seed=42)
         np.testing.assert_array_equal(a.p, b.p)
         np.testing.assert_array_equal(a.q, b.q)
+
+    @pytest.mark.parametrize(
+        "seed, shown",
+        [(-1, "a non-negative integer, got -1"), (2.5, "an integer, got 2.5"),
+         (True, "an integer, got True")],
+    )
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed, shown):
+        # numpy raised an unnamed error for -1 and a TypeError for 2.5, and read True as 1
+        with pytest.raises(ValueError, match=re.escape(f"seed must be {shown}") + "$"):
+            random_init(2, 2, seed)
+
+    def test_takes_a_numpy_integer_seed(self):
+        np.testing.assert_array_equal(random_init(3, 2, np.int64(5)).packed(),
+                                      random_init(3, 2, 5).packed())
 
     def test_interval_construction_keeps_weights_positive(self):
         params = random_init(1000, 2, seed=7)
