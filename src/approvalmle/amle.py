@@ -73,10 +73,8 @@ class AmleConfig:
     def __post_init__(self):
         tolerance = self.tolerance
         if not (_is_real(tolerance) and math.isfinite(tolerance) and tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-        require_integer(self.max_iterations, "max_iterations")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+        require_integer(self.max_iterations, "max_iterations", 1)
         if not isinstance(self.freeze_priors, (bool, np.bool_)):
             raise ValueError(f"freeze_priors must be True or False, got {self.freeze_priors!r}")
         require_epsilon(self.epsilon_clamp, "epsilon_clamp")

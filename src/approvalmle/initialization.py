@@ -42,6 +42,8 @@ def uniform_init(
     n: int, m: int, p0: float = DEFAULT_P0, q0: float = DEFAULT_Q0, t0: float = DEFAULT_T0
 ) -> ParamVector:
     """Give every voter the same starting rates (defaults ``DEFAULT_P0``, ``DEFAULT_Q0``)."""
+    require_integer(n, "n", 0)
+    require_integer(m, "m", 0)
     for name, value in (("p0", p0), ("q0", q0), ("t0", t0)):
         require_open_unit(value, name)
     return ParamVector(np.full(n, p0), np.full(n, q0), np.full(m, t0))
@@ -55,6 +57,8 @@ def random_init(n: int, m: int, seed: int, t0: float = DEFAULT_T0) -> ParamVecto
     vector.  Lower interval endpoints are excluded by nudging them up one ulp,
     so every initial voter weight is strictly positive.
     """
+    require_integer(n, "n", 0)
+    require_integer(m, "m", 0)
     require_open_unit(t0, "t0")
     require_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)

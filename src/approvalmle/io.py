@@ -21,6 +21,8 @@ skipped.  ``save_dataset`` writes the bytes ``json.dump(..., indent=2)`` and
 ``csv.writer`` would write, from ids encoded once and each distinct ballot
 rendered once, one instance block at a time.  It refuses a ground truth
 that would not read back before the file is created (sets: ``approval_matrix``).
+A parameter file's numbers are checked by ``ParamVector`` alone, whose refusal
+is raised prefixed with the path.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (ParamVector, Profile, _is_real, approval_matrix, marked_rows, read_only,
+from .model import (ParamVector, Profile, approval_matrix, marked_rows, read_only,
                     require_truth_array)
 
 
@@ -553,10 +555,6 @@ def _param_vector(path, doc: dict) -> ParamVector:
     missing = [key for key in ("p", "q", "t") if key not in doc]
     if missing:
         raise DatasetFormatError(f"parameter file lacks keys {missing}")
-    for key in ("p", "q", "t"):
-        # ParamVector alone would parse "0.6" and read true as 1.0
-        if not isinstance(doc[key], list) or not all(map(_is_real, doc[key])):
-            raise DatasetFormatError(f"{path}: {key} must be a list of JSON numbers")
     try:
         return ParamVector(doc["p"], doc["q"], doc["t"])
     except ValueError as exc:

@@ -14,17 +14,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import require_truth_array
+from .model import real_array, require_integer, require_truth_array
 
 
 @dataclass(frozen=True, eq=False)
 class ThieleWeights:
-    """Overlap-count weights: 1-D and finite, length m+1, w[0] = 0, nondecreasing."""
+    """Overlap-count weights: numbers under ``real_array``, 1-D and finite,
+    length m+1, w[0] = 0, nondecreasing."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.weights, dtype=float)
+        arr = real_array(self.weights, "weights").copy()
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
         if arr.ndim != 1 or not np.isfinite(arr).all():
@@ -42,6 +43,7 @@ class ThieleWeights:
         >>> float(ThieleWeights.harmonic(5).weights[2])
         0.45
         """
+        require_integer(m, "m", 0)
         return cls(np.concatenate([[0.0], np.cumsum(1.0 / np.arange(m, 0, -1))]))
 
 

@@ -41,10 +41,26 @@ DEFAULT_EPSILON_CLAMP = 1e-4
 TIE_TOLERANCE = 1e-9
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """Return ``values``, a number or nested lists of numbers, as a float array;
+    raise ValueError naming ``name`` unless every entry is a number under
+    ``_is_real`` and the entries form an array.  An ndarray of integer or float
+    dtype passes by its dtype alone; any other value is read entry by entry."""
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    try:
+        # an object array keeps each entry as given: a bool stays a bool, and
+        # a ragged list leaves lists as entries
+        if numeric or all(map(_is_real, np.asarray(values, dtype=object).flat)):
+            return np.asarray(values, dtype=float)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a number or a list of numbers, got {values!r}")
+
+
 def require_open_unit(values, name: str) -> np.ndarray:
-    """Return ``values`` as a float array; raise, naming the first entry
-    outside, unless every entry lies in (0, 1)."""
-    arr = np.asarray(values, dtype=float)
+    """Return ``values`` as a float array under ``real_array``; raise, naming
+    the first entry outside, unless every entry lies in (0, 1)."""
+    arr = real_array(values, name)
     inside = (arr > 0.0) & (arr < 1.0)
     if not inside.all():
         raise ValueError(f"{name} must lie strictly in (0, 1), got {arr[~inside].flat[0]}")
@@ -130,17 +146,17 @@ def require_epsilon(epsilon: float, name: str = "epsilon") -> None:
     """Raise ValueError unless ``epsilon`` is a usable clamp: a number under
     ``_is_real`` in (0, 0.5)."""
     if not (_is_real(epsilon) and 0.0 < epsilon < 0.5):
-        raise ValueError(f"{name} must be in (0, 0.5), got {epsilon}")
+        raise ValueError(f"{name} must be in (0, 0.5), got {epsilon!r}")
 
 
 def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
-    """Clamp probabilities into [epsilon, 1 - epsilon].
+    """Clamp probabilities, read by ``real_array``, into [epsilon, 1 - epsilon].
 
     Idempotent and order-preserving, so repeated clamping is harmless.
     """
     require_epsilon(epsilon)
     # np.clip's values (NaN included) without the cost of its wrapper
-    return np.minimum(np.maximum(np.asarray(values, dtype=float), epsilon), 1.0 - epsilon)
+    return np.minimum(np.maximum(real_array(values, "values"), epsilon), 1.0 - epsilon)
 
 
 def _is_index(value) -> bool:
@@ -246,12 +262,13 @@ class Profile:
     """The full input: alternative, voter and instance ids plus the ballots.
 
     ``approvals`` is a read-only ``bool[L, n, m]`` array: ``approvals[z, i, j]``
-    is True iff voter i approves alternative j on instance z.  It must have
-    the shape the three id tuples give.  The constructor copies it once, into
-    the voter-major block ``by_voter``, and keeps ``approvals`` as a view of
-    that block.  Its ids are strings that UTF-8 can encode, distinct within
-    each kind; for the first kind (alternative, voter, instance) that is
-    not, it raises ``voter ids must be strings that UTF-8 can encode`` or
+    is True iff voter i approves alternative j on instance z.  It must be a
+    bool array (or nested lists of Python bools) of the shape the three id
+    tuples give; an empty one may have any dtype.  The constructor copies it
+    once, into the voter-major block ``by_voter``, and keeps ``approvals`` as a
+    view of that block.  Its ids are strings that UTF-8 can encode, distinct
+    within each kind; for the first kind (alternative, voter, instance) that
+    is not, it raises ``voter ids must be strings that UTF-8 can encode`` or
     ``voter ids must be distinct; repeated: ['v1']``.
     """
 
@@ -270,13 +287,15 @@ class Profile:
                 raise ValueError(f"{kind} ids must be strings that UTF-8 can encode") from None
             require_distinct(ids, f"{kind} ids")
             object.__setattr__(self, field, ids)
-        approvals = np.asarray(self.approvals, dtype=bool)
+        approvals = np.asarray(self.approvals)
+        if approvals.dtype != bool and approvals.size:
+            raise ValueError(f"approvals must be a bool array, got dtype {approvals.dtype}")
         shape = (self.num_instances, self.num_voters, self.num_alternatives)
         if approvals.shape != shape:
             raise ValueError(
                 f"approvals has shape {approvals.shape}, expected (L, n, m) = {shape}"
             )
-        block = read_only(np.moveaxis(approvals, 1, 0).copy(order="C"))
+        block = read_only(np.moveaxis(approvals, 1, 0).astype(bool, order="C"))
         object.__setattr__(self, "approvals", np.moveaxis(block, 0, 1))
 
     def __eq__(self, other):
@@ -361,10 +380,11 @@ class ParamVector:
     copied on construction and marked read-only; instances are safe to share.
 
     Valid by construction: raises ValueError, naming the field, unless p, q
-    and t are 1-D lists of numbers, ``len(q) == len(p)`` and every entry lies
-    strictly inside (0, 1), which keeps the log-odds weights finite.  The
-    first failure in the order p, q, t (each by shape, then by value) is
-    raised; the fields are views of one packed array, checked in one pass.
+    and t are 1-D lists of numbers under ``real_array`` (so a string or a bool
+    is refused, alone or as an entry), ``len(q) == len(p)`` and every entry
+    lies strictly inside (0, 1), which keeps the log-odds weights finite.  The
+    first failure in the order p, q, t (each by type, then shape, then value)
+    is raised; the fields are views of one packed array, checked in one pass.
     """
 
     p: np.ndarray
@@ -376,8 +396,8 @@ class ParamVector:
         fields = []
         for name in names:
             try:
-                arr = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError):
+                arr = real_array(getattr(self, name), name)
+            except ValueError:
                 problem = f"{name} must be a list of numbers"
             else:
                 problem = None if arr.ndim == 1 else f"{name} must be 1-D, got shape {arr.shape}"

@@ -209,7 +209,7 @@ def sweep_inclusion_priors(
     """
     require_rule(rule)
     require_epsilon(epsilon)
-    t = require_open_unit(np.array(t, dtype=float), "inclusion probabilities")
+    t = require_open_unit(t, "inclusion probabilities")
     m = len(t)
     if len(counts.occurrences) != m:
         raise ValueError(

@@ -41,9 +41,7 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self):
-        require_integer(self.num_instances, "num_instances")
-        if self.num_instances < 0:
-            raise ValueError(f"num_instances must be non-negative, got {self.num_instances}")
+        require_integer(self.num_instances, "num_instances", 0)
         require_integer(self.seed, "seed", 0)
         _require_sizes(self.m, self.n)
         self.bounds.require_fit(self.m)

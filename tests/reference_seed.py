@@ -55,9 +55,22 @@ def clamp_unit(values, epsilon: float = DEFAULT_EPSILON_CLAMP) -> np.ndarray:
 
 def param_vector_fields(p, q, t) -> tuple:
     """The ``ParamVector`` constructor's checks as they were, field by field:
-    the read-only (p, q, t) arrays, or the ValueError it raised."""
+    the read-only (p, q, t) arrays, or the ValueError it raised.  A field is a
+    list of numbers when every entry, at any depth, is an int, float or numpy
+    real that is not a bool."""
+
+    def numbers(value) -> bool:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if isinstance(value, (list, tuple)):
+            return all(numbers(entry) for entry in value)
+        return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+            value, bool)
+
     fields = []
     for name, value in (("p", p), ("q", q), ("t", t)):
+        if not numbers(value):
+            raise ValueError(f"{name} must be a list of numbers")
         try:
             arr = np.array(value, dtype=float)
         except (TypeError, ValueError):

@@ -276,9 +276,10 @@ class TestValidationAndErrors:
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-5, float("nan"), float("inf"), True, "1e-5"])
     def test_config_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):
-        # True ran with tolerance 1 and "1e-5" raised a TypeError
+        # True ran with tolerance 1 and "1e-5" raised a TypeError; the refused
+        # value shows as its repr, so a string does not read as a number
         with pytest.raises(ValueError, match=re.escape(
-            f"tolerance must be finite and positive, got {tolerance}"
+            f"tolerance must be finite and positive, got {tolerance!r}"
         ) + "$"):
             AmleConfig(tolerance=tolerance)
 
@@ -286,7 +287,7 @@ class TestValidationAndErrors:
     def test_config_rejects_epsilon_clamp_outside_half_interval(self, epsilon):
         # "a" raised a TypeError
         with pytest.raises(ValueError, match=re.escape(
-            f"epsilon_clamp must be in (0, 0.5), got {epsilon}"
+            f"epsilon_clamp must be in (0, 0.5), got {epsilon!r}"
         ) + "$"):
             AmleConfig(epsilon_clamp=epsilon)
 

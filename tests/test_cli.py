@@ -203,9 +203,9 @@ class TestAggregate:
         "field, value",
         [
             ("q", [0.4] * 2), ("p", [[0.6]] * 3), ("p", 0.6), ("t", [0.5] * 4 + [1.0]),
-            ("p", ["0.6"] * 3),
+            ("p", ["0.6"] * 3), ("q", [True, 0.4, 0.4]), ("t", [0.5, None, 0.5, 0.5, 0.5]),
         ],
-        ids=["short-q", "column-p", "scalar-p", "t-outside-unit", "string-p"],
+        ids=["short-q", "column-p", "scalar-p", "t-outside-unit", "string-p", "bool-q", "null-t"],
     )
     def test_init_file_with_bad_field_exits_1(
         self, dataset_path, tmp_path, field, value, capsys
@@ -257,7 +257,7 @@ class TestAggregate:
             # a report would hold NaN or Infinity, which is not JSON
             (["--tolerance", "nan"], "tolerance must be finite and positive, got nan"),
             (["--tolerance", "inf"], "tolerance must be finite and positive, got inf"),
-            (["--max-iter", 0], "max_iterations must be at least 1"),
+            (["--max-iter", 0], "max_iterations must be at least 1, got 0"),
         ],
         ids=["tolerance", "epsilon", "tolerance-nan", "tolerance-inf", "max-iter"],
     )

@@ -568,7 +568,8 @@ class TestParams:
         path = tmp_path / "params.json"
         doc = {"p": [0.5, 0.6], "q": [0.4, 0.3], "t": [0.5, 0.2, 0.9], key: value}
         path.write_text(json.dumps(doc))
-        with pytest.raises(DatasetFormatError, match=f": {key} must be a list of JSON numbers$"):
+        # ParamVector's own refusal, prefixed with the path
+        with pytest.raises(DatasetFormatError, match=f": {key} must be a list of numbers$"):
             load_params(path)
 
 

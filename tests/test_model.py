@@ -24,7 +24,7 @@ from approvalmle import (
 )
 from approvalmle.benchmark import restrict_voters
 from approvalmle.io import load_dataset, save_dataset
-from approvalmle.model import approval_matrix, ranked_prefixes
+from approvalmle.model import approval_matrix, ranked_prefixes, require_open_unit
 from approvalmle.synth import SynthSpec, sample_dataset
 from conftest import WORKED_FIRST_TRUTHS
 from reference_seed import param_vector_fields
@@ -259,6 +259,20 @@ class TestParamVector:
             assert [x.hex() for x in got.tolist()] == [x.hex() for x in field.tolist()]
         assert params.packed().tolist() == [x for field in want for x in field.tolist()]
 
+    @given(PARAM_FIELD)
+    def test_accepts_a_field_exactly_when_it_is_1d_and_require_open_unit_does(self, field):
+        # both read numbers through one rule, so they cannot drift apart
+        try:
+            accepted = require_open_unit(field, "t").ndim == 1
+        except ValueError:
+            accepted = False
+        try:
+            ParamVector([0.5], [0.5], field)
+        except ValueError:
+            assert not accepted
+        else:
+            assert accepted
+
 
 @st.composite
 def index_set_ballots(draw):
@@ -286,6 +300,27 @@ class TestProfile:
     def test_compares_unequal_to_another_type(self, worked_profile):
         assert worked_profile.__eq__(5) is NotImplemented
         assert (worked_profile == 5) is False
+
+    @pytest.mark.parametrize(
+        "approvals, dtype",
+        [(np.full((1, 1, 1), 0.7), "float64"), ([[["x"]]], "<U1"),
+         (np.ones((1, 1, 1), dtype=np.uint8), "uint8")],
+        ids=["float", "string", "uint8"],
+    )
+    def test_approvals_that_are_not_bools_are_refused(self, approvals, dtype):
+        # each read as True
+        with pytest.raises(ValueError, match=re.escape(
+            f"approvals must be a bool array, got dtype {dtype}"
+        ) + "$"):
+            Profile(["a"], ["v"], ["z"], approvals)
+
+    @pytest.mark.parametrize("approvals", [[[[]]], np.zeros((1, 1, 0), dtype=float)],
+                             ids=["empty-list", "empty-float-array"])
+    def test_empty_approvals_of_any_dtype_are_accepted(self, approvals):
+        # an empty nested list has numpy's float dtype, and holds no value
+        # that could be misread
+        profile = Profile([], ["v"], ["z"], approvals)
+        assert profile.approvals.dtype == bool and profile.approvals.shape == (1, 1, 0)
 
     def test_approvals_are_read_only_copies(self, worked_profile):
         source = worked_profile.approvals.copy()

@@ -54,7 +54,7 @@ class TestSpecValidation:
         params = ParamVector([0.7], [0.3], [0.5] * 2)
         fields = dict(num_instances=1, bounds=Bounds(0, 0), params=params, seed=0)
         fields[field] = -1
-        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
+        with pytest.raises(ValueError, match=f"^{field} must be a non-negative integer, got -1$"):
             SynthSpec(**fields)
 
     @pytest.mark.parametrize(
