@@ -11,10 +11,14 @@ which depend on the counts alone; only the sweep and the log-likelihood after
 it are computed again.  The log-likelihoods take the prior normalizer of
 each t from the sweep that produced it, which reads it off its last counting
 row, so a run builds one normalizer row, for the initial priors; the loop
-checks no value that a ``ParamVector`` holds again.  Under the default
-``exact`` prior update every step maximizes the total likelihood in its own
-block, so the likelihood never decreases and stopping early still yields a
-usable, likelihood-improved estimate; the ``legacy`` update trades that
+checks no value that a ``ParamVector`` holds again.  The trace's
+log-likelihoods are computed the first time they are read (``AmleStep``):
+the loop itself makes the checks ``total_loglik`` would make (truth set
+sizes within the bounds, a swept normalizer that did not underflow) where
+the call would make them, and computes only the last step's ``loglik``.
+Under the default ``exact`` prior update every step maximizes the total
+likelihood in its own block, so the likelihood never decreases and stopping
+early still yields a usable, likelihood-improved estimate; the ``legacy`` update trades that
 guarantee for compatibility with previously circulated AMLE runs (see
 ``sweep_inclusion_priors``).
 
@@ -46,7 +50,7 @@ from .model import (
     truth_sets,
     validate_profile,
 )
-from .priors import _sweep, require_rule
+from .priors import _require_mass, _sweep, require_rule
 # unused here; kept because perfbench's tracer wraps this name on this module
 from .priors import sweep_inclusion_priors  # noqa: F401
 from .reliability import update_reliabilities
@@ -88,22 +92,54 @@ class _TruthSets:
         return truth_sets(self.truth_array)
 
 
+class _Loglik:
+    """``total_loglik`` of one set of arguments, called the first time the
+    value is read (``float``) and kept; the arguments are dropped then.
+
+    The call looks ``total_loglik`` up on this module when it runs, so a
+    wrapper installed there sees the calls made while it is installed."""
+
+    __slots__ = ("_args", "_value")
+
+    def __init__(self, profile, counts, params, bounds, prior_mass):
+        self._args = (profile, counts, params, bounds, prior_mass)
+        self._value = None
+
+    def __float__(self) -> float:
+        if self._args is not None:
+            profile, counts, params, bounds, prior_mass = self._args
+            self._value = total_loglik(profile, counts, params, bounds, prior_mass=prior_mass)
+            self._args = None
+        return self._value
+
+
 @dataclass(frozen=True, eq=False)
 class AmleStep(_TruthSets):
     """One iteration's record: parameters after the update, the truth array,
     and the total log-likelihood before (``loglik_truth_step``) and after
     (``loglik``) the parameter update.
 
-    When ``truth_array`` equals the previous step's, ``loglik_truth_step`` is
-    that step's ``loglik`` and (p, q) are its (p, q), reused bit for bit
-    rather than recomputed from the same counts."""
+    Each log-likelihood is given as a float or as a value ``run_amle``
+    computes the first time it is read; reading it returns a float either
+    way.  When ``truth_array`` equals the previous step's,
+    ``loglik_truth_step`` is that step's ``loglik``, one value computed at
+    most once, and (p, q) are its (p, q), reused bit for bit rather than
+    recomputed from the same counts."""
 
     iteration: int
     params: ParamVector
     truth_array: np.ndarray
-    loglik_truth_step: float
-    loglik: float
+    _loglik_truth_step: object
+    _loglik: object
     param_delta: float
+
+    @property
+    def loglik_truth_step(self) -> float:
+        return float(self._loglik_truth_step)
+
+    @property
+    def loglik(self) -> float:
+        return float(self._loglik)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +149,19 @@ class AmleResult(_TruthSets):
     trace: tuple
     converged: bool
     iterations: int
+
+
+def _require_sizes(profile: Profile, counts: TruthCounts, bounds: Bounds) -> None:
+    """Raise, naming the first instance, as ``total_loglik`` does, unless
+    every truth set's size lies within ``bounds``."""
+    sizes = counts.sizes
+    outside = np.flatnonzero((sizes < bounds.lower) | (sizes > bounds.upper))
+    if outside.size:
+        z = outside[0]
+        raise ValueError(
+            f"truth set of instance {profile.instance_ids[z]!r} has size {sizes[z]} "
+            f"outside bounds [{bounds.lower}, {bounds.upper}]"
+        )
 
 
 def run_amle(
@@ -152,13 +201,12 @@ def run_amle(
         iteration += 1
         truths = estimate_truth(profile, params, bounds)
         if counts is not None and np.array_equal(truths, counts.truths):
-            loglik_truth_step = steps[-1].loglik
+            loglik_truth_step = steps[-1]._loglik
             p_hat, q_hat = params.p, params.q
         else:
             counts = TruthCounts.count(profile.approvals, truths)
-            loglik_truth_step = total_loglik(
-                profile, counts, params, bounds, prior_mass=prior_mass
-            )
+            _require_sizes(profile, counts, bounds)
+            loglik_truth_step = _Loglik(profile, counts, params, bounds, prior_mass)
             p_hat, q_hat = update_reliabilities(profile, counts, config.epsilon_clamp)
         if config.freeze_priors:
             t_hat = params.t
@@ -169,13 +217,15 @@ def run_amle(
         updated = ParamVector(p_hat, q_hat, t_hat)
 
         delta = float(np.maximum.reduce(np.abs(updated.packed() - params.packed())))
-        loglik = total_loglik(profile, counts, updated, bounds, prior_mass=prior_mass)
+        _require_mass(prior_mass, bounds)
+        loglik = _Loglik(profile, counts, updated, bounds, prior_mass)
         steps.append(
             AmleStep(iteration, updated, truths, loglik_truth_step, loglik, delta)
         )
         params = updated
         converged = delta <= config.tolerance
 
+    float(loglik)  # the log-likelihood at the returned truths and params
     return AmleResult(
         truth_array=truths,
         params=params,

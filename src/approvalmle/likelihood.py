@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthCounts
 from .model import approval_matrix
-from .priors import _require_mass, cardinality_mass
+from .priors import _require_mass, _require_priors, cardinality_mass
 
 
 class _ImpossibleType:
@@ -64,15 +64,17 @@ def prior_logprob(candidate, t, bounds: Bounds):
 
     Admissible sets get sum_{j in S} ln t_j + sum_{j not in S} ln(1 - t_j)
     minus the log normalizing mass; sets whose size violates the bounds get
-    the IMPOSSIBLE marker.  ``approval_matrix`` reads the members first and
-    refuses any but indices in [0, len(t)): ``candidate names unknown ...``;
-    ``cardinality_mass`` then checks ``t``, as ``inclusion probabilities``.
+    the IMPOSSIBLE marker.  ``t`` is checked first, as ``inclusion
+    probabilities`` (a 1-D list of numbers in (0, 1)); ``approval_matrix``
+    then reads the members and refuses any but indices in [0, len(t)):
+    ``candidate names unknown ...``.
     """
+    t = _require_priors(t)
     row = approval_matrix([candidate], len(t), ["candidate"])
     if not bounds.contains(int(row.sum())):
         return IMPOSSIBLE
     mass = cardinality_mass(t, bounds)
-    return _prior_term(row.sum(0), 1, np.asarray(t, dtype=float), mass)
+    return _prior_term(row.sum(0), 1, t, mass)
 
 
 def instance_loglik(ballots: np.ndarray, truth, params: ParamVector, bounds: Bounds):

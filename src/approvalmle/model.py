@@ -287,10 +287,15 @@ class Profile:
                 raise ValueError(f"{kind} ids must be strings that UTF-8 can encode") from None
             require_distinct(ids, f"{kind} ids")
             object.__setattr__(self, field, ids)
-        approvals = np.asarray(self.approvals)
+        shape = (self.num_instances, self.num_voters, self.num_alternatives)
+        try:
+            approvals = np.asarray(self.approvals)
+        except ValueError:
+            raise ValueError(
+                f"approvals are ragged nested lists, expected (L, n, m) = {shape}"
+            ) from None
         if approvals.dtype != bool and approvals.size:
             raise ValueError(f"approvals must be a bool array, got dtype {approvals.dtype}")
-        shape = (self.num_instances, self.num_voters, self.num_alternatives)
         if approvals.shape != shape:
             raise ValueError(
                 f"approvals has shape {approvals.shape}, expected (L, n, m) = {shape}"

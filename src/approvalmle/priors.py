@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DEFAULT_EPSILON_CLAMP, Bounds, TruthCounts
-from .model import require_epsilon, require_open_unit
+from .model import real_array, require_epsilon, require_open_unit
 
 
 def _extend(row: list, probs) -> list:
@@ -109,6 +109,17 @@ def _interval_mass(coins: int, lower: int, upper: int, row=None):
     return float(np.add.reduce(row[lower : upper + 1]))
 
 
+def _require_priors(t) -> np.ndarray:
+    """Return the inclusion probabilities ``t`` as a 1-D float array; raise a
+    ValueError naming them unless ``t`` is a list of numbers (``real_array``),
+    1-D, each in (0, 1), checked in that order."""
+    name = "inclusion probabilities"
+    arr = real_array(t, name)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    return require_open_unit(arr, name)
+
+
 def cardinality_mass(t, bounds: Bounds) -> float:
     """Probability that an independent-Bernoulli(t) set has size within bounds.
 
@@ -124,7 +135,7 @@ def cardinality_mass(t, bounds: Bounds) -> float:
     >>> cardinality_mass([0.5] * 5, Bounds(1, 2))
     0.46875
     """
-    t = require_open_unit(t, "inclusion probabilities")
+    t = _require_priors(t)
     m = len(t)
     mass = _interval_mass(m, bounds.lower, bounds.upper)
     if mass is None:
@@ -205,11 +216,13 @@ def sweep_inclusion_priors(
     as with [l, u] = [0, m]: their masses do not depend on t.
     Each coordinate is clamped like ``clamp_unit`` does, on the scalar.
     The last prefix row, u + 1 wide, is the counting row of the new
-    t: ``run_amle`` reads the new normalizer off it (see ``_sweep``).
+    t: ``run_amle`` reads the new normalizer off it (see ``_sweep``).  When
+    [l, u] covers every count 0..m that normalizer is 1.0 and both
+    conditional masses are fixed, so the prefix row does not grow at all.
     """
     require_rule(rule)
     require_epsilon(epsilon)
-    t = require_open_unit(t, "inclusion probabilities")
+    t = _require_priors(t)
     m = len(t)
     if len(counts.occurrences) != m:
         raise ValueError(
@@ -236,6 +249,8 @@ def _sweep(
     a_in = _interval_mass(others, *inside)
     a_out = _interval_mass(others, *outside)
     needs_row = a_in is None or a_out is None
+    # the prefix row is read by the coordinate rows and for the new normalizer
+    grows = needs_row or _interval_mass(m, bounds.lower, bounds.upper) is None
     prefix = [1.0] + [0.0] * bounds.upper
     for j in range(m):
         occ = occurrences[j]
@@ -266,5 +281,6 @@ def _sweep(
             else:
                 raw = occ * a_in / ((length - occ) * a_out + occ * a_in)
         priors[j] = value = min(max(raw, low), high)
-        _extend(prefix, (value,))
+        if grows:
+            _extend(prefix, (value,))
     return np.array(priors), _interval_mass(m, bounds.lower, bounds.upper, prefix)

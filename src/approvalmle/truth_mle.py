@@ -20,8 +20,15 @@ from .model import TIE_TOLERANCE, Bounds, ParamVector, Profile, TruthEstimate, r
 
 def voter_weights(params: ParamVector) -> np.ndarray:
     """Log-odds weight of each voter: ln(p(1-q) / (q(1-p)))."""
+    return _voter_terms(params)[0]
+
+
+def _voter_terms(params: ParamVector) -> tuple:
+    """Each voter's ``voter_weights`` and its threshold term ln(1-q) - ln(1-p),
+    both from one ln(1-q) and one ln(1-p)."""
     p, q = params.p, params.q
-    return np.log(p) - np.log(q) + np.log(1.0 - q) - np.log(1.0 - p)
+    log_miss_q, log_miss_p = np.log(1.0 - q), np.log(1.0 - p)
+    return np.log(p) - np.log(q) + log_miss_q - log_miss_p, log_miss_q - log_miss_p
 
 
 #: Most ballot cells whose truth-step terms ``_board`` stacks into one array.
@@ -58,8 +65,8 @@ def _board(by_voter: np.ndarray, params: ParamVector) -> tuple:
     above the limit, add one voter's terms at a time instead.
     """
     prior = np.log(params.t) - np.log(1.0 - params.t)
-    weights = voter_weights(params)
-    threshold = float(np.add.reduce(np.log(1.0 - params.q) - np.log(1.0 - params.p)))
+    weights, shifts = _voter_terms(params)
+    threshold = float(np.add.reduce(shifts))
     cells = by_voter.shape[1:]
     if by_voter.size <= _STACK_LIMIT and math.prod(cells) > 1:
         terms = np.empty((len(weights) + 1, *cells))

@@ -5,6 +5,7 @@ import pytest
 
 from approvalmle import (
     AmleConfig,
+    AmleStep,
     Bounds,
     ParamVector,
     Profile,
@@ -368,3 +369,154 @@ def test_one_counting_row_for_the_log_likelihoods_per_run(monkeypatch, freeze_pr
     # truths changed after the first iteration, so a fresh count was scored
     assert any(changed)
     assert calls == [9]
+
+
+class TestDeferredLoglik:
+    """The trace's log-likelihoods are computed when they are read."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        import approvalmle.amle
+
+        calls = []
+        eager = approvalmle.amle.total_loglik
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return eager(*args, **kwargs)
+
+        monkeypatch.setattr(approvalmle.amle, "total_loglik", counting)
+        return calls
+
+    @pytest.mark.parametrize("rule", ["exact", "legacy"])
+    @pytest.mark.parametrize("freeze", [False, True], ids=["swept", "frozen"])
+    def test_one_call_per_run_and_each_read_value_is_the_eager_one(
+        self, monkeypatch, rule, freeze
+    ):
+        calls = self.count_calls(monkeypatch)
+        repeats = 0
+        for seed in range(6):
+            bounds = Bounds(0, 4) if seed % 2 else Bounds(1, 2)
+            spec = SynthSpec.homogeneous(4, 8, 6, bounds, 0.75, 0.3, seed)
+            profile, _ = sample_dataset(spec)
+            init = uniform_init(8, 4)
+            config = AmleConfig(
+                max_iterations=8, tolerance=1e-12, prior_update=rule, freeze_priors=freeze
+            )
+            calls.clear()
+            result = run_amle(profile, bounds, init, config)
+            # only the last step's loglik, at the returned truths and params
+            assert calls == [result.params]
+            before = [init] + [step.params for step in result.trace]
+            fresh = 0
+            for k, step in enumerate(result.trace):
+                counts = TruthCounts.count(profile.approvals, step.truth_array)
+                assert step.loglik_truth_step == total_loglik(profile, counts, before[k], bounds)
+                assert step.loglik == total_loglik(profile, counts, step.params, bounds)
+                assert type(step.loglik) is float and type(step.loglik_truth_step) is float
+                if k and np.array_equal(step.truth_array, result.trace[k - 1].truth_array):
+                    assert step._loglik_truth_step is result.trace[k - 1]._loglik
+                    repeats += 1
+                else:
+                    fresh += 1
+            # each value was computed once, shared slots included; a second
+            # read of every value computes nothing
+            assert len(calls) == len(result.trace) + fresh
+            for step in result.trace:
+                step.loglik_truth_step, step.loglik
+            assert len(calls) == len(result.trace) + fresh
+        assert repeats > 0
+
+    def test_run_benchmark_makes_one_call_per_amle_run(self, monkeypatch):
+        from approvalmle import benchmark
+
+        calls = self.count_calls(monkeypatch)
+        runs = []
+        amle_run = benchmark.run_amle
+
+        def counting_run(*args, **kwargs):
+            runs.append(amle_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(benchmark, "run_amle", counting_run)
+        bounds = Bounds(1, 2)
+        spec = SynthSpec.homogeneous(5, 12, 10, bounds, 0.7, 0.35, 2)
+        profile, truths = sample_dataset(spec)
+        benchmark.run_benchmark(profile, approval_matrix(truths, 5), bounds, [4, 8], 2, 0)
+        assert len(runs) == 8
+        assert len(calls) == len(runs)
+        assert sum(len(result.trace) for result in runs) > len(runs)
+
+    def test_steps_take_floats(self, worked_profile, worked_bounds, worked_init):
+        truths = estimate_truth(worked_profile, worked_init, worked_bounds)
+        step = AmleStep(1, worked_init, truths, -2.5, np.float64(-1.5), 0.25)
+        assert (step.loglik_truth_step, step.loglik) == (-2.5, -1.5)
+        assert type(step.loglik) is float
+
+    def test_an_underflowing_swept_mass_raises_inside_the_loop(
+        self, monkeypatch, worked_profile, worked_bounds, worked_init
+    ):
+        import approvalmle.amle
+
+        sweep = approvalmle.amle._sweep
+        sweeps = []
+
+        def underflowing(*args):
+            sweeps.append(1)
+            t, mass = sweep(*args)
+            return t, mass if len(sweeps) < 2 else 0.0
+
+        monkeypatch.setattr(approvalmle.amle, "_sweep", underflowing)
+        config = AmleConfig(tolerance=1e-12, max_iterations=5)
+        with pytest.raises(
+            ValueError, match=r"^the prior mass of set sizes in \[1, 2\] underflows to 0$"
+        ):
+            run_amle(worked_profile, worked_bounds, worked_init, config)
+        assert len(sweeps) == 2
+
+    def test_a_truth_set_outside_the_bounds_raises_inside_the_loop(
+        self, monkeypatch, worked_profile, worked_bounds, worked_init
+    ):
+        import approvalmle.amle
+
+        reliabilities = []
+        monkeypatch.setattr(
+            approvalmle.amle, "update_reliabilities",
+            lambda *args: reliabilities.append(1) or update_reliabilities(*args),
+        )
+        oversized = np.zeros((4, 5), dtype=bool)
+        oversized[:, :2] = True
+        oversized[2, 2] = True
+        monkeypatch.setattr(approvalmle.amle, "estimate_truth", lambda *args: oversized)
+        iid = worked_profile.instance_ids[2]
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"truth set of instance {iid!r} has size 3 outside bounds [1, 2]")
+            + "$",
+        ):
+            run_amle(worked_profile, worked_bounds, worked_init)
+        # refused before the reliability update, where the eager call stood
+        assert reliabilities == []
+
+    def test_a_read_after_a_wrapper_is_removed_calls_the_unwrapped_function(
+        self, monkeypatch, worked_profile, worked_bounds, worked_init
+    ):
+        import approvalmle.amle
+
+        config = AmleConfig(tolerance=1e-12, max_iterations=4)
+        with monkeypatch.context() as wrapped:
+            calls = self.count_calls(wrapped)
+            result = run_amle(worked_profile, worked_bounds, worked_init, config)
+            assert len(calls) == 1
+        assert approvalmle.amle.total_loglik is total_loglik
+        values = [step.loglik for step in result.trace]
+        assert len(calls) == 1
+        assert values == [
+            total_loglik(
+                worked_profile,
+                TruthCounts.count(worked_profile.approvals, step.truth_array),
+                step.params,
+                worked_bounds,
+            )
+            for step in result.trace
+        ]

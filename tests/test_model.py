@@ -314,6 +314,17 @@ class TestProfile:
         ) + "$"):
             Profile(["a"], ["v"], ["z"], approvals)
 
+    @pytest.mark.parametrize(
+        "approvals", [[[[True], [True, False]]], [[[True]], [[True], [False]]]],
+        ids=["ragged-ballots", "ragged-voters"],
+    )
+    def test_ragged_approvals_are_refused_naming_them(self, approvals):
+        # numpy's unnamed "inhomogeneous shape" error came through
+        with pytest.raises(ValueError, match=re.escape(
+            "approvals are ragged nested lists, expected (L, n, m) = (1, 2, 1)"
+        ) + "$"):
+            Profile(["a"], ["v", "w"], ["z"], approvals)
+
     @pytest.mark.parametrize("approvals", [[[[]]], np.zeros((1, 1, 0), dtype=float)],
                              ids=["empty-list", "empty-float-array"])
     def test_empty_approvals_of_any_dtype_are_accepted(self, approvals):

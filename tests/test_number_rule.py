@@ -63,8 +63,6 @@ NOT_NUMBERS = ["0.5", ["0.5"], True, [True, 0.5], [None]]
         pytest.param(reader, field, call, value, id=f"{reader}-{field}-{value!r}")
         for reader, field, call in READERS
         for value in NOT_NUMBERS
-        # prior_logprob takes len(t) before any check, and a bool has none
-        if not (reader == "prior_logprob" and value is True)
     ],
 )
 def test_every_reader_refuses_a_non_number_naming_its_field(reader, field, call, value):
@@ -74,6 +72,24 @@ def test_every_reader_refuses_a_non_number_naming_its_field(reader, field, call,
         message = f"{field} must be a list of numbers"
     else:
         message = f"{field} must be a number or a list of numbers, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [pytest.param(call, id=reader)
+     for reader, field, call in READERS if field == "inclusion probabilities"],
+)
+@pytest.mark.parametrize(
+    "value, shape",
+    [(0.5, ()), (np.float64(0.5), ()), (np.array(0.5), ()), ([[0.5]], (1, 1)),
+     (np.full((2, 2), 0.5), (2, 2)), ([[1.5, 0.5]], (1, 2))],
+    ids=["scalar", "numpy-scalar", "0-d-array", "nested", "2-d-array", "2-d-out-of-range"],
+)
+def test_inclusion_priors_that_are_not_1d_are_refused(call, value, shape):
+    # a scalar raised a TypeError (no len()); [[0.5]] had mass 1.0 under [0, 1]
+    message = f"inclusion probabilities must be 1-D, got shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
 
